@@ -127,49 +127,6 @@ Sample wan_multi_hop(int n) {
   return {static_cast<std::uint64_t>(n), eng.events_processed()};
 }
 
-/// Partitioned-engine scaling point: a 64-cluster x 64-node topology
-/// where every cluster's first node floods its neighbour cluster's
-/// first node (a WAN ring), run once per partition count. P=1 is the
-/// sequential reference schedule; P=64 exercises the epoch barrier,
-/// per-pair gateway mailboxes and cross-partition staging. Both
-/// produce the identical event stream, so events/sec is directly
-/// comparable.
-Sample partition_scaling(int per_cluster_msgs, int partitions) {
-  constexpr int kClusters = 64;
-  constexpr int kPer = 64;
-  sim::Engine eng;
-  const net::TopologyConfig cfg = net::das_config(kClusters, kPer);
-  sim::PartitionConfig pc;
-  pc.owners = kClusters;
-  pc.partitions = partitions;
-  pc.lookahead = cfg.min_intercluster_latency();
-  eng.configure(pc);
-  net::Network net(eng, cfg);
-  const auto& topo = net.topology();
-  for (int c = 0; c < kClusters; ++c) {
-    const auto src = topo.compute_node(c, 0);
-    const auto dst = topo.compute_node((c + 1) % kClusters, 0);
-    for (int i = 0; i < per_cluster_msgs; ++i) {
-      net::Message m;
-      m.src = src;
-      m.dst = dst;
-      m.bytes = 64;
-      m.tag = 7;
-      net.send(std::move(m));
-    }
-    eng.spawn_on(static_cast<sim::OwnerId>((c + 1) % kClusters),
-                 [](net::Network& nw, net::NodeId at, int msgs) -> sim::Task<void> {
-                   for (int i = 0; i < msgs; ++i) {
-                     (void)co_await nw.endpoint(at).receive(7);
-                   }
-                 }(net, dst, per_cluster_msgs));
-  }
-  eng.run();
-  return {static_cast<std::uint64_t>(kClusters) *
-              static_cast<std::uint64_t>(per_cluster_msgs),
-          eng.events_processed()};
-}
-
 /// Totally-ordered broadcast fan-out: one writer updates a replicated
 /// object on a 4-cluster topology (sequencer traffic, LAN broadcast,
 /// WAN re-broadcast, reorder buffers, 16 local applies per write).
@@ -234,10 +191,6 @@ int main(int argc, char** argv) {
                               [&] { return wan_multi_hop(1024 * scale); }));
   results.push_back(run_bench("broadcast_fanout", min_sec, reps,
                               [&] { return broadcast_fanout(64 * scale); }));
-  results.push_back(run_bench("partition_scaling_64x64_p1", min_sec, reps,
-                              [&] { return partition_scaling(16 * scale, 1); }));
-  results.push_back(run_bench("partition_scaling_64x64_p64", min_sec, reps,
-                              [&] { return partition_scaling(16 * scale, 64); }));
 
   util::Table t({"bench", "ops", "events", "events/sec", "ns/event", "ops/sec"});
   for (const BenchResult& r : results) {

@@ -34,14 +34,6 @@ struct AppConfig {
   /// Run the wide-area-optimized variant instead of the original.
   bool optimized = false;
   std::uint64_t seed = 42;
-  /// Cooperating engine partitions (one per cluster at most). 1 is the
-  /// sequential reference schedule; any valid N produces byte-identical
-  /// results — elapsed, checksum, trace_hash, traffic, trace. Values
-  /// outside [1, clusters] are rejected with net::ConfigError.
-  int partitions = 1;
-  /// Worker threads for the partitioned epoch loop (0 = auto:
-  /// min(partitions, hardware_concurrency)). Never changes output.
-  int threads = 0;
   /// Flight-recorder settings (off by default; see src/trace/trace.hpp).
   /// Metrics are collected regardless — only event recording is gated.
   trace::Config trace;
@@ -152,32 +144,21 @@ struct Harness {
     r.stats = trace.metrics().snapshot();
     if (trace.config().enabled) {
       // harvest_merged() k-way merges the per-owner recorder shards into
-      // the canonical stream (identical for every partition count).
+      // the exported stream.
       r.trace = std::make_shared<const alb::trace::Trace>(trace.harvest_merged());
     }
     return r;
   }
 
  private:
-  /// Member-initialization shim: validates the partition request,
-  /// shards the trace session per owner, attaches it to the engine and
-  /// configures the partitioned engine — all before Network's
-  /// constructor runs (Network caches the recorder shards and respects
-  /// an already-configured engine).
+  /// Member-initialization shim: shards the trace session per owner,
+  /// attaches it to the engine and gives the engine one owner per
+  /// cluster — all before Network's constructor runs (Network caches
+  /// the recorder shards).
   static sim::Engine& prepare(sim::Engine& e, alb::trace::Session& s, const AppConfig& cfg) {
-    if (cfg.partitions < 1 || cfg.partitions > cfg.clusters) {
-      throw net::ConfigError("app: partitions must be in [1, clusters] (got " +
-                             std::to_string(cfg.partitions) + " with " +
-                             std::to_string(cfg.clusters) + " cluster(s))");
-    }
     s.shard_by_owner(cfg.clusters);
     e.attach_trace(&s);
-    sim::PartitionConfig pc;
-    pc.owners = cfg.clusters;
-    pc.partitions = cfg.partitions;
-    pc.lookahead = patch(cfg).min_intercluster_latency();
-    pc.threads = cfg.threads;
-    e.configure(pc);
+    e.set_owners(cfg.clusters);
     return e;
   }
 

@@ -238,11 +238,10 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
   // Within-k edges discovered by the init scan, staged per *writer*
   // rank: an edge (q -> v) is found by q's owner but consumed by v's
   // owner, so writing preds[v] directly from the scan would be a
-  // cross-owner write — racy under partitioned execution, and its
-  // ordering would depend on how the scan coroutines interleave.
-  // Instead each rank appends to its own lane and every owner collects
-  // its positions' predecessors after the barrier, in rank order —
-  // canonical for every partition and thread count.
+  // cross-owner write whose ordering would depend on how the scan
+  // coroutines interleave. Instead each rank appends to its own lane
+  // and every owner collects its positions' predecessors after the
+  // barrier, in rank order.
   struct Edge {
     std::uint32_t pred;  // q: the position that must be re-examined
     std::uint32_t succ;  // v: the successor whose value determines it

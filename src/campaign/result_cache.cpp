@@ -1,15 +1,18 @@
 #include "campaign/result_cache.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <vector>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "net/traffic_stats.hpp"
 #include "telemetry/telemetry.hpp"
@@ -28,7 +31,11 @@ std::string fmt(double v) {
   return buf;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr const char* kHeader = "albres 2";
+constexpr const char* kTrailer = "end=";
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
@@ -36,10 +43,42 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-/// One "key=value" line; returns false at end of text.
-bool next_line(const std::string& text, std::size_t* pos, std::string* key, std::string* value) {
-  while (*pos < text.size()) {
-    const std::size_t eol = std::min(text.find('\n', *pos), text.size());
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+  return buf;
+}
+
+/// error= text is one line: backslash and newline are escaped.
+std::string escape(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '\\') out += "\\\\";
+    else if (c == '\n') out += "\\n";
+    else out += c;
+  }
+  return out;
+}
+
+std::string unescape(const std::string& s) {
+  std::string out;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '\\') {
+      out += s[i];
+    } else if (i + 1 < s.size() && (s[i + 1] == '\\' || s[i + 1] == 'n')) {
+      out += s[++i] == 'n' ? '\n' : '\\';
+    } else {
+      throw std::runtime_error("result cache: bad escape in '" + s + "'");
+    }
+  }
+  return out;
+}
+
+/// One "key=value" line of text[*pos, end); returns false at `end`.
+bool next_line(const std::string& text, std::size_t end, std::size_t* pos, std::string* key,
+               std::string* value) {
+  while (*pos < end) {
+    const std::size_t eol = std::min(text.find('\n', *pos), end);
     const std::string line = text.substr(*pos, eol - *pos);
     *pos = eol + 1;
     if (line.empty()) continue;
@@ -100,11 +139,11 @@ double to_dbl(const std::string& s) {
 }  // namespace
 
 std::string serialize_result(const apps::AppResult& r) {
-  std::string out = "albres 1\n";
+  std::string out = std::string(kHeader) + "\n";
   out += "elapsed=" + std::to_string(r.elapsed) + "\n";
   out += std::string("status=") +
          (r.status == apps::AppResult::RunStatus::Ok ? "ok" : "hard_failure") + "\n";
-  if (!r.error.empty()) out += "error=" + r.error + "\n";
+  if (!r.error.empty()) out += "error=" + escape(r.error) + "\n";
   out += "checksum=" + std::to_string(r.checksum) + "\n";
   out += "trace_hash=" + std::to_string(r.trace_hash) + "\n";
   out += "events=" + std::to_string(r.events) + "\n";
@@ -129,6 +168,7 @@ std::string serialize_result(const apps::AppResult& r) {
     for (const std::uint64_t b : h.buckets) out += " " + std::to_string(b);
     out += "\n";
   }
+  out += kTrailer + hex64(fnv1a(kFnvBasis, out)) + "\n";
   return out;
 }
 
@@ -136,14 +176,26 @@ apps::AppResult parse_result(const std::string& text) {
   std::size_t pos = 0;
   {
     const std::size_t eol = std::min(text.find('\n', pos), text.size());
-    if (text.substr(0, eol) != "albres 1") {
+    if (text.substr(0, eol) != kHeader) {
       throw std::runtime_error("result cache: unsupported format header");
     }
     pos = eol + 1;
   }
+  // The last line is the trailer: a hash of every byte before it. A
+  // torn write (truncated at any point) or a flipped byte fails here.
+  const std::size_t nl = text.rfind(std::string("\n") + kTrailer);
+  const std::size_t body_end = nl == std::string::npos ? 0 : nl + 1;
+  const std::string_view body(text.data(), body_end);
+  const std::string trailer = kTrailer + hex64(fnv1a(kFnvBasis, body)) + "\n";
+  if (body_end < pos || text.size() != body_end + trailer.size()) {
+    throw std::runtime_error("result cache: missing end= trailer");
+  }
+  if (text.compare(body_end, trailer.size(), trailer) != 0) {
+    throw std::runtime_error("result cache: end= trailer does not match the entry");
+  }
   apps::AppResult r;
   std::string key, value;
-  while (next_line(text, &pos, &key, &value)) {
+  while (next_line(text, body.size(), &pos, &key, &value)) {
     if (key == "elapsed") {
       r.elapsed = to_i64(value);
     } else if (key == "status") {
@@ -151,7 +203,7 @@ apps::AppResult parse_result(const std::string& text) {
       else if (value == "hard_failure") r.status = apps::AppResult::RunStatus::HardFailure;
       else throw std::runtime_error("result cache: bad status '" + value + "'");
     } else if (key == "error") {
-      r.error = value;
+      r.error = unescape(value);
     } else if (key == "checksum") {
       r.checksum = to_u64(value);
     } else if (key == "trace_hash") {
@@ -218,11 +270,7 @@ std::string ResultCache::key(const std::string& canonical_request) const {
   return buf;
 }
 
-const std::string* ResultCache::lookup_text(const std::string& key) {
-  // Host telemetry reads the wall clock around the lookup; the outcome
-  // and returned bytes are identical with telemetry on or off.
-  telemetry::Collector* tc = telemetry::Collector::active();
-  const std::int64_t t0 = tc ? telemetry::now_ns() : 0;
+const std::string* ResultCache::find(const std::string& key) {
   auto it = mem_.find(key);
   if (it == mem_.end() && !dir_.empty()) {
     std::ifstream is(dir_ + "/" + key + ".albres", std::ios::binary);
@@ -232,29 +280,60 @@ const std::string* ResultCache::lookup_text(const std::string& key) {
       it = mem_.emplace(key, text.str()).first;
     }
   }
-  if (it == mem_.end()) {
-    ++stats_.misses;
-    if (tc) tc->record_cache(false, static_cast<std::uint64_t>(telemetry::now_ns() - t0));
-    return nullptr;
+  return it == mem_.end() ? nullptr : &it->second;
+}
+
+void ResultCache::count(bool hit, std::int64_t t0_ns) {
+  ++(hit ? stats_.hits : stats_.misses);
+  // Host telemetry reads the wall clock around the lookup; the outcome
+  // and returned bytes are identical with telemetry on or off.
+  if (telemetry::Collector* tc = telemetry::Collector::active()) {
+    tc->record_cache(hit, static_cast<std::uint64_t>(telemetry::now_ns() - t0_ns));
   }
-  ++stats_.hits;
-  if (tc) tc->record_cache(true, static_cast<std::uint64_t>(telemetry::now_ns() - t0));
-  return &it->second;
+}
+
+const std::string* ResultCache::lookup_text(const std::string& key) {
+  const std::int64_t t0 = telemetry::Collector::active() ? telemetry::now_ns() : 0;
+  const std::string* text = find(key);
+  count(text != nullptr, t0);
+  return text;
 }
 
 std::optional<apps::AppResult> ResultCache::lookup(const std::string& key) {
-  const std::string* text = lookup_text(key);
-  if (text == nullptr) return std::nullopt;
-  return parse_result(*text);
+  const std::int64_t t0 = telemetry::Collector::active() ? telemetry::now_ns() : 0;
+  std::optional<apps::AppResult> r;
+  if (const std::string* text = find(key)) {
+    try {
+      r = parse_result(*text);
+    } catch (const std::runtime_error&) {
+      // Only a disk file can fail to parse (store() keeps its own
+      // bytes): a torn write or a damaged file. Forget it and report a
+      // miss; the caller re-simulates and store() replaces the file.
+      mem_.erase(key);
+      ++stats_.corrupt;
+    }
+  }
+  count(r.has_value(), t0);
+  return r;
 }
 
 void ResultCache::store(const std::string& key, const apps::AppResult& r) {
   std::string text = serialize_result(r);
   if (!dir_.empty()) {
+    // Write a private temp file, then rename it into place: a reader
+    // (or a crash) never sees a half-written entry under the key.
     std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);  // best effort; write reports
-    std::ofstream os(dir_ + "/" + key + ".albres", std::ios::binary);
-    if (os) os << text;
+    std::filesystem::create_directories(dir_, ec);  // best effort; the write reports
+    const std::string path = dir_ + "/" + key + ".albres";
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    bool written = false;
+    {
+      std::ofstream os(tmp, std::ios::binary);
+      os << text;
+      written = static_cast<bool>(os.flush());
+    }
+    if (written) std::filesystem::rename(tmp, path, ec);
+    if (!written || ec) std::filesystem::remove(tmp, ec);
   }
   mem_[key] = std::move(text);
   ++stats_.stores;
@@ -264,6 +343,7 @@ void ResultCache::publish_metrics(trace::Metrics& m) const {
   *m.counter("campaign/cache.hits") = stats_.hits;
   *m.counter("campaign/cache.misses") = stats_.misses;
   *m.counter("campaign/cache.stores") = stats_.stores;
+  *m.counter("campaign/cache.corrupt") = stats_.corrupt;
 }
 
 }  // namespace alb::campaign

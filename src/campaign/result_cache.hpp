@@ -12,9 +12,12 @@
 //
 // Storage is a versioned text serialization of AppResult minus the
 // flight-recorder trace (cached requests run untraced; metrics and
-// traffic counters are simulated values and round-trip exactly).
-// An optional disk directory persists entries one file per key, so a
-// warm cache survives process restarts of the same binary.
+// traffic counters are simulated values and round-trip exactly),
+// closed by a hash trailer. An optional disk directory persists
+// entries one file per key, so a warm cache survives process restarts
+// of the same binary. Files are written to a temp name and renamed into
+// place; a file that still fails to parse (truncated, damaged) is a
+// counted miss, never an error, and its re-simulation replaces it.
 //
 // Thread-safety: none. The intended pattern (tools/alb_serve.cpp) is
 // plan -> run the misses through run_sim_jobs (the parallelism lives
@@ -30,12 +33,14 @@
 
 namespace alb::campaign {
 
-/// Serializes `r` (minus the trace) as versioned text ("albres 1").
-/// Doubles render as %.17g and round-trip bit-exactly.
+/// Serializes `r` (minus the trace) as versioned text ("albres 2"), one
+/// key=value per line, ending in an `end=<fnv64 of all bytes before
+/// it>` trailer. Doubles render as %.17g and round-trip bit-exactly;
+/// the error text escapes backslash and newline.
 std::string serialize_result(const apps::AppResult& r);
 
 /// Inverse of serialize_result. Throws std::runtime_error on malformed
-/// or version-mismatched text.
+/// or version-mismatched text and on a missing or mismatched trailer.
 apps::AppResult parse_result(const std::string& text);
 
 class ResultCache {
@@ -44,6 +49,7 @@ class ResultCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t stores = 0;
+    std::uint64_t corrupt = 0;  ///< disk entries that failed to parse (counted as misses)
   };
 
   /// `disk_dir`: "" = memory-only; otherwise entries are also written
@@ -57,7 +63,8 @@ class ResultCache {
   std::string key(const std::string& canonical_request) const;
 
   /// Memory first, then disk (a disk hit is promoted to memory).
-  /// Counts a hit or a miss.
+  /// Counts a hit or a miss. An entry that fails to parse is dropped,
+  /// counted in stats().corrupt and reported as a miss.
   std::optional<apps::AppResult> lookup(const std::string& key);
 
   /// Serialized-form lookup: the exact stored bytes, no re-parse. The
@@ -68,10 +75,15 @@ class ResultCache {
 
   const Stats& stats() const { return stats_; }
 
-  /// Publishes campaign/cache.{hits,misses,stores} counters.
+  /// Publishes campaign/cache.{hits,misses,stores,corrupt} counters.
   void publish_metrics(trace::Metrics& m) const;
 
  private:
+  /// Memory, then disk; no accounting.
+  const std::string* find(const std::string& key);
+  /// Counts one lookup outcome (and its latency when telemetry is on).
+  void count(bool hit, std::int64_t t0_ns);
+
   std::string dir_;
   std::string version_;
   std::map<std::string, std::string> mem_;  // key -> serialized text

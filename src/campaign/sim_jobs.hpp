@@ -5,9 +5,7 @@
 // sequential for-loop, with Options{N} the same list is sharded over N
 // workers and the results come back in the same order.
 
-#include <algorithm>
 #include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,28 +31,9 @@ struct SimJob {
 inline std::vector<apps::AppResult> run_sim_jobs(const std::vector<SimJob>& jobs,
                                                  const Options& opts = {},
                                                  RunStats* stats = nullptr) {
-  // A partitioned job (cfg.partitions > 1, cfg.threads == 0 meaning
-  // "auto") would spawn one epoch-loop thread per partition; with a
-  // pool of campaign workers running such jobs side by side that
-  // oversubscribes the machine. Hand each job an explicit per-job
-  // thread budget of hardware_concurrency / workers (at least 1).
-  // Thread counts never change any output byte, only wall-clock speed,
-  // so this keeps --jobs byte-identity intact.
-  const int workers = resolve_jobs(opts.jobs);
-  const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int budget = std::max(1, hw / std::max(1, workers));
   std::vector<std::function<apps::AppResult()>> tasks;
   tasks.reserve(jobs.size());
-  for (const SimJob& j : jobs) {
-    tasks.push_back([&j, budget] {
-      if (j.cfg.partitions > 1 && j.cfg.threads == 0) {
-        apps::AppConfig cfg = j.cfg;
-        cfg.threads = std::min(budget, cfg.partitions);
-        return j.run(cfg);
-      }
-      return j.run(j.cfg);
-    });
-  }
+  for (const SimJob& j : jobs) tasks.push_back([&j] { return j.run(j.cfg); });
   return run(std::move(tasks), opts, stats);
 }
 

@@ -193,7 +193,7 @@ class ClusterReducer {
 
   sim::Task<void> send_to_owner(net::NodeId from, int owner_rank, Update u) {
     // Shard by the sending context's cluster: direct-path contributors
-    // and coordinators run in their own cluster's partition.
+    // and coordinators run in their own cluster's context.
     ++wan_updates_[static_cast<std::size_t>(rt_->network().topology().cluster_of(from))];
     ClusterReducer* self = this;
     auto boxed = std::make_shared<Update>(std::move(u));
@@ -215,7 +215,7 @@ class ClusterReducer {
                              std::uint64_t epoch, Update u, int expected) {
     // Per-cluster shard: accumulate only ever runs at `cluster`'s own
     // coordinator (contributors RPC into their local coordinator), so
-    // each shard stays confined to one partition.
+    // each shard stays confined to one cluster.
     auto& shard = partial_[static_cast<std::size_t>(cluster)];
     const Key key{owner_rank, epoch};
     auto it = shard.find(key);

@@ -243,8 +243,7 @@ class ClusterCombiner {
   std::vector<std::uint64_t> sent_;
   std::vector<std::uint64_t> delivered_;
   // Every buffer element below is only touched in the context of the
-  // cluster that indexes it (senders and relays of `from` / `src`),
-  // which keeps the combining machinery race-free when partitioned.
+  // cluster that indexes it (senders and relays of `from` / `src`).
   std::vector<std::vector<Addressed>> buffers_;       // (from, to) cluster pairs
   std::vector<std::vector<Item>> sender_buffers_;     // (src, dst) rank pairs
   std::vector<std::uint64_t> combined_shards_;        // per source cluster

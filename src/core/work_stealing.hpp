@@ -95,7 +95,7 @@ class StealScheduler {
   /// empty. Steal RPCs take jobs from the FIFO end (the victim's oldest,
   /// largest subtrees).
   sim::Task<std::optional<std::vector<Job>>> steal(const orca::Proc& p) {
-    // The thief's own cluster shard — steal() runs in p's partition.
+    // The thief's own cluster shard — steal() runs in p's context.
     Stats& st = stats_shards_[static_cast<std::size_t>(p.cluster())];
     for (int victim : victim_order(p)) {
       if (opt_.remember_empty && idle_.local(p).idle[static_cast<std::size_t>(victim)]) {

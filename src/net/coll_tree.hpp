@@ -21,8 +21,7 @@
 // serialization favours the binomial relay.
 //
 // Everything here is pure arithmetic on (shape, root, clusters):
-// allocation-free child iteration for the per-hop fan-out, and identical
-// results on every partition/thread count.
+// allocation-free child iteration for the per-hop fan-out.
 
 #include <cstdint>
 #include <vector>

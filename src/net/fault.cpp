@@ -117,18 +117,18 @@ FaultInjector::GatewayState FaultInjector::gateway_state(ClusterId c, sim::SimTi
 
 void FaultInjector::count_drop(LinkClass c, std::size_t bytes, DropCause cause, ClusterId at) {
   switch (cause) {
-    case DropCause::Loss: drops_loss_.fetch_add(1, std::memory_order_relaxed); break;
-    case DropCause::Flap: drops_flap_.fetch_add(1, std::memory_order_relaxed); break;
-    case DropCause::Brownout: drops_brownout_.fetch_add(1, std::memory_order_relaxed); break;
+    case DropCause::Loss: ++drops_loss_; break;
+    case DropCause::Flap: ++drops_flap_; break;
+    case DropCause::Brownout: ++drops_brownout_; break;
   }
   const auto ci = static_cast<std::size_t>(c);
-  drops_by_class_[ci].fetch_add(1, std::memory_order_relaxed);
+  ++drops_by_class_[ci];
   if (h_drop_bytes_[ci]) streams_[static_cast<std::size_t>(at)].drop_bytes[ci].add(bytes);
 }
 
 void FaultInjector::count_flap_hold(sim::SimTime delay) {
-  flap_holds_.fetch_add(1, std::memory_order_relaxed);
-  flap_hold_ns_.fetch_add(static_cast<std::uint64_t>(delay), std::memory_order_relaxed);
+  ++flap_holds_;
+  flap_hold_ns_ += static_cast<std::uint64_t>(delay);
 }
 
 void FaultInjector::fail(ClusterId cluster, sim::SimTime time, FailureInfo info) {
@@ -139,7 +139,7 @@ void FaultInjector::fail(ClusterId cluster, sim::SimTime time, FailureInfo info)
   f.info = info;
   f.eptr = std::make_exception_ptr(HardFailure(info));
   // Fan out: error this cluster's parked waiters (and let the runtime
-  // propagate to other clusters with lookahead delay). Copying the list
+  // propagate to other clusters one WAN latency later). Copying the list
   // keeps a callback from re-entering the loop.
   const std::vector<std::function<void(ClusterId, const FailureInfo&)>> cbs = on_fail_;
   for (const auto& cb : cbs) cb(cluster, info);
@@ -174,26 +174,23 @@ std::exception_ptr FaultInjector::failure_eptr(ClusterId cluster) const {
 }
 
 void FaultInjector::publish_metrics(trace::Metrics& m) const {
-  const auto ld = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
   *m.counter("net/fault.drops") = drops();
-  *m.counter("net/fault.drops.loss") = ld(drops_loss_);
-  *m.counter("net/fault.drops.flap") = ld(drops_flap_);
-  *m.counter("net/fault.drops.brownout") = ld(drops_brownout_);
-  *m.counter("net/fault.drops.lan") = ld(drops_by_class_[0]);
-  *m.counter("net/fault.drops.access") = ld(drops_by_class_[1]);
-  *m.counter("net/fault.drops.wan") = ld(drops_by_class_[2]);
-  *m.counter("net/fault.holds.flap") = ld(flap_holds_);
-  *m.counter("net/fault.hold_ns.flap") = ld(flap_hold_ns_);
-  *m.counter("net/fault.brownout.slowed") = ld(brownout_slowed_);
-  *m.counter("net/fault.retries") = ld(retries_);
-  *m.counter("net/fault.timeouts.rpc") = ld(rpc_timeouts_);
-  *m.counter("net/fault.timeouts.seq") = ld(seq_timeouts_);
-  *m.counter("net/fault.dup.rpc_requests") = ld(dup_rpc_requests_);
-  *m.counter("net/fault.dup.rpc_replies") = ld(dup_rpc_replies_);
-  *m.counter("net/fault.dup.seq_requests") = ld(dup_seq_requests_);
-  *m.counter("net/fault.dup.seq_grants") = ld(dup_seq_grants_);
+  *m.counter("net/fault.drops.loss") = drops_loss_;
+  *m.counter("net/fault.drops.flap") = drops_flap_;
+  *m.counter("net/fault.drops.brownout") = drops_brownout_;
+  *m.counter("net/fault.drops.lan") = drops_by_class_[0];
+  *m.counter("net/fault.drops.access") = drops_by_class_[1];
+  *m.counter("net/fault.drops.wan") = drops_by_class_[2];
+  *m.counter("net/fault.holds.flap") = flap_holds_;
+  *m.counter("net/fault.hold_ns.flap") = flap_hold_ns_;
+  *m.counter("net/fault.brownout.slowed") = brownout_slowed_;
+  *m.counter("net/fault.retries") = retries_;
+  *m.counter("net/fault.timeouts.rpc") = rpc_timeouts_;
+  *m.counter("net/fault.timeouts.seq") = seq_timeouts_;
+  *m.counter("net/fault.dup.rpc_requests") = dup_rpc_requests_;
+  *m.counter("net/fault.dup.rpc_replies") = dup_rpc_replies_;
+  *m.counter("net/fault.dup.seq_requests") = dup_seq_requests_;
+  *m.counter("net/fault.dup.seq_grants") = dup_seq_grants_;
   *m.counter("net/fault.hard_failures") = failed() ? 1 : 0;
   // Merge the per-cluster dropped-bytes shards into the registry
   // histograms (post-run, single-threaded).

@@ -12,15 +12,12 @@
 // costs one null-pointer check and the run is byte-identical to a
 // build without this subsystem.
 //
-// Partitioned runs: every decision site executes in exactly one
+// Per-cluster streams: every decision site executes in exactly one
 // cluster's engine context, and the injector keeps one RNG stream, one
 // force-drop index and one failure slot *per cluster*, indexed by that
-// context. Each cluster therefore consumes its streams in its own
-// canonical event order, which is identical for `--partitions 1` and
-// `--partitions N` — fault decisions stay byte-reproducible across
-// partition and thread counts. Accounting counters are relaxed atomics
-// (sums are order-independent); histograms are sharded per cluster and
-// merged at publish time.
+// context. Each cluster consumes its streams in its own canonical event
+// order; which draw a message gets is part of the pinned output.
+// Histograms are sharded per cluster and merged at publish time.
 //
 // Traffic is split into two service classes. Messages whose sender can
 // recover end-to-end (RPC requests/replies and sequencer
@@ -32,7 +29,6 @@
 // window closes, but never dropped, so protocols without a retry path
 // cannot wedge. docs/RESILIENCE.md specifies the full model.
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -133,10 +129,9 @@ struct FaultPlan {
   RecoveryParams recovery;
 
   /// Deterministic targeted drops for tests: the i-th droppable message
-  /// (0-based, counted per *source cluster* so the coordinate system is
-  /// partition-independent) reaching the WAN loss checkpoint is
-  /// discarded iff i is listed here — independent of the probabilistic
-  /// `loss` draw. `force_drop_from` restricts the rule to messages
+  /// (0-based, counted per *source cluster*) reaching the WAN loss
+  /// checkpoint is discarded iff i is listed here — independent of the
+  /// probabilistic `loss` draw. `force_drop_from` restricts the rule to messages
   /// sourced from one cluster (-1 applies it to every cluster's index).
   std::vector<std::uint64_t> force_drop;
   ClusterId force_drop_from = -1;
@@ -223,40 +218,33 @@ class FaultInjector {
   };
   GatewayState gateway_state(ClusterId c, sim::SimTime now) const;
 
-  // --- accounting hooks (relaxed atomics: callable from any partition
-  // thread; totals are order-independent) ----------------------------
+  // --- accounting hooks ------------------------------------------------
   void count_drop(LinkClass c, std::size_t bytes, DropCause cause, ClusterId at = 0);
   void count_flap_hold(sim::SimTime delay);
-  void count_brownout_slow() { brownout_slowed_.fetch_add(1, std::memory_order_relaxed); }
-  void note_retry() { retries_.fetch_add(1, std::memory_order_relaxed); }
-  void note_rpc_timeout() { rpc_timeouts_.fetch_add(1, std::memory_order_relaxed); }
-  void note_seq_timeout() { seq_timeouts_.fetch_add(1, std::memory_order_relaxed); }
-  void note_dup_rpc_request() { dup_rpc_requests_.fetch_add(1, std::memory_order_relaxed); }
-  void note_dup_rpc_reply() { dup_rpc_replies_.fetch_add(1, std::memory_order_relaxed); }
-  void note_dup_seq_request() { dup_seq_requests_.fetch_add(1, std::memory_order_relaxed); }
-  void note_dup_seq_grant() { dup_seq_grants_.fetch_add(1, std::memory_order_relaxed); }
+  void count_brownout_slow() { ++brownout_slowed_; }
+  void note_retry() { ++retries_; }
+  void note_rpc_timeout() { ++rpc_timeouts_; }
+  void note_seq_timeout() { ++seq_timeouts_; }
+  void note_dup_rpc_request() { ++dup_rpc_requests_; }
+  void note_dup_rpc_reply() { ++dup_rpc_replies_; }
+  void note_dup_seq_request() { ++dup_seq_requests_; }
+  void note_dup_seq_grant() { ++dup_seq_grants_; }
 
-  std::uint64_t drops() const {
-    return drops_loss_.load(std::memory_order_relaxed) +
-           drops_flap_.load(std::memory_order_relaxed) +
-           drops_brownout_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
-  std::uint64_t rpc_timeouts() const { return rpc_timeouts_.load(std::memory_order_relaxed); }
-  std::uint64_t seq_timeouts() const { return seq_timeouts_.load(std::memory_order_relaxed); }
-  std::uint64_t dup_rpc_requests() const {
-    return dup_rpc_requests_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t drops() const { return drops_loss_ + drops_flap_ + drops_brownout_; }
+  std::uint64_t retries() const { return retries_; }
+  std::uint64_t rpc_timeouts() const { return rpc_timeouts_; }
+  std::uint64_t seq_timeouts() const { return seq_timeouts_; }
+  std::uint64_t dup_rpc_requests() const { return dup_rpc_requests_; }
 
   // --- hard failure --------------------------------------------------
   /// Records cluster `cluster`'s first failure (at simulated time
   /// `time`, in that cluster's context) and runs the registered fan-out
   /// callbacks for it, which error the cluster's parked waiters and
-  /// propagate the failure to the other clusters with lookahead delay.
+  /// propagate the failure to the other clusters one WAN latency later.
   /// Idempotent per cluster.
   void fail(ClusterId cluster, sim::SimTime time, FailureInfo info);
-  /// Cluster-local failure flag: the only failed() form that may be
-  /// read while a partitioned run is in flight.
+  /// Cluster-local failure flag (the form read mid-run, in that
+  /// cluster's context).
   bool failed(ClusterId cluster) const {
     return fail_[static_cast<std::size_t>(cluster)].failed;
   }
@@ -282,7 +270,7 @@ class FaultInjector {
  private:
   /// A cluster's failure slot. Written only in that cluster's engine
   /// context (origin failures locally, propagated ones through a
-  /// lookahead-delayed event), so no synchronization is needed.
+  /// WAN-latency-delayed event).
   struct ClusterFailure {
     bool failed = false;
     sim::SimTime time = 0;
@@ -291,9 +279,8 @@ class FaultInjector {
     std::exception_ptr eptr;
   };
 
-  /// One cluster's decision state, padded so partition threads drawing
-  /// concurrently never share a cache line.
-  struct alignas(64) ClusterStream {
+  /// One cluster's decision state.
+  struct ClusterStream {
     sim::Rng rng;
     /// Index of the next droppable message from this cluster to reach
     /// the WAN loss checkpoint (the force_drop coordinate system).
@@ -307,20 +294,20 @@ class FaultInjector {
   std::vector<ClusterStream> streams_;
   std::vector<ClusterFailure> fail_;
 
-  std::atomic<std::uint64_t> drops_loss_{0};
-  std::atomic<std::uint64_t> drops_flap_{0};
-  std::atomic<std::uint64_t> drops_brownout_{0};
-  std::atomic<std::uint64_t> drops_by_class_[3] = {{0}, {0}, {0}};
-  std::atomic<std::uint64_t> flap_holds_{0};
-  std::atomic<std::uint64_t> flap_hold_ns_{0};
-  std::atomic<std::uint64_t> brownout_slowed_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> rpc_timeouts_{0};
-  std::atomic<std::uint64_t> seq_timeouts_{0};
-  std::atomic<std::uint64_t> dup_rpc_requests_{0};
-  std::atomic<std::uint64_t> dup_rpc_replies_{0};
-  std::atomic<std::uint64_t> dup_seq_requests_{0};
-  std::atomic<std::uint64_t> dup_seq_grants_{0};
+  std::uint64_t drops_loss_ = 0;
+  std::uint64_t drops_flap_ = 0;
+  std::uint64_t drops_brownout_ = 0;
+  std::uint64_t drops_by_class_[3] = {0, 0, 0};
+  std::uint64_t flap_holds_ = 0;
+  std::uint64_t flap_hold_ns_ = 0;
+  std::uint64_t brownout_slowed_ = 0;
+  std::uint64_t retries_ = 0;
+  std::uint64_t rpc_timeouts_ = 0;
+  std::uint64_t seq_timeouts_ = 0;
+  std::uint64_t dup_rpc_requests_ = 0;
+  std::uint64_t dup_rpc_replies_ = 0;
+  std::uint64_t dup_seq_requests_ = 0;
+  std::uint64_t dup_seq_grants_ = 0;
 
   trace::Histogram* h_drop_bytes_[3] = {nullptr, nullptr, nullptr};
 

@@ -21,9 +21,8 @@ class Link {
   /// `faults` (nullable) applies the plan's per-class jitter to every
   /// transfer; `cls` selects which class's knobs govern this link.
   /// `stream` is the cluster whose engine context charges this link —
-  /// its jitter draws come from that cluster's fault RNG stream, so a
-  /// partitioned run draws them in the same canonical order as a
-  /// sequential one.
+  /// its jitter draws come from that cluster's fault RNG stream, in
+  /// that cluster's canonical event order.
   Link(sim::Engine& eng, LinkParams params, FaultInjector* faults = nullptr,
        LinkClass cls = LinkClass::Lan, ClusterId stream = 0)
       : eng_(&eng), params_(params), faults_(faults), cls_(cls), stream_(stream) {}

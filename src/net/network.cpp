@@ -14,15 +14,8 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
 
   // Give the engine cluster-grained owner contexts if the harness has
   // not already done so (direct-construction tests): one owner per
-  // cluster, single partition, WAN-latency lookahead. The harness
-  // configures multi-partition runs before constructing the network.
-  if (eng.owners() < clusters) {
-    sim::PartitionConfig pc;
-    pc.owners = clusters;
-    pc.partitions = 1;
-    pc.lookahead = cfg.min_intercluster_latency();
-    eng.configure(pc);
-  }
+  // cluster.
+  if (eng.owners() < clusters) eng.set_owners(clusters);
 
   stats_shards_.resize(static_cast<std::size_t>(clusters));
   next_id_.assign(static_cast<std::size_t>(clusters) + 1, 0);
@@ -270,9 +263,7 @@ void Network::run_hop(HopPlan plan) {
       plan.stage = HopStage::kGatewayEgress;
       // The cross-cluster edge: from here on the message is the remote
       // cluster's business, so the continuation is scheduled in that
-      // owner's context. at_remote_gw ≥ now + WAN latency — exactly the
-      // engine's conservative lookahead — so a partitioned run can
-      // stage this event across the epoch barrier safely.
+      // owner's context.
       {
         const sim::OwnerId dest = plan.to;
         auto ev = [this, plan = std::move(plan)]() mutable { run_hop(std::move(plan)); };

@@ -16,15 +16,14 @@
 // Every hop is a scheduled event, so queueing at gateways and on the WAN
 // circuits emerges naturally from link busy-until times.
 //
-// Partitioned execution: the network is the layer that crosses cluster
+// Owner contexts: the network is the layer that crosses cluster
 // boundaries, so it is sharded by cluster context. Every hop up to the
 // WAN transfer runs in the *source* cluster's engine context; the
 // remote-gateway hop onward runs in the *destination* cluster's. The
-// WAN crossing is the one cross-owner edge — it is scheduled through
-// Engine::schedule_on, and its arrival time (≥ now + WAN latency) is
-// what satisfies the engine's conservative-lookahead contract. Message
-// ids, traffic counters and WAN histograms are kept per cluster (tagged
-// /merged so the observable values are partition-independent).
+// WAN crossing is the one cross-owner edge, scheduled through
+// Engine::schedule_on. Message ids, traffic counters and WAN
+// histograms are kept per cluster and tagged/merged, which fixes their
+// observable values (message ids appear in exported traces).
 
 #include <memory>
 #include <vector>
@@ -45,10 +44,9 @@ class Network {
   /// `faults` + `fault_seed` arm deterministic fault injection (see
   /// src/net/fault.hpp). The defaults construct no injector at all, so
   /// existing call sites are byte-identical to the pre-fault network.
-  /// Throws ConfigError on a malformed `cfg`. If the engine has not
-  /// been partition-configured yet, the constructor configures it for
-  /// one owner per cluster (single partition) so cluster contexts are
-  /// meaningful in every run mode.
+  /// Throws ConfigError on a malformed `cfg`. If the engine has fewer
+  /// owners than clusters, the constructor gives it one owner per
+  /// cluster so cluster contexts are meaningful in every run mode.
   Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& faults = {},
           std::uint64_t fault_seed = 0);
 
@@ -85,8 +83,7 @@ class Network {
   std::uint64_t tree_broadcast(NodeId src, CollShape shape, Message m);
 
   /// Whole-run traffic accounting: merges the per-cluster shards into a
-  /// stable cached view. Do not call while a partitioned run is in
-  /// flight (tests and the harness read it post-run).
+  /// stable cached view (tests and the harness read it post-run).
   const TrafficStats& stats() const;
 
   /// Publishes the run's traffic accounting into `m` under the `net/`
@@ -136,9 +133,8 @@ class Network {
     const sim::OwnerId o = eng_->current_owner();
     return o >= topo_.clusters() ? 0 : o;
   }
-  /// Fresh message id, unique across clusters and independent of the
-  /// partition interleaving: the issuing context owns the high bits, a
-  /// per-context counter the low ones.
+  /// Fresh message id, unique across clusters: the issuing context owns
+  /// the high bits, a per-context counter the low ones.
   std::uint64_t next_id() {
     const auto c = static_cast<std::size_t>(ctx());
     return ((static_cast<std::uint64_t>(c) + 1) << 40) | ++next_id_[c];
@@ -215,7 +211,7 @@ class Network {
   // per-owner tracer (eng_->tracer(), null = tracing off, one branch
   // per site). WAN histograms are sharded per source cluster and merged
   // into the registry instruments at publish time.
-  struct alignas(64) WanHistShard {
+  struct WanHistShard {
     trace::Histogram bytes;
     trace::Histogram queue;
   };
@@ -235,13 +231,13 @@ class Network {
 
   /// One combine buffer per (destination, kind, service class), sharded
   /// by source cluster — all enqueue/flush activity for a shard runs in
-  /// that cluster's engine context, so partitioned runs never share it.
+  /// that cluster's engine context.
   struct CombineBuffer {
     std::vector<HopPlan> members;  // arrival order
     std::size_t bytes = 0;         // sum of member payload bytes
     sim::SimTime epoch_due = -1;   // pending epoch-flush time, -1 = none
   };
-  struct alignas(64) CombineShard {
+  struct CombineShard {
     std::vector<CombineBuffer> buffers;
   };
   std::vector<CombineShard> combine_shards_;  // per source cluster; empty = off

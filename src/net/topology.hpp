@@ -193,10 +193,9 @@ struct TopologyConfig {
 
   /// The smallest latency any cross-cluster effect can travel with:
   /// the minimum WAN propagation latency over all circuits (with
-  /// heterogeneous overrides, the fastest pair bounds everyone). This
-  /// is the engine's conservative lookahead — a partition may run that
-  /// far beyond the global epoch floor without missing a remote event.
-  /// Zero on a single cluster (no WAN, and no partitioning either).
+  /// heterogeneous overrides, the fastest pair bounds everyone). The
+  /// runtime propagates a hard failure this far into the future. Zero
+  /// on a single cluster (no WAN).
   sim::SimTime min_intercluster_latency() const {
     if (clusters <= 1) return 0;
     if (wan_overrides.empty()) return wan.latency;
@@ -214,9 +213,7 @@ class Topology {
  public:
   /// Validates `cfg` (throws ConfigError) and freezes the node math.
   explicit Topology(const TopologyConfig& cfg)
-      : clusters_(cfg.clusters),
-        per_cluster_(cfg.nodes_per_cluster),
-        lookahead_(cfg.min_intercluster_latency()) {
+      : clusters_(cfg.clusters), per_cluster_(cfg.nodes_per_cluster) {
     cfg.validate();
   }
 
@@ -243,14 +240,9 @@ class Topology {
     return is_gateway(n) ? 0 : n % per_cluster_;
   }
 
-  /// Minimum simulated delay between an event at cluster `a` and any
-  /// effect it can have at cluster `b` (0 when a == b).
-  sim::SimTime lookahead(ClusterId a, ClusterId b) const { return a == b ? 0 : lookahead_; }
-
  private:
   int clusters_;
   int per_cluster_;
-  sim::SimTime lookahead_;
 };
 
 }  // namespace alb::net

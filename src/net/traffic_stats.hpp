@@ -137,8 +137,8 @@ class TrafficStats {
     combined_ = {};
   }
 
-  /// Accumulates another shard into this one (partitioned runs keep one
-  /// TrafficStats per cluster context and merge post-run).
+  /// Accumulates another shard into this one (the network keeps one
+  /// TrafficStats per cluster context and merges post-run).
   void merge(const TrafficStats& other) {
     for (int k = 0; k < kNumKinds; ++k) {
       counters_[k].intra_msgs += other.counters_[k].intra_msgs;

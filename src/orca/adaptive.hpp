@@ -36,9 +36,9 @@
 // instrumentation site's own cluster, epoch evaluators are sim-time
 // events scheduled in the cluster they evaluate, and cross-cluster
 // actions travel as ordinary control messages. Nothing reads wall
-// clock, the metrics registry (not partition-safe mid-run), or another
-// cluster's shard — so adaptive runs stay byte-identical across
-// --jobs/--partitions and under fault plans, like everything else.
+// clock, the metrics registry, or another cluster's shard — so adaptive
+// runs stay byte-identical across runs and --jobs values and under
+// fault plans, like everything else.
 //
 // Hysteresis. A policy trips only after `hysteresis_epochs` consecutive
 // hot epochs, and every policy is a one-way ratchet (the paper's §4
@@ -182,7 +182,7 @@ class Engine {
   /// Per-cluster monitor + controller state. Each shard is only touched
   /// in its cluster's engine context (instrumentation sites run there,
   /// and so does the cluster's epoch evaluator).
-  struct alignas(64) Shard {
+  struct Shard {
     // Per-policy window accumulators; each window is judged (and reset)
     // only once it holds its policy's evidence floor.
     sim::SimTime seq_wait_ns = 0;

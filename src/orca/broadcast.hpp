@@ -99,8 +99,7 @@ class BroadcastEngine {
 
   // Per compute node: next sequence number to apply and the buffer of
   // early arrivals. Every element is only touched in its node's cluster
-  // context (shipment handlers run at the receiving node), which keeps
-  // the reorder machinery race-free in a partitioned run.
+  // context (shipment handlers run at the receiving node).
   std::vector<std::uint64_t> next_to_apply_;
   std::vector<std::map<std::uint64_t, BcastOp>> reorder_;
   std::vector<std::uint64_t> applied_count_;

@@ -13,8 +13,7 @@
 //
 // The layer carries no per-message state (a mode per cluster + a pointer
 // to the network): call sites pass the source node and a prototype
-// message, and the same inputs produce the same wire schedule on every
-// partition/thread count. The adaptive policy engine (orca/adaptive.hpp)
+// message, and the same inputs produce the same wire schedule. The adaptive policy engine (orca/adaptive.hpp)
 // may ratchet one cluster's mode Flat→Tree mid-run via set_mode; each
 // cluster's mode slot is written and read only in that cluster's engine
 // context.

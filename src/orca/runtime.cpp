@@ -125,8 +125,8 @@ sim::Task<std::shared_ptr<const void>> Runtime::rpc(
   const net::ClusterId cc = cluster_of(caller);
   guard_failed(cc);
   // Call ids are minted in the caller's cluster context; the cluster
-  // index in the high bits keeps them globally unique — and stable
-  // across partition counts — without a shared counter.
+  // index in the high bits keeps them globally unique without a shared
+  // counter.
   const std::uint64_t id = ((static_cast<std::uint64_t>(cc) + 1) << 40) |
                            ++call_id_shards_[static_cast<std::size_t>(cc)];
   auto& pending = pending_rpcs_[static_cast<std::size_t>(cc)];
@@ -332,12 +332,11 @@ void Runtime::fail_cluster_waiters(net::ClusterId cluster, std::exception_ptr e)
 void Runtime::on_hard_failure(net::ClusterId cluster, const net::FailureInfo& info) {
   fail_cluster_waiters(cluster, faults_->failure_eptr(cluster));
   // Propagate: the earliest a real failure notification could reach
-  // another cluster is one WAN latency away — exactly the engine's
-  // lookahead, so the cross-cluster events are epoch-safe. fail() is
+  // another cluster is one (minimum) WAN latency away. fail() is
   // idempotent per cluster, so the second-order fan-out (each newly
   // failed cluster re-propagating) quiesces after one round.
   sim::Engine& eng = engine();
-  const sim::SimTime at = eng.now() + eng.lookahead();
+  const sim::SimTime at = eng.now() + net_->config().min_intercluster_latency();
   const sim::SimTime time = eng.now();
   for (net::ClusterId d = 0; d < net_->topology().clusters(); ++d) {
     if (d == cluster) continue;
@@ -509,8 +508,7 @@ void Runtime::spawn_all(ProcMain main) {
     proc->rng.reseed(0x5eed0000u + static_cast<std::uint64_t>(r));
     procs_.push_back(std::move(proc));
   }
-  // Each process is rooted in its own cluster's owner context, so a
-  // partitioned run hosts it on the right partition from the start.
+  // Each process is rooted in its own cluster's owner context.
   for (int r = 0; r < p; ++r) {
     Proc& proc = *procs_[static_cast<std::size_t>(r)];
     engine().spawn_on(cluster_of(proc.node), run_proc(main, proc));

@@ -13,14 +13,14 @@
 //   * process lifecycle and completion-time bookkeeping for speedup
 //     measurement.
 //
-// Partitioned execution: every mutable table is sharded by the cluster
+// Owner contexts: every mutable table is sharded by the cluster
 // context that touches it — pending RPCs and call ids by the caller's
 // cluster, the served-RPC duplicate cache by the server's, barrier and
 // object waiters by node, finish bookkeeping by cluster (merged by the
 // post-run accessors). Hard failures are observed per cluster: the
 // injector's on_fail callback fails the origin cluster's parked waiters
 // in its own context and schedules a propagation event on every other
-// cluster one lookahead later (the earliest a real notification could
+// cluster one WAN latency later (the earliest a real notification could
 // arrive), which fails that cluster's waiters there.
 
 #include <algorithm>
@@ -226,7 +226,7 @@ class Runtime {
   /// processes unwind cooperatively instead of leaking their frames.
   void fail_cluster_waiters(net::ClusterId cluster, std::exception_ptr e);
   /// The injector's on_fail callback: fails `cluster`'s waiters now and
-  /// schedules the failure onto every other cluster one lookahead later.
+  /// schedules the failure onto every other cluster one WAN latency later.
   void on_hard_failure(net::ClusterId cluster, const net::FailureInfo& info);
 
   net::ClusterId cluster_of(net::NodeId n) const { return net_->topology().cluster_of(n); }
@@ -263,7 +263,7 @@ class Runtime {
   std::vector<std::unique_ptr<Proc>> procs_;
   /// Finish bookkeeping, sharded per cluster (run_proc completes in the
   /// process's own cluster context); merged by the post-run accessors.
-  struct alignas(64) FinishShard {
+  struct FinishShard {
     sim::SimTime last_finish = 0;
     int finished = 0;
     int failed = 0;  // processes unwound by a hard failure

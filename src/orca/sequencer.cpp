@@ -77,8 +77,7 @@ class SequencerBase : public Sequencer {
   std::uint64_t take_seq() { return counter_++; }
 
   /// Request ids are minted in the caller's cluster context; the cluster
-  /// index in the high bits keeps them unique — and stable across
-  /// partition counts — without a shared counter.
+  /// index in the high bits keeps them unique without a shared counter.
   std::uint64_t next_req_id(net::ClusterId cluster) {
     const auto c = static_cast<std::size_t>(cluster);
     return ((static_cast<std::uint64_t>(c) + 1) << 40) | ++req_id_shards_[c];
@@ -383,7 +382,7 @@ class RotatingSequencer final : public SequencerBase {
     net::ClusterId requester;
   };
 
-  struct alignas(64) ClusterSlot {
+  struct ClusterSlot {
     std::deque<SeqRequest> pending;
     GrantCache granted;
     bool has_token = false;      // token parked at this cluster

@@ -21,16 +21,15 @@
 // state transition that would require a message in the real system sends
 // one here.
 //
-// Partitioned execution: sequencer state is either confined to one
-// cluster's engine context (per-cluster request queues, duplicate
-// caches, location hints) or "handoff-owned" — passed between clusters
-// by protocol message (the rotating token's counter, the migrating
-// sequencer's counter and grant cache). A cross-cluster message staged
-// at epoch E is processed at epoch >= E+1, and the epoch barrier gives
-// the happens-before edge, so handoff-owned members stay plain C++
-// fields. Consequence: every location decision travels by message (the
-// migrating sequencer routes requests through per-cluster hints and
-// per-node forwarding pointers instead of reading a global location).
+// Ownership: sequencer state is either confined to one cluster's engine
+// context (per-cluster request queues, duplicate caches, location
+// hints) or "handoff-owned" — passed between clusters by protocol
+// message (the rotating token's counter, the migrating sequencer's
+// counter and grant cache). Consequence: every location decision
+// travels by message (the migrating sequencer routes requests through
+// per-cluster hints and per-node forwarding pointers instead of reading
+// a global location), and those messages are part of the pinned
+// schedule.
 
 #include <cstdint>
 #include <deque>

@@ -2,10 +2,10 @@
 //
 // The canonical request is the content address the campaign result
 // cache hashes: a deterministic key=value rendering of every field of
-// (app, AppConfig) that can influence a simulation's output. Fields
-// the byte-identity contract pins output-neutral — partitions,
-// threads, trace recording — are deliberately excluded, so a cached
-// result serves any partitioning of the same simulation.
+// (app, AppConfig) that can influence a simulation's output. Trace
+// recording, which the byte-identity contract pins output-neutral, is
+// deliberately excluded, so a cached result serves traced and untraced
+// requests alike.
 
 #include <cstdio>
 #include <cstdlib>

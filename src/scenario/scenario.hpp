@@ -115,9 +115,9 @@ std::string scenario_dir();
 
 /// Canonical request text for a (app, config) pair: every
 /// output-relevant field serialized as deterministic key=value lines.
-/// Excludes partitions / threads / trace, which are pinned
-/// output-neutral (byte-identity contract), so a cache keyed on this
-/// text serves any partitioning of the same simulation. This is the
+/// Excludes `trace`, the one output-neutral field (a traced run
+/// dispatches the identical event stream), so a cache keyed on this
+/// text serves traced and untraced requests alike. This is the
 /// content-address the campaign result cache hashes.
 std::string canonical_request(const std::string& app, const apps::AppConfig& cfg);
 

@@ -7,27 +7,20 @@
 // they block on awaitables (delay(), Future, Channel, Barrier, network
 // receive) that schedule their resumption through the event queue.
 //
-// A configured engine (Engine::configure) runs as P cooperating
-// partitions under conservative WAN lookahead — see sim/partition.hpp
-// for the epoch/mailbox model and the determinism argument. An
-// unconfigured engine is the degenerate single-owner, single-partition
-// case and behaves exactly like the classic sequential engine.
+// Work is keyed by *owner* — in a networked simulation, one owner per
+// cluster (Engine::set_owners). The owner does not change how events
+// run (there is one queue and one loop), but it fixes their canonical
+// tie-break keys, the owner-decomposed trace hash and the owner-sharded
+// trace recorder, and with them every golden value and exported trace.
 //
 // Contracts (relied on throughout the stack):
 //   * Determinism — given the same initial schedule, every run dispatches
 //     the same events at the same simulated times in the same canonical
-//     order, for every partition and thread count; trace_hash()
-//     fingerprints that stream (as an owner-decomposed FNV fold, so the
-//     value is partition-independent by construction) and golden tests
-//     pin it.  Nothing in the engine reads wall time or any other
-//     ambient state.
-//   * Thread-safety — an Engine belongs to one *run* at a time. In a
-//     partitioned run the engine's worker threads each own a disjoint
-//     set of partitions; everything an event touches must be confined
-//     to its owner (the network/runtime layers are sharded this way),
-//     and cross-owner effects must travel through schedule_on with at
-//     least `lookahead` of simulated delay. Campaigns still parallelize
-//     by giving each job its own Engine.
+//     order; trace_hash() fingerprints that stream (as an owner-
+//     decomposed FNV fold) and golden tests pin it. Nothing in the
+//     engine reads wall time or any other ambient state.
+//   * Thread-safety — none. An Engine belongs to one run on one thread;
+//     campaigns parallelize by giving each job its own Engine.
 //   * Observability — attach_trace() connects an optional trace::Session
 //     (flight recorder + metrics registry, see src/trace/trace.hpp).
 //     With no session attached the engine does no tracing work beyond
@@ -46,7 +39,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/partition.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
@@ -59,27 +51,19 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Applies a partitioned-run configuration. Must be called before
-  /// anything is scheduled or spawned; resets all per-owner state.
-  /// Clamps partitions to [1, owners] and falls back to a single
-  /// partition when lookahead == 0 (degenerate topology — there is no
-  /// safe window to run ahead in).
-  void configure(const PartitionConfig& cfg);
-
+  /// Sets the number of logical owners (clusters); values below 1 mean
+  /// 1. Canonical event keys are per owner, so this fixes the key space
+  /// and must match the topology. Must be called before anything is
+  /// scheduled or spawned; resets all per-owner state.
+  void set_owners(int owners);
   int owners() const { return owners_; }
-  int partitions() const { return partitions_; }
-  SimTime lookahead() const { return lookahead_; }
-  /// Epoch barriers crossed by the last partitioned run (0 for a
-  /// sequential run).
-  std::uint64_t epochs() const { return epochs_; }
 
-  /// The owner whose event is currently dispatching on this thread, or
-  /// the setup pseudo-owner (== owners()) outside any dispatch.
-  OwnerId current_owner() const;
+  /// The owner whose event is currently dispatching, or the setup
+  /// pseudo-owner (== owners()) outside any dispatch.
+  OwnerId current_owner() const { return cur_owner_ >= 0 ? cur_owner_ : owners_; }
 
-  /// Current simulated time: the dispatching partition's clock during a
-  /// run, the run's final time (max over partitions) after it.
-  SimTime now() const;
+  /// Current simulated time.
+  SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute simulated time `t` (must be >= now())
   /// in the current owner's context.
@@ -87,12 +71,9 @@ class Engine {
   /// Schedules `fn` after `delay` nanoseconds (negative delays clamp to 0).
   void schedule_after(SimTime delay, UniqueFunction fn);
 
-  /// Schedules `fn` at absolute time `t` in owner `dest`'s context.
-  /// This is the only cross-owner edge in the engine: when `dest` is
-  /// hosted by another partition the event is staged in that
-  /// partition's mailbox and merged at the epoch barrier. Cross-owner
-  /// sends must respect the lookahead window (t >= now() + lookahead);
-  /// the network layer's WAN latency guarantees this.
+  /// Schedules `fn` at absolute time `t` in owner `dest`'s context: the
+  /// event keys under the current owner and runs as `dest`. This is the
+  /// engine's one cross-owner edge (the network's WAN crossing).
   void schedule_on(OwnerId dest, SimTime t, UniqueFunction fn);
 
   /// Coroutine fast path: schedules `h.resume()` at absolute time `t`
@@ -115,18 +96,15 @@ class Engine {
   /// owner); cross-owner spawns are a setup-time operation.
   void spawn_on(OwnerId dest, Task<void> task);
 
-  /// Runs until every partition's event queue is empty (or, in a
-  /// sequential run, stop() is called). Returns the number of events
-  /// processed by this call.
+  /// Runs until the event queue is empty or stop() is called. Returns
+  /// the number of events processed by this call.
   std::uint64_t run();
 
   /// Runs events with time <= t; afterwards now() == t if the queue
   /// emptied or the next event is later. Returns false if stopped.
-  /// Sequential runs only (partitions() == 1).
   bool run_until(SimTime t);
 
-  /// Makes run()/run_until() return after the in-flight event
-  /// completes. Sequential runs only.
+  /// Makes run()/run_until() return after the in-flight event completes.
   void stop() { stopped_ = true; }
 
   /// co_await engine.delay(d): resume after d simulated nanoseconds.
@@ -145,12 +123,8 @@ class Engine {
   /// events already scheduled for now()).
   auto yield() { return delay(0); }
 
-  std::uint64_t events_processed() const;
-  /// Events dispatched in owner `o`'s context (partition-independent).
-  std::uint64_t owner_events(OwnerId o) const {
-    return owner_events_[static_cast<std::size_t>(o)];
-  }
-  std::size_t pending_events() const;
+  std::uint64_t events_processed() const { return events_; }
+  std::size_t pending_events() const { return queue_.size(); }
 
   std::uint64_t tasks_spawned() const;
   std::uint64_t tasks_finished() const;
@@ -160,10 +134,9 @@ class Engine {
 
   /// FNV-1a fold over the per-owner hashes of the canonical
   /// (time, lamport, owner) dispatch stream — a cheap but sensitive
-  /// probe for determinism tests. Partition- and thread-independent by
-  /// construction: each owner's events hash into that owner's
-  /// accumulator in canonical order, and the accumulators fold in owner
-  /// order.
+  /// probe for determinism tests. Each owner's events hash into that
+  /// owner's accumulator in canonical order, and the accumulators fold
+  /// in owner order; the trace_hash goldens pin this decomposition.
   std::uint64_t trace_hash() const;
 
   // --- observability -------------------------------------------------
@@ -176,68 +149,36 @@ class Engine {
   /// The current owner's flight recorder, or nullptr when tracing is
   /// off — record sites guard with exactly this pointer. Setup-time
   /// records (outside any dispatch) route to owner 0's shard.
-  trace::Recorder* tracer() const;
+  trace::Recorder* tracer() const { return tracer_for(exec_owner_here()); }
 
  private:
   friend struct DetachedTask;
 
-  /// One partition: an event queue plus its local clock and counters.
-  /// Padded out so adjacent partitions never share a cache line in the
-  /// epoch loop.
-  struct alignas(64) Partition {
-    EventQueue queue;
-    SimTime now = 0;
-    std::uint64_t events = 0;
-    SimTime scratch_min = 0;  ///< per-epoch floor candidate
-  };
-
-  /// A cross-partition event staged in a gateway mailbox. Carries the
-  /// canonical key assigned at schedule time, so draining is a plain
-  /// key-ordered insert — the merge order is the canonical order.
-  struct Staged {
-    SimTime time;
-    EventKey key;
-    OwnerId exec_owner;
-    UniqueFunction fn;
-  };
-
-  int partition_of(OwnerId o) const { return static_cast<int>(o) % partitions_; }
   EventKey next_key(OwnerId scheduler) {
     return EventKey{++lamport_[static_cast<std::size_t>(scheduler)], scheduler};
   }
   /// The owner charged with executing plain (non-schedule_on)
   /// scheduling from the current context: the dispatching owner, or
   /// owner 0 for setup-time scheduling.
-  OwnerId exec_owner_here() const {
-    const OwnerId o = current_owner();
-    return o >= static_cast<OwnerId>(owners_) ? 0 : o;
-  }
+  OwnerId exec_owner_here() const { return cur_owner_ >= 0 ? cur_owner_ : 0; }
   trace::Recorder* tracer_for(OwnerId o) const {
     if (!tracers_.empty()) return tracers_[static_cast<std::size_t>(o)];
     return tracer_single_;
   }
-  void push_local(SimTime t, EventKey key, OwnerId exec, UniqueFunction fn);
   void note_task_finished();
-  void dispatch(int pidx, EventQueue::Event e);
-  std::uint64_t run_sequential();
-  std::uint64_t run_partitioned();
-  void process_epoch(int pidx, SimTime horizon);
-  void drain_mail(int pidx);
-  int resolve_threads() const;
+  void dispatch(EventQueue::Event e);
 
-  std::vector<Partition> parts_;
-  std::vector<std::vector<Staged>> mail_;  // [src * P + dst], src-writer only
-  std::vector<std::uint64_t> lamport_;     // per owner, + setup pseudo-owner
-  std::vector<std::uint64_t> hash_;        // per-owner FNV accumulators
-  std::vector<std::uint64_t> owner_events_;
+  EventQueue queue_;
+  std::vector<std::uint64_t> lamport_;  // per owner, + setup pseudo-owner
+  std::vector<std::uint64_t> hash_;     // per-owner FNV accumulators
+  // Per-owner task ordinals: each task.spawn/task.finish trace record
+  // carries its owner's running count.
   std::vector<std::uint64_t> owner_tasks_spawned_;
   std::vector<std::uint64_t> owner_tasks_finished_;
   int owners_ = 1;
-  int partitions_ = 1;
-  int threads_cfg_ = 0;
-  SimTime lookahead_ = 0;
-  SimTime now_ = 0;  ///< outside-run clock (final time after run())
-  std::uint64_t epochs_ = 0;
+  OwnerId cur_owner_ = -1;  ///< dispatching owner; -1 outside dispatch
+  SimTime now_ = 0;
+  std::uint64_t events_ = 0;
   bool stopped_ = false;
   trace::Session* session_ = nullptr;
   trace::Recorder* tracer_single_ = nullptr;

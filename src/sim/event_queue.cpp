@@ -22,9 +22,9 @@ void EventQueue::enqueue(SimTime t, std::uint32_t n) {
   nd.next = kNil;
   if (TimeMap::Cell* c = lists_.find(t)) {
     // Keep the list sorted by key. Owners mostly schedule in ascending
-    // Lamport order, so appending at the tail is the common case; a
-    // drained cross-partition mailbox is the main source of mid-list
-    // inserts.
+    // Lamport order, so appending at the tail is the common case;
+    // interleaved owners with diverging Lamport clocks cause the
+    // mid-list inserts.
     if (node(c->tail).key < nd.key) {
       node(c->tail).next = n;
       c->tail = n;

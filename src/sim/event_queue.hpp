@@ -3,13 +3,11 @@
 //
 // Events are totally ordered by (time, lamport, key_owner). The
 // (lamport, key_owner) pair is a *canonical key* assigned by the engine:
-// `key_owner` is the partition owner (cluster) that scheduled the event
-// and `lamport` comes from that owner's Lamport counter, which is
+// `key_owner` is the owner (cluster) that scheduled the event and
+// `lamport` comes from that owner's Lamport counter, which is
 // max-updated from every event the owner dispatches. The resulting
-// order is a pure function of the simulation itself — it does not
-// depend on how owners are mapped onto partitions or threads — which is
-// what lets a partitioned run (`--partitions N`) reproduce the
-// sequential schedule bit-for-bit (see sim/partition.hpp).
+// order is a pure function of the simulation itself; the trace_hash
+// goldens pin it.
 //
 // Because the order is total, the extraction sequence is independent of
 // the container's internal shape — which frees the implementation to
@@ -39,6 +37,12 @@
 #include "sim/unique_function.hpp"
 
 namespace alb::sim {
+
+/// Identifies a logical owner of simulation state (a cluster in the
+/// network stack). Owners are dense: 0 .. owners-1. The engine reserves
+/// one extra pseudo-owner id (== owners) for setup-time scheduling done
+/// outside any dispatch.
+using OwnerId = std::int32_t;
 
 /// Canonical same-time tie-break key. Strict weak order: lamport first,
 /// owner second; the engine guarantees (lamport, owner) pairs are unique

@@ -67,8 +67,6 @@ long rss_kb() {
 }
 
 const char* const kCounterNames[kNumCounters] = {
-    "barrier_wait_ns",
-    "barrier_waits",
     "job_ns",
     "jobs_run",
 };

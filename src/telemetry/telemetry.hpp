@@ -4,8 +4,8 @@
 // Everything in this module is *explicitly non-deterministic*: it reads
 // real clocks, real thread state and /proc, and exists to answer "where
 // does the wall time go" questions the sim-time tracer (src/trace/)
-// cannot see — worker-pool utilization, epoch-barrier waits, cache
-// lookup latency, serve throughput.
+// cannot see — worker-pool utilization, cache lookup latency, serve
+// throughput.
 //
 // The determinism firewall, this module's load-bearing contract:
 //
@@ -78,12 +78,9 @@ struct Span {
 };
 
 /// Per-thread accumulator counters (nanoseconds and counts) for events
-/// too frequent to record as individual spans, e.g. one epoch-barrier
-/// wait per partition round.
+/// too frequent to record as individual spans.
 enum Counter : int {
-  kBarrierWaitNs = 0,  ///< wall ns spent inside epoch-barrier waits
-  kBarrierWaits,       ///< number of barrier waits
-  kJobNs,              ///< wall ns inside campaign job bodies
+  kJobNs = 0,          ///< wall ns inside campaign job bodies
   kJobsRun,            ///< campaign jobs executed by this thread
   kNumCounters
 };

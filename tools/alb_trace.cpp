@@ -78,10 +78,6 @@ int main(int argc, char** argv) {
   opts.define("per", "15", "processes per cluster");
   opts.define_flag("opt", "run the wide-area-optimized variant");
   opts.define("seed", "42", "workload seed");
-  opts.define("partitions", "1",
-              "engine partitions (1..clusters); any value produces byte-identical output");
-  opts.define("threads", "0",
-              "epoch-loop worker threads for a partitioned run (0 = auto)");
   opts.define("coll", "flat",
               "wide-area collective routing: flat (per-pair copies) or tree "
               "(topology-chosen dissemination tree + gateway combining)");
@@ -148,17 +144,6 @@ int main(int argc, char** argv) {
     if (opts.provided("per")) cfg.procs_per_cluster = static_cast<int>(opts.get_int("per"));
     if (opts.has_flag("opt")) cfg.optimized = true;
     if (opts.provided("seed")) cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed"));
-    cfg.partitions = static_cast<int>(opts.get_int("partitions"));
-    if (cfg.partitions < 1 || cfg.partitions > cfg.clusters) {
-      throw std::runtime_error("--partitions must be in [1, clusters] (got " +
-                               std::to_string(cfg.partitions) + " with " +
-                               std::to_string(cfg.clusters) + " cluster(s))");
-    }
-    cfg.threads = static_cast<int>(opts.get_int("threads"));
-    if (cfg.threads < 0) {
-      throw std::runtime_error("--threads must be >= 0 (got " +
-                               std::to_string(cfg.threads) + ")");
-    }
     if (opts.provided("coll")) {
       if (const std::string& c = opts.get("coll"); c == "tree") {
         cfg.coll = orca::coll::Mode::Tree;

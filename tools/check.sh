@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI gate: sanitizer build + release build, both test suites,
-# a TSan pass over the campaign engine, a parallel-vs-sequential CSV
-# determinism diff, and a bench smoke run. Usage: tools/check.sh [jobs]
+# a TSan pass over the campaign engine, perf and paper-claim gates, a
+# table of byte-identity diffs, and doc lints. Usage: tools/check.sh [jobs]
 #
 #   build-asan/     Debug + ASan/UBSan (catches lifetime bugs in the
 #                   zero-allocation hot path, where objects are recycled
@@ -34,26 +34,14 @@ cmake --build build-release -j "$JOBS"
 echo "=== ctest: release build ==="
 ctest --test-dir build-release --output-on-failure -j "$JOBS"
 
-echo "=== configure + build: TSan (campaign + partitioned engine) ==="
+echo "=== configure + build: TSan (campaign engine) ==="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DALB_SANITIZE=thread > /dev/null
-cmake --build build-tsan --target test_campaign test_sim test_partition -j "$JOBS"
+cmake --build build-tsan --target test_campaign -j "$JOBS"
 
 echo "=== TSan: campaign tests ==="
 ./build-tsan/tests/test_campaign
-
-echo "=== TSan: partitioned-engine tests (epoch barrier + mailboxes) ==="
-./build-tsan/tests/test_sim --gtest_filter='Partition.*'
-./build-tsan/tests/test_partition
-
-echo "=== campaign determinism smoke: --jobs 4 CSV must equal --jobs 1 ==="
-for fig in bench_fig_water bench_fig15; do
-  ./build-release/bench/"$fig" --quick --csv --jobs 1 > "build-release/$fig.j1.csv"
-  ./build-release/bench/"$fig" --quick --csv --jobs 4 > "build-release/$fig.j4.csv"
-  diff "build-release/$fig.j1.csv" "build-release/$fig.j4.csv" \
-    || { echo "$fig: parallel CSV differs from sequential"; exit 1; }
-done
 
 echo "=== bench smoke ==="
 ./build-release/bench/bench_engine --smoke --json build-release/BENCH_engine.smoke.json
@@ -115,71 +103,10 @@ opt = wan_share("build-release/alb-trace.cp.opt.csv")
 assert opt < orig, f"optimized TSP WAN share did not drop: {orig} -> {opt}"
 print(f"critical-path WAN share: orig {orig}% -> opt {opt}% OK")
 EOF
-# What-if output (and the whole causal pipeline) must be byte-identical
-# across campaign --jobs values.
-./build-release/bench/bench_causal --quick --csv --jobs 1 \
-  --json build-release/BENCH_causal.j1.json \
-  | grep -v '^wrote ' > build-release/bench_causal.j1.csv
-./build-release/bench/bench_causal --quick --csv --jobs 4 \
-  --json build-release/BENCH_causal.j4.json \
-  | grep -v '^wrote ' > build-release/bench_causal.j4.csv
-diff build-release/bench_causal.j1.csv build-release/bench_causal.j4.csv \
-  || { echo "bench_causal: parallel CSV differs from sequential"; exit 1; }
-diff build-release/BENCH_causal.j1.json build-release/BENCH_causal.j4.json \
-  || { echo "bench_causal: parallel JSON differs from sequential"; exit 1; }
 
-echo "=== resilience: faulted determinism + disabled-plan no-op gates ==="
-# Same (seed, plan) must reproduce every table byte-for-byte, twice in a
-# row and across campaign --jobs values; with --faults off the tool must
-# be byte-identical run to run (the plan-disabled no-op contract itself
-# is pinned by test_net's DisabledPlanIsByteIdentical and the goldens).
-FAULT_ARGS=(--app TSP --clusters 2 --per 2 --csv)
-./build-release/tools/alb-trace "${FAULT_ARGS[@]}" --faults > build-release/alb-trace.faults.a.csv
-./build-release/tools/alb-trace "${FAULT_ARGS[@]}" --faults > build-release/alb-trace.faults.b.csv
-diff build-release/alb-trace.faults.a.csv build-release/alb-trace.faults.b.csv \
-  || { echo "faulted alb-trace run is not deterministic"; exit 1; }
-./build-release/tools/alb-trace "${FAULT_ARGS[@]}" > build-release/alb-trace.clean.a.csv
-./build-release/tools/alb-trace "${FAULT_ARGS[@]}" > build-release/alb-trace.clean.b.csv
-diff build-release/alb-trace.clean.a.csv build-release/alb-trace.clean.b.csv \
-  || { echo "faults-off alb-trace run is not deterministic"; exit 1; }
-if ! grep -q '^retries,' build-release/alb-trace.faults.a.csv; then
-  echo "fault counter table missing from --faults output"; exit 1
-fi
-if grep -q '^retries,0$' build-release/alb-trace.faults.a.csv; then
-  echo "faulted TSP run saw no retries — injection is not reaching the RPC path"; exit 1
-fi
-./build-release/bench/bench_resilience --quick --csv --jobs 1 \
-  --json build-release/BENCH_resilience.j1.json \
-  | grep -v '^wrote ' > build-release/bench_resilience.j1.csv
-./build-release/bench/bench_resilience --quick --csv --jobs 4 \
-  --json build-release/BENCH_resilience.j4.json \
-  | grep -v '^wrote ' > build-release/bench_resilience.j4.csv
-diff build-release/bench_resilience.j1.csv build-release/bench_resilience.j4.csv \
-  || { echo "bench_resilience: parallel CSV differs from sequential"; exit 1; }
-diff build-release/BENCH_resilience.j1.json build-release/BENCH_resilience.j4.json \
-  || { echo "bench_resilience: parallel JSON differs from sequential"; exit 1; }
-# TSan coverage for the faulted path itself comes from test_campaign's
-# FaultedRunsMatchAcrossJobsCounts, run above.
-
-echo "=== partition determinism: --partitions 4 must equal --partitions 1 ==="
-# The conservative-lookahead engine's whole-stack contract: every output
-# byte (summary CSV, metrics, counters) is independent of the partition
-# count — clean and under fault injection.
-PART_ARGS=(--app ASP --clusters 4 --per 2 --csv)
-./build-release/tools/alb-trace "${PART_ARGS[@]}" --partitions 1 > build-release/alb-trace.p1.csv
-./build-release/tools/alb-trace "${PART_ARGS[@]}" --partitions 4 > build-release/alb-trace.p4.csv
-diff build-release/alb-trace.p1.csv build-release/alb-trace.p4.csv \
-  || { echo "partitioned run differs from sequential reference"; exit 1; }
-./build-release/tools/alb-trace "${PART_ARGS[@]}" --faults --partitions 1 > build-release/alb-trace.p1f.csv
-./build-release/tools/alb-trace "${PART_ARGS[@]}" --faults --partitions 4 > build-release/alb-trace.p4f.csv
-diff build-release/alb-trace.p1f.csv build-release/alb-trace.p4f.csv \
-  || { echo "faulted partitioned run differs from sequential reference"; exit 1; }
-
-echo "=== wide-area collectives: traffic floor + determinism gates ==="
+echo "=== wide-area collectives: RA traffic floor ==="
 # Tree dissemination + gateway combining must cut RA's WAN wire RPC
-# count at the paper geometry (floor: at least 25% fewer than flat),
-# and the tree-mode schedule must stay byte-identical across partition
-# counts — clean and faulted — with a --jobs-independent bench table.
+# count at the paper geometry (floor: at least 25% fewer than flat).
 COLL_ARGS=(--app RA --clusters 4 --per 16 --csv)
 ./build-release/tools/alb-trace "${COLL_ARGS[@]}" \
   --metrics-json build-release/alb-trace.ra.flat.json > /dev/null
@@ -195,63 +122,11 @@ assert t < 0.75 * f, f"tree did not cut RA WAN RPCs by >=25%: {f} -> {t}"
 assert tree["net/wan.combined.flushes"] > 0, "tree RA run never combined"
 print(f"RA 4x16 WAN wire RPCs: flat {f:.0f} -> tree {t:.0f} OK")
 EOF
-TREE_ARGS=(--app ASP --clusters 4 --per 2 --csv --coll tree --wan-streams 2)
-./build-release/tools/alb-trace "${TREE_ARGS[@]}" --partitions 1 > build-release/alb-trace.tree.p1.csv
-./build-release/tools/alb-trace "${TREE_ARGS[@]}" --partitions 4 > build-release/alb-trace.tree.p4.csv
-diff build-release/alb-trace.tree.p1.csv build-release/alb-trace.tree.p4.csv \
-  || { echo "tree-mode partitioned run differs from sequential reference"; exit 1; }
-./build-release/tools/alb-trace "${TREE_ARGS[@]}" --faults --partitions 1 > build-release/alb-trace.tree.p1f.csv
-./build-release/tools/alb-trace "${TREE_ARGS[@]}" --faults --partitions 4 > build-release/alb-trace.tree.p4f.csv
-diff build-release/alb-trace.tree.p1f.csv build-release/alb-trace.tree.p4f.csv \
-  || { echo "faulted tree-mode partitioned run differs from sequential reference"; exit 1; }
-# bench_collective verdicts the whole-suite contract (checksums equal,
-# elapsed no worse, wire traffic reduced on the combine targets) via its
-# exit code; its CSV carries only simulated numbers, so it must be
-# --jobs independent. (The JSON adds wall-clock throughput — not diffed.)
-./build-release/bench/bench_collective --quick --csv --jobs 1 \
-  --json build-release/BENCH_collective.j1.json \
-  | grep -v '^wrote ' > build-release/bench_collective.j1.csv
-./build-release/bench/bench_collective --quick --csv --jobs 4 \
-  --json build-release/BENCH_collective.j4.json \
-  | grep -v '^wrote ' > build-release/bench_collective.j4.csv
-diff build-release/bench_collective.j1.csv build-release/bench_collective.j4.csv \
-  || { echo "bench_collective: parallel CSV differs from sequential"; exit 1; }
 
 echo "=== perf gate: bench_collective vs tracked baseline ==="
 ./build-release/bench/bench_collective --json build-release/BENCH_collective.gate.json > /dev/null
 python3 tools/bench_compare.py results/BENCH_collective.baseline.json \
   build-release/BENCH_collective.gate.json
-
-echo "=== adaptive engine: determinism + decision gates ==="
-# Adaptive decisions are sim-time state, not observations of the run, so
-# --adapt must stay byte-identical across partition counts — clean and
-# faulted — like every other mode.
-ADAPT_ARGS=(--app ASP --clusters 4 --per 2 --csv --adapt)
-./build-release/tools/alb-trace "${ADAPT_ARGS[@]}" --partitions 1 > build-release/alb-trace.adapt.p1.csv
-./build-release/tools/alb-trace "${ADAPT_ARGS[@]}" --partitions 4 > build-release/alb-trace.adapt.p4.csv
-diff build-release/alb-trace.adapt.p1.csv build-release/alb-trace.adapt.p4.csv \
-  || { echo "adaptive partitioned run differs from sequential reference"; exit 1; }
-./build-release/tools/alb-trace "${ADAPT_ARGS[@]}" --faults --partitions 1 > build-release/alb-trace.adapt.p1f.csv
-./build-release/tools/alb-trace "${ADAPT_ARGS[@]}" --faults --partitions 4 > build-release/alb-trace.adapt.p4f.csv
-diff build-release/alb-trace.adapt.p1f.csv build-release/alb-trace.adapt.p4f.csv \
-  || { echo "faulted adaptive partitioned run differs from sequential reference"; exit 1; }
-# The armed sequencer must actually trip on the smoke geometry, or the
-# diff above is vacuously comparing two no-op runs.
-if ! grep -q '^sequencer arms,[1-9]' build-release/alb-trace.adapt.p1.csv; then
-  echo "adaptive ASP smoke armed no sequencer migration"; exit 1
-fi
-# bench_adaptive verdicts the three-arm contract (auto checksums equal
-# orig, auto strictly beats orig and lands within 25% of hand-opt on the
-# gated apps) via its exit code; its CSV carries only simulated numbers,
-# so it must be --jobs independent.
-./build-release/bench/bench_adaptive --quick --csv --jobs 1 \
-  --json build-release/BENCH_adaptive.j1.json \
-  | grep -v '^wrote ' > build-release/bench_adaptive.j1.csv
-./build-release/bench/bench_adaptive --quick --csv --jobs 4 \
-  --json build-release/BENCH_adaptive.j4.json \
-  | grep -v '^wrote ' > build-release/bench_adaptive.j4.csv
-diff build-release/bench_adaptive.j1.csv build-release/bench_adaptive.j4.csv \
-  || { echo "bench_adaptive: parallel CSV differs from sequential"; exit 1; }
 
 echo "=== perf gate: bench_adaptive vs tracked baseline ==="
 # Full (paper-geometry) run: the three-arm verdicts gate via the exit
@@ -260,69 +135,121 @@ echo "=== perf gate: bench_adaptive vs tracked baseline ==="
 python3 tools/bench_compare.py results/BENCH_adaptive.baseline.json \
   build-release/BENCH_adaptive.gate.json
 
-echo "=== scenario DSL: validate, heterogeneous lookahead, cached-sweep identity ==="
-# Every shipped .scn must parse cleanly (typed errors abort here); the
-# absolute goldens pinning scenario-loaded configs to the historical
-# hand-built ones run as test_scenario in both ctest passes above.
+echo "=== scenario DSL: every shipped .scn parses ==="
+# Typed errors abort here; the absolute goldens pinning scenario-loaded
+# configs to the historical hand-built ones run as test_scenario in both
+# ctest passes above.
 ./build-release/tools/alb-serve --validate scenarios
-# Heterogeneous per-pair WAN circuits: the conservative lookahead must
-# tighten to the fastest circuit, so partitioned execution stays
-# byte-identical on a topology where the pairs differ.
-./build-release/tools/alb-trace --scenario hetero3 --app ASP --csv \
-  --partitions 1 > build-release/alb-trace.hetero.p1.csv
-./build-release/tools/alb-trace --scenario hetero3 --app ASP --csv \
-  --partitions 3 > build-release/alb-trace.hetero.p3.csv
-diff build-release/alb-trace.hetero.p1.csv build-release/alb-trace.hetero.p3.csv \
-  || { echo "hetero3 partitioned run differs from sequential reference"; exit 1; }
-# The cache contract, end to end: the sweep-demo grid must produce the
-# same bytes fresh at any --jobs value, and a repeat against a warm
-# cache must be answered entirely from it (zero re-simulation) — still
-# byte-identical.
-printf 'sweep-demo\ndas app=ASP clusters=2 per=2\n' > build-release/scn.requests
-rm -rf build-release/scn-cache
-./build-release/tools/alb-serve --requests build-release/scn.requests \
-  --cache-dir build-release/scn-cache --jobs 4 \
-  > build-release/alb-serve.j4.out 2> build-release/alb-serve.j4.err
-./build-release/tools/alb-serve --requests build-release/scn.requests \
-  --jobs 1 > build-release/alb-serve.j1.out 2> build-release/alb-serve.j1.err
-diff build-release/alb-serve.j4.out build-release/alb-serve.j1.out \
-  || { echo "alb-serve: --jobs 4 output differs from --jobs 1"; exit 1; }
-./build-release/tools/alb-serve --requests build-release/scn.requests \
-  --cache-dir build-release/scn-cache --jobs 4 \
-  > build-release/alb-serve.cached.out 2> build-release/alb-serve.cached.err
-diff build-release/alb-serve.j4.out build-release/alb-serve.cached.out \
-  || { echo "alb-serve: cached sweep differs from fresh sweep"; exit 1; }
-grep -q ' misses=0 ' build-release/alb-serve.cached.err \
-  || { echo "alb-serve: warm-cache pass re-simulated something:"; \
-       cat build-release/alb-serve.cached.err; exit 1; }
-grep -q ' hits=[1-9]' build-release/alb-serve.cached.err \
-  || { echo "alb-serve: warm-cache pass reported no hits"; exit 1; }
 
-echo "=== host telemetry: firewall diff + artifact validation ==="
-# The determinism firewall, end to end: the same run with every
+echo "=== determinism matrix: byte-identical outputs ==="
+# det_diff LABEL CMD_A... -- CMD_B...
+# Runs both commands (stdout to build-release/det.LABEL.{a,b} minus
+# "wrote <path>" lines, stderr to .a.err/.b.err) and fails unless the
+# two stdouts are byte-identical. A command's own nonzero exit fails the
+# gate too: the benches verdict their paper claims that way.
+det_side() {
+  local out="$1"; shift
+  if ! "$@" 2> "$out.err" | { grep -v '^wrote ' || true; } > "$out"; then
+    cat "$out.err" >&2
+    echo "command failed: $*" >&2
+    exit 1
+  fi
+}
+det_diff() {
+  local label="$1"; shift
+  local -a cmd_a=()
+  while [ "$1" != "--" ]; do cmd_a+=("$1"); shift; done
+  shift
+  local out="build-release/det.$label"
+  det_side "$out.a" "${cmd_a[@]}"
+  det_side "$out.b" "$@"
+  if ! diff "$out.a" "$out.b" > /dev/null; then
+    echo "$label: outputs differ"
+    diff "$out.a" "$out.b" | head -20
+    exit 1
+  fi
+  echo "identical: $label"
+}
+
+T=./build-release/tools/alb-trace
+S=./build-release/tools/alb-serve
+B=./build-release/bench
+R=build-release
+
+# Campaign parallelism: --jobs 4 must equal --jobs 1. The CSVs carry
+# only simulated numbers; the causal and resilience JSONs do too (the
+# collective and adaptive JSONs add wall-clock throughput).
+for b in bench_fig_water bench_fig15; do
+  det_diff "$b.jobs" "$B/$b" --quick --csv --jobs 1 -- "$B/$b" --quick --csv --jobs 4
+done
+for b in causal resilience collective adaptive; do
+  det_diff "bench_$b.jobs" "$B/bench_$b" --quick --csv --jobs 1 --json "$R/BENCH_$b.j1.json" \
+                        -- "$B/bench_$b" --quick --csv --jobs 4 --json "$R/BENCH_$b.j4.json"
+done
+for b in causal resilience; do
+  det_diff "BENCH_$b.json" cat "$R/BENCH_$b.j1.json" -- cat "$R/BENCH_$b.j4.json"
+done
+
+# Run twice: the same (seed, plan, flags) reproduces every table, clean
+# and faulted, in every wide-area mode.
+TWICE_ROWS=(
+  "faults:--app TSP --clusters 2 --per 2 --csv --faults"
+  "clean:--app TSP --clusters 2 --per 2 --csv"
+  "tree-faults:--app ASP --clusters 4 --per 2 --csv --coll tree --wan-streams 2 --faults"
+  "adapt:--app ASP --clusters 4 --per 2 --csv --adapt"
+  "adapt-faults:--app ASP --clusters 4 --per 2 --csv --adapt --faults"
+  "hetero3:--scenario hetero3 --app ASP --csv"
+)
+for row in "${TWICE_ROWS[@]}"; do
+  read -r -a args <<< "${row#*:}"
+  det_diff "trace.${row%%:*}" "$T" "${args[@]}" -- "$T" "${args[@]}"
+done
+# The rows above must not compare two runs that never exercised their
+# feature: the faulted TSP run retries, and the adaptive ASP run arms
+# its sequencer migration.
+grep -q '^retries,' "$R/det.trace.faults.a" \
+  || { echo "fault counter table missing from --faults output"; exit 1; }
+if grep -q '^retries,0$' "$R/det.trace.faults.a"; then
+  echo "faulted TSP run saw no retries — injection is not reaching the RPC path"; exit 1
+fi
+grep -q '^sequencer arms,[1-9]' "$R/det.trace.adapt-faults.a" \
+  || { echo "adaptive ASP smoke armed no sequencer migration"; exit 1; }
+
+# The result cache, end to end: the sweep-demo grid is the same bytes
+# fresh at any --jobs value; a warm repeat is answered entirely from the
+# cache; a damaged entry is re-simulated (one miss) and served again.
+printf 'sweep-demo\ndas app=ASP clusters=2 per=2\n' > "$R/scn.requests"
+rm -rf "$R/scn-cache"
+SERVE=("$S" --requests "$R/scn.requests")
+det_diff serve.jobs "${SERVE[@]}" --cache-dir "$R/scn-cache" --jobs 4 -- "${SERVE[@]}" --jobs 1
+det_diff serve.warm cat "$R/det.serve.jobs.a" -- "${SERVE[@]}" --cache-dir "$R/scn-cache" --jobs 4
+grep -q ' misses=0 ' "$R/det.serve.warm.b.err" \
+  || { echo "alb-serve: warm-cache pass re-simulated something:"; cat "$R/det.serve.warm.b.err"; exit 1; }
+grep -q ' hits=[1-9]' "$R/det.serve.warm.b.err" \
+  || { echo "alb-serve: warm-cache pass reported no hits"; exit 1; }
+damaged=$(find "$R/scn-cache" -name '*.albres' | sort | head -1)
+head -c 100 "$damaged" > "$damaged.cut" && mv "$damaged.cut" "$damaged"
+det_diff serve.damaged cat "$R/det.serve.jobs.a" -- "${SERVE[@]}" --cache-dir "$R/scn-cache" --jobs 4
+grep -q ' misses=1 stores=1 ' "$R/det.serve.damaged.b.err" \
+  || { echo "alb-serve: damaged entry was not re-simulated once:"; cat "$R/det.serve.damaged.b.err"; exit 1; }
+det_diff serve.repaired cat "$R/det.serve.jobs.a" -- "${SERVE[@]}" --cache-dir "$R/scn-cache" --jobs 4
+grep -q ' misses=0 ' "$R/det.serve.repaired.b.err" \
+  || { echo "alb-serve: re-simulated entry was not stored"; exit 1; }
+
+# The host-telemetry firewall, end to end: the same run with every
 # telemetry sink armed (fast heartbeat, Chrome trace, JSON snapshot)
 # must produce byte-identical stdout. docs/OBSERVABILITY.md, "Host
 # telemetry"; the unit-level pin is tests/telemetry/firewall_test.cpp.
-./build-release/tools/alb-trace --app ASP --clusters 2 --per 4 --csv \
-  > build-release/alb-trace.tel-off.csv
-./build-release/tools/alb-trace --app ASP --clusters 2 --per 4 --csv \
-  --progress=0.05 --progress-out build-release/alb-trace.heartbeat.jsonl \
-  --telemetry-out build-release/alb-trace.host.trace.json \
-  --telemetry-json build-release/alb-trace.host.json \
-  > build-release/alb-trace.tel-on.csv
-diff build-release/alb-trace.tel-off.csv build-release/alb-trace.tel-on.csv \
-  || { echo "alb-trace: telemetry-on stdout differs from telemetry-off"; exit 1; }
-./build-release/tools/alb-serve --requests build-release/scn.requests \
-  --jobs 4 \
-  --progress=0.05 --progress-out build-release/alb-serve.heartbeat.jsonl \
-  --telemetry-out build-release/alb-serve.host.trace.json \
-  --telemetry-json build-release/alb-serve.host.json \
-  > build-release/alb-serve.tel.out 2> build-release/alb-serve.tel.err
-diff build-release/alb-serve.j4.out build-release/alb-serve.tel.out \
-  || { echo "alb-serve: telemetry-on stdout differs from telemetry-off"; exit 1; }
-grep -q ' hit_ms_p50=' build-release/alb-serve.tel.err \
+TRACE_TEL=(--progress=0.05 --progress-out "$R/alb-trace.heartbeat.jsonl"
+  --telemetry-out "$R/alb-trace.host.trace.json" --telemetry-json "$R/alb-trace.host.json")
+SERVE_TEL=(--progress=0.05 --progress-out "$R/alb-serve.heartbeat.jsonl"
+  --telemetry-out "$R/alb-serve.host.trace.json" --telemetry-json "$R/alb-serve.host.json")
+det_diff telemetry.trace "$T" --app ASP --clusters 2 --per 4 --csv \
+                      -- "$T" --app ASP --clusters 2 --per 4 --csv "${TRACE_TEL[@]}"
+det_diff telemetry.serve cat "$R/det.serve.jobs.a" -- "${SERVE[@]}" --jobs 4 "${SERVE_TEL[@]}"
+grep -q ' hit_ms_p50=' "$R/det.telemetry.serve.b.err" \
   || { echo "alb-serve: summary lacks hit-latency percentiles"; exit 1; }
-grep -q 'pool: workers=' build-release/alb-serve.tel.err \
+grep -q 'pool: workers=' "$R/det.telemetry.serve.b.err" \
   || { echo "alb-serve: summary lacks the pool table"; exit 1; }
 python3 - <<'EOF'
 import json
