@@ -36,10 +36,15 @@
 // Scenario: the 4-cluster ASP + TSP runs of the issue's acceptance
 // criteria (small calibrated workloads; both the original and the
 // wide-area-optimized variants), plus a pure-engine synthetic schedule.
+//
+// The ATPG pins cover the one app whose simulated time depends on a
+// work count (gate evaluations) that its checksum does not see: a host
+// kernel rewrite that miscounted `evals` would move `elapsed` here.
 
 #include <gtest/gtest.h>
 
 #include "apps/asp.hpp"
+#include "apps/atpg.hpp"
 #include "apps/tsp.hpp"
 #include "net/presets.hpp"
 #include "sim/engine.hpp"
@@ -107,6 +112,24 @@ TEST(TraceGolden, Tsp4ClusterOptimized) {
                 Golden{1766433423914237749ull, 341ull, 8184521,
                        9644552255054130231ull},
                 "TSP optimized");
+}
+
+TEST(TraceGolden, Atpg4ClusterOriginal) {
+  AtpgParams p;
+  p.gates = 200;
+  expect_golden(run_atpg(cfg4(false), p),
+                Golden{5207815439962374537ull, 4924ull, 299471200,
+                       8110314204612092614ull},
+                "ATPG original");
+}
+
+TEST(TraceGolden, Atpg4ClusterOptimized) {
+  AtpgParams p;
+  p.gates = 200;
+  expect_golden(run_atpg(cfg4(true), p),
+                Golden{979770152505493290ull, 446ull, 162566222,
+                       8110314204612092614ull},
+                "ATPG optimized");
 }
 
 // Pure-engine golden: a synthetic schedule with same-time ties, nested
