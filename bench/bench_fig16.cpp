@@ -27,16 +27,17 @@ int main(int argc, char** argv) {
   util::Table t({"app", "orig 16/1", "orig 32/2", "opt 32/2", "opt 32/1"});
   std::size_t i = 0;
   for (const auto& entry : apps::registry()) {
-    const AppResult& base = results[i++];
-    auto speedup = [&](const AppResult& r) {
-      return static_cast<double>(base.elapsed) / static_cast<double>(r.elapsed);
+    const AppResult& base = results[i];
+    auto speedup = [&](std::size_t k) {
+      return static_cast<double>(base.elapsed) / static_cast<double>(results[i + k].elapsed);
     };
     t.row()
         .add(entry.name)
-        .add(speedup(results[i++]), 1)
-        .add(speedup(results[i++]), 1)
-        .add(speedup(results[i++]), 1)
-        .add(speedup(results[i++]), 1);
+        .add(speedup(1), 1)
+        .add(speedup(2), 1)
+        .add(speedup(3), 1)
+        .add(speedup(4), 1);
+    i += 5;
   }
   std::cout << "=== Figure 16: two-cluster performance improvements (speedups) ===\n";
   if (fo.csv) t.print_csv(std::cout);

@@ -15,6 +15,8 @@
 // end with a hierarchical cluster reduction — one intercluster RPC per
 // cluster (§4.4's "single RPC per cluster").
 
+#include <vector>
+
 #include "apps/app.hpp"
 
 namespace alb::apps {
@@ -42,5 +44,20 @@ AtpgOutcome atpg_reference(const AtpgParams& params, std::uint64_t seed);
 std::uint64_t atpg_checksum(const AtpgOutcome& o);
 
 AppResult run_atpg(const AppConfig& cfg, const AtpgParams& params);
+
+namespace detail {
+
+/// One fault's search: whether a vector detected it, and the modeled
+/// work (gate evaluations) charged to simulated time.
+struct FaultResult {
+  bool detected = false;
+  long long evals = 0;
+};
+
+/// The per-fault results over the seeded circuit, fault (gate, stuck)
+/// at index 2 * gate + stuck. Exposed for kernel-equivalence tests.
+std::vector<FaultResult> atpg_fault_results(const AtpgParams& params, std::uint64_t seed);
+
+}  // namespace detail
 
 }  // namespace alb::apps

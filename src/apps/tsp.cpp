@@ -1,7 +1,10 @@
 #include "apps/tsp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster_reduce.hpp"
@@ -85,38 +88,49 @@ struct SearchResult {
   long long nodes = 0;
 };
 
-void dfs(const Instance& ins, std::vector<int>& path, std::vector<char>& used,
-         long long length, long long bound, SearchResult* out) {
+/// Depth-first search below a partial tour ending at `cur`, with the
+/// cities still to visit in `unused` (bit c = city c). Children are
+/// visited in ascending city order; every call counts one node.
+void dfs(const Instance& ins, int cur, std::uint64_t unused, long long length, long long bound,
+         SearchResult* out) {
   ++out->nodes;
   if (length >= bound) return;  // prune against the fixed global bound
-  if (static_cast<int>(path.size()) == ins.n) {
-    long long tour = length + ins.d(path.back(), 0);
+  const int* row = &ins.dist[static_cast<std::size_t>(cur) * ins.n];
+  if (unused == 0) {
+    long long tour = length + row[0];
     if (tour <= bound) out->best = std::min(out->best, tour);
     return;
   }
-  int cur = path.back();
-  for (int c = 1; c < ins.n; ++c) {
-    if (used[c]) continue;
-    used[c] = 1;
-    path.push_back(c);
-    dfs(ins, path, used, length + ins.d(cur, c), bound, out);
-    path.pop_back();
-    used[c] = 0;
+  for (std::uint64_t rest = unused; rest != 0; rest &= rest - 1) {
+    const int c = std::countr_zero(rest);
+    dfs(ins, c, unused & ~(std::uint64_t{1} << c), length + row[c], bound, out);
   }
 }
 
 SearchResult solve_job(const Instance& ins, const Job& job, long long bound) {
   SearchResult r;
-  std::vector<int> path = job.prefix;
-  std::vector<char> used(static_cast<std::size_t>(ins.n), 0);
-  for (int c : path) used[c] = 1;
-  dfs(ins, path, used, job.length, bound, &r);
+  // Cities 1..n-1; city 0 starts every tour.
+  std::uint64_t unused = ((std::uint64_t{1} << ins.n) - 1) & ~std::uint64_t{1};
+  for (int c : job.prefix) unused &= ~(std::uint64_t{1} << c);
+  dfs(ins, job.prefix.back(), unused, job.length, bound, &r);
   return r;
+}
+
+/// Rejects instances the 64-bit city mask of the search cannot hold.
+void check_params(const TspParams& params) {
+  if (params.cities < 2 || params.cities > kMaxTspCities) {
+    std::string msg = "tsp: cities must be in [2, ";
+    msg += std::to_string(kMaxTspCities);
+    msg += "], got ";
+    msg += std::to_string(params.cities);
+    throw std::invalid_argument(msg);
+  }
 }
 
 }  // namespace
 
 TspOutcome tsp_reference(const TspParams& params, std::uint64_t seed) {
+  check_params(params);
   Instance ins = Instance::generate(params.cities, seed);
   const long long bound = ins.greedy_bound();
   TspOutcome out;
@@ -137,6 +151,7 @@ std::uint64_t tsp_checksum(const TspOutcome& o) {
 }
 
 AppResult run_tsp(const AppConfig& cfg, const TspParams& params) {
+  check_params(params);
   Harness h(cfg);
   Instance ins = Instance::generate(params.cities, cfg.seed);
   const long long bound = ins.greedy_bound();

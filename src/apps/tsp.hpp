@@ -16,6 +16,11 @@
 
 namespace alb::apps {
 
+/// Largest instance the search handles (its state is a 64-bit city
+/// mask); tsp_reference and run_tsp throw std::invalid_argument for
+/// fewer than 2 or more than this many cities.
+inline constexpr int kMaxTspCities = 63;
+
 struct TspParams {
   int cities = 13;
   /// Prefix depth used to generate jobs (master-side): depth 4 yields

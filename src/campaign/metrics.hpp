@@ -10,7 +10,7 @@
 //
 // Determinism: results arrive in submission order (the campaign
 // engine's contract, see campaign.hpp) and merging is a fold over that
-// order into name-ordered maps, so the aggregate — like everything else
+// order into name-ordered arrays, so the aggregate — like everything else
 // in a campaign — is byte-identical for every `--jobs` value.
 
 #include <vector>
@@ -28,9 +28,9 @@ inline trace::MetricsSnapshot aggregate_metrics(const std::vector<apps::AppResul
   trace::MetricsSnapshot agg;
   for (const apps::AppResult& r : results) {
     agg.merge(r.stats);
-    for (const auto& [name, v] : r.metrics) agg.gauges["app/" + name] += v;
+    for (const auto& [name, v] : r.metrics) agg.add_gauge("app/" + name, v);
   }
-  agg.counters["campaign/runs"] = results.size();
+  agg.set_counter("campaign/runs", results.size());
   return agg;
 }
 

@@ -158,16 +158,20 @@ std::string serialize_result(const apps::AppResult& r) {
   out += "traffic.combined=" + std::to_string(cc.flushes) + " " + std::to_string(cc.members) +
          " " + std::to_string(cc.wire_bytes) + " " + std::to_string(cc.logical_bytes) + "\n";
   for (const auto& [name, v] : r.metrics) out += "metric=" + name + " " + fmt(v) + "\n";
-  for (const auto& [name, v] : r.stats.counters) {
-    out += "counter=" + name + " " + std::to_string(v) + "\n";
-  }
-  for (const auto& [name, v] : r.stats.gauges) out += "gauge=" + name + " " + fmt(v) + "\n";
-  for (const auto& [name, h] : r.stats.histograms) {
-    out += "hist=" + name + " " + std::to_string(h.count) + " " + std::to_string(h.sum) + " " +
-           std::to_string(h.min) + " " + std::to_string(h.max);
-    for (const std::uint64_t b : h.buckets) out += " " + std::to_string(b);
-    out += "\n";
-  }
+  r.stats.for_each_counter([&](std::string_view name, std::uint64_t v) {
+    out.append("counter=").append(name).append(" ").append(std::to_string(v)).append("\n");
+  });
+  r.stats.for_each_gauge([&](std::string_view name, double v) {
+    out.append("gauge=").append(name).append(" ").append(fmt(v)).append("\n");
+  });
+  r.stats.for_each_histogram([&](std::string_view name, const trace::Histogram& h) {
+    out.append("hist=").append(name);
+    for (const std::uint64_t v : {h.count, h.sum, h.min, h.max}) {
+      out.append(" ").append(std::to_string(v));
+    }
+    for (const std::uint64_t b : h.buckets) out.append(" ").append(std::to_string(b));
+    out.append("\n");
+  });
   out += kTrailer + hex64(fnv1a(kFnvBasis, out)) + "\n";
   return out;
 }
@@ -235,13 +239,13 @@ apps::AppResult parse_result(const std::string& text) {
       r.metrics[f[0]] = to_dbl(f[1]);
     } else if (key == "counter") {
       const auto f = fields(value, 2);
-      r.stats.counters[f[0]] = to_u64(f[1]);
+      r.stats.set_counter(f[0], to_u64(f[1]));
     } else if (key == "gauge") {
       const auto f = fields(value, 2);
-      r.stats.gauges[f[0]] = to_dbl(f[1]);
+      r.stats.set_gauge(f[0], to_dbl(f[1]));
     } else if (key == "hist") {
       const auto f = fields(value, 5 + trace::Histogram::kBuckets);
-      trace::Histogram& h = r.stats.histograms[f[0]];
+      trace::Histogram h;
       h.count = to_u64(f[1]);
       h.sum = to_u64(f[2]);
       h.min = to_u64(f[3]);
@@ -249,6 +253,7 @@ apps::AppResult parse_result(const std::string& text) {
       for (int b = 0; b < trace::Histogram::kBuckets; ++b) {
         h.buckets[static_cast<std::size_t>(b)] = to_u64(f[static_cast<std::size_t>(5 + b)]);
       }
+      r.stats.set_histogram(f[0], h);
     } else {
       throw std::runtime_error("result cache: unknown field '" + key + "'");
     }

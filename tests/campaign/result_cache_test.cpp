@@ -64,18 +64,8 @@ TEST(ResultCacheSerialization, RoundTripsARealRunExactly) {
   // App metrics (doubles must round-trip bit-exactly via %.17g).
   EXPECT_EQ(back.metrics, r.metrics);
   // Full metrics registry snapshot.
-  EXPECT_EQ(back.stats.counters, r.stats.counters);
-  EXPECT_EQ(back.stats.gauges, r.stats.gauges);
-  ASSERT_EQ(back.stats.histograms.size(), r.stats.histograms.size());
-  for (const auto& [name, h] : r.stats.histograms) {
-    const auto it = back.stats.histograms.find(name);
-    ASSERT_NE(it, back.stats.histograms.end()) << name;
-    EXPECT_EQ(it->second.count, h.count) << name;
-    EXPECT_EQ(it->second.sum, h.sum) << name;
-    EXPECT_EQ(it->second.min, h.min) << name;
-    EXPECT_EQ(it->second.max, h.max) << name;
-    EXPECT_EQ(it->second.buckets, h.buckets) << name;
-  }
+  ASSERT_FALSE(r.stats.empty());
+  EXPECT_TRUE(back.stats == r.stats);
   // Serialization of the parsed value is the same bytes: a fixed point.
   EXPECT_EQ(campaign::serialize_result(back), text);
 }
@@ -129,6 +119,41 @@ TEST(ResultCacheSerialization, FlippedByteIsRejected) {
     bad[at] = static_cast<char>(bad[at] ^ 0x01);
     EXPECT_THROW((void)campaign::parse_result(bad), std::runtime_error) << "byte " << at;
   }
+}
+
+// A parsed entry that names an instrument twice keeps the last value,
+// and re-serializing it writes each name once.
+TEST(ResultCacheSerialization, DuplicateStatNamesLastWins) {
+  apps::AppResult r;
+  r.stats.set_counter("net/a.msgs", 1);
+  r.stats.set_gauge("orca/b.ratio", 0.25);
+  trace::Histogram h;
+  h.add(8);
+  r.stats.set_histogram("net/c.bytes", h);
+  const std::string text = campaign::serialize_result(r);
+  const std::size_t trailer = text.rfind("end=");
+  std::string body = text.substr(0, trailer);
+  body += "counter=net/a.msgs 7\ngauge=orca/b.ratio 0.5\n";
+  const std::size_t hist = body.find("hist=net/c.bytes ");
+  body += body.substr(hist, body.find('\n', hist) + 1 - hist);
+  // Re-sign the edited body: the trailer is FNV-1a 64 over it.
+  std::uint64_t fnv = 1469598103934665603ull;
+  for (const char c : body) {
+    fnv ^= static_cast<unsigned char>(c);
+    fnv *= 1099511628211ull;
+  }
+  char sig[17];
+  std::snprintf(sig, sizeof sig, "%016llx", static_cast<unsigned long long>(fnv));
+
+  const apps::AppResult back = campaign::parse_result(body + "end=" + sig + "\n");
+  ASSERT_NE(back.stats.counter("net/a.msgs"), nullptr);
+  EXPECT_EQ(*back.stats.counter("net/a.msgs"), 7u);
+  EXPECT_DOUBLE_EQ(back.stats.value("orca/b.ratio"), 0.5);
+  ASSERT_NE(back.stats.histogram("net/c.bytes"), nullptr);
+  EXPECT_EQ(*back.stats.histogram("net/c.bytes"), h);
+  r.stats.set_counter("net/a.msgs", 7);
+  r.stats.set_gauge("orca/b.ratio", 0.5);
+  EXPECT_EQ(campaign::serialize_result(back), campaign::serialize_result(r));
 }
 
 TEST(ResultCacheKey, StableAndSensitive) {

@@ -132,12 +132,15 @@ TEST(Metrics, CounterGaugeHistogramRoundTrip) {
   EXPECT_EQ(m.counter("net/test.msgs"), c);
 
   const trace::MetricsSnapshot s = m.snapshot();
-  EXPECT_EQ(s.counters.at("net/test.msgs"), 7u);
-  EXPECT_DOUBLE_EQ(s.gauges.at("app/ratio"), 0.5);
+  EXPECT_EQ(*s.counter("net/test.msgs"), 7u);
+  EXPECT_DOUBLE_EQ(*s.gauge("app/ratio"), 0.5);
   EXPECT_DOUBLE_EQ(s.value("net/test.msgs"), 7.0);
   EXPECT_DOUBLE_EQ(s.value("app/ratio"), 0.5);
   EXPECT_DOUBLE_EQ(s.value("no/such.metric"), 0.0);
-  const trace::Histogram& hs = s.histograms.at("net/test.bytes");
+  EXPECT_EQ(s.counter("no/such.metric"), nullptr);
+  EXPECT_EQ(s.histogram("net/test.msgs"), nullptr);
+  ASSERT_NE(s.histogram("net/test.bytes"), nullptr);
+  const trace::Histogram& hs = *s.histogram("net/test.bytes");
   EXPECT_EQ(hs.count, 4u);
   EXPECT_EQ(hs.sum, 1101u);
   EXPECT_EQ(hs.min, 0u);
@@ -170,13 +173,14 @@ TEST(Metrics, SnapshotMergeAddsAndMergesElementwise) {
 
   trace::MetricsSnapshot s = a.snapshot();
   s.merge(b.snapshot());
-  EXPECT_EQ(s.counters.at("x"), 3u);
-  EXPECT_EQ(s.counters.at("only_b"), 5u);
-  EXPECT_DOUBLE_EQ(s.gauges.at("g"), 4.0);
-  EXPECT_EQ(s.histograms.at("h").count, 2u);
-  EXPECT_EQ(s.histograms.at("h").sum, 12u);
-  EXPECT_EQ(s.histograms.at("h").min, 4u);
-  EXPECT_EQ(s.histograms.at("h").max, 8u);
+  EXPECT_EQ(*s.counter("x"), 3u);
+  EXPECT_EQ(*s.counter("only_b"), 5u);
+  EXPECT_DOUBLE_EQ(*s.gauge("g"), 4.0);
+  ASSERT_NE(s.histogram("h"), nullptr);
+  EXPECT_EQ(s.histogram("h")->count, 2u);
+  EXPECT_EQ(s.histogram("h")->sum, 12u);
+  EXPECT_EQ(s.histogram("h")->min, 4u);
+  EXPECT_EQ(s.histogram("h")->max, 8u);
 }
 
 TEST(Metrics, CsvAndJsonAreNameOrderedAndStable) {

@@ -319,9 +319,11 @@ int main(int argc, char** argv) {
   }
 
   // --- WAN circuit distributions -------------------------------------
-  if (auto it = r.stats.histograms.find("net/wan.msg_bytes"); it != r.stats.histograms.end()) {
-    const trace::Histogram& hb = it->second;
-    const trace::Histogram& hq = r.stats.histograms.at("net/wan.queue_ns");
+  const trace::Histogram* wan_bytes = r.stats.histogram("net/wan.msg_bytes");
+  const trace::Histogram* wan_queue = r.stats.histogram("net/wan.queue_ns");
+  if (wan_bytes && wan_queue) {
+    const trace::Histogram& hb = *wan_bytes;
+    const trace::Histogram& hq = *wan_queue;
     util::Table wan({"metric", "count", "mean", "p50", "p99", "max"});
     wan.row()
         .add("wan msg bytes")

@@ -6,7 +6,8 @@
 #   build-asan/     Debug + ASan/UBSan (catches lifetime bugs in the
 #                   zero-allocation hot path, where objects are recycled
 #                   through pools instead of malloc/free)
-#   build-release/  -O3 NDEBUG, the configuration benchmarks run in
+#   build-release/  -O3 NDEBUG with -Werror, the configuration benchmarks
+#                   run in
 #   build-tsan/     ALB_SANITIZE=thread; runs test_campaign, the suite
 #                   that exercises the worker pool and the logger from
 #                   concurrent threads
@@ -27,8 +28,8 @@ cmake --build build-asan -j "$JOBS"
 echo "=== ctest: sanitizer build ==="
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "=== configure + build: Release ==="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+echo "=== configure + build: Release (warnings are errors) ==="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DALB_WERROR=ON > /dev/null
 cmake --build build-release -j "$JOBS"
 
 echo "=== ctest: release build ==="
