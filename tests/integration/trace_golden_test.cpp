@@ -40,23 +40,41 @@
 // The ATPG pins cover the one app whose simulated time depends on a
 // work count (gate evaluations) that its checksum does not see: a host
 // kernel rewrite that miscounted `evals` would move `elapsed` here.
+//
+// The RA and IDA* pins cover the host setup of the two simulator-bound
+// apps: RA's predecessor lists fix the order its updates are emitted in,
+// and IDA*'s victim order fixes which steal RPCs are sent. They run at
+// 4x3, where P is not a power of two, so RA's `owner_of` modulo and the
+// wrap-around in IDA*'s original victim order are both exercised.
+//
+// CausalGolden pins the causal analysis end to end on a trace whose
+// per-cluster recorder shards wrapped, so normalization drops orphan
+// Ends: the DAG's shape, every edge field, the critical path's blame
+// and the standard what-if projections.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "apps/asp.hpp"
 #include "apps/atpg.hpp"
+#include "apps/ida.hpp"
+#include "apps/ra.hpp"
 #include "apps/tsp.hpp"
 #include "net/presets.hpp"
 #include "sim/engine.hpp"
+#include "trace/causal/causal.hpp"
 
 namespace alb::apps {
 namespace {
 
-AppConfig cfg4(bool optimized) {
+AppConfig cfg4(bool optimized, int per = 2) {
   AppConfig c;
   c.clusters = 4;
-  c.procs_per_cluster = 2;
-  c.net_cfg = net::das_config(4, 2);
+  c.procs_per_cluster = per;
+  c.net_cfg = net::das_config(4, per);
   c.optimized = optimized;
   c.seed = 42;
   return c;
@@ -130,6 +148,103 @@ TEST(TraceGolden, Atpg4ClusterOptimized) {
                 Golden{979770152505493290ull, 446ull, 162566222,
                        8110314204612092614ull},
                 "ATPG optimized");
+}
+
+RaParams golden_ra() {
+  RaParams p;
+  p.stones = 6;
+  return p;
+}
+
+TEST(TraceGolden, Ra4ClusterOriginal) {
+  expect_golden(run_ra(cfg4(false, 3), golden_ra()),
+                Golden{11153293645915711792ull, 32778ull, 183542821,
+                       12580739881790597950ull},
+                "RA original");
+}
+
+TEST(TraceGolden, Ra4ClusterOptimized) {
+  expect_golden(run_ra(cfg4(true, 3), golden_ra()),
+                Golden{8398715059108680972ull, 34257ull, 209580730,
+                       12580739881790597950ull},
+                "RA optimized");
+}
+
+IdaParams golden_ida() {
+  IdaParams p;
+  p.scramble_moves = 30;
+  p.job_pool = 400;
+  return p;
+}
+
+TEST(TraceGolden, Ida4ClusterOriginal) {
+  expect_golden(run_ida(cfg4(false, 3), golden_ida()),
+                Golden{10703370141843821051ull, 18798ull, 289613516,
+                       907587028073409787ull},
+                "IDA* original");
+}
+
+TEST(TraceGolden, Ida4ClusterOptimized) {
+  expect_golden(run_ida(cfg4(true, 3), golden_ida()),
+                Golden{4925849120101023366ull, 17621ull, 233173001,
+                       907587028073409787ull},
+                "IDA* optimized");
+}
+
+// FNV-1a over the bytes of every field of every edge, in edge order.
+std::uint64_t edge_hash(const trace::causal::Dag& dag) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto fold = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const trace::causal::Edge& e : dag.edges) {
+    fold(e.from);
+    fold(e.to);
+    fold(static_cast<std::uint64_t>(e.kind));
+    fold(static_cast<std::uint64_t>(e.cls));
+    fold(static_cast<std::uint64_t>(e.proto));
+    fold(static_cast<std::uint64_t>(e.dur));
+    fold(static_cast<std::uint64_t>(e.work));
+    fold(e.wake_bound ? 1 : 0);
+    fold(e.bytes);
+    fold(static_cast<std::uint64_t>(e.wan_queue));
+    fold(static_cast<std::uint64_t>(e.wan_lat));
+    fold(static_cast<std::uint64_t>(e.wan_ser));
+  }
+  return h;
+}
+
+TEST(CausalGolden, WrappedShardedRa) {
+  AppConfig cfg = cfg4(false, 4);
+  cfg.trace.enabled = true;
+  cfg.trace.capacity = 24000;  // 6000 events per cluster shard: wraps
+  const AppResult r = run_ra(cfg, golden_ra());
+  ASSERT_TRUE(r.trace);
+  ASSERT_GT(r.trace->dropped, 0u) << "the ring must wrap";
+
+  const trace::causal::Dag dag = trace::causal::build_dag(*r.trace, cfg.net_cfg);
+  EXPECT_EQ(dag.events.size(), 23690u);
+  EXPECT_EQ(dag.edges.size(), 21261u);
+  EXPECT_EQ(dag.orphan_ends, 310u);
+  EXPECT_EQ(edge_hash(dag), 17173721997244475433ull);
+
+  const trace::causal::CriticalPath cp = trace::causal::critical_path(dag);
+  const std::map<std::string, sim::SimTime> blame{
+      {"app/compute", 2976000},       {"app/recv.wait", 22486731},
+      {"net/access", 3095186},        {"net/gateway", 4800000},
+      {"net/lan", 425971},            {"net/wan.bandwidth", 1723264},
+      {"net/wan.latency", 58080000},  {"net/wan.queue", 6895431},
+      {"orca/barrier.wait", 8789844}, {"sim/startup", 81802936}};
+  EXPECT_EQ(cp.by_blame, blame);
+
+  std::vector<sim::SimTime> projected;
+  for (const auto& s : trace::causal::standard_scenarios(cfg.net_cfg)) {
+    projected.push_back(trace::causal::what_if(dag, s).projected);
+  }
+  EXPECT_EQ(projected, (std::vector<sim::SimTime>{129354277, 183491287, 191075363}));
 }
 
 // Pure-engine golden: a synthetic schedule with same-time ties, nested
