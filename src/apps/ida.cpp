@@ -190,7 +190,6 @@ AppResult run_ida(const AppConfig& cfg, const IdaParams& params) {
   const int initial_threshold = root.manhattan();
 
   AppResult result = h.finish([&, params](orca::Proc& p) -> sim::Task<void> {
-    long long my_nodes_total = 0;
     for (int threshold = initial_threshold;; threshold += 2) {
       // Seed my share of the job pool (setup cost charged lightly).
       for (std::size_t j = static_cast<std::size_t>(p.rank); j < jobs.size();
@@ -225,7 +224,6 @@ AppResult run_ida(const AppConfig& cfg, const IdaParams& params) {
         my_solutions += r.solutions;
         my_nodes += r.nodes;
       }
-      my_nodes_total += my_nodes;
       // End-of-iteration reduction: did anyone find a solution?
       Tally t = co_await wide::cluster_allreduce<Tally>(
           h.rt, p, 700, Tally{my_solutions, my_nodes}, 16,
@@ -245,7 +243,6 @@ AppResult run_ida(const AppConfig& cfg, const IdaParams& params) {
       co_await sched.announce_idle(p, false);
       co_await h.rt.barrier(p);
     }
-    (void)my_nodes_total;
   });
 
   result.checksum = ida_checksum(out);

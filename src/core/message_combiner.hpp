@@ -49,8 +49,7 @@ class ClusterCombiner {
         sent_(static_cast<std::size_t>(rt.nprocs()), 0),
         delivered_(static_cast<std::size_t>(rt.nprocs()), 0),
         buffers_(static_cast<std::size_t>(rt.network().topology().clusters()) *
-                 static_cast<std::size_t>(rt.network().topology().clusters())),
-        combined_shards_(static_cast<std::size_t>(rt.network().topology().clusters()), 0) {
+                 static_cast<std::size_t>(rt.network().topology().clusters())) {
     const auto& topo = rt.network().topology();
     if (topo.clusters() > 1) adapt_ = rt.adaptive();
     for (int n = 0; n < topo.num_compute(); ++n) {
@@ -133,13 +132,8 @@ class ClusterCombiner {
     return delivered_[static_cast<std::size_t>(rank)];
   }
 
-  /// Combined WAN shipments, summed over the per-cluster shards
-  /// (post-run view).
-  std::uint64_t combined_messages() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t c : combined_shards_) n += c;
-    return n;
-  }
+  /// Combined WAN shipments sent so far.
+  std::uint64_t combined_messages() const { return combined_; }
 
  private:
   struct Handoff {
@@ -184,9 +178,7 @@ class ClusterCombiner {
     std::vector<Addressed> batch;
     batch.swap(buf);
     const std::size_t bytes = batch.size() * opt_.item_bytes;
-    // flush_buffer(from, ·) only runs in cluster `from`'s context (its
-    // relay's handlers or its members' flush()), so shard by `from`.
-    ++combined_shards_[static_cast<std::size_t>(from)];
+    ++combined_;
     net::Message m;
     m.src = static_cast<net::NodeId>(relay_rank(from));
     m.dst = static_cast<net::NodeId>(relay_rank(to));
@@ -246,7 +238,7 @@ class ClusterCombiner {
   // cluster that indexes it (senders and relays of `from` / `src`).
   std::vector<std::vector<Addressed>> buffers_;       // (from, to) cluster pairs
   std::vector<std::vector<Item>> sender_buffers_;     // (src, dst) rank pairs
-  std::vector<std::uint64_t> combined_shards_;        // per source cluster
+  std::uint64_t combined_ = 0;
 };
 
 }  // namespace alb::wide

@@ -42,13 +42,18 @@ class StealScheduler {
     int steal_chunk = 1;
   };
 
+  /// The scheduler must outlive the simulation run: steal RPCs reach
+  /// the victims' deques through a pointer to this object's storage.
   StealScheduler(orca::Runtime& rt, Options opt)
       : rt_(&rt), opt_(opt),
-        deques_(std::make_shared<std::vector<std::deque<Job>>>(
-            static_cast<std::size_t>(rt.nprocs()))),
+        deques_(static_cast<std::size_t>(rt.nprocs())),
         idle_(orca::create_replicated<IdleSet>(
             rt, IdleSet{std::vector<char>(static_cast<std::size_t>(rt.nprocs()), 0)})),
-        stats_shards_(static_cast<std::size_t>(rt.network().topology().clusters())) {}
+        victims_(static_cast<std::size_t>(rt.nprocs())) {
+    for (int r = 0; r < rt.nprocs(); ++r) {
+      victims_[static_cast<std::size_t>(r)] = victim_order(rt.network().topology(), r);
+    }
+  }
 
   /// Local deque operations — no communication.
   void push_local(const orca::Proc& p, Job j) {
@@ -95,20 +100,19 @@ class StealScheduler {
   /// empty. Steal RPCs take jobs from the FIFO end (the victim's oldest,
   /// largest subtrees).
   sim::Task<std::optional<std::vector<Job>>> steal(const orca::Proc& p) {
-    // The thief's own cluster shard — steal() runs in p's context.
-    Stats& st = stats_shards_[static_cast<std::size_t>(p.cluster())];
-    for (int victim : victim_order(p)) {
+    for (int victim : victims_[static_cast<std::size_t>(p.rank)]) {
       if (opt_.remember_empty && idle_.local(p).idle[static_cast<std::size_t>(victim)]) {
-        ++st.skipped_idle;
+        ++stats_.skipped_idle;
         continue;
       }
-      ++st.attempts;
-      if (!p.same_cluster(victim)) ++st.remote_attempts;
+      ++stats_.attempts;
+      if (!p.same_cluster(victim)) ++stats_.remote_attempts;
       const int chunk = opt_.steal_chunk;
-      auto deques = deques_;
       // Steal RPC executed at the victim's node; reply carries the jobs.
+      // The capture is a pointer and two ints, small enough for
+      // std::function's inline storage: no allocation per attempt.
       std::function<std::shared_ptr<const void>()> op =
-          [deques, victim, chunk]() -> std::shared_ptr<const void> {
+          [deques = &deques_, victim, chunk]() -> std::shared_ptr<const void> {
         auto& d = (*deques)[static_cast<std::size_t>(victim)];
         std::vector<Job> batch;
         for (int i = 0; i < chunk && !d.empty(); ++i) {
@@ -123,7 +127,7 @@ class StealScheduler {
                                        std::move(op));
       const auto& got = *static_cast<const std::vector<Job>*>(payload.get());
       if (!got.empty()) {
-        ++st.successes;
+        ++stats_.successes;
         co_return got;
       }
     }
@@ -136,45 +140,37 @@ class StealScheduler {
     std::uint64_t successes = 0;
     std::uint64_t skipped_idle = 0;
   };
-  /// Sum over the per-cluster shards (post-run view).
-  Stats stats() const {
-    Stats s;
-    for (const Stats& sh : stats_shards_) {
-      s.attempts += sh.attempts;
-      s.remote_attempts += sh.remote_attempts;
-      s.successes += sh.successes;
-      s.skipped_idle += sh.skipped_idle;
-    }
-    return s;
-  }
+  Stats stats() const { return stats_; }
 
  private:
   static constexpr std::size_t kStealRequestBytes = 16;
 
   std::deque<Job>& deque_of(int rank) {
-    return (*deques_)[static_cast<std::size_t>(rank)];
+    return deques_[static_cast<std::size_t>(rank)];
   }
 
-  /// Victim ranks in the order this process should try them.
-  std::vector<int> victim_order(const orca::Proc& p) const {
+  /// Victim ranks in the order process `rank` should try them.
+  std::vector<int> victim_order(const net::Topology& topo, int rank) const {
+    const int nprocs = topo.num_compute();
+    std::vector<char> listed(static_cast<std::size_t>(nprocs), 0);
+    listed[static_cast<std::size_t>(rank)] = 1;
     std::vector<int> order;
-    auto add_unique = [&order, &p](int r) {
-      if (r == p.rank) return;
-      for (int o : order) {
-        if (o == r) return;
-      }
+    auto add_unique = [&order, &listed](int r) {
+      if (listed[static_cast<std::size_t>(r)]) return;
+      listed[static_cast<std::size_t>(r)] = 1;
       order.push_back(r);
     };
     if (opt_.order == StealOrder::kClusterFirst) {
       // Own cluster first, starting just after ourselves.
-      for (int i = 1; i < p.procs_per_cluster(); ++i) {
-        add_unique(p.rank_in_cluster(p.cluster(),
-                                     (p.index_in_cluster() + i) % p.procs_per_cluster()));
+      const int per = topo.nodes_per_cluster();
+      const int index = topo.index_in_cluster(rank);
+      for (int i = 1; i < per; ++i) {
+        add_unique(topo.compute_node(topo.cluster_of(rank), (index + i) % per));
       }
     }
     // The original fixed set: own + 1, 2, 4, ... (mod P).
-    for (int step = 1; step < p.nprocs; step *= 2) {
-      add_unique((p.rank + step) % p.nprocs);
+    for (int step = 1; step < nprocs; step *= 2) {
+      add_unique((rank + step) % nprocs);
     }
     return order;
   }
@@ -184,10 +180,12 @@ class StealScheduler {
   /// Per-rank deques. Local push/pop are process-local and free (as in
   /// the real program); remote access happens only through steal RPCs
   /// addressed to the victim's node.
-  std::shared_ptr<std::vector<std::deque<Job>>> deques_;
+  std::vector<std::deque<Job>> deques_;
   orca::Replicated<IdleSet> idle_;
-  /// Steal accounting, sharded by the thief's cluster.
-  std::vector<Stats> stats_shards_;
+  /// victims_[r]: rank r's victim order, fixed by the topology and
+  /// Options::order.
+  std::vector<std::vector<int>> victims_;
+  Stats stats_;
 };
 
 }  // namespace alb::wide

@@ -2,9 +2,10 @@
 #include <array>
 #include <cassert>
 #include <cstring>
-#include <map>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "orca/tags.hpp"
 #include "trace/causal/causal.hpp"
@@ -86,29 +87,147 @@ struct MsgState {
   sim::SimTime queue_pending = 0;  ///< from net.wan.queue, consumed by the hop
 };
 
-bool is_journey_name(string_view n) {
-  return n == "net.send.local" || n == "net.send.lan" || n == "net.bcast.lan" ||
-         n == "net.wan" || n == "net.hop.gw_in" || n == "net.hop.wan" ||
-         n == "net.hop.gw_out" || n == "net.fault.drop" || n == "net.fault.flap_hold" ||
-         n == "net.combine.hold" || n == "net.deliver";
-}
+/// The event names the DAG build reacts to; every other name is Other.
+enum class Name : std::uint8_t {
+  Other,
+  // Message-journey events.
+  SendLocal,
+  SendLan,
+  BcastLan,
+  Wan,
+  HopGwIn,
+  HopWan,
+  HopGwOut,
+  FaultDrop,
+  FaultFlapHold,
+  CombineHold,
+  Deliver,
+  // Metadata and program-state events.
+  WanQueue,
+  AppCompute,
+  SeqGet,
+  Rpc,
+  RpcRetry,
+  RpcTimeout,
+  RpcServe,
+  Bcast,
+  BarrierArrive,
+  BarrierRelease,
+  ProcFinish,
+};
+
+constexpr std::array<std::pair<string_view, Name>, 22> kNames{{
+    {"net.send.local", Name::SendLocal},
+    {"net.send.lan", Name::SendLan},
+    {"net.bcast.lan", Name::BcastLan},
+    {"net.wan", Name::Wan},
+    {"net.hop.gw_in", Name::HopGwIn},
+    {"net.hop.wan", Name::HopWan},
+    {"net.hop.gw_out", Name::HopGwOut},
+    {"net.fault.drop", Name::FaultDrop},
+    {"net.fault.flap_hold", Name::FaultFlapHold},
+    {"net.combine.hold", Name::CombineHold},
+    {"net.deliver", Name::Deliver},
+    {"net.wan.queue", Name::WanQueue},
+    {"app.compute", Name::AppCompute},
+    {"orca.seq.get", Name::SeqGet},
+    {"orca.rpc", Name::Rpc},
+    {"orca.rpc.retry", Name::RpcRetry},
+    {"orca.rpc.timeout", Name::RpcTimeout},
+    {"orca.rpc.serve", Name::RpcServe},
+    {"orca.bcast", Name::Bcast},
+    {"orca.barrier.arrive", Name::BarrierArrive},
+    {"orca.barrier.release", Name::BarrierRelease},
+    {"orca.proc.finish", Name::ProcFinish},
+}};
+
+bool is_journey(Name n) { return n >= Name::SendLocal && n <= Name::Deliver; }
 
 /// Names whose aux field carries the endpoint tag.
-bool carries_tag(string_view n, EventPhase ph) {
-  return n == "net.send.local" || n == "net.send.lan" || n == "net.bcast.lan" ||
-         n == "net.deliver" || (n == "net.wan" && ph == EventPhase::Begin);
+bool carries_tag(Name n, EventPhase ph) {
+  return n == Name::SendLocal || n == Name::SendLan || n == Name::BcastLan ||
+         n == Name::Deliver || (n == Name::Wan && ph == EventPhase::Begin);
 }
 
-EdgeClass hop_class(string_view from, string_view to) {
-  if (to == "net.fault.drop") return EdgeClass::Drop;
-  if (from == "net.fault.flap_hold") return EdgeClass::FaultHold;
-  if (from == "net.combine.hold") return EdgeClass::CombineWait;
-  if (from == "net.wan") return EdgeClass::Access;  // source node → gateway
-  if (from == "net.hop.wan") return EdgeClass::WanTransfer;
+EdgeClass hop_class(Name from, Name to) {
+  if (to == Name::FaultDrop) return EdgeClass::Drop;
+  if (from == Name::FaultFlapHold) return EdgeClass::FaultHold;
+  if (from == Name::CombineHold) return EdgeClass::CombineWait;
+  if (from == Name::Wan) return EdgeClass::Access;  // source node → gateway
+  if (from == Name::HopWan) return EdgeClass::WanTransfer;
   // gw_in → hop.wan / flap_hold, gw_out → wan End: forwarding overhead.
-  (void)to;
   return EdgeClass::Gateway;
 }
+
+/// Interns TraceEvent::name pointers. Each distinct pointer is looked
+/// up by *content* once, because identical literals are not guaranteed
+/// merged across TUs: pointers with equal content share one id and
+/// kind. After that an event costs one probe of a small open-addressed
+/// table keyed on the pointer.
+class NameTable {
+ public:
+  struct Entry {
+    const char* ptr = nullptr;
+    std::uint32_t id = 0;  ///< dense per distinct content
+    Name kind = Name::Other;
+  };
+
+  const Entry& operator()(const char* p) {
+    std::size_t i = slot(p);
+    while (slots_[i].ptr != p) {
+      if (slots_[i].ptr == nullptr) return insert(i, p);
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    return slots_[i];
+  }
+
+ private:
+  std::size_t slot(const char* p) const {
+    const auto h = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)) *
+                   0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(h >> 40) & (slots_.size() - 1);
+  }
+
+  const Entry& insert(std::size_t i, const char* p) {
+    Entry e;
+    e.ptr = p;
+    const string_view text(p);
+    e.id = ids_.try_emplace(text, static_cast<std::uint32_t>(ids_.size())).first->second;
+    for (const auto& [literal, kind] : kNames) {
+      if (literal == text) e.kind = kind;
+    }
+    slots_[i] = e;
+    if (++used_ * 2 > slots_.size()) {
+      std::vector<Entry> old(slots_.size() * 2);
+      old.swap(slots_);
+      for (const Entry& o : old) {
+        if (o.ptr == nullptr) continue;
+        std::size_t j = slot(o.ptr);
+        while (slots_[j].ptr != nullptr) j = (j + 1) & (slots_.size() - 1);
+        slots_[j] = o;
+      }
+      return (*this)(p);
+    }
+    return slots_[i];
+  }
+
+  std::vector<Entry> slots_ = std::vector<Entry>(64);  ///< size: a power of two
+  std::size_t used_ = 0;
+  std::unordered_map<string_view, std::uint32_t> ids_;
+};
+
+/// Open-span key of the normalization pass: (interned name, span id).
+struct SpanKey {
+  std::uint32_t name;
+  std::uint64_t id;
+  bool operator==(const SpanKey&) const = default;
+};
+struct SpanKeyHash {
+  std::size_t operator()(const SpanKey& k) const {
+    return static_cast<std::size_t>((k.id ^ (std::uint64_t{k.name} << 56)) *
+                                    0x9e3779b97f4a7c15ull);
+  }
+};
 
 }  // namespace
 
@@ -119,23 +238,31 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
 
   // --- normalization: drop End events whose Begin was truncated away
   // by ring wraparound, so every surviving End has a matching earlier
-  // Begin (pinned by causal_test.cpp). Keys compare name *content*:
-  // identical literals are not guaranteed merged across TUs.
+  // Begin (pinned by causal_test.cpp). Spans are keyed by interned name
+  // content, so equal literals from different TUs match. The pass also
+  // records each kept event's name kind and sizes the actor table.
+  NameTable names;
+  std::vector<Name> kinds;
+  kinds.reserve(trace.events.size());
   dag.events.reserve(trace.events.size());
+  std::int32_t max_actor = -1;
   {
-    std::map<std::pair<string_view, std::uint64_t>, int> open;
+    std::unordered_map<SpanKey, int, SpanKeyHash> open;
     for (const TraceEvent& e : trace.events) {
+      const NameTable::Entry& name = names(e.name);
       if (e.phase == EventPhase::Begin) {
-        ++open[{string_view(e.name), e.id}];
+        ++open[SpanKey{name.id, e.id}];
       } else if (e.phase == EventPhase::End) {
-        auto it = open.find({string_view(e.name), e.id});
-        if (it == open.end() || it->second == 0) {
+        auto it = open.find(SpanKey{name.id, e.id});
+        if (it == open.end()) {
           ++dag.orphan_ends;
           continue;
         }
-        --it->second;
+        if (--it->second == 0) open.erase(it);
       }
       dag.events.push_back(e);
+      kinds.push_back(name.kind);
+      max_actor = std::max(max_actor, e.actor);
     }
   }
 
@@ -143,8 +270,16 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
   dag.in_program.assign(n, kNone);
   dag.in_message.assign(n, kNone);
   dag.in_wake.assign(n, kNone);
+  // An event has at most one in-edge of each kind, so this never
+  // reallocates.
+  dag.edges.reserve(3 * static_cast<std::size_t>(n));
 
-  std::unordered_map<std::int32_t, ActorState> actors;
+  // Actor states, dense by node id; slot 0 holds every actor-less (-1)
+  // event, whose state no program chain reads.
+  std::vector<ActorState> actors(static_cast<std::size_t>(max_actor) + 2);
+  auto actor_state = [&actors](std::int32_t actor) -> ActorState& {
+    return actors[actor < 0 ? 0 : static_cast<std::size_t>(actor) + 1];
+  };
   std::unordered_map<std::uint64_t, MsgState> msgs;
 
   auto add_edge = [&](Edge e) -> std::uint32_t {
@@ -157,16 +292,16 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
   std::uint32_t last_finish = kNone;
   for (std::uint32_t i = 0; i < n; ++i) {
     const TraceEvent& e = dag.events[i];
-    const string_view name(e.name);
+    const Name name = kinds[i];
 
     // WAN queue-wait metadata: attached to the message, not a DAG node.
-    if (name == "net.wan.queue") {
+    if (name == Name::WanQueue) {
       msgs[e.id].queue_pending = static_cast<sim::SimTime>(e.arg);
       continue;
     }
 
-    const bool journey = is_journey_name(name);
-    const bool deliver = journey && name == "net.deliver";
+    const bool journey = is_journey(name);
+    const bool deliver = name == Name::Deliver;
 
     if (journey) {
       MsgState& ms = msgs[e.id];
@@ -183,14 +318,14 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         edge.proto = ms.proto;
         edge.dur = e.time - prev.time;
         edge.bytes = e.arg;
-        const string_view pname(prev.name);
+        const Name pname = kinds[ms.last];
         if (deliver) {
           // Fan-out point: several delivers can hang off one journey
           // event (LAN broadcast, WAN re-broadcast), so `last` is not
           // advanced. The final hop into the destination cluster is the
           // broadcast link for ordered-broadcast traffic, the delivery
           // (access) link otherwise.
-          if (pname == "net.wan") {
+          if (pname == Name::Wan) {
             edge.cls = ms.proto == Protocol::Bcast ? EdgeClass::Lan : EdgeClass::Access;
           } else {
             edge.cls = EdgeClass::Lan;
@@ -219,7 +354,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
     }
 
     if (deliver) {
-      ActorState& as = actors[e.actor];
+      ActorState& as = actor_state(e.actor);
       as.last_deliver = i;
       as.last_deliver_by_proto[static_cast<std::size_t>(protocol_of_tag(e.aux))] = i;
       if (e.aux == Recorder::clamp_tag(orca::kTagBarrierRelease)) as.barrier_wait = false;
@@ -232,7 +367,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
     // actor-less engine events carry no placement.
     if (e.actor < 0 || !topo.is_compute(e.actor)) continue;
 
-    ActorState& as = actors[e.actor];
+    ActorState& as = actor_state(e.actor);
     if (as.last_chain != kNone) {
       const std::uint32_t u = as.last_chain;
       const TraceEvent& prev = dag.events[u];
@@ -250,7 +385,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         // innermost first. A gap that ends in a timeout instant is
         // retry cost regardless of what else is open.
         Protocol pref = Protocol::App;
-        if (as.retry_open > 0 || name == "orca.rpc.timeout") {
+        if (as.retry_open > 0 || name == Name::RpcTimeout) {
           edge.cls = EdgeClass::FaultWait;
           pref = Protocol::Rpc;
         } else if (as.seq_open > 0) {
@@ -265,7 +400,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         } else if (as.bcast_open > 0) {
           edge.cls = EdgeClass::BcastWait;
           pref = Protocol::Bcast;
-        } else if (string_view(prev.name) == "orca.rpc.serve") {
+        } else if (kinds[u] == Name::RpcServe) {
           edge.cls = EdgeClass::Serve;  // service time at the callee
         } else {
           edge.cls = as.last_deliver != kNone && as.last_deliver > u ? EdgeClass::RecvWait
@@ -295,24 +430,25 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
     as.last_chain = i;
     dag.sink = i;  // events are time-ordered: the last chain event wins
     dag.end = e.time;
-    if (name == "orca.proc.finish") last_finish = i;
 
     // State transitions take effect for the *next* gap at this node.
-    if (name == "app.compute") {
-      as.compute_until = e.time + static_cast<sim::SimTime>(e.arg);
-    } else if (name == "orca.seq.get") {
-      as.seq_open += e.phase == EventPhase::Begin ? 1 : (as.seq_open > 0 ? -1 : 0);
-    } else if (name == "orca.rpc") {
-      as.rpc_open += e.phase == EventPhase::Begin ? 1 : (as.rpc_open > 0 ? -1 : 0);
-    } else if (name == "orca.rpc.retry") {
-      as.retry_open += e.phase == EventPhase::Begin ? 1 : (as.retry_open > 0 ? -1 : 0);
-    } else if (name == "orca.bcast") {
-      as.bcast_open += e.phase == EventPhase::Begin ? 1 : (as.bcast_open > 0 ? -1 : 0);
-    } else if (name == "orca.barrier.arrive") {
-      as.barrier_wait = true;
-    } else if (name == "orca.barrier.release") {
+    const int step = e.phase == EventPhase::Begin ? 1 : -1;
+    auto count = [step](int& open) {
+      if (step > 0 || open > 0) open += step;
+    };
+    switch (name) {
+      case Name::ProcFinish: last_finish = i; break;
+      case Name::AppCompute:
+        as.compute_until = e.time + static_cast<sim::SimTime>(e.arg);
+        break;
+      case Name::SeqGet: count(as.seq_open); break;
+      case Name::Rpc: count(as.rpc_open); break;
+      case Name::RpcRetry: count(as.retry_open); break;
+      case Name::Bcast: count(as.bcast_open); break;
+      case Name::BarrierArrive: as.barrier_wait = true; break;
       // Recorded at node 0 while releasing: rank 0's own wait ends here.
-      as.barrier_wait = false;
+      case Name::BarrierRelease: as.barrier_wait = false; break;
+      default: break;
     }
   }
 

@@ -31,9 +31,12 @@
 // async spans, so overlapping spans from interleaved coroutines need no
 // nesting discipline.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -147,6 +150,14 @@ class Recorder {
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
 
+  /// The kept events in record order, as two contiguous runs of the
+  /// ring: from the oldest slot (head_) to the end, then from the start
+  /// up to head_. The second run is empty until the ring wraps.
+  std::array<std::span<const TraceEvent>, 2> segments() const {
+    const std::span<const TraceEvent> all(ring_);
+    return {all.subspan(head_), all.first(head_)};
+  }
+
   /// Copies the ring out in chronological (record) order.
   Trace harvest() const {
     Trace t;
@@ -154,9 +165,8 @@ class Recorder {
     t.dropped = dropped();
     t.capacity = capacity_;
     t.events.reserve(ring_.size());
-    // head_ is the oldest slot once the ring has wrapped.
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      t.events.push_back(ring_[(head_ + i) % ring_.size()]);
+    for (std::span<const TraceEvent> run : segments()) {
+      t.events.insert(t.events.end(), run.begin(), run.end());
     }
     return t;
   }
@@ -168,7 +178,7 @@ class Recorder {
       ring_.push_back(e);
     } else {
       ring_[head_] = e;
-      head_ = (head_ + 1) % capacity_;
+      if (++head_ == capacity_) head_ = 0;
     }
   }
 
@@ -207,20 +217,23 @@ class Session {
   /// Each record lands in the *dispatching owner's* shard, in that
   /// owner's canonical dispatch order. The sharding fixes the exported
   /// trace format: each shard owns its own span-id range (see Recorder),
-  /// keeps the newest capacity / owners events of its owner (the ring
-  /// capacity is divided evenly across shards), and harvest_merged()
-  /// fixes the merge order. No-op when tracing is disabled.
+  /// keeps the newest events of its owner up to its share of the ring
+  /// capacity, and harvest_merged() fixes the merge order. The capacity
+  /// is divided evenly, the remainder going one each to the lowest
+  /// shards, so the shards sum to the configured capacity whenever it
+  /// is at least `owners` (every shard keeps at least one event). No-op
+  /// when tracing is disabled.
   void shard_by_owner(int owners) {
     if (!config_.enabled || owners <= 0) return;
     rec_.reset();
+    const std::size_t n = static_cast<std::size_t>(owners);
     Config per = config_;
-    per.capacity = config_.capacity / static_cast<std::size_t>(owners);
-    if (per.capacity == 0) per.capacity = 1;
     shards_.clear();
-    shards_.reserve(static_cast<std::size_t>(owners));
-    for (int o = 0; o < owners; ++o) {
-      shards_.push_back(std::make_unique<Recorder>(
-          per, (static_cast<std::uint64_t>(o) + 1) << 48));
+    shards_.reserve(n);
+    for (std::size_t o = 0; o < n; ++o) {
+      per.capacity = config_.capacity / n + (o < config_.capacity % n ? 1 : 0);
+      if (per.capacity == 0) per.capacity = 1;
+      shards_.push_back(std::make_unique<Recorder>(per, (std::uint64_t{o} + 1) << 48));
     }
   }
 
@@ -239,29 +252,35 @@ class Session {
     if (shards_.empty()) {
       return rec_ ? rec_->harvest() : Trace{};
     }
+    // Each shard is read in place through its two ring runs: `head` is
+    // the unread part of the current run, `next` the run after it.
+    struct Cursor {
+      std::span<const TraceEvent> head, next;
+    };
     Trace out;
-    std::vector<Trace> parts;
-    parts.reserve(shards_.size());
+    std::vector<Cursor> cursors;
+    cursors.reserve(shards_.size());
     std::size_t total = 0;
     for (const auto& s : shards_) {
-      parts.push_back(s->harvest());
-      out.recorded += parts.back().recorded;
-      out.dropped += parts.back().dropped;
-      out.capacity += parts.back().capacity;
-      total += parts.back().events.size();
+      out.recorded += s->recorded();
+      out.dropped += s->dropped();
+      out.capacity += s->capacity();
+      total += s->size();
+      const auto runs = s->segments();
+      cursors.push_back(runs[0].empty() ? Cursor{runs[1], {}} : Cursor{runs[0], runs[1]});
     }
     out.events.reserve(total);
-    std::vector<std::size_t> cursor(parts.size(), 0);
     while (out.events.size() < total) {
-      std::size_t best = parts.size();
-      for (std::size_t s = 0; s < parts.size(); ++s) {
-        if (cursor[s] >= parts[s].events.size()) continue;
-        if (best == parts.size() ||
-            parts[s].events[cursor[s]].time < parts[best].events[cursor[best]].time) {
-          best = s;
+      // The earliest head; equal times go to the lower shard first.
+      Cursor* best = nullptr;
+      for (Cursor& c : cursors) {
+        if (!c.head.empty() && (best == nullptr || c.head.front().time < best->head.front().time)) {
+          best = &c;
         }
       }
-      out.events.push_back(parts[best].events[cursor[best]++]);
+      out.events.push_back(best->head.front());
+      best->head = best->head.subspan(1);
+      if (best->head.empty()) best->head = std::exchange(best->next, {});
     }
     return out;
   }

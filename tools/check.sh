@@ -200,14 +200,16 @@ TWICE_ROWS=(
   "adapt:--app ASP --clusters 4 --per 2 --csv --adapt"
   "adapt-faults:--app ASP --clusters 4 --per 2 --csv --adapt --faults"
   "hetero3:--scenario hetero3 --app ASP --csv"
+  "ra-wrapped:--app RA --clusters 4 --per 4 --csv --critical-path --what-if std --capacity 20000"
 )
 for row in "${TWICE_ROWS[@]}"; do
   read -r -a args <<< "${row#*:}"
   det_diff "trace.${row%%:*}" "$T" "${args[@]}" -- "$T" "${args[@]}"
 done
 # The rows above must not compare two runs that never exercised their
-# feature: the faulted TSP run retries, and the adaptive ASP run arms
-# its sequencer migration.
+# feature: the faulted TSP run retries, the adaptive ASP run arms its
+# sequencer migration, and the RA causal run's sharded ring wraps, so
+# normalization drops orphan Ends.
 grep -q '^retries,' "$R/det.trace.faults.a" \
   || { echo "fault counter table missing from --faults output"; exit 1; }
 if grep -q '^retries,0$' "$R/det.trace.faults.a"; then
@@ -215,6 +217,8 @@ if grep -q '^retries,0$' "$R/det.trace.faults.a"; then
 fi
 grep -q '^sequencer arms,[1-9]' "$R/det.trace.adapt-faults.a" \
   || { echo "adaptive ASP smoke armed no sequencer migration"; exit 1; }
+grep -q 'cp_orphan_ends=[1-9]' "$R/det.trace.ra-wrapped.a" \
+  || { echo "wrapped RA causal run dropped no orphan Ends — the ring did not wrap"; exit 1; }
 
 # The result cache, end to end: the sweep-demo grid is the same bytes
 # fresh at any --jobs value; a warm repeat is answered entirely from the
