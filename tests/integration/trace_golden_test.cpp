@@ -47,6 +47,17 @@
 // 4x3, where P is not a power of two, so RA's `owner_of` modulo and the
 // wrap-around in IDA*'s original victim order are both exercised.
 //
+// The extra ASP pins cover every path that builds a fixed-location
+// sequencer: the single-cluster default, an app-forced centralized
+// sequencer on four clusters (clean and under WAN loss, where the
+// retry and regrant paths run), and the sequencer that --adapt starts
+// before it arms migration.
+//
+// MetricsGolden pins the full published metrics snapshot (every
+// counter, gauge and histogram row of write_csv) for runs that reach
+// the gateway-combining, tree-dissemination, cluster-cache, reducer and
+// fault-drop accounting.
+//
 // CausalGolden pins the causal analysis end to end on a trace whose
 // per-cluster recorder shards wrapped, so normalization drops orphan
 // Ends: the DAG's shape, every edge field, the critical path's blame
@@ -55,6 +66,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,6 +76,7 @@
 #include "apps/ida.hpp"
 #include "apps/ra.hpp"
 #include "apps/tsp.hpp"
+#include "apps/water.hpp"
 #include "net/presets.hpp"
 #include "sim/engine.hpp"
 #include "trace/causal/causal.hpp"
@@ -110,6 +124,61 @@ TEST(TraceGolden, Asp4ClusterOptimized) {
                 Golden{3766858901267215559ull, 2787ull, 48915170,
                        8836462817929870582ull},
                 "ASP optimized");
+}
+
+AspParams golden_asp(std::optional<orca::SequencerKind> sequencer = std::nullopt) {
+  AspParams p;
+  p.nodes = 64;
+  p.sequencer = sequencer;
+  return p;
+}
+
+std::uint64_t counter_of(const AppResult& r, const char* name) {
+  const std::uint64_t* v = r.stats.counter(name);
+  return v ? *v : 0;
+}
+
+TEST(TraceGolden, Asp1ClusterDefault) {
+  AppConfig c;
+  c.clusters = 1;
+  c.procs_per_cluster = 4;
+  c.net_cfg = net::das_config(1, 4);
+  c.seed = 42;
+  expect_golden(run_asp(c, golden_asp()),
+                Golden{8916085547728858586ull, 1084ull, 28326472,
+                       8836462817929870582ull},
+                "ASP 1 cluster, default sequencer");
+}
+
+TEST(TraceGolden, Asp4ClusterCentralized) {
+  expect_golden(run_asp(cfg4(false, 3), golden_asp(orca::SequencerKind::Centralized)),
+                Golden{10291615306102786414ull, 4347ull, 170171496,
+                       8836462817929870582ull},
+                "ASP centralized");
+}
+
+TEST(TraceGolden, Asp4ClusterCentralizedLossy) {
+  AppConfig c = cfg4(false, 3);
+  c.faults.enabled = true;
+  c.faults.wan.loss = 0.05;
+  const AppResult r = run_asp(c, golden_asp(orca::SequencerKind::Centralized));
+  expect_golden(r,
+                Golden{8326584250287241503ull, 4436ull, 228868366,
+                       8836462817929870582ull},
+                "ASP centralized, lossy WAN");
+  EXPECT_GT(counter_of(r, "net/fault.timeouts.seq"), 0u) << "no sequencer retry ran";
+  EXPECT_GT(counter_of(r, "net/fault.dup.seq_requests"), 0u) << "no regrant ran";
+}
+
+TEST(TraceGolden, Asp4ClusterAdapt) {
+  AppConfig c = cfg4(false);
+  c.adapt = true;
+  const AppResult r = run_asp(c, golden_asp());
+  expect_golden(r,
+                Golden{12370609650071538023ull, 3559ull, 136612712,
+                       8836462817929870582ull},
+                "ASP adaptive");
+  EXPECT_GE(counter_of(r, "orca/adapt.seq.arms"), 1u) << "the sequencer never armed";
 }
 
 TEST(TraceGolden, Tsp4ClusterOriginal) {
@@ -189,6 +258,38 @@ TEST(TraceGolden, Ida4ClusterOptimized) {
                 Golden{4925849120101023366ull, 17621ull, 233173001,
                        907587028073409787ull},
                 "IDA* optimized");
+}
+
+// FNV-1a over the bytes of the snapshot's CSV dump.
+std::uint64_t metrics_hash(const trace::MetricsSnapshot& m) {
+  std::ostringstream os;
+  m.write_csv(os);
+  std::uint64_t h = kHashSeed;
+  for (const char ch : os.str()) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(MetricsGolden, Water4ClusterOptimizedLossy) {
+  AppConfig c = cfg4(true, 3);
+  c.faults.enabled = true;
+  c.faults.wan.loss = 0.05;
+  WaterParams p;
+  p.molecules = 96;
+  const AppResult r = run_water(c, p);
+  ASSERT_EQ(r.status, AppResult::RunStatus::Ok) << r.error;
+  EXPECT_GT(counter_of(r, "net/fault.drops.wan"), 0u) << "no WAN drop was accounted";
+  EXPECT_EQ(metrics_hash(r.stats), 7839599965458683989ull) << "published metrics changed";
+}
+
+TEST(MetricsGolden, Ra4ClusterTree) {
+  AppConfig c = cfg4(false, 3);
+  c.coll = orca::coll::Mode::Tree;
+  const AppResult r = run_ra(c, golden_ra());
+  EXPECT_GT(counter_of(r, "net/wan.combined.flushes"), 0u) << "no combined flush ran";
+  EXPECT_EQ(metrics_hash(r.stats), 2344758185139349959ull) << "published metrics changed";
 }
 
 // FNV-1a over the bytes of every field of every edge, in edge order.
