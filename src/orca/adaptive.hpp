@@ -10,14 +10,15 @@
 // progress, as a generic shared-object policy rather than a hand
 // annotation:
 //
-//   * sequencer migration — under --adapt the runtime starts a
-//     migrating sequencer with an effectively-infinite threshold (it
-//     behaves like the centralized default); when a cluster's mean
-//     get-sequence stall per broadcast reaches WAN scale
-//     (`seq_wait_lat_factor` x the minimum intercluster latency), the
-//     controller arms demand-driven migration by routing a control
-//     message to the active location (kTagSeqArm) that lowers the
-//     threshold to `arm_threshold`.
+//   * sequencer migration — under --adapt the runtime starts the
+//     centralized sequencer (a migrating one that never moves on
+//     demand). On more than one cluster that replaces the rotating
+//     default, so --adapt changes the ordering protocol even when this
+//     policy never trips. When a cluster's mean get-sequence stall per
+//     broadcast reaches WAN scale (`seq_wait_lat_factor` x the minimum
+//     intercluster latency), the controller arms demand-driven
+//     migration by routing a control message to the active location
+//     (kTagSeqArm) that lowers the threshold to `arm_threshold`.
 //   * per-cluster queue split — a CentralJobQueue registers a split
 //     callback; when the master observes a remote-dominated get stream,
 //     the controller has it repartition the remaining jobs round-robin
@@ -65,10 +66,6 @@ namespace alb::orca {
 class Runtime;
 
 namespace adapt {
-
-/// Migrate threshold of an un-armed adaptive sequencer: high enough
-/// that demand-driven migration never triggers before the arm message.
-inline constexpr int kUnarmedThreshold = 1 << 28;
 
 struct Config {
   bool enabled = false;

@@ -7,24 +7,18 @@ namespace alb::orca {
 Runtime::Runtime(net::Network& net, Config cfg) : net_(&net) {
   faults_ = net.faults();
   recovery_on_ = faults_ != nullptr && faults_->recovery_active();
-  SequencerKind kind = cfg.sequencer.value_or(net.topology().clusters() == 1
-                                                  ? SequencerKind::Centralized
-                                                  : SequencerKind::Rotating);
-  int migrate_threshold = cfg.migrate_threshold;
-  if (cfg.adapt.enabled && net.topology().clusters() > 1) {
-    if (cfg.sequencer.has_value()) {
-      // Explicit choice wins over policy (reported as a typed warning
-      // counter by the adaptive engine's publish_metrics).
-      cfg.adapt.allow_seq = false;
-      cfg.adapt.seq_overridden = true;
-    } else {
-      // Un-armed migrating sequencer: behaves like the centralized
-      // default until an epoch evaluator arms it (see orca/adaptive.hpp).
-      kind = SequencerKind::Migrating;
-      migrate_threshold = adapt::kUnarmedThreshold;
-    }
+  const bool multicluster = net.topology().clusters() > 1;
+  // Under --adapt the default is the centralized sequencer, which the
+  // seq policy can arm for migration; otherwise the DAS default.
+  const SequencerKind kind = cfg.sequencer.value_or(
+      multicluster && !cfg.adapt.enabled ? SequencerKind::Rotating : SequencerKind::Centralized);
+  if (cfg.adapt.enabled && multicluster && cfg.sequencer.has_value()) {
+    // Explicit choice wins over policy (reported as a typed warning
+    // counter by the adaptive engine's publish_metrics).
+    cfg.adapt.allow_seq = false;
+    cfg.adapt.seq_overridden = true;
   }
-  seq_ = make_sequencer(kind, net, /*seq_node=*/0, migrate_threshold);
+  seq_ = make_sequencer(kind, net, /*seq_node=*/0, cfg.migrate_threshold);
   coll_ = std::make_unique<coll::Engine>(net, cfg.coll);
   bcast_ = std::make_unique<BroadcastEngine>(
       net, *seq_, *coll_,

@@ -60,8 +60,9 @@ class Runtime {
     coll::Config coll;
     /// Adaptive policy engine (off by default — a byte-identical
     /// no-op). When enabled and no sequencer was chosen explicitly,
-    /// the runtime starts an un-armed migrating sequencer so the seq
-    /// policy has something to arm; an explicit `sequencer` wins and
+    /// the runtime starts the centralized sequencer, which the seq
+    /// policy can arm for migration; on more than one cluster that
+    /// replaces the rotating default. An explicit `sequencer` wins and
     /// suppresses that policy (orca/adapt.override.seq).
     adapt::Config adapt;
   };

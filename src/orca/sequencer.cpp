@@ -30,13 +30,10 @@ struct SeqRequest {
   sim::Future<SeqWait> fut;
 };
 
-/// A grant on the wire. `grantor` tells the requester where the
-/// sequencer served from, which is how the migrating sequencer's
-/// per-cluster location hints learn about migrations.
+/// A grant on the wire: the number for the caller suspended on `fut`.
 struct SeqGrant {
   sim::Future<SeqWait> fut;
   std::uint64_t seq;
-  net::NodeId grantor;
 };
 
 /// Routed migrate hint: "move the sequencer to `target`".
@@ -132,7 +129,7 @@ class SequencerBase : public Sequencer {
       return;
     }
     send_control(grantor, req.requester, kTagSeqReply,
-                 net::make_payload<SeqGrant>(SeqGrant{req.fut, seq, grantor}), kControlBytes,
+                 net::make_payload<SeqGrant>(SeqGrant{req.fut, seq}), kControlBytes,
                  /*droppable=*/recovery_on_);
   }
 
@@ -198,17 +195,14 @@ class SequencerBase : public Sequencer {
   /// Installs the universal grant-delivery handler on every node.
   void install_reply_handlers() {
     for (int n = 0; n < topo().num_nodes(); ++n) {
-      net_->endpoint(n).set_handler(kTagSeqReply, [this, n](net::Message m) {
-        auto g = net::payload_as<SeqGrant>(m);
-        on_grant_arrival(static_cast<net::NodeId>(n), g);
+      net_->endpoint(n).set_handler(kTagSeqReply, [this](net::Message m) {
+        on_grant_arrival(net::payload_as<SeqGrant>(m));
       });
     }
   }
 
-  /// Runs in the requester's context. Overridden by the migrating
-  /// sequencer to learn the grantor's location.
-  virtual void on_grant_arrival(net::NodeId at, SeqGrant& g) {
-    (void)at;
+  /// Runs in the requester's context.
+  void on_grant_arrival(SeqGrant g) {
     if (g.fut.ready()) {
       // A late grant racing a regrant for the same retried request:
       // the caller already resumed (or timed out and re-resolved).
@@ -224,51 +218,6 @@ class SequencerBase : public Sequencer {
   bool recovery_on_;
   std::uint64_t counter_ = 0;                   // handoff-owned (see take_seq)
   std::vector<std::uint64_t> req_id_shards_;    // per caller cluster
-};
-
-// --------------------------------------------------------------------
-// Centralized: one sequencer machine for the whole system. Counter and
-// grant cache are only ever touched in the sequencer node's cluster
-// context (requests are messages to seq_node_), so they stay plain.
-// --------------------------------------------------------------------
-class CentralizedSequencer final : public SequencerBase {
- public:
-  CentralizedSequencer(net::Network& net, net::NodeId seq_node)
-      : SequencerBase(net), seq_node_(seq_node) {
-    install_reply_handlers();
-    this->net().endpoint(seq_node_).set_handler(kTagSeqRequest, [this](net::Message m) {
-      auto req = net::payload_as<SeqRequest>(m);
-      if (regrant_if_served(seq_node_, req, granted_)) return;
-      grant(seq_node_, req, take_seq(), granted_);
-    });
-  }
-
-  sim::Task<std::uint64_t> get_sequence(net::NodeId node) override {
-    const net::ClusterId cluster = topo().cluster_of(node);
-    if (node == seq_node_) {
-      guard_failed(cluster);
-      co_return take_seq();
-    }
-    if (!recovery_on()) {
-      sim::Future<SeqWait> fut(eng());
-      send_control(node, seq_node_, kTagSeqRequest,
-                   net::make_payload<SeqRequest>(SeqRequest{node, 0, fut}));
-      co_return (co_await fut).seq;
-    }
-    guard_failed(cluster);
-    const std::uint64_t rid = next_req_id(cluster);
-    sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
-    for (int attempt = 1;; ++attempt) {
-      sim::Future<SeqWait> fut = send_attempt(node, rid, seq_node_, timeout);
-      const SeqWait w = co_await fut;
-      if (!w.timed_out) co_return w.seq;
-      timeout = after_timeout(node, rid, attempt, timeout);
-    }
-  }
-
- private:
-  net::NodeId seq_node_;
-  GrantCache granted_;  // confined to seq_node_'s cluster context
 };
 
 // --------------------------------------------------------------------
@@ -493,17 +442,22 @@ class RotatingSequencer final : public SequencerBase {
 // Migrating: a centralized sequencer whose location follows demand.
 // After `threshold` consecutive remote requests from one cluster (or an
 // explicit application hint), the counter migrates to the requesting
-// node, making subsequent get-sequence calls local.
+// node, making subsequent get-sequence calls local. With
+// kNeverMigrate as the threshold this is the paper's fixed centralized
+// sequencer: it stays at its start node unless hint_migrate() or an
+// adaptive arm moves it.
 //
-// Nobody reads a global location. Each cluster keeps a location *hint*
-// (updated from the grantor field of arriving grants); requests go to
+// Nobody reads a global location. Each cluster keeps a location *hint*,
+// updated only when the sequencer itself is in that cluster (a migrate
+// arrives there, or a local node takes a number there); requests go to
 // the hinted node and chase per-node forwarding pointers left behind at
-// every ex-active node. A request can even outrun the migrate message
-// to the new location (jitter reordering) — it parks in the new
-// location's early queue and is served when the migrate arrives.
-// Counter, grant cache and the consecutive-requester tally are
-// handoff-owned: they conceptually travel inside the kTagSeqMigrate
-// message, and only the active location's context touches them.
+// every ex-active node. Arriving grants do not update the hint. A
+// request can even outrun the migrate message to the new location
+// (jitter reordering) — it parks in the new location's early queue and
+// is served when the migrate arrives. Counter, grant cache and the
+// consecutive-requester tally are handoff-owned: they conceptually
+// travel inside the kTagSeqMigrate message, and only the active
+// location's context touches them.
 // --------------------------------------------------------------------
 class MigratingSequencer final : public SequencerBase {
  public:
@@ -550,10 +504,9 @@ class MigratingSequencer final : public SequencerBase {
     const std::uint64_t rid = next_req_id(cluster);
     sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
     for (int attempt = 1;; ++attempt) {
-      // The hint is re-read every attempt: if the sequencer migrated
-      // while the previous attempt was lost, and any grant has since
-      // landed in this cluster, the retry goes straight to the new home
-      // instead of bouncing off a forwarder.
+      // The hint is re-read every attempt, so a retry sent after the
+      // sequencer visited this cluster starts from the node it last
+      // served from here; forwarding pointers take it on from there.
       sim::Future<SeqWait> fut =
           send_attempt(node, rid, loc_hint_[static_cast<std::size_t>(cluster)], timeout);
       const SeqWait w = co_await fut;
@@ -721,13 +674,18 @@ class MigratingSequencer final : public SequencerBase {
   int consec_count_ = 0;
 };
 
+/// Threshold that keeps demand-driven migration from ever triggering: a
+/// fixed centralized sequencer, or an adaptive one before its arm
+/// message lowers the threshold.
+constexpr int kNeverMigrate = 1 << 28;
+
 }  // namespace
 
 std::unique_ptr<Sequencer> make_sequencer(SequencerKind kind, net::Network& net,
                                           net::NodeId seq_node, int migrate_threshold) {
   switch (kind) {
     case SequencerKind::Centralized:
-      return std::make_unique<CentralizedSequencer>(net, seq_node);
+      return std::make_unique<MigratingSequencer>(net, seq_node, kNeverMigrate);
     case SequencerKind::Rotating:
       return std::make_unique<RotatingSequencer>(net);
     case SequencerKind::Migrating:

@@ -2,10 +2,15 @@
 // Global sequence-number services for totally-ordered broadcast.
 //
 // The Orca system orders all replicated-object writes through a single
-// global sequence. The paper discusses three implementations:
+// global sequence. The paper discusses three strategies
+// (SequencerKind), built from two protocols:
 //
-//  * CentralizedSequencer — one sequencer machine; cheap on a single
-//    cluster, a WAN roundtrip per broadcast for every remote cluster.
+//  * Centralized — one sequencer machine; cheap on a single cluster, a
+//    WAN roundtrip per broadcast for every remote cluster. Built as a
+//    migrating sequencer whose demand threshold is never reached: it
+//    moves only on hint_migrate(), or on demand once an adaptive arm
+//    lowers its threshold. Only ASP's migrating variant calls the
+//    former, and only --adapt sends the latter.
 //  * RotatingSequencer — "a distributed sequencer (one per cluster),
 //    allowing each cluster to broadcast in turn" (§2): a token carrying
 //    the next sequence number moves between per-cluster sequencers on
@@ -53,15 +58,15 @@ class Sequencer {
   virtual sim::Task<std::uint64_t> get_sequence(net::NodeId node) = 0;
 
   /// Application hint: broadcasts will come from `node` for a while
-  /// (no-op except for the migrating sequencer, which routes the hint
-  /// as a control message to the active sequencer location).
+  /// (no-op for the rotating sequencer; the others route the hint as a
+  /// control message to the active sequencer location).
   virtual void hint_migrate(net::NodeId node) { (void)node; }
 
   /// Adaptive-policy hook: lower the migrating sequencer's demand
   /// threshold to `threshold`, routed from `from` to the active
-  /// location as a control message (kTagSeqArm). No-op for the fixed
-  /// sequencers — the adaptive runtime only pairs this with an
-  /// un-armed migrating sequencer (see orca/adaptive.hpp).
+  /// location as a control message (kTagSeqArm). No-op for the rotating
+  /// sequencer — the adaptive runtime only arms the centralized one it
+  /// starts (see orca/adaptive.hpp).
   virtual void adapt_arm(net::NodeId from, int threshold) {
     (void)from;
     (void)threshold;
@@ -85,7 +90,8 @@ class Sequencer {
 
 /// Factory. `seq_node` is the initial sequencer location (centralized /
 /// migrating); `migrate_threshold` is the number of consecutive
-/// same-cluster remote requests that trigger a migration.
+/// same-cluster remote requests that trigger a migration (migrating
+/// only; a centralized sequencer never migrates on demand).
 std::unique_ptr<Sequencer> make_sequencer(SequencerKind kind, net::Network& net,
                                           net::NodeId seq_node, int migrate_threshold = 2);
 
