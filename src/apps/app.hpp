@@ -92,8 +92,7 @@ struct AppResult {
   /// App-specific scalar metrics (iterations, nodes expanded, ...).
   std::map<std::string, double> metrics;
   /// Full per-layer metrics registry dump (sim/net/orca scopes — the
-  /// Table 4/5 LAN-vs-WAN breakdown lives here under `net/`). Campaigns
-  /// aggregate these across runs via campaign::aggregate_metrics.
+  /// Table 4/5 LAN-vs-WAN breakdown lives here under `net/`).
   trace::MetricsSnapshot stats;
   /// Flight-recorder events, present only when cfg.trace.enabled; shared
   /// so copying an AppResult stays cheap.

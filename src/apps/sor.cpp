@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/cluster_reduce.hpp"
-#include "core/relaxation_policy.hpp"
 
 namespace alb::apps {
 
@@ -115,7 +114,6 @@ AppResult run_sor(const AppConfig& cfg, const SorParams& params) {
 
   const SorVariant variant = params.variant.value_or(
       cfg.optimized ? SorVariant::kChaotic : SorVariant::kOriginal);
-  const wide::ChaoticRelaxation chaotic(params.chaotic_period);
 
   Grid grid(params.rows, params.cols);
   const BlockPartition part{params.rows, P};
@@ -136,7 +134,8 @@ AppResult run_sor(const AppConfig& cfg, const SorParams& params) {
       if (neighbour < 0) return false;
       if (variant != SorVariant::kChaotic) return true;
       if (p.same_cluster(neighbour)) return true;
-      return chaotic.exchange_intercluster(iteration);
+      // Chaotic relaxation: one intercluster exchange per period.
+      return iteration % params.chaotic_period == 0;
     };
 
     const int limit =

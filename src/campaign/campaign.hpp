@@ -27,8 +27,8 @@
 //     deterministic and independent (simulation jobs are: each owns its
 //     Engine, Network, Runtime and trace::Session). Observability
 //     composes with this: per-run metrics snapshots and traces are
-//     produced inside each job and merge deterministically afterwards
-//     (campaign/metrics.hpp), so `--jobs` never changes any output byte.
+//     produced inside each job and returned in submission order, so
+//     `--jobs` never changes any output byte.
 //   * Thread-safety — run() itself may be called from one thread at a
 //     time per Options instance; tasks must not share mutable state.
 //     RunStats is written only after the pool has drained.

@@ -38,8 +38,7 @@ class ClusterCache {
       : rt_(&rt), bytes_(bytes_per_block), enabled_(enabled),
         published_(static_cast<std::size_t>(rt.nprocs())),
         cache_(static_cast<std::size_t>(rt.nprocs()) *
-               static_cast<std::size_t>(rt.network().topology().clusters())),
-        stats_shards_(static_cast<std::size_t>(rt.network().topology().clusters())) {}
+               static_cast<std::size_t>(rt.network().topology().clusters())) {}
 
   /// The owner makes its block for `epoch` available (local, free).
   void publish(const orca::Proc& p, std::uint64_t epoch, std::shared_ptr<const Block> block) {
@@ -61,7 +60,7 @@ class ClusterCache {
       co_return co_await coordinator_get(p.node, owner_rank, epoch);
     }
     // Ask the coordinator; its handler may block on the WAN fetch.
-    ++shard(p.node).coordinator_requests;
+    ++stats_.coordinator_requests;
     ClusterCache* self = this;
     const net::NodeId coord_node = static_cast<net::NodeId>(coord);
     const int owner = owner_rank;
@@ -80,16 +79,7 @@ class ClusterCache {
     std::uint64_t coordinator_requests = 0;  // intracluster cache requests
     std::uint64_t cache_hits = 0;            // served without a WAN fetch
   };
-  /// Sum over the per-cluster shards (post-run view).
-  Stats stats() const {
-    Stats s;
-    for (const Stats& sh : stats_shards_) {
-      s.owner_fetches += sh.owner_fetches;
-      s.coordinator_requests += sh.coordinator_requests;
-      s.cache_hits += sh.cache_hits;
-    }
-    return s;
-  }
+  const Stats& stats() const { return stats_; }
 
  private:
   static constexpr std::size_t kRequestBytes = 16;
@@ -116,16 +106,9 @@ class ClusterCache {
     while (!m.empty() && m.begin()->first + 4 < current_epoch) m.erase(m.begin());
   }
 
-  /// Stats shard for the cluster whose context is executing (callers,
-  /// coordinators and owners each bump their own cluster's counters).
-  Stats& shard(net::NodeId at) {
-    return stats_shards_[static_cast<std::size_t>(
-        rt_->network().topology().cluster_of(at))];
-  }
-
   sim::Task<std::shared_ptr<const Block>> fetch_from_owner(net::NodeId from, int owner_rank,
                                                            std::uint64_t epoch) {
-    ++shard(from).owner_fetches;
+    ++stats_.owner_fetches;
     ClusterCache* self = this;
     std::function<sim::Task<std::shared_ptr<const void>>()> op =
         [self, owner_rank, epoch]() -> sim::Task<std::shared_ptr<const void>> {
@@ -153,7 +136,7 @@ class ClusterCache {
     auto& epochs = cache_[key];
     auto it = epochs.find(epoch);
     if (it != epochs.end()) {
-      ++shard(coord_node).cache_hits;
+      ++stats_.cache_hits;
       co_return co_await it->second;
     }
     Slot& s = slot(epochs, epoch);
@@ -168,7 +151,7 @@ class ClusterCache {
   bool enabled_;
   std::vector<EpochMap> published_;  // per owner rank
   std::vector<EpochMap> cache_;      // per (coordinator cluster, owner rank)
-  std::vector<Stats> stats_shards_;  // per cluster (summed post-run)
+  Stats stats_;
 };
 
 }  // namespace alb::wide

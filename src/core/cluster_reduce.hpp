@@ -144,8 +144,7 @@ class ClusterReducer {
                  ApplyAtOwner apply, bool enabled = true)
       : rt_(&rt), bytes_(bytes_per_update), combine_(std::move(combine)),
         apply_(std::move(apply)), enabled_(enabled),
-        partial_(static_cast<std::size_t>(rt.network().topology().clusters())),
-        wan_updates_(static_cast<std::size_t>(rt.network().topology().clusters()), 0) {}
+        partial_(static_cast<std::size_t>(rt.network().topology().clusters())) {}
 
   /// Contributes `u` toward `owner_rank` for `epoch`. Completes when the
   /// update has been accepted (at the coordinator on the optimized path,
@@ -174,13 +173,9 @@ class ClusterReducer {
     (void)co_await rt_->rpc_blocking(p.node, coord_node, bytes_, kAckBytes, std::move(op));
   }
 
-  /// WAN-bound update sends, summed over the per-cluster shards
-  /// (post-run view).
-  std::uint64_t wan_updates() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t c : wan_updates_) n += c;
-    return n;
-  }
+  /// Update sends to an owner (direct-path contributors and
+  /// coordinators).
+  std::uint64_t wan_updates() const { return wan_updates_; }
 
  private:
   static constexpr std::size_t kAckBytes = 8;
@@ -192,9 +187,7 @@ class ClusterReducer {
   }
 
   sim::Task<void> send_to_owner(net::NodeId from, int owner_rank, Update u) {
-    // Shard by the sending context's cluster: direct-path contributors
-    // and coordinators run in their own cluster's context.
-    ++wan_updates_[static_cast<std::size_t>(rt_->network().topology().cluster_of(from))];
+    ++wan_updates_;
     ClusterReducer* self = this;
     auto boxed = std::make_shared<Update>(std::move(u));
     std::function<std::shared_ptr<const void>()> op =
@@ -253,8 +246,7 @@ class ClusterReducer {
   bool enabled_;
   /// In-flight combines, sharded by the coordinator's cluster.
   std::vector<std::map<Key, Partial>> partial_;
-  /// WAN sends, sharded by the sending cluster (summed post-run).
-  std::vector<std::uint64_t> wan_updates_;
+  std::uint64_t wan_updates_ = 0;
 };
 
 }  // namespace alb::wide

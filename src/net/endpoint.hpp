@@ -32,9 +32,6 @@ class Endpoint {
   /// Awaitable receive from the mailbox for `tag` (FIFO).
   auto receive(int tag) { return mailbox(tag).receive(); }
 
-  /// Non-blocking receive.
-  std::optional<Message> try_receive(int tag) { return mailbox(tag).try_receive(); }
-
   /// Number of queued (undelivered-to-process) messages for `tag`.
   std::size_t pending(int tag) {
     auto it = mailboxes_.find(tag);

@@ -115,7 +115,7 @@ FaultInjector::GatewayState FaultInjector::gateway_state(ClusterId c, sim::SimTi
   return gs;
 }
 
-void FaultInjector::count_drop(LinkClass c, std::size_t bytes, DropCause cause, ClusterId at) {
+void FaultInjector::count_drop(LinkClass c, std::size_t bytes, DropCause cause) {
   switch (cause) {
     case DropCause::Loss: ++drops_loss_; break;
     case DropCause::Flap: ++drops_flap_; break;
@@ -123,7 +123,7 @@ void FaultInjector::count_drop(LinkClass c, std::size_t bytes, DropCause cause, 
   }
   const auto ci = static_cast<std::size_t>(c);
   ++drops_by_class_[ci];
-  if (h_drop_bytes_[ci]) streams_[static_cast<std::size_t>(at)].drop_bytes[ci].add(bytes);
+  if (h_drop_bytes_[ci]) h_drop_bytes_[ci]->add(bytes);
 }
 
 void FaultInjector::count_flap_hold(sim::SimTime delay) {
@@ -192,12 +192,6 @@ void FaultInjector::publish_metrics(trace::Metrics& m) const {
   *m.counter("net/fault.dup.seq_requests") = dup_seq_requests_;
   *m.counter("net/fault.dup.seq_grants") = dup_seq_grants_;
   *m.counter("net/fault.hard_failures") = failed() ? 1 : 0;
-  // Merge the per-cluster dropped-bytes shards into the registry
-  // histograms (post-run, single-threaded).
-  for (std::size_t ci = 0; ci < 3; ++ci) {
-    if (!h_drop_bytes_[ci]) continue;
-    for (const ClusterStream& s : streams_) h_drop_bytes_[ci]->merge(s.drop_bytes[ci]);
-  }
 }
 
 }  // namespace alb::net

@@ -219,7 +219,7 @@ class FaultInjector {
   GatewayState gateway_state(ClusterId c, sim::SimTime now) const;
 
   // --- accounting hooks ------------------------------------------------
-  void count_drop(LinkClass c, std::size_t bytes, DropCause cause, ClusterId at = 0);
+  void count_drop(LinkClass c, std::size_t bytes, DropCause cause);
   void count_flap_hold(sim::SimTime delay);
   void count_brownout_slow() { ++brownout_slowed_; }
   void note_retry() { ++retries_; }
@@ -285,8 +285,6 @@ class FaultInjector {
     /// Index of the next droppable message from this cluster to reach
     /// the WAN loss checkpoint (the force_drop coordinate system).
     std::uint64_t wan_drop_index = 0;
-    /// Dropped-bytes histograms by link class, merged at publish.
-    trace::Histogram drop_bytes[3];
   };
 
   FaultPlan plan_;

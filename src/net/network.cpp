@@ -17,14 +17,12 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
   // cluster.
   if (eng.owners() < clusters) eng.set_owners(clusters);
 
-  stats_shards_.resize(static_cast<std::size_t>(clusters));
   next_id_.assign(static_cast<std::size_t>(clusters) + 1, 0);
 
   trace::Session* session = eng.trace_session();
   if (session) {
     h_wan_bytes_ = session->metrics().histogram("net/wan.msg_bytes");
     h_wan_queue_ = session->metrics().histogram("net/wan.queue_ns");
-    wan_hist_shards_.resize(static_cast<std::size_t>(clusters));
   }
   // A disabled plan builds no injector: every fault check below is then
   // one null-pointer test and the run is byte-identical to a plan-free
@@ -87,7 +85,7 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
 
 void Network::drop(const Message& m, LinkClass cls, FaultInjector::DropCause cause,
                    NodeId where, bool close_wan_span) {
-  faults_->count_drop(cls, m.bytes, cause, ctx());
+  faults_->count_drop(cls, m.bytes, cause);
   if (trace::Recorder* rec = eng_->tracer()) {
     rec->instant(trace::Category::Net, "net.fault.drop", where, m.id, m.bytes);
     if (close_wan_span) rec->end(trace::Category::Net, "net.wan", where, m.id, m.bytes);
@@ -97,12 +95,6 @@ void Network::drop(const Message& m, LinkClass cls, FaultInjector::DropCause cau
 Link& Network::wan_link(ClusterId from, ClusterId to) {
   assert(from != to);
   return *wan_links_[static_cast<std::size_t>(from) * topo_.clusters() + to];
-}
-
-const TrafficStats& Network::stats() const {
-  stats_merged_.reset();
-  for (const TrafficStats& s : stats_shards_) stats_merged_.merge(s);
-  return stats_merged_;
 }
 
 void Network::deliver_at(sim::SimTime t, Message m) {
@@ -144,10 +136,10 @@ void Network::run_hop(HopPlan plan) {
       if (combine) {
         // Wire accounting is deferred to the flush (or the bypass) —
         // only the logical crossing is known here.
-        stats_here().record_inter_logical(plan.msg.kind, plan.msg.bytes,
+        stats_.record_inter_logical(plan.msg.kind, plan.msg.bytes,
                                           plan.msg.combined_members);
       } else {
-        stats_here().record_inter(plan.msg.kind, plan.msg.bytes + cfg_.wan_transport.frame_bytes,
+        stats_.record_inter(plan.msg.kind, plan.msg.bytes + cfg_.wan_transport.frame_bytes,
                                   plan.msg.bytes, plan.msg.combined_members);
       }
       if (trace::Recorder* rec = eng_->tracer()) {
@@ -186,7 +178,7 @@ void Network::run_hop(HopPlan plan) {
         // start serializing right now — holding for an epoch would only
         // add latency. The bypass message's own serialization makes the
         // circuit busy, so a burst behind it combines naturally.
-        stats_here().record_inter_wire(plan.msg.kind, plan.msg.bytes + wt.frame_bytes);
+        stats_.record_inter_wire(plan.msg.kind, plan.msg.bytes + wt.frame_bytes);
         plan.stage = HopStage::kWanTransfer;
         run_hop(std::move(plan));
         break;
@@ -241,14 +233,10 @@ void Network::run_hop(HopPlan plan) {
       }
       const std::size_t wire = plan.msg.bytes + cfg_.wan_transport.frame_bytes;
       std::uint64_t queued = 0;
-      if (h_wan_bytes_) {
-        // Peeked before the transfer so the histogram sees the wait this
-        // message is about to incur.
-        wan_hist_shards_[static_cast<std::size_t>(plan.from)].bytes.add(wire);
-      }
       const sim::SimTime at_remote_gw = wan_transfer_time(plan.from, plan.to, wire, queued);
       if (h_wan_bytes_) {
-        wan_hist_shards_[static_cast<std::size_t>(plan.from)].queue.add(queued);
+        h_wan_bytes_->add(wire);
+        h_wan_queue_->add(queued);
       }
       if (trace::Recorder* rec = eng_->tracer()) {
         // Queue wait is recorded explicitly so the causal profiler can
@@ -355,7 +343,7 @@ std::uint64_t Network::send(Message m) {
       rec->instant(trace::Category::Net, "net.send.lan", m.src, m.id, m.bytes,
                    trace::Recorder::clamp_tag(m.tag));
     }
-    stats_here().record_intra(m.kind, m.bytes);
+    stats_.record_intra(m.kind, m.bytes);
     // Gateways reach their own cluster over the delivery (FE) link;
     // compute nodes use their Myrinet egress.
     const bool gw = topo_.is_gateway(m.src);
@@ -404,7 +392,7 @@ std::uint64_t Network::lan_broadcast(NodeId src, Message m) {
     rec->instant(trace::Category::Net, "net.bcast.lan", src, m.id, m.bytes,
                  trace::Recorder::clamp_tag(m.tag));
   }
-  stats_here().record_intra(m.kind, m.bytes);
+  stats_.record_intra(m.kind, m.bytes);
   sim::SimTime t = bcast_link(c).transfer(m.bytes);
   for (int i = 0; i < topo_.nodes_per_cluster(); ++i) {
     NodeId dst = topo_.compute_node(c, i);
@@ -663,16 +651,14 @@ void Network::flush_combine(ClusterId from, int idx) {
   const std::size_t wire = cfg_.wan_transport.frame_bytes + logical_bytes;
   std::uint64_t logical_msgs = 0;
   for (const HopPlan& m : batch) logical_msgs += m.msg.combined_members;
-  stats_here().record_inter_wire(kind, wire);
-  stats_here().record_combined_flush(logical_msgs, wire, logical_bytes);
+  stats_.record_inter_wire(kind, wire);
+  stats_.record_combined_flush(logical_msgs, wire, logical_bytes);
 
   std::uint64_t queued = 0;
-  if (h_wan_bytes_) {
-    wan_hist_shards_[static_cast<std::size_t>(from)].bytes.add(wire);
-  }
   const sim::SimTime arrival = wan_transfer_time(from, to, wire, queued);
   if (h_wan_bytes_) {
-    wan_hist_shards_[static_cast<std::size_t>(from)].queue.add(queued);
+    h_wan_bytes_->add(wire);
+    h_wan_queue_->add(queued);
   }
   // Members of a single-stream train are delivered as their bytes
   // finish crossing, not held for the train's tail: the wire carries
@@ -727,7 +713,7 @@ std::uint64_t sum_links(const std::vector<std::unique_ptr<Link>>& links, Fn fn) 
 }  // namespace
 
 void Network::publish_metrics(trace::Metrics& m) const {
-  const TrafficStats& merged = stats();
+  const TrafficStats& merged = stats_;
   // Per-kind LAN/WAN breakdown straight from the traffic accounting.
   for (int k = 0; k < TrafficStats::kNumKinds; ++k) {
     const MsgKind kind = static_cast<MsgKind>(k);
@@ -794,15 +780,6 @@ void Network::publish_metrics(trace::Metrics& m) const {
     *m.counter("net/wan.combined.members") = cc.members;
     *m.counter("net/wan.combined.wire_bytes") = cc.wire_bytes;
     *m.counter("net/wan.combined.logical_bytes") = cc.logical_bytes;
-  }
-
-  // Merge the per-cluster WAN histogram shards into the registry
-  // instruments (post-run, single-threaded).
-  if (h_wan_bytes_) {
-    for (const WanHistShard& s : wan_hist_shards_) {
-      h_wan_bytes_->merge(s.bytes);
-      h_wan_queue_->merge(s.queue);
-    }
   }
 
   if (faults_) faults_->publish_metrics(m);

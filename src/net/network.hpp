@@ -21,9 +21,10 @@
 // WAN transfer runs in the *source* cluster's engine context; the
 // remote-gateway hop onward runs in the *destination* cluster's. The
 // WAN crossing is the one cross-owner edge, scheduled through
-// Engine::schedule_on. Message ids, traffic counters and WAN
-// histograms are kept per cluster and tagged/merged, which fixes their
-// observable values (message ids appear in exported traces).
+// Engine::schedule_on. Message ids are minted per cluster context and
+// tagged with it, which fixes their observable values (message ids
+// appear in exported traces). Traffic counters and WAN histograms are
+// single instruments: the engine runs one sequential loop.
 
 #include <memory>
 #include <vector>
@@ -82,9 +83,9 @@ class Network {
   /// single cluster).
   std::uint64_t tree_broadcast(NodeId src, CollShape shape, Message m);
 
-  /// Whole-run traffic accounting: merges the per-cluster shards into a
-  /// stable cached view (tests and the harness read it post-run).
-  const TrafficStats& stats() const;
+  /// Whole-run traffic accounting (tests and the harness read it
+  /// post-run).
+  const TrafficStats& stats() const { return stats_; }
 
   /// Publishes the run's traffic accounting into `m` under the `net/`
   /// scope: per-kind LAN/WAN message+byte counters matching the paper's
@@ -126,9 +127,8 @@ class Network {
     ClusterId coll_root = 0;
   };
 
-  /// The cluster whose engine context is executing (0 during setup —
-  /// setup-time sends are charged to cluster 0's shards, matching the
-  /// engine's setup-events-execute-as-owner-0 rule).
+  /// The cluster whose engine context is executing (0 during setup,
+  /// matching the engine's setup-events-execute-as-owner-0 rule).
   ClusterId ctx() const {
     const sim::OwnerId o = eng_->current_owner();
     return o >= topo_.clusters() ? 0 : o;
@@ -139,7 +139,6 @@ class Network {
     const auto c = static_cast<std::size_t>(ctx());
     return ((static_cast<std::uint64_t>(c) + 1) << 40) | ++next_id_[c];
   }
-  TrafficStats& stats_here() { return stats_shards_[static_cast<std::size_t>(ctx())]; }
 
   void run_hop(HopPlan plan);
   void schedule_hop_at(sim::SimTime t, HopPlan plan);
@@ -202,20 +201,14 @@ class Network {
   sim::Engine* eng_;
   TopologyConfig cfg_;
   Topology topo_;
-  std::vector<TrafficStats> stats_shards_;  // per cluster context
-  mutable TrafficStats stats_merged_;       // cached post-run merge
+  TrafficStats stats_;
   std::unique_ptr<FaultInjector> faults_;
   std::vector<std::uint64_t> next_id_;      // per cluster context
 
   // Observability (see src/trace/): records go through the engine's
   // per-owner tracer (eng_->tracer(), null = tracing off, one branch
-  // per site). WAN histograms are sharded per source cluster and merged
-  // into the registry instruments at publish time.
-  struct WanHistShard {
-    trace::Histogram bytes;
-    trace::Histogram queue;
-  };
-  std::vector<WanHistShard> wan_hist_shards_;  // per cluster; empty = no session
+  // per site); the WAN histograms are the registry's instruments, null
+  // without a trace session.
   trace::Histogram* h_wan_bytes_ = nullptr;
   trace::Histogram* h_wan_queue_ = nullptr;
 

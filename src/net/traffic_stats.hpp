@@ -132,28 +132,6 @@ class TrafficStats {
     return n;
   }
 
-  void reset() {
-    counters_ = {};
-    combined_ = {};
-  }
-
-  /// Accumulates another shard into this one (the network keeps one
-  /// TrafficStats per cluster context and merges post-run).
-  void merge(const TrafficStats& other) {
-    for (int k = 0; k < kNumKinds; ++k) {
-      counters_[k].intra_msgs += other.counters_[k].intra_msgs;
-      counters_[k].intra_bytes += other.counters_[k].intra_bytes;
-      counters_[k].inter_msgs += other.counters_[k].inter_msgs;
-      counters_[k].inter_bytes += other.counters_[k].inter_bytes;
-      counters_[k].inter_logical_msgs += other.counters_[k].inter_logical_msgs;
-      counters_[k].inter_logical_bytes += other.counters_[k].inter_logical_bytes;
-    }
-    combined_.flushes += other.combined_.flushes;
-    combined_.members += other.combined_.members;
-    combined_.wire_bytes += other.combined_.wire_bytes;
-    combined_.logical_bytes += other.combined_.logical_bytes;
-  }
-
   void print(std::ostream& os) const;
 
  private:

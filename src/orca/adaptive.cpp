@@ -32,7 +32,7 @@ void Engine::schedule_next(net::ClusterId c) {
 
 void Engine::on_epoch(net::ClusterId c) {
   Shard& s = shard(c);
-  ++s.epochs;
+  ++epochs_;
   trace::Recorder* rec = net_->engine().tracer();
   const auto leader = static_cast<std::int32_t>(net_->topology().compute_node(c, 0));
   const auto cid = static_cast<std::uint64_t>(c);
@@ -114,7 +114,7 @@ void Engine::on_epoch(net::ClusterId c) {
         if (q.cluster != c || q.done) continue;
         q.done = true;  // one-shot whether or not jobs remained
         if (q.fn()) {
-          ++s.splits;
+          ++splits_;
           if (rec) {
             rec->instant(trace::Category::Orca, "orca.adapt.queue.split", leader, cid,
                          gets_remote);
@@ -126,32 +126,23 @@ void Engine::on_epoch(net::ClusterId c) {
 }
 
 void Engine::publish_metrics(trace::Metrics& m) const {
-  std::uint64_t epochs = 0, arms = 0, combine = 0, tree = 0, splits = 0;
-  std::uint64_t wait = 0, bcasts = 0, gets = 0, gets_r = 0, items = 0, items_r = 0;
+  std::uint64_t arms = 0, combine = 0, tree = 0;
   for (const Shard& s : shards_) {
-    epochs += s.epochs;
     arms += s.seq_armed ? 1 : 0;
     combine += s.combine_on ? 1 : 0;
     tree += s.tree_on ? 1 : 0;
-    splits += s.splits;
-    wait += s.t_seq_wait_ns;
-    bcasts += s.t_bcasts;
-    gets += s.t_gets;
-    gets_r += s.t_gets_remote;
-    items += s.t_items;
-    items_r += s.t_items_remote;
   }
-  *m.counter("orca/adapt.epochs") = epochs;
-  *m.counter("orca/adapt.sig.seq_wait_ns") = wait;
-  *m.counter("orca/adapt.sig.bcasts") = bcasts;
-  *m.counter("orca/adapt.sig.gets") = gets;
-  *m.counter("orca/adapt.sig.gets_remote") = gets_r;
-  *m.counter("orca/adapt.sig.items") = items;
-  *m.counter("orca/adapt.sig.items_remote") = items_r;
+  *m.counter("orca/adapt.epochs") = epochs_;
+  *m.counter("orca/adapt.sig.seq_wait_ns") = t_seq_wait_ns_;
+  *m.counter("orca/adapt.sig.bcasts") = t_bcasts_;
+  *m.counter("orca/adapt.sig.gets") = t_gets_;
+  *m.counter("orca/adapt.sig.gets_remote") = t_gets_remote_;
+  *m.counter("orca/adapt.sig.items") = t_items_;
+  *m.counter("orca/adapt.sig.items_remote") = t_items_remote_;
   *m.counter("orca/adapt.seq.arms") = arms;
   *m.counter("orca/adapt.combine.enabled") = combine;
   *m.counter("orca/adapt.tree.enabled") = tree;
-  *m.counter("orca/adapt.queue.splits") = splits;
+  *m.counter("orca/adapt.queue.splits") = splits_;
   // Typed precedence warnings: an explicit flag suppressed a policy.
   *m.counter("orca/adapt.override.seq") = cfg_.seq_overridden ? 1 : 0;
   *m.counter("orca/adapt.override.coll") = cfg_.coll_overridden ? 1 : 0;

@@ -136,27 +136,27 @@ class Engine {
     ++s.seq_bcasts;
     s.tree_bytes += bytes;
     ++s.tree_bcasts;
-    s.t_seq_wait_ns += static_cast<std::uint64_t>(wait);
-    ++s.t_bcasts;
+    t_seq_wait_ns_ += static_cast<std::uint64_t>(wait);
+    ++t_bcasts_;
   }
   /// One central-queue get served at a master hosted in cluster `c`.
   void note_queue_get(net::ClusterId c, bool remote) {
     Shard& s = shard(c);
     ++s.gets;
-    ++s.t_gets;
+    ++t_gets_;
     if (remote) {
       ++s.gets_remote;
-      ++s.t_gets_remote;
+      ++t_gets_remote_;
     }
   }
   /// One combiner item sent by a process in cluster `c`.
   void note_combiner_item(net::ClusterId c, bool remote) {
     Shard& s = shard(c);
     ++s.items;
-    ++s.t_items;
+    ++t_items_;
     if (remote) {
       ++s.items_remote;
-      ++s.t_items_remote;
+      ++t_items_remote_;
     }
   }
 
@@ -171,7 +171,7 @@ class Engine {
     queues_.push_back(QueuePolicy{master_cluster, std::move(fn), false});
   }
 
-  /// Merges the per-cluster shards into `orca/adapt.*` counters.
+  /// Publishes the `orca/adapt.*` counters.
   /// Post-run, assignment semantics — call once per finished run.
   void publish_metrics(trace::Metrics& m) const;
 
@@ -199,16 +199,6 @@ class Engine {
     bool seq_armed = false;
     bool combine_on = false;
     bool tree_on = false;
-    std::uint64_t splits = 0;  // queue-split actions that moved jobs
-    std::uint64_t epochs = 0;
-    // Lifetime signal totals (never reset; published as orca/adapt.sig.*
-    // so a run's raw evidence is inspectable next to its decisions).
-    std::uint64_t t_seq_wait_ns = 0;
-    std::uint64_t t_bcasts = 0;
-    std::uint64_t t_gets = 0;
-    std::uint64_t t_gets_remote = 0;
-    std::uint64_t t_items = 0;
-    std::uint64_t t_items_remote = 0;
   };
   struct QueuePolicy {
     net::ClusterId cluster;
@@ -225,6 +215,17 @@ class Engine {
   Config cfg_;
   std::vector<Shard> shards_;
   std::vector<QueuePolicy> queues_;  // registered at setup, stable during the run
+  std::uint64_t epochs_ = 0;  // epoch evaluations, all clusters
+  std::uint64_t splits_ = 0;  // queue-split actions that moved jobs
+  // Lifetime signal totals over all clusters (never reset; published as
+  // orca/adapt.sig.* so a run's raw evidence is inspectable next to its
+  // decisions).
+  std::uint64_t t_seq_wait_ns_ = 0;
+  std::uint64_t t_bcasts_ = 0;
+  std::uint64_t t_gets_ = 0;
+  std::uint64_t t_gets_remote_ = 0;
+  std::uint64_t t_items_ = 0;
+  std::uint64_t t_items_remote_ = 0;
 };
 
 }  // namespace adapt

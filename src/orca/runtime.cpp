@@ -27,7 +27,7 @@ Runtime::Runtime(net::Network& net, Config cfg) : net_(&net) {
   call_id_shards_.assign(clusters, 0);
   pending_rpcs_.resize(clusters);
   served_rpcs_.resize(clusters);
-  finish_shards_.resize(clusters);
+  cluster_finished_.assign(clusters, 0);
   barrier_waiters_.resize(static_cast<std::size_t>(nprocs()));
   barrier_local_gen_.assign(static_cast<std::size_t>(nprocs()), 0);
   install_handlers();
@@ -514,7 +514,6 @@ sim::Task<void> Runtime::run_proc(ProcMain main, Proc& p) {
     rec->instant(trace::Category::Orca, "orca.proc.start", p.node,
                  static_cast<std::uint64_t>(p.rank));
   }
-  FinishShard& shard = finish_shards_[static_cast<std::size_t>(cluster_of(p.node))];
   try {
     co_await main(p);
   } catch (const net::HardFailure&) {
@@ -523,14 +522,15 @@ sim::Task<void> Runtime::run_proc(ProcMain main, Proc& p) {
     // typed AppResult error — and the process unwinds cooperatively so
     // its coroutine frame is reclaimed instead of leaking. Letting the
     // exception escape this detached coroutine would abort the run.
-    ++shard.failed;
+    ++failed_;
   }
   if (trace::Recorder* rec = engine().tracer()) {
     rec->instant(trace::Category::Orca, "orca.proc.finish", p.node,
                  static_cast<std::uint64_t>(p.rank));
   }
-  shard.last_finish = std::max(shard.last_finish, engine().now());
-  ++shard.finished;
+  last_finish_ = std::max(last_finish_, engine().now());
+  ++finished_;
+  ++cluster_finished_[static_cast<std::size_t>(cluster_of(p.node))];
 }
 
 sim::SimTime Runtime::run_all() {
@@ -543,13 +543,11 @@ sim::SimTime Runtime::run_all() {
 void Runtime::publish_metrics(trace::Metrics& m) const {
   std::uint64_t calls = 0;
   for (std::uint64_t c : call_id_shards_) calls += c;
-  int failed = 0;
-  for (const FinishShard& s : finish_shards_) failed += s.failed;
   *m.counter("orca/rpc.calls") = calls;
   *m.counter("orca/bcast.applied") = bcast_->applied_total();
   *m.counter("orca/seq.issued") = seq_->issued();
   *m.counter("orca/barrier.rounds") = barrier_generation_;
-  *m.counter("orca/fault.failed_procs") = static_cast<std::uint64_t>(failed);
+  *m.counter("orca/fault.failed_procs") = static_cast<std::uint64_t>(failed_);
   if (adaptive_) adaptive_->publish_metrics(m);
 }
 

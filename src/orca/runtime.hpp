@@ -16,14 +16,13 @@
 // Owner contexts: every mutable table is sharded by the cluster
 // context that touches it — pending RPCs and call ids by the caller's
 // cluster, the served-RPC duplicate cache by the server's, barrier and
-// object waiters by node, finish bookkeeping by cluster (merged by the
-// post-run accessors). Hard failures are observed per cluster: the
+// object waiters by node. Finish bookkeeping is counted once, plus a
+// per-cluster finished count for cluster_quiescent(). Hard failures are observed per cluster: the
 // injector's on_fail callback fails the origin cluster's parked waiters
 // in its own context and schedules a propagation event on every other
 // cluster one WAN latency later (the earliest a real notification could
 // arrive), which fails that cluster's waiters there.
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -83,11 +82,9 @@ class Runtime {
   adapt::Engine* adaptive() { return adaptive_.get(); }
 
   /// True once every process hosted in `cluster` finished or unwound.
-  /// Safe to read mid-run from that cluster's own context (the finish
-  /// shard is updated there); the adaptive epoch chains use it to
-  /// retire themselves.
+  /// The adaptive epoch chains read it mid-run to retire themselves.
   bool cluster_quiescent(net::ClusterId cluster) const {
-    return finish_shards_[static_cast<std::size_t>(cluster)].finished >=
+    return cluster_finished_[static_cast<std::size_t>(cluster)] >=
            net_->topology().nodes_per_cluster();
   }
 
@@ -139,9 +136,6 @@ class Runtime {
                  std::shared_ptr<const void> payload = nullptr,
                  std::uint32_t combined_members = 1);
   auto recv_data(const Proc& p, int tag) { return net_->endpoint(p.node).receive(tag); }
-  std::optional<net::Message> try_recv_data(const Proc& p, int tag) {
-    return net_->endpoint(p.node).try_receive(tag);
-  }
 
   // --- global barrier ------------------------------------------------
   sim::Task<void> barrier(Proc& p);
@@ -155,17 +149,9 @@ class Runtime {
   sim::SimTime run_all();
 
   Proc& proc(int rank) { return *procs_[static_cast<std::size_t>(rank)]; }
-  /// Post-run views over the per-cluster finish shards.
-  sim::SimTime last_finish() const {
-    sim::SimTime t = 0;
-    for (const FinishShard& s : finish_shards_) t = std::max(t, s.last_finish);
-    return t;
-  }
-  int finished_procs() const {
-    int n = 0;
-    for (const FinishShard& s : finish_shards_) n += s.finished;
-    return n;
-  }
+  /// Time the last process finished, and how many have finished.
+  sim::SimTime last_finish() const { return last_finish_; }
+  int finished_procs() const { return finished_; }
 
   /// Publishes runtime-layer counters (RPC calls, broadcasts applied,
   /// sequence numbers issued, barrier rounds) into `m` under the
@@ -262,14 +248,10 @@ class Runtime {
   std::vector<std::uint64_t> barrier_local_gen_;
 
   std::vector<std::unique_ptr<Proc>> procs_;
-  /// Finish bookkeeping, sharded per cluster (run_proc completes in the
-  /// process's own cluster context); merged by the post-run accessors.
-  struct FinishShard {
-    sim::SimTime last_finish = 0;
-    int finished = 0;
-    int failed = 0;  // processes unwound by a hard failure
-  };
-  std::vector<FinishShard> finish_shards_;
+  sim::SimTime last_finish_ = 0;
+  int finished_ = 0;
+  int failed_ = 0;                      // processes unwound by a hard failure
+  std::vector<int> cluster_finished_;  // finished processes per cluster
 };
 
 }  // namespace alb::orca

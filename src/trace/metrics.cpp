@@ -17,20 +17,6 @@ void Histogram::add(std::uint64_t v) {
   ++buckets[static_cast<std::size_t>(std::bit_width(v))];
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    if (other.min < min) min = other.min;
-    if (other.max > max) max = other.max;
-  }
-  count += other.count;
-  sum += other.sum;
-  for (int i = 0; i < kBuckets; ++i) buckets[static_cast<std::size_t>(i)] += other.buckets[static_cast<std::size_t>(i)];
-}
-
 std::uint64_t Histogram::percentile(double p) const {
   if (count == 0) return 0;
   if (p <= 0) return min;
@@ -47,13 +33,6 @@ std::uint64_t Histogram::percentile(double p) const {
     }
   }
   return max;
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  other.for_each_counter([&](std::string_view n, std::uint64_t v) { add_counter(n, v); });
-  other.for_each_gauge([&](std::string_view n, double v) { add_gauge(n, v); });
-  other.for_each_histogram(
-      [&](std::string_view n, const Histogram& h) { slot(histograms_, n)->merge(h); });
 }
 
 double MetricsSnapshot::value(std::string_view name) const {

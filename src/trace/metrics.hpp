@@ -9,14 +9,14 @@
 //     are derived from simulated state only (never wall time).
 //   * Thread-safety — a Metrics registry belongs to one simulation
 //     (one Harness, one thread). Campaigns give every job its own
-//     registry and merge the resulting snapshots; the registry itself
-//     is not synchronized.
+//     registry and keep one snapshot per run; the registry itself is
+//     not synchronized.
 //   * Overhead — counter()/gauge()/histogram() do one map lookup and
 //     are meant for setup time; hot paths cache the returned pointer
 //     (stable for the registry's lifetime) and pay one add/increment.
 //
 // Naming convention: `<scope>/<subsystem>.<metric>` with scope one of
-// sim | net | orca | app | campaign (see docs/OBSERVABILITY.md for the
+// sim | net | orca | campaign (see docs/OBSERVABILITY.md for the
 // full catalogue and units). Counters and histogram samples are
 // integral (counts, bytes, nanoseconds); gauges are doubles (ratios,
 // derived values).
@@ -48,8 +48,6 @@ struct Histogram {
   std::array<std::uint64_t, kBuckets> buckets{};
 
   void add(std::uint64_t v);
-  /// Element-wise accumulation (campaign aggregation across runs).
-  void merge(const Histogram& other);
 
   double mean() const { return count ? static_cast<double>(sum) / count : 0.0; }
   /// Approximate p-th percentile (p in [0,100]), as the upper bound of
@@ -59,9 +57,8 @@ struct Histogram {
   bool operator==(const Histogram&) const = default;
 };
 
-/// A full, order-stable dump of a registry (or a merge of several).
-/// This is the value type carried in apps::AppResult and aggregated by
-/// campaigns; it is plain data and freely copyable.
+/// A full, order-stable dump of a registry. This is the value type
+/// carried in apps::AppResult; it is plain data and freely copyable.
 ///
 /// Storage is flat: counters, gauges and histograms are three name-sorted
 /// arrays whose names share one buffer, so a snapshot is at most four
@@ -72,9 +69,6 @@ class MetricsSnapshot {
   void set_counter(std::string_view name, std::uint64_t v) { *slot(counters_, name) = v; }
   void set_gauge(std::string_view name, double v) { *slot(gauges_, name) = v; }
   void set_histogram(std::string_view name, const Histogram& h) { *slot(histograms_, name) = h; }
-  /// Adders start a new instrument at zero.
-  void add_counter(std::string_view name, std::uint64_t v) { *slot(counters_, name) += v; }
-  void add_gauge(std::string_view name, double v) { *slot(gauges_, name) += v; }
 
   /// Lookups by exact name; nullptr when absent.
   const std::uint64_t* counter(std::string_view name) const { return find(counters_, name); }
@@ -88,10 +82,6 @@ class MetricsSnapshot {
   void for_each_gauge(F&& f) const { visit(gauges_, f); }
   template <typename F>
   void for_each_histogram(F&& f) const { visit(histograms_, f); }
-
-  /// Accumulates `other` into this snapshot: counters and gauges add,
-  /// histograms merge. Used by campaign::aggregate_metrics.
-  void merge(const MetricsSnapshot& other);
 
   /// Counter-or-gauge lookup by exact name; 0 when absent.
   double value(std::string_view name) const;

@@ -141,6 +141,27 @@ TEST(Messaging, SendRecvRoundtrip) {
   EXPECT_EQ(got, (std::vector<int>{42}));
 }
 
+TEST(SplitPhase, PostReturnsImmediatelyReceiveBlocks) {
+  // The split-phase pattern of SOR (§4.8): post the send, compute while
+  // it crosses the WAN, then block on the receive.
+  Fixture f(net::das_config(2, 2));
+  sim::SimTime posted_at = -1;
+  sim::SimTime received_at = -1;
+  f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
+    if (p.rank == 0) {
+      f.rt.send_data(p, 2, /*tag=*/5, 4096);  // crosses the WAN
+      posted_at = p.now();
+      co_await p.compute(sim::milliseconds(1));
+    } else if (p.rank == 2) {
+      (void)co_await f.rt.recv_data(p, 5);
+      received_at = p.now();
+    }
+  });
+  f.rt.run_all();
+  EXPECT_EQ(posted_at, 0);                       // fire-and-forget
+  EXPECT_GT(received_at, sim::milliseconds(1));  // WAN transit
+}
+
 TEST(Barrier, SynchronizesAllProcesses) {
   Fixture f(net::das_config(2, 4));
   std::vector<sim::SimTime> after(8, -1);

@@ -237,28 +237,6 @@ TEST(Metrics, HistogramPercentilesAreBucketUpperBounds) {
   EXPECT_EQ(empty.percentile(50), 0u);
 }
 
-TEST(Metrics, SnapshotMergeAddsAndMergesElementwise) {
-  trace::Metrics a, b;
-  *a.counter("x") = 1;
-  *b.counter("x") = 2;
-  *b.counter("only_b") = 5;
-  *a.gauge("g") = 1.5;
-  *b.gauge("g") = 2.5;
-  a.histogram("h")->add(4);
-  b.histogram("h")->add(8);
-
-  trace::MetricsSnapshot s = a.snapshot();
-  s.merge(b.snapshot());
-  EXPECT_EQ(*s.counter("x"), 3u);
-  EXPECT_EQ(*s.counter("only_b"), 5u);
-  EXPECT_DOUBLE_EQ(*s.gauge("g"), 4.0);
-  ASSERT_NE(s.histogram("h"), nullptr);
-  EXPECT_EQ(s.histogram("h")->count, 2u);
-  EXPECT_EQ(s.histogram("h")->sum, 12u);
-  EXPECT_EQ(s.histogram("h")->min, 4u);
-  EXPECT_EQ(s.histogram("h")->max, 8u);
-}
-
 TEST(Metrics, CsvAndJsonAreNameOrderedAndStable) {
   trace::Metrics m;
   *m.counter("b/second") = 2;

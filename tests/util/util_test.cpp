@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "util/log.hpp"
 #include "util/options.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace alb::util {
@@ -258,68 +259,18 @@ TEST(Options, ProvidedTracksExplicitArgumentsOnly) {
   EXPECT_FALSE(o.provided("bogus"));
 }
 
-TEST(Stats, MeanAndStdev) {
-  std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
-  EXPECT_DOUBLE_EQ(mean(xs), 5.0);
-  EXPECT_NEAR(stdev(xs), 2.138, 0.001);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 40);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 25);
-}
-
-TEST(Stats, AccumulatorMatchesBatch) {
-  std::vector<double> xs{1.5, 2.5, 3.0, 10.0, -4.0};
-  Accumulator acc;
-  for (double x : xs) acc.add(x);
-  EXPECT_DOUBLE_EQ(acc.mean(), mean(xs));
-  EXPECT_NEAR(acc.stdev(), stdev(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(acc.min(), -4.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 10.0);
-  EXPECT_EQ(acc.count(), xs.size());
-}
-
-TEST(Stats, EmptyInputsAreZero) {
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(stdev({}), 0.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
-  EXPECT_DOUBLE_EQ(min_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(max_of({}), 0.0);
-}
-
-TEST(Stats, PercentileExtremesAndClamping) {
-  std::vector<double> xs{30, 10, 20};  // unsorted on purpose
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 30);
-  // Out-of-range p clamps to the extremes rather than indexing garbage.
-  EXPECT_DOUBLE_EQ(percentile(xs, -5), 10);
-  EXPECT_DOUBLE_EQ(percentile(xs, 250), 30);
-  // Single sample: every percentile is that sample.
-  EXPECT_DOUBLE_EQ(percentile({7.5}, 0), 7.5);
-  EXPECT_DOUBLE_EQ(percentile({7.5}, 50), 7.5);
-  EXPECT_DOUBLE_EQ(percentile({7.5}, 100), 7.5);
-}
-
-TEST(Stats, AccumulatorSingleSample) {
-  Accumulator acc;
-  acc.add(-3.25);
-  EXPECT_EQ(acc.count(), 1u);
-  EXPECT_DOUBLE_EQ(acc.mean(), -3.25);
-  EXPECT_DOUBLE_EQ(acc.stdev(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.min(), -3.25);
-  EXPECT_DOUBLE_EQ(acc.max(), -3.25);
-  EXPECT_DOUBLE_EQ(acc.sum(), -3.25);
-}
-
-TEST(Stats, AccumulatorEmpty) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.stdev(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 0.0);
+TEST(Log, CaptureRespectsLevelAndTimestamp) {
+  std::string captured;
+  set_log_capture(&captured);
+  set_log_level(LogLevel::Info);
+  ALB_LOG(Debug) << "hidden";
+  ALB_LOG(Info) << "visible " << 42;
+  ALB_LOG_AT(LogLevel::Warn, 1500) << "stamped";
+  set_log_capture(nullptr);
+  set_log_level(LogLevel::Warn);
+  EXPECT_EQ(captured.find("hidden"), std::string::npos);
+  EXPECT_NE(captured.find("visible 42"), std::string::npos);
+  EXPECT_NE(captured.find("t=1500ns"), std::string::npos);
 }
 
 }  // namespace

@@ -302,6 +302,35 @@ assert {"serve.parse", "serve.resolve", "serve.simulate", "serve.output",
 print(f"telemetry artifacts OK: {len(names)} serve tracks, {len(spans)} span kinds")
 EOF
 
+echo "=== lint: no orphan headers ==="
+# Every header under src/ must be included by some file under src/,
+# tools/, bench/, perfbench/ or examples/ other than its own .cpp. A
+# header that only tests include is code nothing runs: delete it with
+# its tests.
+python3 - <<'EOF'
+import pathlib, re, sys
+
+inc = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.M)
+users = {}
+for root in ("src", "tools", "bench", "perfbench", "examples"):
+    for f in pathlib.Path(root).rglob("*"):
+        if f.suffix not in (".hpp", ".cpp", ".h", ".cc"):
+            continue
+        for target in inc.findall(f.read_text()):
+            users.setdefault(target, set()).add(f)
+
+orphans = []
+for h in sorted(pathlib.Path("src").rglob("*.hpp")):
+    name = h.relative_to("src").as_posix()
+    if not users.get(name, set()) - {h.with_suffix(".cpp")}:
+        orphans.append(name)
+for name in orphans:
+    print(f"orphan header: src/{name} (only its own .cpp or the tests include it)")
+if orphans:
+    sys.exit(1)
+print("orphan-header lint OK")
+EOF
+
 echo "=== docs: metric catalogue coverage ==="
 # Every sim/net/orca metric name the source publishes must appear in the
 # OBSERVABILITY.md catalogue (directly, via a `<kind>` template, or
