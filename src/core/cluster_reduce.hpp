@@ -173,10 +173,6 @@ class ClusterReducer {
     (void)co_await rt_->rpc_blocking(p.node, coord_node, bytes_, kAckBytes, std::move(op));
   }
 
-  /// Update sends to an owner (direct-path contributors and
-  /// coordinators).
-  std::uint64_t wan_updates() const { return wan_updates_; }
-
  private:
   static constexpr std::size_t kAckBytes = 8;
 
@@ -187,7 +183,6 @@ class ClusterReducer {
   }
 
   sim::Task<void> send_to_owner(net::NodeId from, int owner_rank, Update u) {
-    ++wan_updates_;
     ClusterReducer* self = this;
     auto boxed = std::make_shared<Update>(std::move(u));
     std::function<std::shared_ptr<const void>()> op =
@@ -246,7 +241,6 @@ class ClusterReducer {
   bool enabled_;
   /// In-flight combines, sharded by the coordinator's cluster.
   std::vector<std::map<Key, Partial>> partial_;
-  std::uint64_t wan_updates_ = 0;
 };
 
 }  // namespace alb::wide

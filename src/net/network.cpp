@@ -713,11 +713,10 @@ std::uint64_t sum_links(const std::vector<std::unique_ptr<Link>>& links, Fn fn) 
 }  // namespace
 
 void Network::publish_metrics(trace::Metrics& m) const {
-  const TrafficStats& merged = stats_;
   // Per-kind LAN/WAN breakdown straight from the traffic accounting.
   for (int k = 0; k < TrafficStats::kNumKinds; ++k) {
     const MsgKind kind = static_cast<MsgKind>(k);
-    const KindCounters& c = merged.kind(kind);
+    const KindCounters& c = stats_.kind(kind);
     const std::string base = to_string(kind);
     *m.counter("net/lan." + base + ".msgs") = c.intra_msgs;
     *m.counter("net/lan." + base + ".bytes") = c.intra_bytes;
@@ -729,10 +728,10 @@ void Network::publish_metrics(trace::Metrics& m) const {
   // messages, "RPC kbyte" adds replies; broadcast folds in ordering
   // control traffic. Published so benches/tools read the table numbers
   // by name instead of re-deriving them.
-  *m.counter("net/wan.table.rpc.msgs") = merged.inter_rpc_count() + merged.inter_data_count();
-  *m.counter("net/wan.table.rpc.bytes") = merged.inter_rpc_bytes() + merged.inter_data_bytes();
-  *m.counter("net/wan.table.bcast.msgs") = merged.inter_bcast_count();
-  *m.counter("net/wan.table.bcast.bytes") = merged.inter_bcast_bytes();
+  *m.counter("net/wan.table.rpc.msgs") = stats_.inter_rpc_count() + stats_.inter_data_count();
+  *m.counter("net/wan.table.rpc.bytes") = stats_.inter_rpc_bytes() + stats_.inter_data_bytes();
+  *m.counter("net/wan.table.bcast.msgs") = stats_.inter_bcast_count();
+  *m.counter("net/wan.table.bcast.bytes") = stats_.inter_bcast_bytes();
 
   // Per-link-class aggregates (utilization & queueing).
   *m.counter("net/link.lan.msgs") = sum_links(lan_links_, [](const Link& l) { return l.messages(); }) +
@@ -762,20 +761,20 @@ void Network::publish_metrics(trace::Metrics& m) const {
   // Logical-vs-wire split and the combining report. Published only when
   // they carry information (combining or framing actually diverged the
   // two views) so default runs keep their historical counter set.
-  bool has_logical = merged.combined().flushes > 0;
+  bool has_logical = stats_.combined().flushes > 0;
   for (int k = 0; k < TrafficStats::kNumKinds && !has_logical; ++k) {
-    const KindCounters& c = merged.kind(static_cast<MsgKind>(k));
+    const KindCounters& c = stats_.kind(static_cast<MsgKind>(k));
     has_logical = c.inter_logical_msgs != c.inter_msgs || c.inter_logical_bytes != c.inter_bytes;
   }
   if (has_logical) {
     for (int k = 0; k < TrafficStats::kNumKinds; ++k) {
       const MsgKind kind = static_cast<MsgKind>(k);
-      const KindCounters& c = merged.kind(kind);
+      const KindCounters& c = stats_.kind(kind);
       const std::string base = to_string(kind);
       *m.counter("net/wan." + base + ".logical_msgs") = c.inter_logical_msgs;
       *m.counter("net/wan." + base + ".logical_bytes") = c.inter_logical_bytes;
     }
-    const CombinedCounters& cc = merged.combined();
+    const CombinedCounters& cc = stats_.combined();
     *m.counter("net/wan.combined.flushes") = cc.flushes;
     *m.counter("net/wan.combined.members") = cc.members;
     *m.counter("net/wan.combined.wire_bytes") = cc.wire_bytes;

@@ -17,11 +17,12 @@
 // context that touches it — pending RPCs and call ids by the caller's
 // cluster, the served-RPC duplicate cache by the server's, barrier and
 // object waiters by node. Finish bookkeeping is counted once, plus a
-// per-cluster finished count for cluster_quiescent(). Hard failures are observed per cluster: the
-// injector's on_fail callback fails the origin cluster's parked waiters
-// in its own context and schedules a propagation event on every other
-// cluster one WAN latency later (the earliest a real notification could
-// arrive), which fails that cluster's waiters there.
+// per-cluster finished count for cluster_quiescent(). Hard failures
+// are observed per cluster: the injector's on_fail callback fails the
+// origin cluster's parked waiters in its own context and schedules a
+// propagation event on every other cluster one WAN latency later (the
+// earliest a real notification could arrive), which fails that
+// cluster's waiters there.
 
 #include <cassert>
 #include <cstdint>
