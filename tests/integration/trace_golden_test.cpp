@@ -47,6 +47,11 @@
 // 4x3, where P is not a power of two, so RA's `owner_of` modulo and the
 // wrap-around in IDA*'s original victim order are both exercised.
 //
+// The Water pins cover the host tables that count how many force
+// contributions each owner waits for, and how many each cluster's
+// reducer merges. P = 12 (4x3) is even, so the antipodal blocks are
+// split between the halves of the ring; P = 15 (3x5) is odd.
+//
 // The extra ASP pins cover every path that builds a fixed-location
 // sequencer: the single-cluster default, an app-forced centralized
 // sequencer on four clusters (clean and under WAN loss, where the
@@ -258,6 +263,41 @@ TEST(TraceGolden, Ida4ClusterOptimized) {
                 Golden{4925849120101023366ull, 17621ull, 233173001,
                        907587028073409787ull},
                 "IDA* optimized");
+}
+
+AppConfig water_cfg(int clusters, int per, bool optimized) {
+  AppConfig c = cfg4(optimized, per);
+  c.clusters = clusters;
+  c.net_cfg = net::das_config(clusters, per);
+  return c;
+}
+
+TEST(TraceGolden, Water4ClusterOriginal) {
+  expect_golden(run_water(water_cfg(4, 3, false), WaterParams{}),
+                Golden{14429889416364261881ull, 3731ull, 3418752532,
+                       14609096275026038123ull},
+                "Water 4x3 original");
+}
+
+TEST(TraceGolden, Water4ClusterOptimized) {
+  expect_golden(run_water(water_cfg(4, 3, true), WaterParams{}),
+                Golden{9164753006089626481ull, 3053ull, 3218151596,
+                       14609096275026038123ull},
+                "Water 4x3 optimized");
+}
+
+TEST(TraceGolden, Water3ClusterOriginal) {
+  expect_golden(run_water(water_cfg(3, 5, false), WaterParams{}),
+                Golden{2296853021688224725ull, 5465ull, 2757270728,
+                       14609096275026038123ull},
+                "Water 3x5 original");
+}
+
+TEST(TraceGolden, Water3ClusterOptimized) {
+  expect_golden(run_water(water_cfg(3, 5, true), WaterParams{}),
+                Golden{5213897570962960891ull, 4274ull, 2441711482,
+                       14609096275026038123ull},
+                "Water 3x5 optimized");
 }
 
 // FNV-1a over the bytes of the snapshot's CSV dump.
