@@ -1,5 +1,6 @@
 #include "apps/water.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <map>
@@ -135,22 +136,6 @@ struct ShellPartition {
     }
     return js;
   }
-
-  /// How many processes in cluster `c` have `owner` in their shell
-  /// (the expected contributor count for the cluster reducer).
-  int contributors_in_cluster(const orca::Proc& p, int owner) const {
-    int count = 0;
-    for (int i = 0; i < p.procs_per_cluster(); ++i) {
-      int rank = p.rank_in_cluster(p.net->topology().cluster_of(p.node), i);
-      for (int j : shell(rank)) {
-        if (j == owner) {
-          ++count;
-          break;
-        }
-      }
-    }
-    return count;
-  }
 };
 
 Block snapshot(const std::vector<Molecule>& mols, std::size_t lo, std::size_t hi) {
@@ -242,49 +227,43 @@ AppResult run_water(const AppConfig& cfg, const WaterParams& params) {
       [&](int owner, Contribution&& c) { apply_contribution(owner, std::move(c)); },
       use_reducer);
 
-  // Expected contributions at each owner: one merged contribution per
-  // remote cluster that has it in shell (optimized) or one per remote
-  // process with it in shell (original), plus nothing for itself.
+  // in_shell[c][j]: how many processes in cluster c have block j in
+  // their shell. The shells are static, so this is counted once here.
+  const net::Topology& topo = h.net.topology();
+  std::vector<std::vector<int>> in_shell(static_cast<std::size_t>(cfg.clusters),
+                                         std::vector<int>(static_cast<std::size_t>(P), 0));
+  for (int r = 0; r < P; ++r) {
+    auto& row = in_shell[static_cast<std::size_t>(topo.cluster_of(r))];
+    for (int j : part.shell(r)) ++row[static_cast<std::size_t>(j)];
+  }
+  // Expected contributions at each owner: one per process with it in
+  // shell (original), or, with the cluster reducer, one per process of
+  // the owner's own cluster plus one merged contribution per other
+  // cluster that has it in shell.
+  std::vector<int> expected(static_cast<std::size_t>(P), 0);
+  for (int j = 0; j < P; ++j) {
+    const net::ClusterId own = topo.cluster_of(j);
+    for (int c = 0; c < cfg.clusters; ++c) {
+      const int n = in_shell[static_cast<std::size_t>(c)][static_cast<std::size_t>(j)];
+      expected[static_cast<std::size_t>(j)] += use_reducer && c != own ? std::min(n, 1) : n;
+    }
+  }
+
   AppResult result = h.finish([&, params](orca::Proc& p) -> sim::Task<void> {
     const std::size_t my_lo = part.lo(p.rank);
     const std::size_t my_hi = part.hi(p.rank);
     const std::vector<int> shell = part.shell(p.rank);
+    const std::vector<int>& my_cluster_in_shell = in_shell[static_cast<std::size_t>(p.cluster())];
 
     for (int step = 0; step < params.steps; ++step) {
       const auto e = static_cast<std::uint64_t>(step);
       // Publish current positions for this step.
       cache.publish(p, e, std::make_shared<const Block>(snapshot(*mols, my_lo, my_hi)));
 
-      // Compute how many contributions I will receive this step.
+      // Arm this step's latch with the contributions it waits for.
       {
-        int expected = 0;
-        if (use_reducer) {
-          // Same-cluster contributors send individually; each remote
-          // cluster with at least one contributor sends one merged
-          // update (ClusterReducer semantics).
-          for (int c = 0; c < p.clusters(); ++c) {
-            int in_cluster = 0;
-            for (int i = 0; i < p.procs_per_cluster(); ++i) {
-              int r = p.rank_in_cluster(c, i);
-              for (int j : part.shell(r)) {
-                if (j == p.rank) ++in_cluster;
-              }
-            }
-            if (c == p.cluster()) {
-              expected += in_cluster;
-            } else if (in_cluster > 0) {
-              expected += 1;
-            }
-          }
-        } else {
-          for (int r = 0; r < P; ++r) {
-            for (int j : part.shell(r)) {
-              if (j == p.rank) ++expected;
-            }
-          }
-        }
         Incoming& inc = get_incoming(p.rank, e);
-        inc.expected = expected;
+        inc.expected = expected[static_cast<std::size_t>(p.rank)];
         if (inc.expected == 0 || inc.received == inc.expected) inc.complete.set_value();
       }
 
@@ -316,7 +295,7 @@ AppResult run_water(const AppConfig& cfg, const WaterParams& params) {
       for (std::size_t s = 0; s < shell.size(); ++s) {
         const int j = shell[s];
         const int expected_from_my_cluster =
-            use_reducer ? part.contributors_in_cluster(p, j) : 1;
+            use_reducer ? my_cluster_in_shell[static_cast<std::size_t>(j)] : 1;
         Contribution contribution{e, std::move(outgoing[s])};
         co_await reducer.contribute(p, j, e, std::move(contribution),
                                     expected_from_my_cluster);
