@@ -67,7 +67,6 @@ class StealScheduler {
     d.pop_back();
     return j;
   }
-  std::size_t local_size(const orca::Proc& p) { return deque_of(p.rank).size(); }
 
   /// Announces an idle/active transition (a totally-ordered broadcast,
   /// like the termination-detection messages in the paper's IDA*).

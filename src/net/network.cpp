@@ -132,7 +132,15 @@ void Network::schedule_hop_after(sim::SimTime delay, HopPlan plan) {
 void Network::run_hop(HopPlan plan) {
   switch (plan.stage) {
     case HopStage::kGatewayIngress: {
-      const bool combine = combinable(plan);
+      // With combining on, every message kind goes through the combine
+      // buffer, blocking request/reply traffic included. That is safe
+      // because a message is only ever held when the circuit is busy,
+      // and the circuit-free flush ships the batch the moment the wire
+      // could have accepted its first member — a hold never outlasts the
+      // backlog the message would have queued behind anyway, so even a
+      // stalled RPC requester waits no longer than flat wire queueing
+      // would have cost it.
+      const bool combine = combining_on();
       if (combine) {
         // Wire accounting is deferred to the flush (or the bypass) —
         // only the logical crossing is known here.

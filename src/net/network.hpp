@@ -150,17 +150,6 @@ class Network {
 
   // --- gateway message combining (wan_transport.combine_bytes > 0) ---
   bool combining_on() const { return !combine_shards_.empty(); }
-  /// A message eligible for the combine buffer: every kind, including
-  /// blocking request/reply traffic. That is safe because a message is
-  /// only ever held when the circuit is busy, and the circuit-free
-  /// flush ships the batch the moment the wire could have accepted its
-  /// first member — a hold never outlasts the backlog the message would
-  /// have queued behind anyway, so even a stalled RPC requester waits
-  /// no longer than flat wire queueing would have cost it.
-  bool combinable(const HopPlan& plan) const {
-    (void)plan;
-    return combining_on();
-  }
   /// Buffer index inside a source-cluster shard: one buffer per
   /// (destination cluster, message kind, fault service class) so a
   /// flush is homogeneous for accounting and fault handling.

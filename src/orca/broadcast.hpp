@@ -57,11 +57,6 @@ class BroadcastEngine {
   /// sequencing, never blocks the caller.
   void broadcast_unordered(net::NodeId node, std::size_t bytes, BcastOp op);
 
-  /// Operations applied on `node` so far (ordered + unordered).
-  std::uint64_t applied_on(net::NodeId node) const {
-    return applied_count_[static_cast<std::size_t>(node)];
-  }
-
   /// Total operations applied across every node (post-run view).
   std::uint64_t applied_total() const {
     std::uint64_t n = 0;

@@ -27,7 +27,6 @@ class Channel {
 
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
-  std::size_t waiting_receivers() const { return waiters_.size(); }
 
   void send(T item) {
     if (!waiters_.empty()) {

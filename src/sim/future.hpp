@@ -67,12 +67,6 @@ class Future {
     state_->wake_all();
   }
 
-  /// Value access once ready (copies; primarily for tests).
-  const Stored& peek() const {
-    assert(state_->value.has_value());
-    return *state_->value;
-  }
-
   auto operator co_await() const noexcept {
     struct Awaiter {
       std::shared_ptr<detail::FutureState<Stored>> st;

@@ -238,7 +238,6 @@ class Session {
   }
 
   bool sharded() const { return !shards_.empty(); }
-  int shard_count() const { return static_cast<int>(shards_.size()); }
   /// Owner `o`'s recorder shard (null when tracing is disabled).
   Recorder* recorder_shard(int o) {
     return shards_.empty() ? rec_.get() : shards_[static_cast<std::size_t>(o)].get();
