@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local CI gate: sanitizer build + release build, both test suites,
-# a TSan pass over the campaign engine, perf and paper-claim gates, a
-# table of byte-identity diffs, and doc lints. Usage: tools/check.sh [jobs]
+# Full local CI gate: Python unit tests, sanitizer build + release build,
+# both test suites, a TSan pass over the campaign engine, perf and
+# paper-claim gates, a table of byte-identity diffs, and doc lints.
+# Usage: tools/check.sh [jobs]
 #
 #   build-asan/     Debug + ASan/UBSan (catches lifetime bugs in the
 #                   zero-allocation hot path, where objects are recycled
@@ -18,6 +19,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
+
+echo "=== python unit tests: benchmark statistics + perf_pair verdicts ==="
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+python3 tools/test_perf_pair.py
 
 echo "=== configure + build: Debug + ASan/UBSan ==="
 cmake -B build-asan -S . \
@@ -56,15 +61,6 @@ echo "=== perf gate: bench_engine vs tracked baseline ==="
 # must stay within tolerance of the pre-telemetry baseline.
 ./build-release/bench/bench_engine --json build-release/BENCH_engine.gate.json > /dev/null
 python3 tools/bench_compare.py results/BENCH_engine.baseline.json \
-  build-release/BENCH_engine.gate.json
-
-echo "=== perf trajectory: record + compare against bench history ==="
-# Every gate run extends results/history.jsonl (one record per bench,
-# keyed by git rev + hardware_concurrency; same-rev reruns replace),
-# then the run is held against the median of its own trajectory.
-python3 tools/bench_history.py build-release/BENCH_engine.gate.json \
-  --history results/history.jsonl
-python3 tools/bench_compare.py --history results/history.jsonl \
   build-release/BENCH_engine.gate.json
 
 echo "=== observability smoke: traced run + artifact validation ==="
