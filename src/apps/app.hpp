@@ -161,6 +161,10 @@ struct Harness {
     return e;
   }
 
+ public:
+  /// The topology a run of `cfg` builds: net_cfg with the run's
+  /// geometry and WAN transport flags applied. Front-ends validate it
+  /// to reject a config before simulating it.
   static net::TopologyConfig patch(const AppConfig& cfg) {
     net::TopologyConfig t = cfg.net_cfg;
     t.clusters = cfg.clusters;
@@ -177,6 +181,7 @@ struct Harness {
     return t;
   }
 
+ private:
   /// Copies the harness-level collective + adaptive policy into the
   /// runtime config, resolving flag-vs-policy precedence (explicit
   /// flags win; the Runtime itself resolves an app-forced sequencer).
@@ -214,5 +219,7 @@ struct AppEntry {
   std::function<AppResult(const AppConfig&)> run;
 };
 const std::vector<AppEntry>& registry();
+/// The registry entry named `name`, or nullptr.
+const AppEntry* find_app(const std::string& name);
 
 }  // namespace alb::apps

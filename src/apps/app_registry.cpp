@@ -26,4 +26,11 @@ const std::vector<AppEntry>& registry() {
   return entries;
 }
 
+const AppEntry* find_app(const std::string& name) {
+  for (const AppEntry& e : registry()) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
+
 }  // namespace alb::apps

@@ -297,13 +297,6 @@ void ResultCache::count(bool hit, std::int64_t t0_ns) {
   }
 }
 
-const std::string* ResultCache::lookup_text(const std::string& key) {
-  const std::int64_t t0 = telemetry::Collector::active() ? telemetry::now_ns() : 0;
-  const std::string* text = find(key);
-  count(text != nullptr, t0);
-  return text;
-}
-
 std::optional<apps::AppResult> ResultCache::lookup(const std::string& key) {
   const std::int64_t t0 = telemetry::Collector::active() ? telemetry::now_ns() : 0;
   std::optional<apps::AppResult> r;

@@ -57,8 +57,6 @@ class ResultCache {
   /// `binary_version`: defaults to the build's ALB_BINARY_VERSION.
   explicit ResultCache(std::string disk_dir = "", std::string binary_version = "");
 
-  const std::string& binary_version() const { return version_; }
-
   /// The content address of a canonical request under this binary.
   std::string key(const std::string& canonical_request) const;
 
@@ -66,10 +64,6 @@ class ResultCache {
   /// Counts a hit or a miss. An entry that fails to parse is dropped,
   /// counted in stats().corrupt and reported as a miss.
   std::optional<apps::AppResult> lookup(const std::string& key);
-
-  /// Serialized-form lookup: the exact stored bytes, no re-parse. The
-  /// byte-identity the serve path emits is this string's.
-  const std::string* lookup_text(const std::string& key);
 
   void store(const std::string& key, const apps::AppResult& r);
 

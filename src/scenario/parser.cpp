@@ -12,6 +12,7 @@
 // interpreted cleanly, so a caller can never observe a partial config.
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -223,10 +224,14 @@ long long parse_size(const std::string& file, const KV& kv) {
 long long parse_int(const std::string& file, const KV& kv) {
   const char* begin = kv.value.c_str();
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(begin, &end, 10);
   if (kv.value.empty() || end != begin + kv.value.size()) {
     fail(Code::BadValue, file, kv.vpos,
          "'" + kv.key + "': expected an integer, got '" + kv.value + "'");
+  }
+  if (errno == ERANGE) {
+    fail(Code::OutOfRange, file, kv.vpos, "'" + kv.key + "': integer '" + kv.value + "' overflows");
   }
   return parsed;
 }
@@ -279,6 +284,79 @@ sim::SimTime rtt_to_one_way(sim::SimTime rtt) {
            "]; known: " + known);
 }
 
+/// The run-override vocabulary, in the order diagnostics list it.
+constexpr const char* kVocabulary =
+    "app opt adapt seed coll wan_streams combine_bytes clusters per_cluster rtt latency bandwidth";
+
+/// Applies one key of the run-override vocabulary: the one place each
+/// key is parsed and range-checked. False when `kv.key` is not in the
+/// vocabulary; the caller reports it in its own context.
+bool apply_vocabulary(RunPlan* run, const std::string& file, const KV& kv) {
+  apps::AppConfig& cfg = run->cfg;
+  if (kv.key == "app") {
+    if (apps::find_app(kv.value) == nullptr) {
+      std::string known;
+      for (const apps::AppEntry& e : apps::registry()) known += " " + e.name;
+      fail(Code::BadValue, file, kv.vpos, "'app': unknown app '" + kv.value + "'; known:" + known);
+    }
+    run->app = kv.value;
+  } else if (kv.key == "opt") {
+    cfg.optimized = parse_bool(file, kv);
+  } else if (kv.key == "adapt") {
+    cfg.adapt = parse_bool(file, kv);
+  } else if (kv.key == "seed") {
+    const long long seed = parse_int(file, kv);
+    if (seed < 0) {
+      fail(Code::OutOfRange, file, kv.vpos, "'seed': must be non-negative");
+    }
+    cfg.seed = static_cast<std::uint64_t>(seed);
+  } else if (kv.key == "coll") {
+    if (kv.value == "tree") cfg.coll = orca::coll::Mode::Tree;
+    else if (kv.value == "flat") cfg.coll = orca::coll::Mode::Flat;
+    else {
+      fail(Code::BadValue, file, kv.vpos,
+           "'coll': expected flat or tree, got '" + kv.value + "'");
+    }
+  } else if (kv.key == "wan_streams") {
+    const long long streams = parse_int(file, kv);
+    if (streams < 1 || streams > 64) {
+      fail(Code::OutOfRange, file, kv.vpos,
+           "'wan_streams': must be in [1, 64] (got " + kv.value + ")");
+    }
+    cfg.wan_streams = static_cast<int>(streams);
+  } else if (kv.key == "combine_bytes") {
+    const long long bytes = parse_int(file, kv);
+    if (bytes < -1 || bytes > (1ll << 30)) {
+      fail(Code::OutOfRange, file, kv.vpos,
+           "'combine_bytes': must be in [-1, 2^30] (got " + kv.value + ")");
+    }
+    cfg.combine_bytes = bytes;
+  } else if (kv.key == "clusters") {
+    const long long n = parse_int(file, kv);
+    if (n < 1 || n > 1024) {
+      fail(Code::OutOfRange, file, kv.vpos,
+           "'clusters': must be in [1, 1024] (got " + kv.value + ")");
+    }
+    cfg.clusters = static_cast<int>(n);
+  } else if (kv.key == "per_cluster") {
+    const long long n = parse_int(file, kv);
+    if (n < 1 || n > 4096) {
+      fail(Code::OutOfRange, file, kv.vpos,
+           "'per_cluster': must be in [1, 4096] (got " + kv.value + ")");
+    }
+    cfg.procs_per_cluster = static_cast<int>(n);
+  } else if (kv.key == "rtt") {
+    cfg.net_cfg.wan.latency = rtt_to_one_way(parse_time(file, kv));
+  } else if (kv.key == "latency") {
+    cfg.net_cfg.wan.latency = parse_time(file, kv);
+  } else if (kv.key == "bandwidth") {
+    cfg.net_cfg.wan.bandwidth_bytes_per_sec = parse_bandwidth(file, kv);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 // --- interpreter -----------------------------------------------------
 
 struct Interp {
@@ -307,70 +385,6 @@ struct Interp {
         unknown_key(file, s, kv,
                     is_wan ? "latency bandwidth overhead rtt" : "latency bandwidth overhead");
       }
-    }
-  }
-
-  /// One [run]/[grid] override. `in_grid` disallows 'label'.
-  void apply_override(RunPlan* run, const Section& s, const KV& kv, bool in_grid) {
-    apps::AppConfig& cfg = run->cfg;
-    if (kv.key == "label" && !in_grid) {
-      run->label = kv.value;
-    } else if (kv.key == "app") {
-      run->app = kv.value;
-    } else if (kv.key == "opt") {
-      cfg.optimized = parse_bool(file, kv);
-    } else if (kv.key == "adapt") {
-      cfg.adapt = parse_bool(file, kv);
-    } else if (kv.key == "seed") {
-      const long long seed = parse_int(file, kv);
-      if (seed < 0) {
-        fail(Code::OutOfRange, file, kv.vpos, "'seed': must be non-negative");
-      }
-      cfg.seed = static_cast<std::uint64_t>(seed);
-    } else if (kv.key == "coll") {
-      if (kv.value == "tree") cfg.coll = orca::coll::Mode::Tree;
-      else if (kv.value == "flat") cfg.coll = orca::coll::Mode::Flat;
-      else {
-        fail(Code::BadValue, file, kv.vpos,
-             "'coll': expected flat or tree, got '" + kv.value + "'");
-      }
-    } else if (kv.key == "wan_streams") {
-      const long long streams = parse_int(file, kv);
-      if (streams < 1 || streams > 64) {
-        fail(Code::OutOfRange, file, kv.vpos,
-             "'wan_streams': must be in [1, 64] (got " + kv.value + ")");
-      }
-      cfg.wan_streams = static_cast<int>(streams);
-    } else if (kv.key == "combine_bytes") {
-      const long long bytes = parse_int(file, kv);
-      if (bytes < -1 || bytes > (1ll << 30)) {
-        fail(Code::OutOfRange, file, kv.vpos,
-             "'combine_bytes': must be in [-1, 2^30] (got " + kv.value + ")");
-      }
-      cfg.combine_bytes = bytes;
-    } else if (kv.key == "clusters") {
-      const long long n = parse_int(file, kv);
-      if (n < 1 || n > 1024) {
-        fail(Code::OutOfRange, file, kv.vpos, "'clusters': must be in [1, 1024]");
-      }
-      cfg.clusters = static_cast<int>(n);
-    } else if (kv.key == "per_cluster") {
-      const long long n = parse_int(file, kv);
-      if (n < 1 || n > 4096) {
-        fail(Code::OutOfRange, file, kv.vpos, "'per_cluster': must be in [1, 4096]");
-      }
-      cfg.procs_per_cluster = static_cast<int>(n);
-    } else if (kv.key == "rtt") {
-      cfg.net_cfg.wan.latency = rtt_to_one_way(parse_time(file, kv));
-    } else if (kv.key == "latency") {
-      cfg.net_cfg.wan.latency = parse_time(file, kv);
-    } else if (kv.key == "bandwidth") {
-      cfg.net_cfg.wan.bandwidth_bytes_per_sec = parse_bandwidth(file, kv);
-    } else {
-      unknown_key(file, s, kv,
-                  std::string("app opt adapt seed coll wan_streams combine_bytes clusters "
-                              "per_cluster rtt latency bandwidth") +
-                      (in_grid ? "" : " label"));
     }
   }
 };
@@ -481,28 +495,19 @@ Scenario parse(const std::string& text, const std::string& filename) {
   if (const Section* s = in.find_unique("transport")) {
     net::WanTransportConfig& wt = base.net_cfg.wan_transport;
     for (const KV& kv : s->kvs) {
-      if (kv.key == "streams") {
-        const long long n = parse_int(filename, kv);
-        if (n < 1 || n > 1024) {
-          fail(ScenarioError::Code::OutOfRange, filename, kv.vpos.line, kv.vpos.col,
-               "'streams': must be in [1, 1024] (got " + kv.value + ")");
-        }
-        wt.streams = static_cast<int>(n);
-      } else if (kv.key == "chunk") {
+      if (kv.key == "chunk") {
         const long long n = parse_size(filename, kv);
         if (n < 1) {
           fail(ScenarioError::Code::OutOfRange, filename, kv.vpos.line, kv.vpos.col,
                "'chunk': must be positive (got " + kv.value + ")");
         }
         wt.stream_chunk_bytes = static_cast<std::size_t>(n);
-      } else if (kv.key == "combine_bytes") {
-        wt.combine_bytes = static_cast<std::size_t>(parse_size(filename, kv));
       } else if (kv.key == "combine_epoch") {
         wt.combine_epoch = parse_time(filename, kv);
       } else if (kv.key == "frame_bytes") {
         wt.frame_bytes = static_cast<std::size_t>(parse_size(filename, kv));
       } else {
-        unknown_key(filename, *s, kv, "streams chunk combine_bytes combine_epoch frame_bytes");
+        unknown_key(filename, *s, kv, "chunk combine_epoch frame_bytes");
       }
     }
   }
@@ -665,14 +670,14 @@ Scenario parse(const std::string& text, const std::string& filename) {
 
   // [flags] ------------------------------------------------------------
   if (const Section* s = in.find_unique("flags")) {
-    RunPlan probe;  // reuse the override machinery for identical checks
+    RunPlan probe;  // the run-override vocabulary minus the topology keys
     probe.cfg = base;
     for (const KV& kv : s->kvs) {
-      if (kv.key == "label" || kv.key == "clusters" || kv.key == "per_cluster" ||
-          kv.key == "rtt" || kv.key == "latency" || kv.key == "bandwidth") {
+      const bool topology = kv.key == "clusters" || kv.key == "per_cluster" ||
+                            kv.key == "rtt" || kv.key == "latency" || kv.key == "bandwidth";
+      if (topology || !apply_vocabulary(&probe, filename, kv)) {
         unknown_key(filename, *s, kv, "app opt adapt seed coll wan_streams combine_bytes");
       }
-      in.apply_override(&probe, *s, kv, false);
     }
     sc.app = probe.app;
     base = probe.cfg;
@@ -737,7 +742,9 @@ Scenario parse(const std::string& text, const std::string& filename) {
         const std::string& v = ax.values[(i / radix) % ax.values.size()];
         KV item = *ax.kv;
         item.value = v;
-        in.apply_override(&run, *grid, item, true);
+        if (!apply_vocabulary(&run, filename, item)) {
+          unknown_key(filename, *grid, item, kVocabulary);
+        }
         label += (label.empty() ? "" : ",") + ax.kv->key + "=" + v;
       }
       run.label = label;
@@ -748,7 +755,12 @@ Scenario parse(const std::string& text, const std::string& filename) {
       RunPlan run;
       run.app = sc.app;
       run.cfg = base;
-      for (const KV& kv : s->kvs) in.apply_override(&run, *s, kv, false);
+      for (const KV& kv : s->kvs) {
+        if (kv.key == "label") run.label = kv.value;
+        else if (!apply_vocabulary(&run, filename, kv)) {
+          unknown_key(filename, *s, kv, std::string(kVocabulary) + " label");
+        }
+      }
       if (run.label.empty()) run.label = "run" + std::to_string(sc.runs.size());
       sc.runs.push_back(std::move(run));
     }
@@ -759,18 +771,25 @@ Scenario parse(const std::string& text, const std::string& filename) {
   // Surface config-level errors (e.g. an override pair a run's smaller
   // cluster count invalidated) now, with at least file-level blame,
   // instead of letting them escape to simulation time.
-  for (const RunPlan& run : sc.runs) {
-    try {
-      net::TopologyConfig probe = run.cfg.net_cfg;
-      probe.clusters = run.cfg.clusters;
-      probe.nodes_per_cluster = run.cfg.procs_per_cluster;
-      probe.validate();
-    } catch (const net::ConfigError& e) {
-      throw ScenarioError(ScenarioError::Code::OutOfRange, filename, 1, 1,
-                          "run '" + run.label + "': " + e.what());
-    }
-  }
+  for (const RunPlan& run : sc.runs) check_run(run, filename, 1, 1);
   return sc;
+}
+
+void apply_override(RunPlan* run, const std::string& key, const std::string& value,
+                    const std::string& file, int line, int col) {
+  const KV kv{key, value, Pos{line, col}, Pos{line, col}};
+  if (!apply_vocabulary(run, file, kv)) {
+    fail(Code::UnknownKey, file, kv.kpos,
+         "unknown key '" + key + "'; known: " + std::string(kVocabulary));
+  }
+}
+
+void check_run(const RunPlan& run, const std::string& file, int line, int col) {
+  try {
+    apps::Harness::patch(run.cfg).validate();
+  } catch (const net::ConfigError& e) {
+    fail(Code::OutOfRange, file, line, col, "run '" + run.label + "': " + e.what());
+  }
 }
 
 }  // namespace alb::scenario

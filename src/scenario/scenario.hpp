@@ -100,6 +100,22 @@ struct Scenario {
 /// Throws ScenarioError; never returns a partial scenario.
 Scenario parse(const std::string& text, const std::string& filename = "<string>");
 
+/// Applies one run override `key = value` to `run`. The vocabulary is
+/// that of [flags]/[run]/[grid] (docs/SCENARIOS.md, "The override
+/// vocabulary"): app opt adapt seed coll wan_streams combine_bytes
+/// clusters per_cluster rtt latency bandwidth. The one place these keys
+/// are parsed and range-checked, for .scn files, alb-serve request
+/// lines and alb-trace flags alike; `app` must name a registry app.
+/// Throws ScenarioError at file:line:col.
+void apply_override(RunPlan* run, const std::string& key, const std::string& value,
+                    const std::string& file, int line, int col);
+
+/// Checks that the topology `run` would build is valid (e.g. no
+/// [wan A-B] pair beyond an overridden cluster count), so a bad run
+/// fails before simulating. Throws ScenarioError (OutOfRange) at
+/// file:line:col naming the run's label.
+void check_run(const RunPlan& run, const std::string& file, int line, int col);
+
 /// Resolves a scenario reference to a path: anything containing '/' or
 /// ending in ".scn" is used as a path; a bare name resolves to
 /// `<scenario_dir()>/<name>.scn`.

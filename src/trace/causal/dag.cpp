@@ -32,7 +32,9 @@ Protocol protocol_of_tag(int tag) {
     case orca::kTagSeqRequest:
     case orca::kTagSeqReply:
     case orca::kTagSeqToken:
-    case orca::kTagSeqMigrate: return Protocol::Seq;
+    case orca::kTagSeqMigrate:
+    case orca::kTagSeqHint:
+    case orca::kTagSeqArm: return Protocol::Seq;
     case orca::kTagBarrierArrive:
     case orca::kTagBarrierRelease: return Protocol::Barrier;
     default: return Protocol::App;

@@ -328,6 +328,97 @@ TEST(ScenarioParserErrors, FlapWindowMustBeOrdered) {
                Code::OutOfRange);
 }
 
+// --- the override vocabulary -----------------------------------------
+
+// One accepted value and its effect, and one rejected value and its
+// code, for every key of the vocabulary that .scn sections, alb-serve
+// request lines and alb-trace flags share.
+TEST(ScenarioVocabulary, EveryKeyParsesAndRangeChecks) {
+  using Check = std::function<bool(const scenario::RunPlan&)>;
+  struct Row {
+    const char* key;
+    const char* good;
+    Check effect;
+    const char* bad;
+    Code code;
+  };
+  const std::vector<Row> rows = {
+      {"app", "ASP", [](const auto& r) { return r.app == "ASP"; }, "Bogus", Code::BadValue},
+      {"opt", "on", [](const auto& r) { return r.cfg.optimized; }, "maybe", Code::BadValue},
+      {"adapt", "1", [](const auto& r) { return r.cfg.adapt; }, "2", Code::BadValue},
+      {"seed", "7", [](const auto& r) { return r.cfg.seed == 7u; }, "-1", Code::OutOfRange},
+      {"coll", "tree", [](const auto& r) { return r.cfg.coll == orca::coll::Mode::Tree; }, "ring",
+       Code::BadValue},
+      {"wan_streams", "64", [](const auto& r) { return r.cfg.wan_streams == 64; }, "65",
+       Code::OutOfRange},
+      {"combine_bytes", "4096", [](const auto& r) { return r.cfg.combine_bytes == 4096; },
+       "1073741825", Code::OutOfRange},
+      {"clusters", "2", [](const auto& r) { return r.cfg.clusters == 2; }, "0", Code::OutOfRange},
+      {"per_cluster", "4096", [](const auto& r) { return r.cfg.procs_per_cluster == 4096; },
+       "4097", Code::OutOfRange},
+      {"rtt", "20ms",
+       [](const auto& r) { return r.cfg.net_cfg.wan.latency == sim::microseconds(9860); }, "-1ms",
+       Code::OutOfRange},
+      {"latency", "5ms",
+       [](const auto& r) { return r.cfg.net_cfg.wan.latency == sim::milliseconds(5); }, "5",
+       Code::BadUnit},
+      {"bandwidth", "8Mbit",
+       [](const auto& r) { return r.cfg.net_cfg.wan.bandwidth_bytes_per_sec == 1e6; }, "0Mbit",
+       Code::OutOfRange},
+  };
+  const scenario::RunPlan base = scenario::load("das").runs[0];
+  for (const Row& row : rows) {
+    scenario::RunPlan run = base;
+    scenario::apply_override(&run, row.key, row.good, "req", 3, 5);
+    EXPECT_TRUE(row.effect(run)) << row.key << "=" << row.good;
+    EXPECT_FALSE(row.effect(base)) << row.key << ": the base already has the value";
+    try {
+      scenario::apply_override(&run, row.key, row.bad, "req", 3, 5);
+      ADD_FAILURE() << row.key << "=" << row.bad << " was accepted";
+    } catch (const ScenarioError& e) {
+      EXPECT_EQ(static_cast<int>(e.code()), static_cast<int>(row.code)) << e.what();
+      EXPECT_EQ(e.file(), "req");
+      EXPECT_EQ(e.line(), 3);
+      EXPECT_EQ(e.col(), 5);
+    }
+  }
+  scenario::RunPlan run = base;
+  try {
+    scenario::apply_override(&run, "label", "x", "req", 1, 1);
+    ADD_FAILURE() << "label is not a run override";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(static_cast<int>(e.code()), static_cast<int>(Code::UnknownKey)) << e.what();
+  }
+}
+
+TEST(ScenarioVocabulary, CheckRunRejectsAPairAShrunkenTopologyLacks) {
+  scenario::RunPlan run = scenario::load("hetero3").runs[0];
+  scenario::check_run(run, "req", 1, 1);
+  scenario::apply_override(&run, "clusters", "2", "req", 1, 1);
+  try {
+    scenario::check_run(run, "req", 2, 1);
+    FAIL() << "check_run accepted a [wan 0-2] pair on 2 clusters";
+  } catch (const ScenarioError& e) {
+    EXPECT_EQ(static_cast<int>(e.code()), static_cast<int>(Code::OutOfRange)) << e.what();
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("hetero3"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ScenarioVocabulary, UnknownAppIsRejectedInEverySection) {
+  expect_error("[flags]\napp = Bogus\n", Code::BadValue);
+  expect_error("[run]\napp = Bogus\n", Code::BadValue);
+  expect_error("[grid]\napp = TSP, Bogus\n", Code::BadValue);
+}
+
+TEST(ScenarioVocabulary, TransportLeavesStreamsAndCombiningToTheVocabulary) {
+  // wan_streams and combine_bytes are the one spelling of these values.
+  expect_error("[transport]\nstreams = 2\n", Code::UnknownKey);
+  expect_error("[transport]\ncombine_bytes = 4KB\n", Code::UnknownKey);
+  const Scenario sc = scenario::parse("[transport]\nchunk = 8KB\n", "t.scn");
+  EXPECT_EQ(sc.base.net_cfg.wan_transport.stream_chunk_bytes, 8192u);
+}
+
 // --- file loading ----------------------------------------------------
 
 TEST(ScenarioLoad, MissingFileIsTypedIo) {

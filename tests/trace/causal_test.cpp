@@ -7,13 +7,16 @@
 
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "apps/asp.hpp"
 #include "apps/ra.hpp"
 #include "apps/tsp.hpp"
 #include "net/presets.hpp"
+#include "orca/tags.hpp"
 #include "trace/causal/causal.hpp"
 #include "trace/trace.hpp"
 
@@ -44,6 +47,26 @@ apps::AspParams small_asp() {
   apps::AspParams p;
   p.nodes = 48;
   return p;
+}
+
+// --- protocol decoding -----------------------------------------------
+
+TEST(CausalProtocol, EveryRuntimeTagMapsToItsProtocol) {
+  using trace::causal::Protocol;
+  const std::pair<orca::RtsTag, Protocol> table[] = {
+      {orca::kTagRpcRequest, Protocol::Rpc},         {orca::kTagRpcReply, Protocol::Rpc},
+      {orca::kTagBcastData, Protocol::Bcast},        {orca::kTagSeqRequest, Protocol::Seq},
+      {orca::kTagSeqReply, Protocol::Seq},           {orca::kTagSeqToken, Protocol::Seq},
+      {orca::kTagSeqMigrate, Protocol::Seq},         {orca::kTagBarrierArrive, Protocol::Barrier},
+      {orca::kTagBarrierRelease, Protocol::Barrier}, {orca::kTagSeqHint, Protocol::Seq},
+      {orca::kTagSeqArm, Protocol::Seq},
+  };
+  // The tags are consecutive negatives from -1; the table covers them all.
+  ASSERT_EQ(std::size(table), static_cast<std::size_t>(-orca::kTagSeqArm));
+  for (const auto& [tag, proto] : table) {
+    EXPECT_EQ(trace::causal::protocol_of_tag(tag), proto) << "tag " << static_cast<int>(tag);
+  }
+  EXPECT_EQ(trace::causal::protocol_of_tag(0), Protocol::App);
 }
 
 // --- DAG invariants --------------------------------------------------

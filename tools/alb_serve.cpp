@@ -5,14 +5,16 @@
 //   <scenario-ref> [key=value ...]
 //
 // where <scenario-ref> names a shipped scenario (scenarios/<name>.scn)
-// or a .scn path, and the optional overrides (app, opt, seed, clusters,
-// per, coll, wan_streams, combine_bytes, adapt) apply on top of every
-// expanded run of that scenario. Each expanded run is answered from the
-// content-addressed result cache (src/campaign/result_cache.hpp) when
-// its canonical request has been simulated before — by this process or,
-// with --cache-dir, by any previous process of the same binary — and
-// only the misses are simulated, sharded --jobs wide through the
-// campaign engine.
+// or a .scn path, and the optional overrides apply on top of every
+// expanded run of that scenario. They are the [run] vocabulary minus
+// label (app opt adapt seed coll wan_streams combine_bytes clusters
+// per_cluster rtt latency bandwidth; `per` spells per_cluster), parsed
+// and range-checked by scenario::apply_override (docs/SCENARIOS.md).
+// Each expanded run is answered from the content-addressed result cache
+// (src/campaign/result_cache.hpp) when its canonical request has been
+// simulated before — by this process or, with --cache-dir, by any
+// previous process of the same binary — and only the misses are
+// simulated, sharded --jobs wide through the campaign engine.
 //
 // stdout carries one line per expanded run containing only simulated
 // values, so a cache hit is byte-identical to a fresh simulation and
@@ -50,89 +52,12 @@ using namespace alb;
 
 /// One expanded (request line × scenario run) unit of work.
 struct Unit {
-  std::string scenario;  ///< scenario name (for the output line)
-  std::string label;     ///< run label within the scenario
-  std::string app;       ///< resolved app registry name
-  std::string key;       ///< cache key of the canonical request
-  apps::AppConfig cfg;
+  std::string scenario;   ///< scenario name (for the output line)
+  scenario::RunPlan run;  ///< the scenario run with the line's overrides
+  std::string key;        ///< cache key of the canonical request
   bool resolved = false;
   apps::AppResult result;
 };
-
-[[noreturn]] void fail_request(int line_no, const std::string& msg) {
-  throw std::runtime_error("request line " + std::to_string(line_no) + ": " + msg);
-}
-
-long long parse_ll(int line_no, const std::string& k, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const long long parsed = std::stoll(v, &used);
-    if (used != v.size()) throw std::invalid_argument(v);
-    return parsed;
-  } catch (const std::exception&) {
-    fail_request(line_no, k + ": invalid integer '" + v + "'");
-  }
-}
-
-bool parse_onoff(int line_no, const std::string& k, const std::string& v) {
-  if (v == "1" || v == "true" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "off") return false;
-  fail_request(line_no, k + ": expected 0/1/true/false/on/off, got '" + v + "'");
-}
-
-/// Applies one `key=value` override token to a unit.
-void apply_override(Unit* u, int line_no, const std::string& tok) {
-  const std::size_t eq = tok.find('=');
-  if (eq == std::string::npos) {
-    fail_request(line_no, "override '" + tok + "' is not key=value");
-  }
-  const std::string k = tok.substr(0, eq);
-  const std::string v = tok.substr(eq + 1);
-  if (k == "app") {
-    u->app = v;
-  } else if (k == "opt") {
-    u->cfg.optimized = parse_onoff(line_no, k, v);
-  } else if (k == "adapt") {
-    u->cfg.adapt = parse_onoff(line_no, k, v);
-  } else if (k == "seed") {
-    const long long s = parse_ll(line_no, k, v);
-    if (s < 0) fail_request(line_no, "seed must be >= 0 (got " + v + ")");
-    u->cfg.seed = static_cast<std::uint64_t>(s);
-  } else if (k == "clusters") {
-    const long long c = parse_ll(line_no, k, v);
-    if (c < 1 || c > 1024) fail_request(line_no, "clusters must be in [1, 1024] (got " + v + ")");
-    u->cfg.clusters = static_cast<int>(c);
-  } else if (k == "per") {
-    const long long p = parse_ll(line_no, k, v);
-    if (p < 1 || p > 4096) fail_request(line_no, "per must be in [1, 4096] (got " + v + ")");
-    u->cfg.procs_per_cluster = static_cast<int>(p);
-  } else if (k == "coll") {
-    if (v == "flat") u->cfg.coll = orca::coll::Mode::Flat;
-    else if (v == "tree") u->cfg.coll = orca::coll::Mode::Tree;
-    else fail_request(line_no, "coll must be 'flat' or 'tree' (got '" + v + "')");
-  } else if (k == "wan_streams") {
-    const long long s = parse_ll(line_no, k, v);
-    if (s < 1 || s > 64) fail_request(line_no, "wan_streams must be in [1, 64] (got " + v + ")");
-    u->cfg.wan_streams = static_cast<int>(s);
-  } else if (k == "combine_bytes") {
-    const long long b = parse_ll(line_no, k, v);
-    if (b < -1 || b > (1ll << 30)) {
-      fail_request(line_no, "combine_bytes must be in [-1, 2^30] (got " + v + ")");
-    }
-    u->cfg.combine_bytes = b;
-  } else {
-    fail_request(line_no,
-                 "unknown override '" + k +
-                     "'; known: app opt adapt seed clusters per coll wan_streams combine_bytes");
-  }
-}
-
-const apps::AppEntry* find_app(const std::string& name) {
-  for (const auto& e : apps::registry()) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
 
 /// Formats a double the same way the result serialization does, so the
 /// output line is a pure function of the stored result.
@@ -224,6 +149,7 @@ int main(int argc, char** argv) {
     // Parsed-scenario cache: a request mix repeats a handful of
     // scenarios thousands of times; parse each file once.
     telemetry::ScopedSpan parse_span("serve.parse");
+    const std::string source = opts.get("requests").empty() ? "<stdin>" : opts.get("requests");
     std::map<std::string, scenario::Scenario> scenarios;
     std::string line;
     int line_no = 0;
@@ -236,19 +162,34 @@ int main(int argc, char** argv) {
       auto it = scenarios.find(ref);
       if (it == scenarios.end()) it = scenarios.emplace(ref, scenario::load(ref)).first;
       const scenario::Scenario& sc = it->second;
-      std::vector<std::string> overrides;
-      for (std::string t; tok >> t;) overrides.push_back(t);
-      for (const scenario::RunPlan& plan : sc.runs) {
-        Unit u;
-        u.scenario = sc.name;
-        u.label = plan.label;
-        u.app = plan.app.empty() ? opts.get("app") : plan.app;
-        u.cfg = plan.cfg;
-        for (const std::string& t : overrides) apply_override(&u, line_no, t);
-        if (find_app(u.app) == nullptr) {
-          fail_request(line_no, "unknown app '" + u.app + "'");
+      struct Override {
+        std::string key, value;
+        int col;
+      };
+      std::vector<Override> overrides;
+      while (tok >> std::ws && !tok.eof()) {
+        const int col = static_cast<int>(tok.tellg()) + 1;
+        std::string t;
+        tok >> t;
+        const std::size_t eq = t.find('=');
+        if (eq == std::string::npos) {
+          throw scenario::ScenarioError(scenario::ScenarioError::Code::Syntax, source, line_no,
+                                        col, "override '" + t + "' is not key=value");
         }
-        u.key = cache.key(scenario::canonical_request(u.app, u.cfg));
+        // `per` is the request-line spelling of per_cluster.
+        const std::string key = t.substr(0, eq);
+        overrides.push_back({key == "per" ? "per_cluster" : key, t.substr(eq + 1), col});
+      }
+      for (const scenario::RunPlan& plan : sc.runs) {
+        Unit u{sc.name, plan, "", false, {}};
+        if (u.run.app.empty()) {
+          scenario::apply_override(&u.run, "app", opts.get("app"), "<command line>", 1, 1);
+        }
+        for (const Override& o : overrides) {
+          scenario::apply_override(&u.run, o.key, o.value, source, line_no, o.col);
+        }
+        scenario::check_run(u.run, source, line_no, 1);
+        u.key = cache.key(scenario::canonical_request(u.run.app, u.run.cfg));
         units.push_back(std::move(u));
       }
     }
@@ -279,7 +220,7 @@ int main(int argc, char** argv) {
         u.resolved = true;
       } else if (scheduled.find(u.key) == scheduled.end()) {
         scheduled.emplace(u.key, jobs.size());
-        jobs.push_back(campaign::SimJob{find_app(u.app)->run, u.cfg});
+        jobs.push_back(campaign::SimJob{apps::find_app(u.run.app)->run, u.run.cfg});
         job_keys.push_back(u.key);
       }
     }
@@ -321,7 +262,7 @@ int main(int argc, char** argv) {
     telemetry::ScopedSpan out_span("serve.output", units.size());
     for (const Unit& u : units) {
       const apps::AppResult& r = u.result;
-      std::cout << "scenario=" << u.scenario << " run=" << u.label << " app=" << u.app
+      std::cout << "scenario=" << u.scenario << " run=" << u.run.label << " app=" << u.run.app
                 << " key=" << u.key << " elapsed_s=" << fmt_g(sim::to_seconds(r.elapsed))
                 << " checksum=" << r.checksum << " trace_hash=" << r.trace_hash
                 << " events=" << r.events

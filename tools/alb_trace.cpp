@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -114,6 +115,7 @@ int main(int argc, char** argv) {
   const apps::AppEntry* entry = nullptr;
   apps::AppConfig cfg;
   bool faults = false;
+  std::size_t topn = 0;
   std::vector<trace::causal::Scenario> scenarios;
   try {
     if (!opts.parse(argc, argv)) return 0;
@@ -127,51 +129,41 @@ int main(int argc, char** argv) {
                                "] for scenario '" + sc.name + "' (got " +
                                std::to_string(run_index) + ")");
     }
-    const scenario::RunPlan& plan = sc.runs[static_cast<std::size_t>(run_index)];
-    cfg = plan.cfg;
-    std::string app_name = opts.get("app");
-    if (!opts.provided("app") && !plan.app.empty()) app_name = plan.app;
-    for (const auto& e : apps::registry()) {
-      if (e.name == app_name) entry = &e;
-    }
-    if (!entry) {
-      std::cerr << "unknown app '" << app_name << "'; registry:";
-      for (const auto& e : apps::registry()) std::cerr << ' ' << e.name;
-      std::cerr << '\n';
-      return 1;
-    }
-    if (opts.provided("clusters")) cfg.clusters = static_cast<int>(opts.get_int("clusters"));
-    if (opts.provided("per")) cfg.procs_per_cluster = static_cast<int>(opts.get_int("per"));
-    if (opts.has_flag("opt")) cfg.optimized = true;
-    if (opts.provided("seed")) cfg.seed = static_cast<std::uint64_t>(opts.get_int("seed"));
-    if (opts.provided("coll")) {
-      if (const std::string& c = opts.get("coll"); c == "tree") {
-        cfg.coll = orca::coll::Mode::Tree;
-      } else if (c == "flat") {
-        cfg.coll = orca::coll::Mode::Flat;
-      } else {
-        throw std::runtime_error("--coll must be 'flat' or 'tree' (got '" + c + "')");
+    scenario::RunPlan run = sc.runs[static_cast<std::size_t>(run_index)];
+    if (run.app.empty()) run.app = opts.get("app");
+    // Each passed flag is a key of the scenario override vocabulary,
+    // parsed and range-checked there; --opt and --adapt switch on.
+    const auto apply = [&](const std::string& flag, const char* key, const std::string& value) {
+      try {
+        scenario::apply_override(&run, key, value, "<command line>", 1, 1);
+      } catch (const scenario::ScenarioError& e) {
+        throw std::runtime_error("--" + flag + ": " + e.what());
       }
+    };
+    const std::pair<const char*, const char*> flag_keys[] = {
+        {"app", "app"},   {"clusters", "clusters"}, {"per", "per_cluster"},
+        {"seed", "seed"}, {"coll", "coll"},         {"wan-streams", "wan_streams"},
+        {"combine-bytes", "combine_bytes"}};
+    for (const auto& [flag, key] : flag_keys) {
+      if (opts.provided(flag)) apply(flag, key, opts.get(flag));
     }
-    if (opts.provided("wan-streams")) {
-      const long long streams = opts.get_int("wan-streams");
-      if (streams < 1 || streams > 64) {
-        throw std::runtime_error("--wan-streams must be in [1, 64] (got " +
-                                 std::to_string(streams) + ")");
-      }
-      cfg.wan_streams = static_cast<int>(streams);
+    for (const char* flag : {"opt", "adapt"}) {
+      if (opts.has_flag(flag)) apply(flag, flag, "1");
     }
-    if (opts.provided("combine-bytes")) {
-      const long long combine = opts.get_int("combine-bytes");
-      if (combine < -1 || combine > (1ll << 30)) {
-        throw std::runtime_error("--combine-bytes must be in [-1, 2^30] (got " +
-                                 std::to_string(combine) + ")");
-      }
-      cfg.combine_bytes = combine;
+    scenario::check_run(run, "<command line>", 1, 1);
+    entry = apps::find_app(run.app);
+    cfg = run.cfg;
+    const long long capacity = opts.get_int("capacity");
+    if (capacity < 1) {
+      throw std::runtime_error("--capacity must be >= 1 (got " + std::to_string(capacity) + ")");
     }
-    if (opts.has_flag("adapt")) cfg.adapt = true;
+    const long long topn_arg = opts.get_int("topn");
+    if (topn_arg < 0) {
+      throw std::runtime_error("--topn must be >= 0 (got " + std::to_string(topn_arg) + ")");
+    }
+    topn = static_cast<std::size_t>(topn_arg);
     cfg.trace.enabled = true;
-    cfg.trace.capacity = static_cast<std::size_t>(opts.get_int("capacity"));
+    cfg.trace.capacity = static_cast<std::size_t>(capacity);
     cfg.trace.engine_events = opts.has_flag("engine-events");
     // --faults layers the shipped representative WAN weather pattern
     // (scenarios/faults-preset.scn) on top of whatever the scenario set.
@@ -404,7 +396,6 @@ int main(int argc, char** argv) {
       if (csv) lt.print_csv(std::cout);
       else lt.print(std::cout);
 
-      const std::size_t topn = static_cast<std::size_t>(opts.get_int("topn"));
       util::Table st({"start_ms", "dur_ms", "blame", "proto", "at", "sink_event"});
       for (const trace::causal::Segment& seg : trace::causal::top_segments(cp, topn)) {
         st.row()
