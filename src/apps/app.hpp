@@ -142,20 +142,17 @@ struct Harness {
     *trace.metrics().counter("sim/compute_ns") = static_cast<std::uint64_t>(computed);
     r.stats = trace.metrics().snapshot();
     if (trace.config().enabled) {
-      // harvest_merged() k-way merges the per-owner recorder shards into
-      // the exported stream.
-      r.trace = std::make_shared<const alb::trace::Trace>(trace.harvest_merged());
+      r.trace = std::make_shared<const alb::trace::Trace>(trace.harvest());
     }
     return r;
   }
 
  private:
-  /// Member-initialization shim: shards the trace session per owner,
-  /// attaches it to the engine and gives the engine one owner per
-  /// cluster — all before Network's constructor runs (Network caches
-  /// the recorder shards).
+  /// Member-initialization shim: attaches the trace session to the
+  /// engine and gives the engine one owner per cluster — both before
+  /// Network's constructor runs (Network caches the session's
+  /// instruments).
   static sim::Engine& prepare(sim::Engine& e, alb::trace::Session& s, const AppConfig& cfg) {
-    s.shard_by_owner(cfg.clusters);
     e.attach_trace(&s);
     e.set_owners(cfg.clusters);
     return e;

@@ -195,9 +195,9 @@ class Network {
   std::vector<std::uint64_t> next_id_;      // per cluster context
 
   // Observability (see src/trace/): records go through the engine's
-  // per-owner tracer (eng_->tracer(), null = tracing off, one branch
-  // per site); the WAN histograms are the registry's instruments, null
-  // without a trace session.
+  // tracer (eng_->tracer(), null = tracing off, one branch per site);
+  // the WAN histograms are the registry's instruments, null without a
+  // trace session.
   trace::Histogram* h_wan_bytes_ = nullptr;
   trace::Histogram* h_wan_queue_ = nullptr;
 

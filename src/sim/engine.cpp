@@ -75,12 +75,9 @@ void Engine::set_owners(int owners) {
   owners_ = std::max(1, owners);
   lamport_.assign(static_cast<std::size_t>(owners_) + 1, 0);
   hash_.assign(static_cast<std::size_t>(owners_), kFnvBasis);
-  owner_tasks_spawned_.assign(static_cast<std::size_t>(owners_), 0);
-  owner_tasks_finished_.assign(static_cast<std::size_t>(owners_), 0);
   now_ = 0;
   events_ = 0;
   stopped_ = false;
-  attach_trace(session_);  // re-resolve recorder shards for the new owner count
 }
 
 void Engine::schedule_at(SimTime t, UniqueFunction fn) {
@@ -116,10 +113,8 @@ void Engine::spawn_on(OwnerId dest, Task<void> task) {
   // During a run, spawns are owner-local (handlers spawn onto their own
   // owner); cross-owner placement is a setup-time operation.
   assert(cur_owner_ < 0 || dest == cur_owner_);
-  const std::uint64_t nth = ++owner_tasks_spawned_[static_cast<std::size_t>(dest)];
-  if (trace::Recorder* rec = tracer_for(dest)) {
-    rec->instant(trace::Category::Sim, "task.spawn", -1, nth);
-  }
+  ++tasks_spawned_;
+  if (tracer_) tracer_->instant(trace::Category::Sim, "task.spawn", -1, tasks_spawned_);
   // The Task is move-only; UniqueFunction supports move-only captures.
   // Starting the wrapper here (inside the queued event) makes the body's
   // first instructions run at the scheduled time, not at spawn time.
@@ -132,24 +127,13 @@ void Engine::spawn_on(OwnerId dest, Task<void> task) {
 }
 
 void Engine::note_task_finished() {
-  const OwnerId o = exec_owner_here();
-  const std::uint64_t nth = ++owner_tasks_finished_[static_cast<std::size_t>(o)];
-  if (trace::Recorder* rec = tracer()) {
-    rec->instant(trace::Category::Sim, "task.finish", -1, nth);
-  }
+  ++tasks_finished_;
+  if (tracer_) tracer_->instant(trace::Category::Sim, "task.finish", -1, tasks_finished_);
 }
 
 void Engine::attach_trace(trace::Session* s) {
   session_ = s;
-  tracer_single_ = s ? s->recorder() : nullptr;
-  tracers_.clear();
-  if (s && s->sharded()) {
-    tracers_.resize(static_cast<std::size_t>(owners_));
-    for (int o = 0; o < owners_; ++o) {
-      tracers_[static_cast<std::size_t>(o)] = s->recorder_shard(o);
-    }
-    tracer_single_ = nullptr;
-  }
+  tracer_ = s ? s->recorder() : nullptr;
 }
 
 void Engine::dispatch(EventQueue::Event e) {
@@ -159,7 +143,7 @@ void Engine::dispatch(EventQueue::Event e) {
   // strictly after the event itself, whichever owner scheduled it.
   std::uint64_t& lam = lamport_[static_cast<std::size_t>(e.exec_owner)];
   if (e.key.lamport > lam) lam = e.key.lamport;
-  if (trace::Recorder* rec = tracer_for(e.exec_owner)) {
+  if (trace::Recorder* rec = tracer_) {
     rec->set_time(now_);
     if (rec->engine_events()) {
       rec->instant(trace::Category::Sim, e.resume ? "engine.resume" : "engine.event", -1,
@@ -198,18 +182,6 @@ bool Engine::run_until(SimTime t) {
   cur_owner_ = -1;
   if (now_ < t) now_ = t;
   return true;
-}
-
-std::uint64_t Engine::tasks_spawned() const {
-  std::uint64_t n = 0;
-  for (std::uint64_t v : owner_tasks_spawned_) n += v;
-  return n;
-}
-
-std::uint64_t Engine::tasks_finished() const {
-  std::uint64_t n = 0;
-  for (std::uint64_t v : owner_tasks_finished_) n += v;
-  return n;
 }
 
 std::uint64_t Engine::trace_hash() const {

@@ -10,8 +10,8 @@
 // Work is keyed by *owner* — in a networked simulation, one owner per
 // cluster (Engine::set_owners). The owner does not change how events
 // run (there is one queue and one loop), but it fixes their canonical
-// tie-break keys, the owner-decomposed trace hash and the owner-sharded
-// trace recorder, and with them every golden value and exported trace.
+// tie-break keys and the owner-decomposed trace hash, and with them
+// every golden value.
 //
 // Contracts (relied on throughout the stack):
 //   * Determinism — given the same initial schedule, every run dispatches
@@ -26,8 +26,7 @@
 //     With no session attached the engine does no tracing work beyond
 //     one null-pointer test per dispatched event, which is how the
 //     bench_engine microbenches run; instrumented layers call tracer()
-//     per record site (it resolves to the current owner's recorder
-//     shard) and guard each record the same way.
+//     per record site and guard each record the same way.
 //     Instrumentation may only *push* events into the recorder — it
 //     must never schedule events or spawn tasks, so a traced run
 //     dispatches the identical canonical stream as an untraced one
@@ -126,8 +125,8 @@ class Engine {
   std::uint64_t events_processed() const { return events_; }
   std::size_t pending_events() const { return queue_.size(); }
 
-  std::uint64_t tasks_spawned() const;
-  std::uint64_t tasks_finished() const;
+  std::uint64_t tasks_spawned() const { return tasks_spawned_; }
+  std::uint64_t tasks_finished() const { return tasks_finished_; }
   /// Spawned root processes that have not finished yet. Zero after run()
   /// completes on a deadlock-free simulation.
   std::uint64_t tasks_pending() const { return tasks_spawned() - tasks_finished(); }
@@ -141,15 +140,12 @@ class Engine {
 
   // --- observability -------------------------------------------------
   /// Attaches (or detaches, with nullptr) a trace session. Not owned;
-  /// the session must outlive every subsequent dispatch. If the session
-  /// is sharded by owner (trace::Session::shard_by_owner), records are
-  /// routed to the current owner's recorder shard.
+  /// the session must outlive every subsequent dispatch.
   void attach_trace(trace::Session* s);
   trace::Session* trace_session() const { return session_; }
-  /// The current owner's flight recorder, or nullptr when tracing is
-  /// off — record sites guard with exactly this pointer. Setup-time
-  /// records (outside any dispatch) route to owner 0's shard.
-  trace::Recorder* tracer() const { return tracer_for(exec_owner_here()); }
+  /// The run's flight recorder, or nullptr when tracing is off — record
+  /// sites guard with exactly this pointer.
+  trace::Recorder* tracer() const { return tracer_; }
 
  private:
   friend struct DetachedTask;
@@ -161,28 +157,22 @@ class Engine {
   /// scheduling from the current context: the dispatching owner, or
   /// owner 0 for setup-time scheduling.
   OwnerId exec_owner_here() const { return cur_owner_ >= 0 ? cur_owner_ : 0; }
-  trace::Recorder* tracer_for(OwnerId o) const {
-    if (!tracers_.empty()) return tracers_[static_cast<std::size_t>(o)];
-    return tracer_single_;
-  }
   void note_task_finished();
   void dispatch(EventQueue::Event e);
 
   EventQueue queue_;
   std::vector<std::uint64_t> lamport_;  // per owner, + setup pseudo-owner
   std::vector<std::uint64_t> hash_;     // per-owner FNV accumulators
-  // Per-owner task ordinals: each task.spawn/task.finish trace record
-  // carries its owner's running count.
-  std::vector<std::uint64_t> owner_tasks_spawned_;
-  std::vector<std::uint64_t> owner_tasks_finished_;
+  // Each task.spawn/task.finish trace record carries its running count.
+  std::uint64_t tasks_spawned_ = 0;
+  std::uint64_t tasks_finished_ = 0;
   int owners_ = 1;
   OwnerId cur_owner_ = -1;  ///< dispatching owner; -1 outside dispatch
   SimTime now_ = 0;
   std::uint64_t events_ = 0;
   bool stopped_ = false;
   trace::Session* session_ = nullptr;
-  trace::Recorder* tracer_single_ = nullptr;
-  std::vector<trace::Recorder*> tracers_;  // per owner when sharded
+  trace::Recorder* tracer_ = nullptr;
 };
 
 /// Publishes the engine's run counters into `m` under the `sim/` scope

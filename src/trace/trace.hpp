@@ -31,12 +31,9 @@
 // async spans, so overlapping spans from interleaved coroutines need no
 // nesting discipline.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -101,14 +98,14 @@ struct Config {
 
 class Recorder {
  public:
-  /// `first_span_id` partitions the synthetic span-id space when several
-  /// recorder shards feed one merged trace (Session::shard_by_owner):
-  /// shard o starts at (o+1) << 48, so ids never collide across shards.
-  explicit Recorder(const Config& cfg, std::uint64_t first_span_id = 1)
-      : capacity_(cfg.capacity ? cfg.capacity : 1),
-        next_span_id_(first_span_id),
-        engine_events_(cfg.engine_events) {
-    ring_.reserve(capacity_ < 4096 ? capacity_ : 4096);
+  explicit Recorder(const Config& cfg)
+      : capacity_(cfg.capacity ? cfg.capacity : 1), engine_events_(cfg.engine_events) {
+    // One allocation up to the default capacity: growing a run-sized
+    // ring by doubling leaves its freed buffers in the heap, which
+    // raises the peak RSS of a process that runs many traced jobs.
+    // Pages are only resident once written.
+    const std::size_t first = Config{}.capacity;
+    ring_.reserve(capacity_ < first ? capacity_ : first);
   }
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
@@ -150,24 +147,17 @@ class Recorder {
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
 
-  /// The kept events in record order, as two contiguous runs of the
-  /// ring: from the oldest slot (head_) to the end, then from the start
-  /// up to head_. The second run is empty until the ring wraps.
-  std::array<std::span<const TraceEvent>, 2> segments() const {
-    const std::span<const TraceEvent> all(ring_);
-    return {all.subspan(head_), all.first(head_)};
-  }
-
-  /// Copies the ring out in chronological (record) order.
+  /// Copies the ring out in chronological (record) order: from the
+  /// oldest slot (head_) to the end, then from the start up to head_.
   Trace harvest() const {
     Trace t;
     t.recorded = recorded_;
     t.dropped = dropped();
     t.capacity = capacity_;
+    const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
     t.events.reserve(ring_.size());
-    for (std::span<const TraceEvent> run : segments()) {
-      t.events.insert(t.events.end(), run.begin(), run.end());
-    }
+    t.events.insert(t.events.end(), head, ring_.end());
+    t.events.insert(t.events.end(), ring_.begin(), head);
     return t;
   }
 
@@ -207,87 +197,17 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Null when tracing is disabled — callers cache this pointer and
-  /// guard each record with it. Null after shard_by_owner(): a sharded
-  /// session is reached through recorder_shard() / Engine::tracer().
+  /// guard each record with it.
   Recorder* recorder() { return rec_.get(); }
   Metrics& metrics() { return metrics_; }
   const Config& config() const { return config_; }
 
-  /// Splits the session into one recorder shard per owner (cluster).
-  /// Each record lands in the *dispatching owner's* shard, in that
-  /// owner's canonical dispatch order. The sharding fixes the exported
-  /// trace format: each shard owns its own span-id range (see Recorder),
-  /// keeps the newest events of its owner up to its share of the ring
-  /// capacity, and harvest_merged() fixes the merge order. The capacity
-  /// is divided evenly, the remainder going one each to the lowest
-  /// shards, so the shards sum to the configured capacity whenever it
-  /// is at least `owners` (every shard keeps at least one event). No-op
-  /// when tracing is disabled.
-  void shard_by_owner(int owners) {
-    if (!config_.enabled || owners <= 0) return;
-    rec_.reset();
-    const std::size_t n = static_cast<std::size_t>(owners);
-    Config per = config_;
-    shards_.clear();
-    shards_.reserve(n);
-    for (std::size_t o = 0; o < n; ++o) {
-      per.capacity = config_.capacity / n + (o < config_.capacity % n ? 1 : 0);
-      if (per.capacity == 0) per.capacity = 1;
-      shards_.push_back(std::make_unique<Recorder>(per, (std::uint64_t{o} + 1) << 48));
-    }
-  }
-
-  bool sharded() const { return !shards_.empty(); }
-  /// Owner `o`'s recorder shard (null when tracing is disabled).
-  Recorder* recorder_shard(int o) {
-    return shards_.empty() ? rec_.get() : shards_[static_cast<std::size_t>(o)].get();
-  }
-
-  /// Harvests the whole session chronologically: the single ring, or —
-  /// when sharded — a deterministic k-way merge of the per-owner shards
-  /// keyed by (time, shard index). Each shard is already time-sorted, so
-  /// the merged stream is a pure function of the simulation.
-  Trace harvest_merged() const {
-    if (shards_.empty()) {
-      return rec_ ? rec_->harvest() : Trace{};
-    }
-    // Each shard is read in place through its two ring runs: `head` is
-    // the unread part of the current run, `next` the run after it.
-    struct Cursor {
-      std::span<const TraceEvent> head, next;
-    };
-    Trace out;
-    std::vector<Cursor> cursors;
-    cursors.reserve(shards_.size());
-    std::size_t total = 0;
-    for (const auto& s : shards_) {
-      out.recorded += s->recorded();
-      out.dropped += s->dropped();
-      out.capacity += s->capacity();
-      total += s->size();
-      const auto runs = s->segments();
-      cursors.push_back(runs[0].empty() ? Cursor{runs[1], {}} : Cursor{runs[0], runs[1]});
-    }
-    out.events.reserve(total);
-    while (out.events.size() < total) {
-      // The earliest head; equal times go to the lower shard first.
-      Cursor* best = nullptr;
-      for (Cursor& c : cursors) {
-        if (!c.head.empty() && (best == nullptr || c.head.front().time < best->head.front().time)) {
-          best = &c;
-        }
-      }
-      out.events.push_back(best->head.front());
-      best->head = best->head.subspan(1);
-      if (best->head.empty()) best->head = std::exchange(best->next, {});
-    }
-    return out;
-  }
+  /// The recording so far, oldest → newest; empty when tracing is off.
+  Trace harvest() const { return rec_ ? rec_->harvest() : Trace{}; }
 
  private:
   Config config_;
   std::unique_ptr<Recorder> rec_;
-  std::vector<std::unique_ptr<Recorder>> shards_;  // per owner, when sharded
   Metrics metrics_;
 };
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -21,9 +22,7 @@ namespace {
 using namespace alb;
 
 const apps::AppEntry& find_app(const std::string& name) {
-  for (const auto& e : apps::registry()) {
-    if (e.name == name) return e;
-  }
+  if (const apps::AppEntry* e = apps::find_app(name)) return *e;
   ADD_FAILURE() << "app not in registry: " << name;
   std::abort();
 }
@@ -94,6 +93,38 @@ TEST(TraceDeterminism, RepeatedRunIsByteIdentical) {
   EXPECT_EQ(c.trace, nullptr);
   EXPECT_EQ(a.trace_hash, c.trace_hash);
   EXPECT_EQ(a.checksum, c.checksum);
+}
+
+bool same_event(const trace::TraceEvent& a, const trace::TraceEvent& b) {
+  return a.time == b.time && a.id == b.id && a.arg == b.arg &&
+         std::string_view(a.name) == b.name && a.actor == b.actor && a.cat == b.cat &&
+         a.phase == b.phase && a.aux == b.aux;
+}
+
+TEST(TraceWraparound, WrappedRunKeepsTheNewestEventsOfTheRun) {
+  // One ring per run: a wrapped recording is the time suffix of the
+  // unwrapped one, not a per-cluster window.
+  constexpr std::size_t kCapacity = 20000;
+  const apps::AppEntry& ra = find_app("RA");
+  const apps::AppResult full = ra.run(traced_config(4, 4, 42));
+  apps::AppConfig small = traced_config(4, 4, 42);
+  small.trace.capacity = kCapacity;
+  const apps::AppResult wrapped = ra.run(small);
+  ASSERT_NE(full.trace, nullptr);
+  ASSERT_NE(wrapped.trace, nullptr);
+  ASSERT_EQ(full.trace->dropped, 0u);
+  ASSERT_GT(full.trace->events.size(), kCapacity) << "the small ring must wrap";
+
+  const trace::Trace& w = *wrapped.trace;
+  EXPECT_EQ(w.capacity, kCapacity);
+  EXPECT_EQ(w.recorded, full.trace->recorded);
+  EXPECT_EQ(w.dropped, full.trace->recorded - kCapacity);
+  ASSERT_EQ(w.events.size(), kCapacity);
+  const std::size_t skip = full.trace->events.size() - kCapacity;
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    ASSERT_TRUE(same_event(w.events[i], full.trace->events[skip + i]))
+        << "kept event " << i << " is not event " << skip + i << " of the unwrapped run";
+  }
 }
 
 }  // namespace

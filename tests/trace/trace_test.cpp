@@ -115,73 +115,19 @@ TEST(Recorder, HarvestOrderAfterSeveralFullWraps) {
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(t.events[i].id, 7 + i);
 }
 
-// Records `id` at `time` into owner `o`'s shard.
-void record_at(trace::Session& s, int o, sim::SimTime time, std::uint64_t id) {
-  trace::Recorder* rec = s.recorder_shard(o);
-  rec->set_time(time);
-  rec->instant(trace::Category::App, "tick", o, id);
-}
-
-TEST(Session, MergedHarvestBreaksTimeTiesTowardTheLowerShard) {
-  trace::Session s(enabled_config(64));
-  s.shard_by_owner(3);
-  // Shard 2 records first in host order, but at equal times the lower
-  // shard's events come first in the merge.
-  record_at(s, 2, 10, 20);
-  record_at(s, 2, 20, 21);
-  record_at(s, 1, 10, 10);
-  record_at(s, 1, 20, 11);
-  record_at(s, 0, 20, 0);
-  record_at(s, 0, 30, 1);
-  const trace::Trace t = s.harvest_merged();
-  std::vector<std::uint64_t> ids;
-  for (const trace::TraceEvent& e : t.events) ids.push_back(e.id);
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{10, 20, 0, 11, 21, 1}));
-}
-
-TEST(Session, MergedHarvestSumsShardCountersAndMergesWrappedRings) {
-  trace::Session s(enabled_config(8));
-  s.shard_by_owner(2);  // 4 events per shard
-  for (int i = 0; i < 6; ++i) record_at(s, 0, 2 * i, static_cast<std::uint64_t>(i));
-  for (int i = 0; i < 3; ++i) record_at(s, 1, 2 * i + 1, static_cast<std::uint64_t>(100 + i));
-  const trace::Trace t = s.harvest_merged();
-  EXPECT_EQ(t.recorded, 9u);
-  EXPECT_EQ(t.dropped, 2u);
-  EXPECT_EQ(t.capacity, 8u);
-  std::vector<std::uint64_t> ids;
-  for (const trace::TraceEvent& e : t.events) ids.push_back(e.id);
-  // Shard 0 kept times 4..10 (ids 2..5); shard 1 kept all three.
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{100, 101, 2, 102, 3, 4, 5}));
-}
-
-TEST(Session, ShardCapacitiesSumToTheConfiguredCapacity) {
-  // 1,048,576 over 3 owners: 349,526 + 349,525 + 349,525.
-  trace::Session s(enabled_config(std::size_t{1} << 20));
-  s.shard_by_owner(3);
-  EXPECT_EQ(s.recorder_shard(0)->capacity(), 349526u);
-  EXPECT_EQ(s.recorder_shard(1)->capacity(), 349525u);
-  EXPECT_EQ(s.recorder_shard(2)->capacity(), 349525u);
-  EXPECT_EQ(s.harvest_merged().capacity, std::size_t{1} << 20);
-
-  // The remainder goes one each to the lowest shards.
-  trace::Session t(enabled_config(10));
-  t.shard_by_owner(4);
-  std::vector<std::size_t> caps;
-  for (int o = 0; o < 4; ++o) caps.push_back(t.recorder_shard(o)->capacity());
-  EXPECT_EQ(caps, (std::vector<std::size_t>{3, 3, 2, 2}));
-
-  // Below one event per owner every shard still keeps one.
-  trace::Session u(enabled_config(2));
-  u.shard_by_owner(3);
-  for (int o = 0; o < 3; ++o) EXPECT_EQ(u.recorder_shard(o)->capacity(), 1u);
-}
-
 TEST(Session, DisabledSessionHasNoRecorder) {
   trace::Session off{};  // default config: disabled
   EXPECT_EQ(off.recorder(), nullptr);
 
   trace::Session on(enabled_config(16));
   EXPECT_NE(on.recorder(), nullptr);
+}
+
+TEST(Session, HarvestIsEmptyWhenTracingIsOff) {
+  const trace::Trace t = trace::Session{}.harvest();
+  EXPECT_TRUE(t.events.empty());
+  EXPECT_EQ(t.recorded, 0u);
+  EXPECT_EQ(t.capacity, 0u);
 }
 
 TEST(Session, EngineTracerNullWhenNothingAttached) {

@@ -204,7 +204,7 @@ for row in "${TWICE_ROWS[@]}"; do
 done
 # The rows above must not compare two runs that never exercised their
 # feature: the faulted TSP run retries, the adaptive ASP run arms its
-# sequencer migration, and the RA causal run's sharded ring wraps, so
+# sequencer migration, and the RA causal run's ring wraps, so
 # normalization drops orphan Ends.
 grep -q '^retries,' "$R/det.trace.faults.a" \
   || { echo "fault counter table missing from --faults output"; exit 1; }
