@@ -13,10 +13,7 @@ inline int figure_main(int argc, char** argv, const std::string& app_name,
                        const std::string& figure_label) {
   FigureOptions fo;
   if (!fo.parse(argc, argv)) return 0;
-  const apps::AppEntry* entry = nullptr;
-  for (const auto& e : apps::registry()) {
-    if (e.name == app_name) entry = &e;
-  }
+  const apps::AppEntry* entry = apps::find_app(app_name);
   if (!entry) {
     std::cerr << "app not in registry: " << app_name << "\n";
     return 1;

@@ -21,10 +21,7 @@ int main(int argc, char** argv) {
   opts.define_flag("optimized", "sweep the optimized variant");
   if (!opts.parse(argc, argv)) return 0;
 
-  const apps::AppEntry* entry = nullptr;
-  for (const auto& e : apps::registry()) {
-    if (e.name == opts.get("app")) entry = &e;
-  }
+  const apps::AppEntry* entry = apps::find_app(opts.get("app"));
   if (!entry) {
     std::cerr << "unknown app: " << opts.get("app") << " (try Water, TSP, ASP, "
               << "ATPG, IDA*, RA, ACP, SOR)\n";

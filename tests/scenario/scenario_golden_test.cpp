@@ -44,9 +44,7 @@ net::FaultPlan legacy_fault_preset() {
 }
 
 apps::AppResult run_registry_app(const std::string& name, const apps::AppConfig& cfg) {
-  for (const auto& e : apps::registry()) {
-    if (e.name == name) return e.run(cfg);
-  }
+  if (const apps::AppEntry* e = apps::find_app(name)) return e->run(cfg);
   ADD_FAILURE() << "app not in registry: " << name;
   return {};
 }
