@@ -61,7 +61,10 @@
 // MetricsGolden pins the full published metrics snapshot (every
 // counter, gauge and histogram row of write_csv) for runs that reach
 // the gateway-combining, tree-dissemination, cluster-cache, reducer and
-// fault-drop accounting.
+// fault-drop accounting. The lossy Water run also pins its schedule and
+// answer: Water makes RPCs only through its cluster cache and reducer,
+// so its RPC timeouts and duplicate requests are the blocking-RPC
+// retry loop at work.
 //
 // CausalGolden pins the causal analysis end to end on a trace whose
 // recorder ring wrapped, so normalization drops orphan Ends: the DAG's
@@ -328,7 +331,13 @@ TEST(MetricsGolden, Water4ClusterOptimizedLossy) {
   p.molecules = 96;
   const AppResult r = run_water(c, p);
   ASSERT_EQ(r.status, AppResult::RunStatus::Ok) << r.error;
+  expect_golden(r,
+                Golden{8525998680662062708ull, 3385ull, 74683360,
+                       4666641810641308992ull},
+                "Water 4x3 optimized, lossy WAN");
   EXPECT_GT(counter_of(r, "net/fault.drops.wan"), 0u) << "no WAN drop was accounted";
+  EXPECT_GT(counter_of(r, "net/fault.timeouts.rpc"), 0u) << "no RPC retry ran";
+  EXPECT_GT(counter_of(r, "net/fault.dup.rpc_requests"), 0u) << "no duplicate request arrived";
   EXPECT_EQ(metrics_hash(r.stats), 7839599965458683989ull) << "published metrics changed";
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "apps/tsp.hpp"
@@ -44,27 +45,50 @@ net::FaultPlan fast_recovery_plan() {
   return p;
 }
 
+/// Rank 1 makes one RPC to an object on rank 0 and returns how often
+/// the operation ran. `blocking` sends it through rpc_blocking with a
+/// handler that awaits a delay before replying, instead of the plain
+/// rpc() path that invoke_void takes.
+int one_remote_increment(FaultedFixture& f, bool blocking) {
+  auto obj = create_remote<Counter>(f.rt, 0, {});
+  f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
+    if (p.rank != 1) co_return;
+    if (!blocking) {
+      co_await obj.invoke_void(p, 64, 16, [](Counter& c) { ++c.value; });
+      co_return;
+    }
+    sim::Engine* eng = &f.eng;
+    std::function<sim::Task<std::shared_ptr<const void>>()> op =
+        [eng, &obj]() -> sim::Task<std::shared_ptr<const void>> {
+      co_await eng->delay(sim::milliseconds(2));
+      ++obj.state().value;
+      co_return nullptr;
+    };
+    (void)co_await f.rt.rpc_blocking(p.node, 0, 64, 16, std::move(op));
+  });
+  f.rt.run_all();
+  return static_cast<int>(obj.state().value);
+}
+
 TEST(Recovery, RpcRetriesAfterForcedRequestDrop) {
   // Drop the first droppable WAN message (the RPC request); the retry
   // must go through and the operation must execute exactly once.
   // force_drop ordinals count per source cluster; restrict the rule to
   // cluster 1 (the caller) so only the request drops, not the reply.
-  net::FaultPlan plan = fast_recovery_plan();
-  plan.force_drop = {0};
-  plan.force_drop_from = 1;
-  FaultedFixture f(net::das_config(2, 1), plan);
-  auto obj = create_remote<Counter>(f.rt, 0, {});
-  f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
-    if (p.rank != 1) co_return;
-    co_await obj.invoke_void(p, 64, 16, [](Counter& c) { ++c.value; });
-  });
-  f.rt.run_all();
-  EXPECT_EQ(obj.state().value, 1);
-  ASSERT_NE(f.net.faults(), nullptr);
-  EXPECT_EQ(f.net.faults()->drops(), 1u);
-  EXPECT_EQ(f.net.faults()->retries(), 1u);
-  EXPECT_EQ(f.net.faults()->rpc_timeouts(), 1u);
-  EXPECT_FALSE(f.net.faults()->failed());
+  for (const bool blocking : {false, true}) {
+    SCOPED_TRACE(blocking ? "rpc_blocking" : "rpc");
+    net::FaultPlan plan = fast_recovery_plan();
+    plan.force_drop = {0};
+    plan.force_drop_from = 1;
+    FaultedFixture f(net::das_config(2, 1), plan);
+    EXPECT_EQ(one_remote_increment(f, blocking), 1);
+    ASSERT_NE(f.net.faults(), nullptr);
+    EXPECT_EQ(f.net.faults()->drops(), 1u);
+    EXPECT_EQ(f.net.faults()->retries(), 1u);
+    EXPECT_EQ(f.net.faults()->rpc_timeouts(), 1u);
+    EXPECT_EQ(f.net.faults()->dup_rpc_requests(), 0u);
+    EXPECT_FALSE(f.net.faults()->failed());
+  }
 }
 
 TEST(Recovery, LostReplyIsNotReExecuted) {
@@ -72,21 +96,19 @@ TEST(Recovery, LostReplyIsNotReExecuted) {
   // cluster 0's droppable index 0 — is dropped. The retried request
   // must hit the server's dedup cache: the operation runs once, the
   // cached reply is resent.
-  net::FaultPlan plan = fast_recovery_plan();
-  plan.force_drop = {0};
-  plan.force_drop_from = 0;
-  FaultedFixture f(net::das_config(2, 1), plan);
-  auto obj = create_remote<Counter>(f.rt, 0, {});
-  f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
-    if (p.rank != 1) co_return;
-    co_await obj.invoke_void(p, 64, 16, [](Counter& c) { ++c.value; });
-  });
-  f.rt.run_all();
-  EXPECT_EQ(obj.state().value, 1) << "a duplicate request re-executed the op";
-  EXPECT_EQ(f.net.faults()->drops(), 1u);
-  EXPECT_EQ(f.net.faults()->retries(), 1u);
-  EXPECT_GE(f.net.faults()->dup_rpc_requests(), 1u);
-  EXPECT_FALSE(f.net.faults()->failed());
+  for (const bool blocking : {false, true}) {
+    SCOPED_TRACE(blocking ? "rpc_blocking" : "rpc");
+    net::FaultPlan plan = fast_recovery_plan();
+    plan.force_drop = {0};
+    plan.force_drop_from = 0;
+    FaultedFixture f(net::das_config(2, 1), plan);
+    EXPECT_EQ(one_remote_increment(f, blocking), 1) << "a duplicate request re-executed the op";
+    EXPECT_EQ(f.net.faults()->drops(), 1u);
+    EXPECT_EQ(f.net.faults()->retries(), 1u);
+    EXPECT_EQ(f.net.faults()->rpc_timeouts(), 1u);
+    EXPECT_EQ(f.net.faults()->dup_rpc_requests(), 1u);
+    EXPECT_FALSE(f.net.faults()->failed());
+  }
 }
 
 TEST(Recovery, SequencerRegrantsLostGrant) {
