@@ -16,15 +16,14 @@
 // Every hop is a scheduled event, so queueing at gateways and on the WAN
 // circuits emerges naturally from link busy-until times.
 //
-// Owner contexts: the network is the layer that crosses cluster
-// boundaries, so it is sharded by cluster context. Every hop up to the
-// WAN transfer runs in the *source* cluster's engine context; the
-// remote-gateway hop onward runs in the *destination* cluster's. The
-// WAN crossing is the one cross-owner edge, scheduled through
-// Engine::schedule_on. Message ids are minted per cluster context and
-// tagged with it, which fixes their observable values (message ids
-// appear in exported traces). Traffic counters and WAN histograms are
-// single instruments: the engine runs one sequential loop.
+// Cluster contexts: every hop up to the WAN transfer runs in the
+// *source* cluster's engine context; the remote-gateway hop onward runs
+// in the *destination* cluster's. The WAN crossing is scheduled through
+// Engine::schedule_on, because the owner an event runs under is part of
+// the pinned schedule. Message ids come from one run-wide counter
+// (they appear in exported traces). Traffic counters and WAN
+// histograms are single instruments: the engine runs one sequential
+// loop.
 
 #include <memory>
 #include <vector>
@@ -127,18 +126,8 @@ class Network {
     ClusterId coll_root = 0;
   };
 
-  /// The cluster whose engine context is executing (0 during setup,
-  /// matching the engine's setup-events-execute-as-owner-0 rule).
-  ClusterId ctx() const {
-    const sim::OwnerId o = eng_->current_owner();
-    return o >= topo_.clusters() ? 0 : o;
-  }
-  /// Fresh message id, unique across clusters: the issuing context owns
-  /// the high bits, a per-context counter the low ones.
-  std::uint64_t next_id() {
-    const auto c = static_cast<std::size_t>(ctx());
-    return ((static_cast<std::uint64_t>(c) + 1) << 40) | ++next_id_[c];
-  }
+  /// Fresh message id, unique across the run.
+  std::uint64_t next_id() { return ++last_id_; }
 
   void run_hop(HopPlan plan);
   void schedule_hop_at(sim::SimTime t, HopPlan plan);
@@ -192,7 +181,7 @@ class Network {
   Topology topo_;
   TrafficStats stats_;
   std::unique_ptr<FaultInjector> faults_;
-  std::vector<std::uint64_t> next_id_;      // per cluster context
+  std::uint64_t last_id_ = 0;  // last message id minted
 
   // Observability (see src/trace/): records go through the engine's
   // tracer (eng_->tracer(), null = tracing off, one branch per site);

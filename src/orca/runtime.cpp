@@ -24,9 +24,7 @@ Runtime::Runtime(net::Network& net, Config cfg) : net_(&net) {
       net, *seq_, *coll_,
       [this](net::NodeId node, const BcastOp& op) { apply_bcast_op(node, op); });
   const auto clusters = static_cast<std::size_t>(net.topology().clusters());
-  call_id_shards_.assign(clusters, 0);
   pending_rpcs_.resize(clusters);
-  served_rpcs_.resize(clusters);
   cluster_finished_.assign(clusters, 0);
   barrier_waiters_.resize(static_cast<std::size_t>(nprocs()));
   barrier_local_gen_.assign(static_cast<std::size_t>(nprocs()), 0);
@@ -50,7 +48,7 @@ void Runtime::install_handlers() {
       handle_rpc_request(static_cast<net::NodeId>(n), net::payload_as<RpcRequest>(m));
     });
     // The reply handler runs at the caller's node, so it resolves
-    // against the caller cluster's pending shard.
+    // against the caller cluster's pending table.
     net_->endpoint(n).set_handler(kTagRpcReply, [this, nc](net::Message m) {
       const auto& rep = net::payload_as<RpcReply>(m);
       auto& pending = pending_rpcs_[static_cast<std::size_t>(nc)];
@@ -111,29 +109,44 @@ void Runtime::add_object_waiter(int object_id, net::NodeId node, std::function<b
 sim::Task<std::shared_ptr<const void>> Runtime::rpc(
     net::NodeId caller, net::NodeId target, std::size_t request_bytes, std::size_t reply_bytes,
     std::function<std::shared_ptr<const void>()> op, sim::SimTime service_time) {
+  RpcRequest req;
+  req.caller = caller;
+  req.reply_bytes = reply_bytes;
+  req.service_time = service_time;
+  req.op = std::move(op);
+  return call(target, request_bytes, std::move(req));
+}
+
+sim::Task<std::shared_ptr<const void>> Runtime::rpc_blocking(
+    net::NodeId caller, net::NodeId target, std::size_t request_bytes,
+    std::size_t reply_bytes, std::function<sim::Task<std::shared_ptr<const void>>()> op) {
+  RpcRequest req;
+  req.caller = caller;
+  req.reply_bytes = reply_bytes;
+  req.op_blocking = std::move(op);
+  return call(target, request_bytes, std::move(req));
+}
+
+sim::Task<std::shared_ptr<const void>> Runtime::call(net::NodeId target,
+                                                     std::size_t request_bytes,
+                                                     RpcRequest req) {
+  const net::NodeId caller = req.caller;
   if (caller == target) {
     // Local invocation: no traffic; service time is still CPU work.
-    if (service_time > 0) co_await engine().delay(service_time);
-    co_return op();
+    if (req.op_blocking) co_return co_await req.op_blocking();
+    if (req.service_time > 0) co_await engine().delay(req.service_time);
+    co_return req.op();
   }
   const net::ClusterId cc = cluster_of(caller);
   guard_failed(cc);
-  // Call ids are minted in the caller's cluster context; the cluster
-  // index in the high bits keeps them globally unique without a shared
-  // counter.
-  const std::uint64_t id = ((static_cast<std::uint64_t>(cc) + 1) << 40) |
-                           ++call_id_shards_[static_cast<std::size_t>(cc)];
+  const std::uint64_t id = ++rpc_calls_;
   auto& pending = pending_rpcs_[static_cast<std::size_t>(cc)];
 
   trace::Recorder* rec = engine().tracer();
   if (rec) rec->begin(trace::Category::Orca, "orca.rpc", caller, id, request_bytes);
 
-  RpcRequest req;
+  const std::size_t reply_bytes = req.reply_bytes;
   req.call_id = id;
-  req.caller = caller;
-  req.reply_bytes = reply_bytes;
-  req.service_time = service_time;
-  req.op = std::move(op);
   auto payload = net::make_payload<RpcRequest>(std::move(req));
 
   std::shared_ptr<const void> result;
@@ -148,81 +161,6 @@ sim::Task<std::shared_ptr<const void>> Runtime::rpc(
     // reply lands or the retry budget is exhausted. Inlined rather than
     // factored into a helper coroutine: an extra Task would add event-
     // queue traffic and perturb the no-fault trace goldens.
-    const net::RecoveryParams& rp = faults_->plan().recovery;
-    sim::SimTime timeout = rp.rpc_timeout;
-    bool retry_span = false;
-    for (int attempt = 1;; ++attempt) {
-      sim::Future<RpcWait> fut(engine());
-      pending.insert_or_assign(id, fut);
-      send_rpc_request(caller, target, request_bytes, payload);
-      arm_rpc_timer(fut, timeout);
-      RpcWait w = co_await fut;
-      if (!w.timed_out) {
-        result = std::move(w.result);
-        break;
-      }
-      faults_->note_rpc_timeout();
-      if (rec) {
-        rec->instant(trace::Category::Orca, "orca.rpc.timeout", caller, id,
-                     static_cast<std::uint64_t>(attempt));
-        if (!retry_span) {
-          retry_span = true;
-          rec->begin(trace::Category::Orca, "orca.rpc.retry", caller, id);
-        }
-      }
-      if (faults_->failed(cc) || attempt >= rp.max_attempts) {
-        pending.erase(id);
-        if (!faults_->failed(cc)) {
-          faults_->fail(cc, engine().now(),
-                        net::FailureInfo{net::FailureInfo::Kind::RpcTimeout, caller, id,
-                                         attempt});
-        }
-        if (rec) {
-          if (retry_span) rec->end(trace::Category::Orca, "orca.rpc.retry", caller, id);
-          rec->end(trace::Category::Orca, "orca.rpc", caller, id, 0);
-        }
-        std::rethrow_exception(faults_->failure_eptr(cc));
-      }
-      faults_->note_retry();
-      timeout = static_cast<sim::SimTime>(static_cast<double>(timeout) * rp.backoff);
-    }
-    if (rec && retry_span) rec->end(trace::Category::Orca, "orca.rpc.retry", caller, id);
-  }
-  if (rec) rec->end(trace::Category::Orca, "orca.rpc", caller, id, reply_bytes);
-  co_return result;
-}
-
-sim::Task<std::shared_ptr<const void>> Runtime::rpc_blocking(
-    net::NodeId caller, net::NodeId target, std::size_t request_bytes,
-    std::size_t reply_bytes, std::function<sim::Task<std::shared_ptr<const void>>()> op) {
-  if (caller == target) {
-    co_return co_await op();
-  }
-  const net::ClusterId cc = cluster_of(caller);
-  guard_failed(cc);
-  const std::uint64_t id = ((static_cast<std::uint64_t>(cc) + 1) << 40) |
-                           ++call_id_shards_[static_cast<std::size_t>(cc)];
-  auto& pending = pending_rpcs_[static_cast<std::size_t>(cc)];
-
-  trace::Recorder* rec = engine().tracer();
-  if (rec) rec->begin(trace::Category::Orca, "orca.rpc", caller, id, request_bytes);
-
-  RpcRequest req;
-  req.call_id = id;
-  req.caller = caller;
-  req.reply_bytes = reply_bytes;
-  req.service_time = 0;
-  req.op_blocking = std::move(op);
-  auto payload = net::make_payload<RpcRequest>(std::move(req));
-
-  std::shared_ptr<const void> result;
-  if (!recovery_on_) {
-    sim::Future<RpcWait> fut(engine());
-    pending.emplace(id, fut);
-    send_rpc_request(caller, target, request_bytes, std::move(payload));
-    result = (co_await fut).result;
-  } else {
-    // Same inlined retry loop as rpc() — see the comment there.
     const net::RecoveryParams& rp = faults_->plan().recovery;
     sim::SimTime timeout = rp.rpc_timeout;
     bool retry_span = false;
@@ -345,9 +283,8 @@ void Runtime::send_reply(net::NodeId at, net::NodeId caller, std::uint64_t call_
                          std::size_t reply_bytes, std::shared_ptr<const void> result) {
   if (recovery_on_) {
     // Cache the reply so a duplicate (retried) request re-receives it
-    // instead of re-executing the operation. Keyed in the *server*
-    // cluster's shard — duplicates arrive where the original did.
-    ServedRpc& s = served_rpcs_[static_cast<std::size_t>(cluster_of(at))][call_id];
+    // instead of re-executing the operation.
+    ServedRpc& s = served_rpcs_[call_id];
     s.result = result;
     s.reply_bytes = reply_bytes;
     s.done = true;
@@ -379,9 +316,8 @@ sim::Task<void> Runtime::serve_blocking(net::NodeId at, RpcRequest req) {
 
 void Runtime::handle_rpc_request(net::NodeId at, RpcRequest req) {
   if (recovery_on_) {
-    auto& served = served_rpcs_[static_cast<std::size_t>(cluster_of(at))];
-    auto it = served.find(req.call_id);
-    if (it != served.end()) {
+    auto it = served_rpcs_.find(req.call_id);
+    if (it != served_rpcs_.end()) {
       // Duplicate of a request this node already accepted (its reply
       // was lost, or the original is still executing). Never re-run the
       // operation — RPC handlers have side effects (job-queue pops,
@@ -396,7 +332,7 @@ void Runtime::handle_rpc_request(net::NodeId at, RpcRequest req) {
       }
       return;
     }
-    served.emplace(req.call_id, ServedRpc{});
+    served_rpcs_.emplace(req.call_id, ServedRpc{});
   }
   if (trace::Recorder* rec = engine().tracer()) {
     rec->instant(trace::Category::Orca, "orca.rpc.serve", at, req.call_id);
@@ -541,9 +477,7 @@ sim::SimTime Runtime::run_all() {
 }
 
 void Runtime::publish_metrics(trace::Metrics& m) const {
-  std::uint64_t calls = 0;
-  for (std::uint64_t c : call_id_shards_) calls += c;
-  *m.counter("orca/rpc.calls") = calls;
+  *m.counter("orca/rpc.calls") = rpc_calls_;
   *m.counter("orca/bcast.applied") = bcast_->applied_total();
   *m.counter("orca/seq.issued") = seq_->issued();
   *m.counter("orca/barrier.rounds") = barrier_generation_;

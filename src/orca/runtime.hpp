@@ -13,16 +13,16 @@
 //   * process lifecycle and completion-time bookkeeping for speedup
 //     measurement.
 //
-// Owner contexts: every mutable table is sharded by the cluster
-// context that touches it — pending RPCs and call ids by the caller's
-// cluster, the served-RPC duplicate cache by the server's, barrier and
-// object waiters by node. Finish bookkeeping is counted once, plus a
-// per-cluster finished count for cluster_quiescent(). Hard failures
-// are observed per cluster: the injector's on_fail callback fails the
-// origin cluster's parked waiters in its own context and schedules a
-// propagation event on every other cluster one WAN latency later (the
-// earliest a real notification could arrive), which fails that
-// cluster's waiters there.
+// Bookkeeping: the engine runs one sequential loop, so call ids come
+// from one run-wide counter. Pending RPCs stay indexed by the caller's
+// cluster, because a hard failure errors one cluster's callers at a
+// time; barrier and object waiters are kept per node. Finish
+// bookkeeping is counted once, plus a per-cluster finished count for
+// cluster_quiescent(). Hard failures are observed per cluster: the
+// injector's on_fail callback fails the origin cluster's parked waiters
+// at once and schedules a propagation event on every other cluster one
+// WAN latency later (the earliest a real notification could arrive),
+// which fails that cluster's waiters there.
 
 #include <cassert>
 #include <cstdint>
@@ -161,10 +161,10 @@ class Runtime {
 
  private:
   struct RpcRequest {
-    std::uint64_t call_id;
-    net::NodeId caller;
-    std::size_t reply_bytes;
-    sim::SimTime service_time;
+    std::uint64_t call_id = 0;
+    net::NodeId caller = 0;
+    std::size_t reply_bytes = 0;
+    sim::SimTime service_time = 0;
     std::function<std::shared_ptr<const void>()> op;
     /// Set instead of `op` for blocking (coroutine) handlers.
     std::function<sim::Task<std::shared_ptr<const void>>()> op_blocking;
@@ -194,6 +194,13 @@ class Runtime {
     bool done = false;
   };
 
+  /// The one RPC path behind rpc() and rpc_blocking(): runs `req`
+  /// locally when its caller is `target`, otherwise ships it and waits
+  /// for the reply (retrying on timeout when recovery is armed). rpc()
+  /// and rpc_blocking() are plain functions returning this task, so a
+  /// call adds no coroutine layer of its own.
+  sim::Task<std::shared_ptr<const void>> call(net::NodeId target, std::size_t request_bytes,
+                                              RpcRequest req);
   void install_handlers();
   void handle_rpc_request(net::NodeId at, RpcRequest req);
   sim::Task<void> serve_blocking(net::NodeId at, RpcRequest req);
@@ -233,12 +240,14 @@ class Runtime {
   // by the broadcast apply at that node).
   std::vector<std::vector<std::vector<ObjectWaiter>>> waiters_;
 
-  // RPC tables, sharded by the cluster context that touches them: call
-  // ids and pending futures by the caller's cluster (the reply handler
-  // runs at the caller), the duplicate cache by the server's.
-  std::vector<std::uint64_t> call_id_shards_;
+  // RPC tables. rpc_calls_ counts the remote calls made and is the last
+  // call id minted. Pending futures are indexed by the caller's cluster,
+  // the unit a hard failure errors. Call ids are unique across the run
+  // and a retry goes to the same server, so one duplicate cache serves
+  // every node.
+  std::uint64_t rpc_calls_ = 0;
   std::vector<std::map<std::uint64_t, sim::Future<RpcWait>>> pending_rpcs_;
-  std::vector<std::map<std::uint64_t, ServedRpc>> served_rpcs_;  // recovery mode only
+  std::map<std::uint64_t, ServedRpc> served_rpcs_;  // recovery mode only
 
   // Barrier service state. The arrival counter and generation belong to
   // the root (rank 0) context; waiters are sharded per node, keyed by

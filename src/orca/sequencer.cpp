@@ -55,8 +55,7 @@ class SequencerBase : public Sequencer {
   explicit SequencerBase(net::Network& net)
       : net_(&net),
         faults_(net.faults()),
-        recovery_on_(faults_ != nullptr && faults_->recovery_active()),
-        req_id_shards_(static_cast<std::size_t>(net.topology().clusters()), 0) {}
+        recovery_on_(faults_ != nullptr && faults_->recovery_active()) {}
 
   /// Post-run accessor (counter_ is handoff-owned during a run).
   std::uint64_t issued() const override { return counter_; }
@@ -73,12 +72,8 @@ class SequencerBase : public Sequencer {
   /// touches the counter, and that right only moves by message.
   std::uint64_t take_seq() { return counter_++; }
 
-  /// Request ids are minted in the caller's cluster context; the cluster
-  /// index in the high bits keeps them unique without a shared counter.
-  std::uint64_t next_req_id(net::ClusterId cluster) {
-    const auto c = static_cast<std::size_t>(cluster);
-    return ((static_cast<std::uint64_t>(c) + 1) << 40) | ++req_id_shards_[c];
-  }
+  /// Fresh request id for recovery mode: unique across the run, never 0.
+  std::uint64_t next_req_id() { return ++last_req_id_; }
 
   /// Entry guard: once the caller's cluster has observed the hard
   /// failure, new get-sequence calls rethrow immediately instead of
@@ -216,8 +211,8 @@ class SequencerBase : public Sequencer {
   net::Network* net_;
   net::FaultInjector* faults_;
   bool recovery_on_;
-  std::uint64_t counter_ = 0;                   // handoff-owned (see take_seq)
-  std::vector<std::uint64_t> req_id_shards_;    // per caller cluster
+  std::uint64_t counter_ = 0;      // handoff-owned (see take_seq)
+  std::uint64_t last_req_id_ = 0;  // recovery mode only
 };
 
 // --------------------------------------------------------------------
@@ -287,7 +282,7 @@ class RotatingSequencer final : public SequencerBase {
       co_return (co_await fut).seq;
     }
     guard_failed(c);
-    const std::uint64_t rid = next_req_id(c);
+    const std::uint64_t rid = next_req_id();
     sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
     for (int attempt = 1;; ++attempt) {
       sim::Future<SeqWait> fut(eng());
@@ -501,7 +496,7 @@ class MigratingSequencer final : public SequencerBase {
       co_return (co_await fut).seq;
     }
     guard_failed(cluster);
-    const std::uint64_t rid = next_req_id(cluster);
+    const std::uint64_t rid = next_req_id();
     sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
     for (int attempt = 1;; ++attempt) {
       // The hint is re-read every attempt, so a retry sent after the
@@ -662,8 +657,8 @@ class MigratingSequencer final : public SequencerBase {
   }
 
   int threshold_;  // handoff-owned since adapt_arm can lower it mid-run
-  // Per-node slots: each element is only touched in its node's cluster
-  // context (distinct memory locations, so neighbours don't race).
+  // Per-node slots: each element is that node's own view of the
+  // sequencer; other nodes learn it only by message.
   std::vector<char> active_;          // 1 = requests are served here
   std::vector<net::NodeId> forward_;  // where an ex-location forwards to
   std::vector<std::deque<SeqRequest>> early_;  // outran-the-migrate parking

@@ -26,15 +26,15 @@
 // state transition that would require a message in the real system sends
 // one here.
 //
-// Ownership: sequencer state is either confined to one cluster's engine
-// context (per-cluster request queues, duplicate caches, location
-// hints) or "handoff-owned" — passed between clusters by protocol
-// message (the rotating token's counter, the migrating sequencer's
-// counter and grant cache). Consequence: every location decision
-// travels by message (the migrating sequencer routes requests through
-// per-cluster hints and per-node forwarding pointers instead of reading
-// a global location), and those messages are part of the pinned
-// schedule.
+// State placement: sequencer state is either kept per cluster or per
+// node (request queues, duplicate caches, location hints), or it
+// travels between clusters with the right to issue (the rotating
+// token's counter, the migrating sequencer's counter and grant cache).
+// Every location decision travels by message: the migrating sequencer
+// routes requests through per-cluster hints and per-node forwarding
+// pointers instead of reading a global location, and those messages are
+// part of the pinned schedule. Request ids come from one run-wide
+// counter.
 
 #include <cstdint>
 #include <deque>
