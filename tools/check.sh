@@ -197,20 +197,24 @@ TWICE_ROWS=(
   "adapt-faults:--app ASP --clusters 4 --per 2 --csv --adapt --faults"
   "hetero3:--scenario hetero3 --app ASP --csv"
   "ra-wrapped:--app RA --clusters 4 --per 4 --csv --critical-path --what-if std --capacity 20000"
+  "water-opt-faults:--app Water --clusters 4 --per 4 --opt --csv --faults"
 )
 for row in "${TWICE_ROWS[@]}"; do
   read -r -a args <<< "${row#*:}"
   det_diff "trace.${row%%:*}" "$T" "${args[@]}" -- "$T" "${args[@]}"
 done
 # The rows above must not compare two runs that never exercised their
-# feature: the faulted TSP run retries, the adaptive ASP run arms its
-# sequencer migration, and the RA causal run's ring wraps, so
-# normalization drops orphan Ends.
+# feature: the faulted TSP run retries, the faulted optimized Water run
+# times out RPCs made by its cluster cache and reducer (the blocking
+# RPC path), the adaptive ASP run arms its sequencer migration, and the
+# RA causal run's ring wraps, so normalization drops orphan Ends.
 grep -q '^retries,' "$R/det.trace.faults.a" \
   || { echo "fault counter table missing from --faults output"; exit 1; }
 if grep -q '^retries,0$' "$R/det.trace.faults.a"; then
   echo "faulted TSP run saw no retries — injection is not reaching the RPC path"; exit 1
 fi
+grep -q '^rpc timeouts,[1-9]' "$R/det.trace.water-opt-faults.a" \
+  || { echo "faulted Water --opt run timed out no RPC — the blocking retry loop did not run"; exit 1; }
 grep -q '^sequencer arms,[1-9]' "$R/det.trace.adapt-faults.a" \
   || { echo "adaptive ASP smoke armed no sequencer migration"; exit 1; }
 grep -q 'cp_orphan_ends=[1-9]' "$R/det.trace.ra-wrapped.a" \
