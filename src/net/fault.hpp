@@ -17,7 +17,8 @@
 // force-drop index and one failure slot *per cluster*, indexed by that
 // context. Each cluster consumes its streams in its own canonical event
 // order; which draw a message gets is part of the pinned output.
-// Histograms are sharded per cluster and merged at publish time.
+// Drop-size histograms are three registry instruments, one per link
+// class, added to as each drop happens.
 //
 // Traffic is split into two service classes. Messages whose sender can
 // recover end-to-end (RPC requests/replies and sequencer
