@@ -56,7 +56,9 @@
 // sequencer: the single-cluster default, an app-forced centralized
 // sequencer on four clusters (clean and under WAN loss, where the
 // retry and regrant paths run), and the sequencer that --adapt starts
-// before it arms migration.
+// before it arms migration. The lossy original ASP pins the rotating
+// sequencer's retry loop, and the adaptive TSP pins the central job
+// queue's split into per-cluster shares.
 //
 // MetricsGolden pins the full published metrics snapshot (every
 // counter, gauge and histogram row of write_csv) for runs that reach
@@ -64,7 +66,8 @@
 // fault-drop accounting. The lossy Water run also pins its schedule and
 // answer: Water makes RPCs only through its cluster cache and reducer,
 // so its RPC timeouts and duplicate requests are the blocking-RPC
-// retry loop at work.
+// retry loop at work. The four-stream Water run pins payloads split
+// into chunks striped over a circuit's sub-streams.
 //
 // CausalGolden pins the causal analysis end to end on a trace whose
 // recorder ring wrapped, so normalization drops orphan Ends: the DAG's
@@ -166,6 +169,23 @@ TEST(TraceGolden, Asp1ClusterDefault) {
                 "ASP 1 cluster, default sequencer");
 }
 
+TEST(TraceGolden, Asp4ClusterOriginalLossy) {
+  // WAN loss alone never reaches the rotating sequencer: its requests
+  // and grants stay inside a cluster, and the token is stream traffic.
+  // The flap holds the token at a gateway long enough for a request to
+  // time out, retry and be refreshed in the pending queue.
+  AppConfig c = cfg4(false);
+  c.faults.enabled = true;
+  c.faults.wan.loss = 0.05;
+  c.faults.flaps.push_back(net::FlapWindow{-1, -1, sim::milliseconds(5), sim::milliseconds(25)});
+  const AppResult r = run_asp(c, golden_asp());
+  expect_golden(r,
+                Golden{17813638459638824829ull, 4483ull, 398691102,
+                       8836462817929870582ull},
+                "ASP original, lossy WAN");
+  EXPECT_GT(counter_of(r, "net/fault.timeouts.seq"), 0u) << "no sequencer retry ran";
+}
+
 TEST(TraceGolden, Asp4ClusterCentralized) {
   expect_golden(run_asp(cfg4(false, 3), golden_asp(orca::SequencerKind::Centralized)),
                 Golden{10291615306102786414ull, 4347ull, 170171496,
@@ -215,6 +235,21 @@ TEST(TraceGolden, Tsp4ClusterOptimized) {
                 Golden{1766433423914237749ull, 341ull, 8184521,
                        9644552255054130231ull},
                 "TSP optimized");
+}
+
+TEST(TraceGolden, Tsp4ClusterAdapt) {
+  // 12 cities is the smallest problem whose central queue splits.
+  AppConfig c = cfg4(false);
+  c.adapt = true;
+  TspParams p;
+  p.cities = 12;
+  p.job_depth = 3;
+  const AppResult r = run_tsp(c, p);
+  expect_golden(r,
+                Golden{9617460945575344713ull, 2636ull, 748641018,
+                       14704963054664602638ull},
+                "TSP adaptive");
+  EXPECT_GE(counter_of(r, "orca/adapt.queue.splits"), 1u) << "the queue never split";
 }
 
 TEST(TraceGolden, Atpg4ClusterOriginal) {
@@ -347,6 +382,27 @@ TEST(MetricsGolden, Ra4ClusterTree) {
   const AppResult r = run_ra(c, golden_ra());
   EXPECT_GT(counter_of(r, "net/wan.combined.flushes"), 0u) << "no combined flush ran";
   EXPECT_EQ(metrics_hash(r.stats), 2344758185139349959ull) << "published metrics changed";
+}
+
+TEST(MetricsGolden, Water4ClusterOptimizedStreams) {
+  AppConfig c = cfg4(true, 3);
+  c.wan_streams = 4;
+  c.net_cfg.wan_transport.stream_chunk_bytes = 128;
+  WaterParams p;
+  p.molecules = 96;
+  const AppResult r = run_water(c, p);
+  expect_golden(r,
+                Golden{17815790791220651145ull, 3057ull, 52530420,
+                       4666641810641308992ull},
+                "Water 4x3 optimized, 4 WAN streams");
+  std::uint64_t wire_msgs = 0;
+  for (int k = 0; k < net::TrafficStats::kNumKinds; ++k) {
+    wire_msgs += r.traffic.kind(static_cast<net::MsgKind>(k)).inter_msgs;
+  }
+  EXPECT_GT(counter_of(r, "net/link.wan.msgs"), wire_msgs) << "no payload was split";
+  EXPECT_EQ(counter_of(r, "net/link.wan.msgs"), 288u);
+  EXPECT_EQ(counter_of(r, "net/link.wan.queue_ns"), 2899056u);
+  EXPECT_EQ(metrics_hash(r.stats), 14112367954329667435ull) << "published metrics changed";
 }
 
 // FNV-1a over the bytes of every field of every edge, in edge order.
