@@ -181,19 +181,13 @@ struct Harness {
  private:
   /// Copies the harness-level collective + adaptive policy into the
   /// runtime config, resolving flag-vs-policy precedence (explicit
-  /// flags win; the Runtime itself resolves an app-forced sequencer).
+  /// flags win; the Runtime itself resolves an app-forced sequencer and
+  /// the adaptive engine an explicit --coll shape).
   static orca::Runtime::Config with_coll(orca::Runtime::Config rtc, const AppConfig& cfg) {
     rtc.coll.mode = cfg.coll;
     if (cfg.adapt) {
       rtc.adapt.enabled = true;
-      if (cfg.coll != orca::coll::Mode::Flat) {
-        rtc.adapt.allow_tree = false;
-        rtc.adapt.coll_overridden = true;
-      }
-      if (cfg.combine_bytes >= 0) {
-        rtc.adapt.allow_combine = false;
-        rtc.adapt.combine_overridden = true;
-      }
+      rtc.adapt.combine_overridden = cfg.combine_bytes >= 0;
     }
     return rtc;
   }

@@ -23,8 +23,9 @@
 // flight parks on an arrival future (the batch is guaranteed to be on
 // the wire once anything redirected), and stolen jobs are never
 // re-queued, so post-arrival emptiness is authoritative: the sweep
-// terminates without lost jobs. With the adaptive engine absent the
-// classic code path runs unchanged, byte for byte.
+// terminates without lost jobs. Without the adaptive engine the same
+// central-phase get runs; nothing feeds a signal and nothing ever
+// splits, so every get stays a plain pop at the master.
 
 #include <deque>
 #include <optional>
@@ -49,14 +50,14 @@ class CentralJobQueue {
         tag_(tag),
         queue_(orca::create_remote<std::deque<Job>>(rt, master_rank, {})) {
     const auto& topo = rt.network().topology();
-    if (topo.clusters() > 1) adapt_ = rt.adaptive();
-    if (adapt_ == nullptr) return;
     master_cluster_ = topo.cluster_of(static_cast<net::NodeId>(master_rank));
     const auto clusters = static_cast<std::size_t>(topo.clusters());
     split_.resize(clusters);
     split_here_.assign(clusters, 0);
     arrival_waiters_.resize(clusters);
     redirected_.assign(static_cast<std::size_t>(rt.nprocs()), 0);
+    if (topo.clusters() > 1) adapt_ = rt.adaptive();
+    if (adapt_ == nullptr) return;
     for (net::ClusterId c = 0; c < topo.clusters(); ++c) {
       rt.network().endpoint(topo.compute_node(c, 0)).set_handler(tag_, [this, c](net::Message m) {
         deliver_batch(c, net::payload_as<SplitBatch>(m).jobs);
@@ -73,25 +74,17 @@ class CentralJobQueue {
 
   /// Takes the next job; std::nullopt once the queue is empty.
   sim::Task<std::optional<Job>> get(const orca::Proc& p) {
-    if (adapt_ == nullptr) {
-      // Classic path — byte-identical to the pre-adaptive queue.
-      co_return co_await queue_.template invoke<std::optional<Job>>(
-          p, kRequestBytes, job_bytes_, [](std::deque<Job>& q) -> std::optional<Job> {
-            if (q.empty()) return std::nullopt;
-            Job j = std::move(q.front());
-            q.pop_front();
-            return j;
-          });
-    }
     // Local phase: this worker was redirected, or its own cluster's
-    // share already arrived (both facts live in the worker's context).
+    // share already arrived (both facts live in the worker's context;
+    // neither is ever set without the adaptive engine).
     if (redirected_[static_cast<std::size_t>(p.rank)] ||
         split_here_[static_cast<std::size_t>(p.cluster())]) {
       co_return co_await local_get(p);
     }
     // Central phase: the op runs in the master's context — it feeds the
-    // contention signal there and reports the split (redirect) to
-    // workers whose request was in flight when the policy tripped.
+    // adaptive engine's contention signal there (when one exists) and
+    // reports the split (redirect) to workers whose request was in
+    // flight when the policy tripped.
     const bool remote = p.cluster() != master_cluster_;
     orca::adapt::Engine* ad = adapt_;
     const net::ClusterId mc = master_cluster_;
@@ -99,7 +92,7 @@ class CentralJobQueue {
     GetReply rep = co_await queue_.template invoke<GetReply>(
         p, kRequestBytes, job_bytes_,
         [ad, mc, remote, done](std::deque<Job>& q) -> GetReply {
-          ad->note_queue_get(mc, remote);
+          if (ad != nullptr) ad->note_queue_get(mc, remote);
           if (*done) return GetReply{std::nullopt, true};
           if (q.empty()) return GetReply{std::nullopt, false};
           Job j = std::move(q.front());
@@ -214,7 +207,7 @@ class CentralJobQueue {
   }
 
   orca::Runtime* rt_;
-  orca::adapt::Engine* adapt_ = nullptr;  // null => classic behavior
+  orca::adapt::Engine* adapt_ = nullptr;  // null => the queue never splits
   int master_rank_;
   net::ClusterId master_cluster_ = 0;
   std::size_t job_bytes_;

@@ -41,13 +41,15 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
     lan_links_.push_back(std::make_unique<Link>(eng, cfg.lan, fi, LinkClass::Lan, c));
     access_links_.push_back(std::make_unique<Link>(eng, cfg.access, fi, LinkClass::Access, c));
   }
-  wan_links_.resize(static_cast<std::size_t>(clusters) * static_cast<std::size_t>(clusters));
+  const WanTransportConfig& wt = cfg.wan_transport;
+  wan_links_.resize(static_cast<std::size_t>(clusters) * clusters * wt.streams);
   for (int a = 0; a < clusters; ++a) {
     for (int b = 0; b < clusters; ++b) {
-      if (a != b) {
-        // Charged at the kWanTransfer stage, in the *source* gateway's
-        // context — stream = a.
-        wan_links_[static_cast<std::size_t>(a) * clusters + b] =
+      if (a == b) continue;
+      // Charged at the kWanTransfer stage, in the *source* gateway's
+      // context — stream = a.
+      for (int s = 0; s < wt.streams; ++s) {
+        wan_links_[wan_circuit(a, b) + static_cast<std::size_t>(s)] =
             std::make_unique<Link>(eng, cfg.wan_between(a, b), fi, LinkClass::Wan, a);
       }
     }
@@ -57,27 +59,10 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
     bcast_links_.push_back(std::make_unique<Link>(eng, cfg.lan_broadcast, fi, LinkClass::Lan, c));
   }
 
-  // Transport-level WAN features: both default off, and when off they
-  // allocate nothing and add one predictable branch per hop — the
-  // default network stays byte-identical to the pre-feature one.
-  const WanTransportConfig& wt = cfg.wan_transport;
-  if (wt.streams > 1) {
-    wan_stream_links_.resize(static_cast<std::size_t>(clusters) * clusters * wt.streams);
-    for (int a = 0; a < clusters; ++a) {
-      for (int b = 0; b < clusters; ++b) {
-        if (a == b) continue;
-        for (int s = 0; s < wt.streams; ++s) {
-          wan_stream_links_[(static_cast<std::size_t>(a) * clusters + b) * wt.streams + s] =
-              std::make_unique<Link>(eng, cfg.wan_between(a, b), fi, LinkClass::Wan, a);
-        }
-      }
-    }
-  }
+  // Gateway combining is off by default; off, it allocates nothing and
+  // adds one predictable branch per hop.
   if (wt.combine_bytes > 0) {
-    combine_shards_.resize(static_cast<std::size_t>(clusters));
-    for (CombineShard& shard : combine_shards_) {
-      shard.buffers.resize(static_cast<std::size_t>(clusters) * TrafficStats::kNumKinds * 2);
-    }
+    combine_.resize(static_cast<std::size_t>(clusters) * combine_per_source());
   }
 }
 
@@ -92,7 +77,24 @@ void Network::drop(const Message& m, LinkClass cls, FaultInjector::DropCause cau
 
 Link& Network::wan_link(ClusterId from, ClusterId to) {
   assert(from != to);
-  return *wan_links_[static_cast<std::size_t>(from) * topo_.clusters() + to];
+  return *wan_links_[wan_circuit(from, to)];
+}
+
+std::optional<sim::SimTime> Network::gateway_overhead(const Message& m, ClusterId at) {
+  sim::SimTime overhead = cfg_.gateway_forward_overhead;
+  if (faults_) {
+    const FaultInjector::GatewayState gs = faults_->gateway_state(at, eng_->now());
+    if (m.droppable && gs.extra_loss > 0.0 && faults_->lose_extra(gs.extra_loss, at)) {
+      drop(m, LinkClass::Wan, FaultInjector::DropCause::Brownout, topo_.gateway_of(at),
+           /*close_wan_span=*/true);
+      return std::nullopt;
+    }
+    if (gs.slow_factor > 1.0) {
+      overhead = static_cast<sim::SimTime>(static_cast<double>(overhead) * gs.slow_factor);
+      faults_->count_brownout_slow();
+    }
+  }
+  return overhead;
 }
 
 void Network::deliver_at(sim::SimTime t, Message m) {
@@ -155,30 +157,16 @@ void Network::run_hop(HopPlan plan) {
       // Store-and-forward: the gateway spends its per-message forwarding
       // overhead, then the message queues on the WAN circuit (possibly
       // via the combine buffer).
-      sim::SimTime overhead = cfg_.gateway_forward_overhead;
-      if (faults_) {
-        const FaultInjector::GatewayState gs =
-            faults_->gateway_state(plan.from, eng_->now());
-        if (plan.msg.droppable && gs.extra_loss > 0.0 &&
-            faults_->lose_extra(gs.extra_loss, plan.from)) {
-          drop(plan.msg, LinkClass::Wan, FaultInjector::DropCause::Brownout,
-               topo_.gateway_of(plan.from), /*close_wan_span=*/true);
-          break;
-        }
-        if (gs.slow_factor > 1.0) {
-          overhead = static_cast<sim::SimTime>(static_cast<double>(overhead) * gs.slow_factor);
-          faults_->count_brownout_slow();
-        }
-      }
+      const std::optional<sim::SimTime> overhead = gateway_overhead(plan.msg, plan.from);
+      if (!overhead) break;
       plan.stage = combine ? HopStage::kCombineEnqueue : HopStage::kWanTransfer;
-      schedule_hop_after(overhead, std::move(plan));
+      schedule_hop_after(*overhead, std::move(plan));
       break;
     }
     case HopStage::kCombineEnqueue: {
       const WanTransportConfig& wt = cfg_.wan_transport;
       const int idx = combine_idx(plan.to, plan.msg.kind, plan.msg.droppable);
-      CombineShard& shard = combine_shards_[static_cast<std::size_t>(plan.from)];
-      CombineBuffer& buf = shard.buffers[static_cast<std::size_t>(idx)];
+      CombineBuffer& buf = combine_buffer(plan.from, idx);
       if (buf.members.empty() && wan_idle(plan.from, plan.to)) {
         // Idle bypass: nothing to combine with and the circuit could
         // start serializing right now — holding for an epoch would only
@@ -277,22 +265,10 @@ void Network::run_hop(HopPlan plan) {
         rec->instant(trace::Category::Net, "net.hop.gw_out", topo_.gateway_of(plan.to),
                      plan.msg.id, plan.msg.bytes);
       }
-      sim::SimTime overhead = cfg_.gateway_forward_overhead;
-      if (faults_) {
-        const FaultInjector::GatewayState gs = faults_->gateway_state(plan.to, eng_->now());
-        if (plan.msg.droppable && gs.extra_loss > 0.0 &&
-            faults_->lose_extra(gs.extra_loss, plan.to)) {
-          drop(plan.msg, LinkClass::Wan, FaultInjector::DropCause::Brownout,
-               topo_.gateway_of(plan.to), /*close_wan_span=*/true);
-          break;
-        }
-        if (gs.slow_factor > 1.0) {
-          overhead = static_cast<sim::SimTime>(static_cast<double>(overhead) * gs.slow_factor);
-          faults_->count_brownout_slow();
-        }
-      }
+      const std::optional<sim::SimTime> overhead = gateway_overhead(plan.msg, plan.to);
+      if (!overhead) break;
       plan.stage = HopStage::kClusterDelivery;
-      schedule_hop_after(overhead, std::move(plan));
+      schedule_hop_after(*overhead, std::move(plan));
       break;
     }
     case HopStage::kClusterDelivery: {
@@ -487,27 +463,19 @@ void Network::relay_tree_children(const HopPlan& plan) {
 }
 
 sim::SimTime Network::wan_free_at(ClusterId from, ClusterId to) {
-  const WanTransportConfig& wt = cfg_.wan_transport;
-  const sim::SimTime now = eng_->now();
-  sim::SimTime free_at;
-  if (wt.streams <= 1) {
-    free_at = wan_link(from, to).busy_until();
-  } else {
-    const std::size_t base = (static_cast<std::size_t>(from) * topo_.clusters() + to) *
-                             static_cast<std::size_t>(wt.streams);
-    free_at = wan_stream_links_[base]->busy_until();
-    for (int s = 1; s < wt.streams; ++s) {
-      const sim::SimTime t = wan_stream_links_[base + static_cast<std::size_t>(s)]->busy_until();
-      if (t < free_at) free_at = t;
-    }
+  const std::size_t base = wan_circuit(from, to);
+  sim::SimTime free_at = wan_links_[base]->busy_until();
+  for (int s = 1; s < cfg_.wan_transport.streams; ++s) {
+    const sim::SimTime t = wan_links_[base + static_cast<std::size_t>(s)]->busy_until();
+    if (t < free_at) free_at = t;
   }
+  const sim::SimTime now = eng_->now();
   return free_at > now ? free_at : now;
 }
 
 void Network::arm_combine_flush(ClusterId from, ClusterId to, int idx) {
   const WanTransportConfig& wt = cfg_.wan_transport;
-  CombineBuffer& buf =
-      combine_shards_[static_cast<std::size_t>(from)].buffers[static_cast<std::size_t>(idx)];
+  CombineBuffer& buf = combine_buffer(from, idx);
   // Epoch boundaries are absolute multiples of combine_epoch, so the
   // backstop flush times (and therefore the whole schedule) are
   // independent of which message arrived first within the window.
@@ -516,8 +484,7 @@ void Network::arm_combine_flush(ClusterId from, ClusterId to, int idx) {
   const sim::SimTime due = free_at < boundary ? free_at : boundary;
   buf.epoch_due = due;
   auto ev = [this, from, to, idx, due] {
-    CombineBuffer& b =
-        combine_shards_[static_cast<std::size_t>(from)].buffers[static_cast<std::size_t>(idx)];
+    CombineBuffer& b = combine_buffer(from, idx);
     if (b.epoch_due != due || b.members.empty()) return;
     // A boundary flush fires even on a busy circuit (the batch takes
     // its queue slot ahead of later wire traffic); a circuit-free
@@ -536,28 +503,15 @@ void Network::arm_combine_flush(ClusterId from, ClusterId to, int idx) {
 }
 
 bool Network::wan_idle(ClusterId from, ClusterId to) {
-  const WanTransportConfig& wt = cfg_.wan_transport;
-  const sim::SimTime now = eng_->now();
-  if (wt.streams <= 1) return wan_link(from, to).busy_until() <= now;
-  const std::size_t base = (static_cast<std::size_t>(from) * topo_.clusters() + to) *
-                           static_cast<std::size_t>(wt.streams);
-  for (int s = 0; s < wt.streams; ++s) {
-    if (wan_stream_links_[base + static_cast<std::size_t>(s)]->busy_until() <= now) return true;
-  }
-  return false;
+  return wan_free_at(from, to) <= eng_->now();
 }
 
 sim::SimTime Network::wan_transfer_time(ClusterId from, ClusterId to, std::size_t wire_bytes,
                                         std::uint64_t& queued_out) {
   const WanTransportConfig& wt = cfg_.wan_transport;
-  if (wt.streams <= 1) {
-    Link& wan = wan_link(from, to);
-    const sim::SimTime wait = wan.busy_until() - eng_->now();
-    queued_out = static_cast<std::uint64_t>(wait > 0 ? wait : 0);
-    return wan.transfer(wire_bytes);
-  }
-  const std::size_t base = (static_cast<std::size_t>(from) * topo_.clusters() + to) *
-                           static_cast<std::size_t>(wt.streams);
+  const std::size_t base = wan_circuit(from, to);
+  // One stream carries a payload whole; more cut it into chunks.
+  const std::size_t chunk_max = wt.streams > 1 ? wt.stream_chunk_bytes : wire_bytes;
   const sim::SimTime now = eng_->now();
   sim::SimTime arrival = 0;
   std::size_t remaining = wire_bytes;
@@ -568,18 +522,15 @@ sim::SimTime Network::wan_transfer_time(ClusterId from, ClusterId to, std::size_
     std::size_t best = base;
     for (int s = 1; s < wt.streams; ++s) {
       const std::size_t cand = base + static_cast<std::size_t>(s);
-      if (wan_stream_links_[cand]->busy_until() < wan_stream_links_[best]->busy_until()) {
-        best = cand;
-      }
+      if (wan_links_[cand]->busy_until() < wan_links_[best]->busy_until()) best = cand;
     }
-    Link& link = *wan_stream_links_[best];
+    Link& link = *wan_links_[best];
     if (first) {
       const sim::SimTime wait = link.busy_until() - now;
       queued_out = static_cast<std::uint64_t>(wait > 0 ? wait : 0);
       first = false;
     }
-    const std::size_t chunk =
-        remaining < wt.stream_chunk_bytes ? remaining : wt.stream_chunk_bytes;
+    const std::size_t chunk = remaining < chunk_max ? remaining : chunk_max;
     const sim::SimTime t = link.transfer(chunk);
     if (t > arrival) arrival = t;
     remaining -= chunk;
@@ -588,8 +539,7 @@ sim::SimTime Network::wan_transfer_time(ClusterId from, ClusterId to, std::size_
 }
 
 void Network::flush_combine(ClusterId from, int idx) {
-  CombineBuffer& buf =
-      combine_shards_[static_cast<std::size_t>(from)].buffers[static_cast<std::size_t>(idx)];
+  CombineBuffer& buf = combine_buffer(from, idx);
   if (buf.members.empty()) return;
   const ClusterId to = static_cast<ClusterId>(idx / (2 * TrafficStats::kNumKinds));
   const MsgKind kind = static_cast<MsgKind>((idx / 2) % TrafficStats::kNumKinds);
@@ -597,48 +547,42 @@ void Network::flush_combine(ClusterId from, int idx) {
   trace::Recorder* rec = eng_->tracer();
 
   if (faults_) {
+    std::optional<FaultInjector::DropCause> lost;
     if (const std::optional<sim::SimTime> until =
             faults_->flapped_until(from, to, eng_->now())) {
-      if (droppable) {
-        // A flapped circuit swallows the whole datagram-class batch.
-        for (const HopPlan& m : buf.members) {
-          drop(m.msg, LinkClass::Wan, FaultInjector::DropCause::Flap, topo_.gateway_of(from),
-               /*close_wan_span=*/true);
+      if (!droppable) {
+        // Stream-class batch: hold at the gateway until the window
+        // closes. New arrivals keep joining the held batch.
+        faults_->count_flap_hold(*until - eng_->now());
+        if (rec) {
+          for (const HopPlan& m : buf.members) {
+            rec->instant(trace::Category::Net, "net.fault.flap_hold", topo_.gateway_of(from),
+                         m.msg.id, m.msg.bytes);
+          }
         }
-        buf.members.clear();
-        buf.bytes = 0;
-        buf.epoch_due = -1;
+        const sim::SimTime due = *until;
+        buf.epoch_due = due;
+        auto ev = [this, from, idx, due] {
+          CombineBuffer& b = combine_buffer(from, idx);
+          if (b.epoch_due == due && !b.members.empty()) flush_combine(from, idx);
+        };
+        static_assert(sim::UniqueFunction::stores_inline<decltype(ev)>,
+                      "the flap-retry event must fit the event queue's inline storage");
+        eng_->schedule_at(due, std::move(ev));
         return;
       }
-      // Stream-class batch: hold at the gateway until the window closes.
-      // New arrivals keep joining the held batch.
-      faults_->count_flap_hold(*until - eng_->now());
-      if (rec) {
-        for (const HopPlan& m : buf.members) {
-          rec->instant(trace::Category::Net, "net.fault.flap_hold", topo_.gateway_of(from),
-                       m.msg.id, m.msg.bytes);
-        }
-      }
-      const sim::SimTime due = *until;
-      buf.epoch_due = due;
-      auto ev = [this, from, idx, due] {
-        CombineBuffer& b =
-            combine_shards_[static_cast<std::size_t>(from)].buffers[static_cast<std::size_t>(idx)];
-        if (b.epoch_due == due && !b.members.empty()) flush_combine(from, idx);
-      };
-      static_assert(sim::UniqueFunction::stores_inline<decltype(ev)>,
-                    "the flap-retry event must fit the event queue's inline storage");
-      eng_->schedule_at(due, std::move(ev));
-      return;
-    }
-    if (droppable && faults_->lose(LinkClass::Wan, from)) {
+      // A flapped circuit swallows the whole datagram-class batch.
+      lost = FaultInjector::DropCause::Flap;
+    } else if (droppable && faults_->lose(LinkClass::Wan, from)) {
       // The combined wire message vanished on the circuit: bandwidth
       // consumed, every member lost.
       std::uint64_t lost_queued = 0;
       wan_transfer_time(from, to, cfg_.wan_transport.frame_bytes + buf.bytes, lost_queued);
+      lost = FaultInjector::DropCause::Loss;
+    }
+    if (lost) {
       for (const HopPlan& m : buf.members) {
-        drop(m.msg, LinkClass::Wan, FaultInjector::DropCause::Loss, topo_.gateway_of(from),
-             /*close_wan_span=*/true);
+        drop(m.msg, LinkClass::Wan, *lost, topo_.gateway_of(from), /*close_wan_span=*/true);
       }
       buf.members.clear();
       buf.bytes = 0;
@@ -674,7 +618,7 @@ void Network::flush_combine(ClusterId from, int idx) {
   // combining safe even for blocking RPC traffic. Striped multi-stream
   // trains interleave chunks across sub-circuits, so the prefix model
   // has no meaning there; their members deliver at the train's tail.
-  const bool pipelined = cfg_.wan_transport.streams <= 1;
+  const bool pipelined = cfg_.wan_transport.streams == 1;
   std::size_t prefix = 0;
   for (HopPlan& m : batch) {
     if (rec) {
@@ -751,17 +695,12 @@ void Network::publish_metrics(trace::Metrics& m) const {
       sum_links(access_links_, [](const Link& l) { return l.busy_time(); }) +
       sum_links(delivery_links_, [](const Link& l) { return l.busy_time(); });
   *m.counter("net/link.wan.msgs") =
-      sum_links(wan_links_, [](const Link& l) { return l.messages(); }) +
-      sum_links(wan_stream_links_, [](const Link& l) { return l.messages(); });
-  *m.counter("net/link.wan.bytes") =
-      sum_links(wan_links_, [](const Link& l) { return l.bytes(); }) +
-      sum_links(wan_stream_links_, [](const Link& l) { return l.bytes(); });
+      sum_links(wan_links_, [](const Link& l) { return l.messages(); });
+  *m.counter("net/link.wan.bytes") = sum_links(wan_links_, [](const Link& l) { return l.bytes(); });
   *m.counter("net/link.wan.busy_ns") =
-      sum_links(wan_links_, [](const Link& l) { return l.busy_time(); }) +
-      sum_links(wan_stream_links_, [](const Link& l) { return l.busy_time(); });
+      sum_links(wan_links_, [](const Link& l) { return l.busy_time(); });
   *m.counter("net/link.wan.queue_ns") =
-      sum_links(wan_links_, [](const Link& l) { return l.queueing_time(); }) +
-      sum_links(wan_stream_links_, [](const Link& l) { return l.queueing_time(); });
+      sum_links(wan_links_, [](const Link& l) { return l.queueing_time(); });
 
   // Logical-vs-wire split and the combining report. Published only when
   // they carry information (combining or framing actually diverged the

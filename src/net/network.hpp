@@ -26,6 +26,7 @@
 // loop.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "net/coll_tree.hpp"
@@ -96,6 +97,8 @@ class Network {
   // --- link inspection (tests, utilization reports) -----------------
   Link& lan_link(NodeId n) { return *lan_links_[static_cast<std::size_t>(n)]; }
   Link& access_link(NodeId n) { return *access_links_[static_cast<std::size_t>(n)]; }
+  /// The (from, to) circuit's first sub-stream: the whole circuit with
+  /// the default single stream.
   Link& wan_link(ClusterId from, ClusterId to);
   Link& delivery_link(ClusterId c) { return *delivery_links_[static_cast<std::size_t>(c)]; }
   Link& bcast_link(ClusterId c) { return *bcast_links_[static_cast<std::size_t>(c)]; }
@@ -137,13 +140,27 @@ class Network {
   /// copies to this cluster's children in the tree (no-op for leaves).
   void relay_tree_children(const HopPlan& plan);
 
+  /// Index in wan_links_ of the (from, to) circuit's first sub-stream;
+  /// its other sub-streams follow it.
+  std::size_t wan_circuit(ClusterId from, ClusterId to) const {
+    return (static_cast<std::size_t>(from) * topo_.clusters() + to) *
+           static_cast<std::size_t>(cfg_.wan_transport.streams);
+  }
+  /// The brown-out-adjusted forwarding overhead of cluster `at`'s
+  /// gateway for `m`, or nullopt when the brown-out's extra loss
+  /// discarded `m` (the drop is already accounted).
+  std::optional<sim::SimTime> gateway_overhead(const Message& m, ClusterId at);
+
   // --- gateway message combining (wan_transport.combine_bytes > 0) ---
-  bool combining_on() const { return !combine_shards_.empty(); }
-  /// Buffer index inside a source-cluster shard: one buffer per
+  bool combining_on() const { return !combine_.empty(); }
+  /// Buffer index among one source cluster's buffers: one buffer per
   /// (destination cluster, message kind, fault service class) so a
   /// flush is homogeneous for accounting and fault handling.
   int combine_idx(ClusterId to, MsgKind kind, bool droppable) const {
     return (to * TrafficStats::kNumKinds + static_cast<int>(kind)) * 2 + (droppable ? 1 : 0);
+  }
+  std::size_t combine_per_source() const {
+    return static_cast<std::size_t>(topo_.clusters()) * TrafficStats::kNumKinds * 2;
   }
   /// Ships buffer `idx` of cluster `from` as one wire message (no-op on
   /// an empty buffer). Runs in `from`'s context.
@@ -164,10 +181,10 @@ class Network {
   sim::SimTime wan_free_at(ClusterId from, ClusterId to);
   /// Charges `wire_bytes` to the (from, to) circuit and returns the
   /// arrival time at the remote gateway; `queued_out` gets the queueing
-  /// delay in ns. With wan_transport.streams > 1 the payload is split
+  /// delay in ns. With more than one sub-stream the payload is split
   /// into stream_chunk_bytes pieces striped across the least-busy
   /// sub-streams (each chunk paying the per-message pacing overhead)
-  /// and the arrival is the last chunk's.
+  /// and the arrival is the last chunk's; one stream carries it whole.
   sim::SimTime wan_transfer_time(ClusterId from, ClusterId to, std::size_t wire_bytes,
                                  std::uint64_t& queued_out);
   /// Discards a message: accounts the drop on the injector, emits the
@@ -193,25 +210,23 @@ class Network {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;   // per node (incl. gateways)
   std::vector<std::unique_ptr<Link>> lan_links_;       // per compute node: Myrinet egress
   std::vector<std::unique_ptr<Link>> access_links_;    // per compute node: FE egress to gateway
-  std::vector<std::unique_ptr<Link>> wan_links_;       // C*C matrix (diagonal unused)
+  std::vector<std::unique_ptr<Link>> wan_links_;       // C*C*streams (diagonal unused)
   std::vector<std::unique_ptr<Link>> delivery_links_;  // per gateway: FE egress into cluster
   std::vector<std::unique_ptr<Link>> bcast_links_;     // per cluster: Myrinet broadcast
-  /// Sub-streams per circuit, C*C*S (built only when streams > 1; the
-  /// plain wan_links_ then stay unused but in place for inspection).
-  std::vector<std::unique_ptr<Link>> wan_stream_links_;
 
-  /// One combine buffer per (destination, kind, service class), sharded
-  /// by source cluster — all enqueue/flush activity for a shard runs in
-  /// that cluster's engine context.
+  /// One combine buffer per (source, destination, kind, service class);
+  /// a source's buffers are enqueued and flushed in its cluster's
+  /// engine context.
   struct CombineBuffer {
     std::vector<HopPlan> members;  // arrival order
     std::size_t bytes = 0;         // sum of member payload bytes
     sim::SimTime epoch_due = -1;   // pending epoch-flush time, -1 = none
   };
-  struct CombineShard {
-    std::vector<CombineBuffer> buffers;
-  };
-  std::vector<CombineShard> combine_shards_;  // per source cluster; empty = off
+  CombineBuffer& combine_buffer(ClusterId from, int idx) {
+    return combine_[static_cast<std::size_t>(from) * combine_per_source() +
+                    static_cast<std::size_t>(idx)];
+  }
+  std::vector<CombineBuffer> combine_;  // empty = combining off
 };
 
 }  // namespace alb::net

@@ -74,9 +74,11 @@ struct WanTransportConfig {
   /// throughput scales with the stream count until the physical medium
   /// saturates — so payloads split into chunks striped across the
   /// least-busy streams, each chunk paying the per-message pacing
-  /// overhead. 1 = the historical single-queue circuit.
+  /// overhead. The network builds this many links per circuit; with
+  /// the default 1 that link carries each payload whole (the historical
+  /// single-queue circuit).
   int streams = 1;
-  /// Payload split granularity across sub-streams.
+  /// Payload split granularity across sub-streams (unused with one).
   std::size_t stream_chunk_bytes = 64 * 1024;
   /// > 0 arms gateway message combining: a non-Control message arriving
   /// at its source gateway while the circuit is busy (or other traffic

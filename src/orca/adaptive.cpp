@@ -4,8 +4,51 @@
 
 namespace alb::orca::adapt {
 
+namespace {
+
+/// Monitor window. Epoch evaluators are pure state inspections at
+/// sim-time boundaries; they cost no simulated time themselves.
+constexpr sim::SimTime kEpochNs = 2'000'000;
+/// Consecutive hot epochs before a policy trips (the hysteresis).
+constexpr int kHysteresisEpochs = 2;
+/// Migrate threshold installed by the arm message. Not 1 (the hand-
+/// optimized ASP's choice): the policy arms on any WAN-scale grant
+/// stalls, so the threshold itself must still distinguish a dominant
+/// writer block (ASP: hundreds of same-cluster requests) from
+/// interleaved writers (ACP, IDA*), where eager migration thrashes.
+constexpr int kArmThreshold = 8;
+
+// Detection thresholds, per window and per cluster. Each `k*Min*` value
+// is an evidence floor: a policy's window keeps accumulating across
+// epoch boundaries until it holds that many samples (low-rate patterns
+// — ASP completes one multi-ms broadcast every few epochs — must not be
+// judged on empty windows). Once the floor is met the window is judged
+// hot or cold, the streak updated, and that policy's window reset.
+
+/// Arm migration when the cluster's mean get-sequence wait per
+/// broadcast reaches this multiple of the minimum intercluster latency
+/// — i.e. grants are clearly crossing the WAN.
+constexpr double kSeqWaitLatFactor = 1.0;
+constexpr std::uint64_t kSeqMinBcasts = 2;
+/// Split the central queue when at least this share of the master's
+/// served gets came from remote clusters.
+constexpr double kQueueRemoteShare = 0.5;
+constexpr std::uint64_t kQueueMinGets = 8;
+/// Enable a cluster's relay combining when at least this share of its
+/// combiner items crossed clusters.
+constexpr double kCombineRemoteShare = 0.25;
+constexpr std::uint64_t kCombineMinItems = 64;
+/// Switch a cluster to tree dissemination when its average broadcast
+/// payload clears the PR 7 shape rule for this many epochs.
+constexpr std::uint64_t kTreeMinBcasts = 2;
+
+}  // namespace
+
 Engine::Engine(Runtime& rt, const Config& cfg)
-    : rt_(&rt), net_(&rt.network()), cfg_(cfg) {
+    : rt_(&rt),
+      net_(&rt.network()),
+      cfg_(cfg),
+      coll_overridden_(rt.coll().mode() != coll::Mode::Flat) {
   shards_.resize(static_cast<std::size_t>(net_->topology().clusters()));
 }
 
@@ -16,7 +59,7 @@ void Engine::start() {
   // owner-locally from inside the chain, so the whole chain runs in its
   // cluster's context.
   for (net::ClusterId c = 0; c < net_->topology().clusters(); ++c) {
-    net_->engine().schedule_on(static_cast<sim::OwnerId>(c), cfg_.epoch_ns,
+    net_->engine().schedule_on(static_cast<sim::OwnerId>(c), kEpochNs,
                                [this, c]() { schedule_next(c); });
   }
 }
@@ -27,7 +70,7 @@ void Engine::schedule_next(net::ClusterId c) {
   if (rt_->cluster_quiescent(c)) return;
   if (net::FaultInjector* f = net_->faults(); f != nullptr && f->failed(c)) return;
   on_epoch(c);
-  net_->engine().schedule_after(cfg_.epoch_ns, [this, c]() { schedule_next(c); });
+  net_->engine().schedule_after(kEpochNs, [this, c]() { schedule_next(c); });
 }
 
 void Engine::on_epoch(net::ClusterId c) {
@@ -46,33 +89,34 @@ void Engine::on_epoch(net::ClusterId c) {
   // Sequencer migration: the cluster's broadcasts stall WAN-scale on
   // sequence grants — arm demand-driven migration at the active
   // location (a routed control message; see MigratingSequencer).
-  if (cfg_.allow_seq && !s.seq_armed && s.seq_bcasts >= cfg_.seq_min_bcasts) {
+  if (!cfg_.seq_overridden && !s.seq_armed && s.seq_bcasts >= kSeqMinBcasts) {
     const double mean_wait =
         static_cast<double>(s.seq_wait_ns) / static_cast<double>(s.seq_bcasts);
-    const bool hot = mean_wait >= cfg_.seq_wait_lat_factor *
-                                      static_cast<double>(net_->config().min_intercluster_latency());
+    const bool hot =
+        mean_wait >=
+        kSeqWaitLatFactor * static_cast<double>(net_->config().min_intercluster_latency());
     s.seq_hot = hot ? s.seq_hot + 1 : 0;
     s.seq_wait_ns = 0;
     s.seq_bcasts = 0;
-    if (s.seq_hot >= cfg_.hysteresis_epochs) {
+    if (s.seq_hot >= kHysteresisEpochs) {
       s.seq_armed = true;
       if (rec) {
         rec->instant(trace::Category::Orca, "orca.adapt.seq.arm", leader, cid,
-                     static_cast<std::uint64_t>(cfg_.arm_threshold));
+                     static_cast<std::uint64_t>(kArmThreshold));
       }
-      rt_->sequencer().adapt_arm(net_->topology().compute_node(c, 0), cfg_.arm_threshold);
+      rt_->sequencer().adapt_arm(net_->topology().compute_node(c, 0), kArmThreshold);
     }
   }
 
   // Cluster-level combining: the cluster's combiner traffic is
   // remote-dominated — route it through the relay from now on.
-  if (cfg_.allow_combine && !s.combine_on && s.items >= cfg_.combine_min_items) {
+  if (!cfg_.combine_overridden && !s.combine_on && s.items >= kCombineMinItems) {
     const bool hot = static_cast<double>(s.items_remote) >=
-                     cfg_.combine_remote_share * static_cast<double>(s.items);
+                     kCombineRemoteShare * static_cast<double>(s.items);
     s.combine_hot = hot ? s.combine_hot + 1 : 0;
     s.items = 0;
     s.items_remote = 0;
-    if (s.combine_hot >= cfg_.hysteresis_epochs) {
+    if (s.combine_hot >= kHysteresisEpochs) {
       s.combine_on = true;
       if (rec) {
         rec->instant(trace::Category::Orca, "orca.adapt.combine.on", leader, cid, 0);
@@ -84,14 +128,14 @@ void Engine::on_epoch(net::ClusterId c) {
   // that gateway replication beats per-pair serialization (the same
   // rule coll::Engine applies per payload, evaluated on the window's
   // average payload so the switch is worth a policy change).
-  if (cfg_.allow_tree && !s.tree_on && s.tree_bcasts >= cfg_.tree_min_bcasts) {
+  if (!coll_overridden_ && !s.tree_on && s.tree_bcasts >= kTreeMinBcasts) {
     const net::TopologyConfig& tc = net_->config();
     const std::uint64_t avg = s.tree_bytes / s.tree_bcasts;
     const bool hot = tc.access.serialize_time(avg) > tc.gateway_forward_overhead;
     s.tree_hot = hot ? s.tree_hot + 1 : 0;
     s.tree_bytes = 0;
     s.tree_bcasts = 0;
-    if (s.tree_hot >= cfg_.hysteresis_epochs) {
+    if (s.tree_hot >= kHysteresisEpochs) {
       s.tree_on = true;
       rt_->coll().set_mode(c, coll::Mode::Tree);
       if (rec) {
@@ -102,14 +146,14 @@ void Engine::on_epoch(net::ClusterId c) {
 
   // Central-queue split: masters hosted in this cluster whose get
   // stream is remote-dominated repartition their remaining jobs.
-  if (cfg_.allow_queue && s.gets >= cfg_.queue_min_gets) {
+  if (s.gets >= kQueueMinGets) {
     const bool hot = static_cast<double>(s.gets_remote) >=
-                     cfg_.queue_remote_share * static_cast<double>(s.gets);
+                     kQueueRemoteShare * static_cast<double>(s.gets);
     s.queue_hot = hot ? s.queue_hot + 1 : 0;
     const std::uint64_t gets_remote = s.gets_remote;
     s.gets = 0;
     s.gets_remote = 0;
-    if (s.queue_hot >= cfg_.hysteresis_epochs) {
+    if (s.queue_hot >= kHysteresisEpochs) {
       for (QueuePolicy& q : queues_) {
         if (q.cluster != c || q.done) continue;
         q.done = true;  // one-shot whether or not jobs remained
@@ -145,7 +189,7 @@ void Engine::publish_metrics(trace::Metrics& m) const {
   *m.counter("orca/adapt.queue.splits") = splits_;
   // Typed precedence warnings: an explicit flag suppressed a policy.
   *m.counter("orca/adapt.override.seq") = cfg_.seq_overridden ? 1 : 0;
-  *m.counter("orca/adapt.override.coll") = cfg_.coll_overridden ? 1 : 0;
+  *m.counter("orca/adapt.override.coll") = coll_overridden_ ? 1 : 0;
   *m.counter("orca/adapt.override.combine") = cfg_.combine_overridden ? 1 : 0;
 }
 

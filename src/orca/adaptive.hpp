@@ -15,10 +15,10 @@
 //     demand). On more than one cluster that replaces the rotating
 //     default, so --adapt changes the ordering protocol even when this
 //     policy never trips. When a cluster's mean get-sequence stall per
-//     broadcast reaches WAN scale (`seq_wait_lat_factor` x the minimum
+//     broadcast reaches WAN scale (kSeqWaitLatFactor x the minimum
 //     intercluster latency), the controller arms demand-driven
 //     migration by routing a control message to the active location
-//     (kTagSeqArm) that lowers the threshold to `arm_threshold`.
+//     (kTagSeqArm) that lowers the threshold to kArmThreshold.
 //   * per-cluster queue split — a CentralJobQueue registers a split
 //     callback; when the master observes a remote-dominated get stream,
 //     the controller has it repartition the remaining jobs round-robin
@@ -41,7 +41,7 @@
 // runs stay byte-identical across runs and --jobs values and under
 // fault plans, like everything else.
 //
-// Hysteresis. A policy trips only after `hysteresis_epochs` consecutive
+// Hysteresis. A policy trips only after kHysteresisEpochs consecutive
 // hot epochs, and every policy is a one-way ratchet (the paper's §4
 // optimizations are static program properties, so there is nothing to
 // gain from disabling one again). Together these bound the number of
@@ -67,53 +67,18 @@ class Runtime;
 
 namespace adapt {
 
+/// The epoch length, hysteresis, evidence floors and detection
+/// thresholds are constants in adaptive.cpp (docs/ADAPTIVE.md,
+/// "Tuning"). Only the switch and the explicit choices that win over
+/// policy are set here; an explicit --coll shape is read off the
+/// runtime's collective engine instead.
 struct Config {
   bool enabled = false;
-  /// Monitor window. Epoch evaluators are pure state inspections at
-  /// sim-time boundaries; they cost no simulated time themselves.
-  sim::SimTime epoch_ns = 2'000'000;
-  /// Consecutive hot epochs before a policy trips (the hysteresis).
-  int hysteresis_epochs = 2;
-  /// Migrate threshold installed by the arm message. Not 1 (the hand-
-  /// optimized ASP's choice): the policy arms on any WAN-scale grant
-  /// stalls, so the threshold itself must still distinguish a dominant
-  /// writer block (ASP: hundreds of same-cluster requests) from
-  /// interleaved writers (ACP, IDA*), where eager migration thrashes.
-  int arm_threshold = 8;
-
-  // --- detection thresholds, per window and per cluster ---------------
-  // Each `*_min_*` value is an evidence floor: a policy's window keeps
-  // accumulating across epoch boundaries until it holds that many
-  // samples (low-rate patterns — ASP completes one multi-ms broadcast
-  // every few epochs — must not be judged on empty windows). Once the
-  // floor is met the window is judged hot or cold, the streak updated,
-  // and that policy's window reset.
-  /// Arm migration when the cluster's mean get-sequence wait per
-  /// broadcast reaches this multiple of the minimum intercluster
-  /// latency — i.e. grants are clearly crossing the WAN.
-  double seq_wait_lat_factor = 1.0;
-  std::uint64_t seq_min_bcasts = 2;
-  /// Split the central queue when at least this share of the master's
-  /// served gets came from remote clusters.
-  double queue_remote_share = 0.5;
-  std::uint64_t queue_min_gets = 8;
-  /// Enable a cluster's relay combining when at least this share of its
-  /// combiner items crossed clusters.
-  double combine_remote_share = 0.25;
-  std::uint64_t combine_min_items = 64;
-  /// Switch a cluster to tree dissemination when its average broadcast
-  /// payload clears the PR 7 shape rule for this many epochs.
-  std::uint64_t tree_min_bcasts = 2;
-
-  // --- precedence: explicit flags win over policy ---------------------
-  bool allow_seq = true;
-  bool allow_queue = true;
-  bool allow_combine = true;
-  bool allow_tree = true;
-  /// Which explicit choices suppressed a policy (typed warning
-  /// counters `orca/adapt.override.*`).
+  /// An explicit sequencer suppressed the migration policy
+  /// (orca/adapt.override.seq).
   bool seq_overridden = false;
-  bool coll_overridden = false;
+  /// An explicit combine threshold suppressed the combining policy
+  /// (orca/adapt.override.combine).
   bool combine_overridden = false;
 };
 
@@ -213,6 +178,7 @@ class Engine {
   Runtime* rt_;
   net::Network* net_;
   Config cfg_;
+  bool coll_overridden_;  // an explicit --coll shape suppressed the tree policy
   std::vector<Shard> shards_;
   std::vector<QueuePolicy> queues_;  // registered at setup, stable during the run
   std::uint64_t epochs_ = 0;  // epoch evaluations, all clusters

@@ -20,10 +20,10 @@ struct SeqWait {
 };
 
 /// A pending get-sequence call: who asked, which attempt-independent
-/// request id it carries (0 outside recovery mode — retries resend the
-/// same id so the sequencer can deduplicate), and the future its caller
-/// is suspended on. The future is shared simulation state; the *timing*
-/// of its resolution is always driven by the arrival of a grant message.
+/// request id it carries (retries resend the same id so the sequencer
+/// can deduplicate), and the future its caller is suspended on. The
+/// future is shared simulation state; the *timing* of its resolution is
+/// always driven by the arrival of a grant message.
 struct SeqRequest {
   net::NodeId requester;
   std::uint64_t req_id;
@@ -72,7 +72,8 @@ class SequencerBase : public Sequencer {
   /// touches the counter, and that right only moves by message.
   std::uint64_t take_seq() { return counter_++; }
 
-  /// Fresh request id for recovery mode: unique across the run, never 0.
+  /// Fresh request id: unique across the run, never 0. Retries resend
+  /// it, so the serving side can deduplicate under recovery.
   std::uint64_t next_req_id() { return ++last_req_id_; }
 
   /// Entry guard: once the caller's cluster has observed the hard
@@ -144,18 +145,15 @@ class SequencerBase : public Sequencer {
     return true;
   }
 
-  /// Sends one droppable remote request attempt and arms its timeout.
-  sim::Future<SeqWait> send_attempt(net::NodeId node, std::uint64_t rid, net::NodeId target,
-                                    sim::SimTime timeout) {
-    sim::Future<SeqWait> fut(eng());
-    send_control(node, target, kTagSeqRequest,
-                 net::make_payload<SeqRequest>(SeqRequest{node, rid, fut}), kControlBytes,
-                 /*droppable=*/true);
-    arm_timer(fut, timeout);
-    return fut;
+  /// The first attempt's grant timeout (unused without recovery).
+  sim::SimTime first_timeout() const {
+    return recovery_on_ ? faults_->plan().recovery.seq_timeout : 0;
   }
 
+  /// Arms an attempt's timeout when recovery is on; without it the
+  /// attempt waits for its grant alone and is the only one.
   void arm_timer(const sim::Future<SeqWait>& fut, sim::SimTime timeout) {
+    if (!recovery_on_) return;
     auto timer = [f = fut]() mutable {
       if (!f.ready()) f.set_value(SeqWait{0, true});
     };
@@ -212,7 +210,7 @@ class SequencerBase : public Sequencer {
   net::FaultInjector* faults_;
   bool recovery_on_;
   std::uint64_t counter_ = 0;      // handoff-owned (see take_seq)
-  std::uint64_t last_req_id_ = 0;  // recovery mode only
+  std::uint64_t last_req_id_ = 0;  // last request id minted
 };
 
 // --------------------------------------------------------------------
@@ -271,19 +269,9 @@ class RotatingSequencer final : public SequencerBase {
 
   sim::Task<std::uint64_t> get_sequence(net::NodeId node) override {
     const net::ClusterId c = topo().cluster_of(node);
-    if (!recovery_on()) {
-      sim::Future<SeqWait> fut(eng());
-      SeqRequest req{node, 0, fut};
-      if (node == seq_node(c)) {
-        on_local_request(c, req);
-      } else {
-        send_control(node, seq_node(c), kTagSeqRequest, net::make_payload<SeqRequest>(req));
-      }
-      co_return (co_await fut).seq;
-    }
     guard_failed(c);
     const std::uint64_t rid = next_req_id();
-    sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
+    sim::SimTime timeout = first_timeout();
     for (int attempt = 1;; ++attempt) {
       sim::Future<SeqWait> fut(eng());
       SeqRequest req{node, rid, fut};
@@ -294,7 +282,7 @@ class RotatingSequencer final : public SequencerBase {
         on_local_request(c, std::move(req));
       } else {
         send_control(node, seq_node(c), kTagSeqRequest, net::make_payload<SeqRequest>(req),
-                     kControlBytes, /*droppable=*/true);
+                     kControlBytes, /*droppable=*/recovery_on());
       }
       arm_timer(fut, timeout);
       const SeqWait w = co_await fut;
@@ -483,27 +471,23 @@ class MigratingSequencer final : public SequencerBase {
 
   sim::Task<std::uint64_t> get_sequence(net::NodeId node) override {
     const net::ClusterId cluster = topo().cluster_of(node);
+    guard_failed(cluster);
     if (active_[static_cast<std::size_t>(node)]) {
-      guard_failed(cluster);
       note_request_from(node);
       loc_hint_[static_cast<std::size_t>(cluster)] = node;
       co_return take_seq();
     }
-    if (!recovery_on()) {
-      sim::Future<SeqWait> fut(eng());
-      send_control(node, loc_hint_[static_cast<std::size_t>(cluster)], kTagSeqRequest,
-                   net::make_payload<SeqRequest>(SeqRequest{node, 0, fut}));
-      co_return (co_await fut).seq;
-    }
-    guard_failed(cluster);
     const std::uint64_t rid = next_req_id();
-    sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
+    sim::SimTime timeout = first_timeout();
     for (int attempt = 1;; ++attempt) {
       // The hint is re-read every attempt, so a retry sent after the
       // sequencer visited this cluster starts from the node it last
       // served from here; forwarding pointers take it on from there.
-      sim::Future<SeqWait> fut =
-          send_attempt(node, rid, loc_hint_[static_cast<std::size_t>(cluster)], timeout);
+      sim::Future<SeqWait> fut(eng());
+      send_control(node, loc_hint_[static_cast<std::size_t>(cluster)], kTagSeqRequest,
+                   net::make_payload<SeqRequest>(SeqRequest{node, rid, fut}), kControlBytes,
+                   /*droppable=*/recovery_on());
+      arm_timer(fut, timeout);
       const SeqWait w = co_await fut;
       if (!w.timed_out) co_return w.seq;
       timeout = after_timeout(node, rid, attempt, timeout);
