@@ -198,6 +198,7 @@ TWICE_ROWS=(
   "hetero3:--scenario hetero3 --app ASP --csv"
   "ra-wrapped:--app RA --clusters 4 --per 4 --csv --critical-path --what-if std --capacity 20000"
   "water-opt-faults:--app Water --clusters 4 --per 4 --opt --csv --faults"
+  "tsp-adapt:--app TSP --clusters 4 --per 4 --csv --adapt"
 )
 for row in "${TWICE_ROWS[@]}"; do
   read -r -a args <<< "${row#*:}"
@@ -206,8 +207,9 @@ done
 # The rows above must not compare two runs that never exercised their
 # feature: the faulted TSP run retries, the faulted optimized Water run
 # times out RPCs made by its cluster cache and reducer (the blocking
-# RPC path), the adaptive ASP run arms its sequencer migration, and the
-# RA causal run's ring wraps, so normalization drops orphan Ends.
+# RPC path), the adaptive ASP run arms its sequencer migration, the
+# adaptive TSP run splits its central job queue, and the RA causal
+# run's ring wraps, so normalization drops orphan Ends.
 grep -q '^retries,' "$R/det.trace.faults.a" \
   || { echo "fault counter table missing from --faults output"; exit 1; }
 if grep -q '^retries,0$' "$R/det.trace.faults.a"; then
@@ -217,6 +219,8 @@ grep -q '^rpc timeouts,[1-9]' "$R/det.trace.water-opt-faults.a" \
   || { echo "faulted Water --opt run timed out no RPC — the blocking retry loop did not run"; exit 1; }
 grep -q '^sequencer arms,[1-9]' "$R/det.trace.adapt-faults.a" \
   || { echo "adaptive ASP smoke armed no sequencer migration"; exit 1; }
+grep -q '^queue splits,[1-9]' "$R/det.trace.tsp-adapt.a" \
+  || { echo "adaptive TSP run split no job queue — the split path did not run"; exit 1; }
 grep -q 'cp_orphan_ends=[1-9]' "$R/det.trace.ra-wrapped.a" \
   || { echo "wrapped RA causal run dropped no orphan Ends — the ring did not wrap"; exit 1; }
 
