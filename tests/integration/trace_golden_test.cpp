@@ -77,6 +77,12 @@
 // normalization, the critical path's length and blame, and the
 // projections.
 //
+// ExportGolden pins the Chrome trace export byte for byte, and the
+// number of events recorded under each name, for three traced runs:
+// the lossy Water run above (RPC retry, timeout, duplicate and WAN
+// drop events), adaptive RA (an adaptation decision) and a two-cluster
+// TSP run that also records every engine dispatch.
+//
 // WrappedRa was re-pinned when the per-cluster recorder rings became
 // one ring per run: a wrapped trace now keeps the run's newest events
 // rather than each cluster's, so the kept window and its orphan Ends
@@ -346,16 +352,21 @@ TEST(TraceGolden, Water3ClusterOptimized) {
                 "Water 3x5 optimized");
 }
 
-// FNV-1a over the bytes of the snapshot's CSV dump.
-std::uint64_t metrics_hash(const trace::MetricsSnapshot& m) {
-  std::ostringstream os;
-  m.write_csv(os);
+// FNV-1a over a string's bytes.
+std::uint64_t fnv(const std::string& s) {
   std::uint64_t h = kHashSeed;
-  for (const char ch : os.str()) {
+  for (const char ch : s) {
     h ^= static_cast<unsigned char>(ch);
     h *= 1099511628211ull;
   }
   return h;
+}
+
+// FNV-1a over the bytes of the snapshot's CSV dump.
+std::uint64_t metrics_hash(const trace::MetricsSnapshot& m) {
+  std::ostringstream os;
+  m.write_csv(os);
+  return fnv(os.str());
 }
 
 TEST(MetricsGolden, Water4ClusterOptimizedLossy) {
@@ -403,6 +414,71 @@ TEST(MetricsGolden, Water4ClusterOptimizedStreams) {
   EXPECT_EQ(counter_of(r, "net/link.wan.msgs"), 288u);
   EXPECT_EQ(counter_of(r, "net/link.wan.queue_ns"), 2899056u);
   EXPECT_EQ(metrics_hash(r.stats), 14112367954329667435ull) << "published metrics changed";
+}
+
+std::map<std::string, std::size_t> name_counts(const trace::Trace& t) {
+  std::map<std::string, std::size_t> counts;
+  for (const trace::TraceEvent& e : t.events) ++counts[e.name];
+  return counts;
+}
+
+// Pins a traced run's exported bytes and how many events of each name
+// it recorded.
+void expect_export_golden(const AppResult& r, std::uint64_t hash,
+                          const std::map<std::string, std::size_t>& counts) {
+  ASSERT_TRUE(r.trace);
+  EXPECT_EQ(r.trace->dropped, 0u) << "the ring must not wrap";
+  EXPECT_EQ(fnv(trace::chrome_trace_string(*r.trace)), hash) << "exported trace changed";
+  EXPECT_EQ(name_counts(*r.trace), counts);
+}
+
+TEST(ExportGolden, Water4ClusterOptimizedLossy) {
+  AppConfig c = cfg4(true, 3);
+  c.faults.enabled = true;
+  c.faults.wan.loss = 0.05;
+  c.trace.enabled = true;
+  WaterParams p;
+  p.molecules = 96;
+  expect_export_golden(
+      run_water(c, p), 9523019611035935656ull,
+      {{"app.compute", 48}, {"net.bcast.lan", 2}, {"net.deliver", 611}, {"net.fault.drop", 6},
+       {"net.hop.gw_in", 209}, {"net.hop.gw_out", 203}, {"net.hop.wan", 203},
+       {"net.send.lan", 392}, {"net.wan", 418}, {"net.wan.queue", 41},
+       {"orca.barrier.arrive", 24}, {"orca.barrier.release", 2}, {"orca.proc.finish", 12},
+       {"orca.proc.start", 12}, {"orca.rpc", 560}, {"orca.rpc.dup", 7}, {"orca.rpc.retry", 20},
+       {"orca.rpc.serve", 280}, {"orca.rpc.timeout", 10}, {"task.finish", 268},
+       {"task.spawn", 268}});
+}
+
+TEST(ExportGolden, Ra4ClusterAdapt) {
+  AppConfig c = cfg4(false, 4);
+  c.adapt = true;
+  c.trace.enabled = true;
+  expect_export_golden(
+      run_ra(c, golden_ra()), 10426212503366476983ull,
+      {{"app.compute", 1023}, {"net.bcast.lan", 55}, {"net.deliver", 27236},
+       {"net.hop.gw_in", 2314}, {"net.hop.gw_out", 2314}, {"net.hop.wan", 2314},
+       {"net.send.lan", 24262}, {"net.wan", 4628}, {"net.wan.queue", 1766},
+       {"orca.adapt.combine.on", 4}, {"orca.barrier.arrive", 448}, {"orca.barrier.release", 28},
+       {"orca.proc.finish", 16}, {"orca.proc.start", 16}, {"task.finish", 16},
+       {"task.spawn", 16}});
+}
+
+TEST(ExportGolden, Tsp2ClusterEngineEvents) {
+  AppConfig c = cfg4(false);
+  c.clusters = 2;
+  c.net_cfg = net::das_config(2, 2);
+  c.trace.enabled = true;
+  c.trace.engine_events = true;
+  TspParams p;
+  p.cities = 10;
+  p.job_depth = 3;
+  expect_export_golden(
+      run_tsp(c, p), 16602712177414271964ull,
+      {{"app.compute", 72}, {"engine.event", 209}, {"engine.resume", 257}, {"net.deliver", 89},
+       {"net.hop.gw_in", 29}, {"net.hop.gw_out", 29}, {"net.hop.wan", 29}, {"net.send.lan", 60},
+       {"net.wan", 58}, {"net.wan.queue", 2}, {"orca.proc.finish", 4}, {"orca.proc.start", 4},
+       {"orca.rpc", 86}, {"orca.rpc.serve", 43}, {"task.finish", 4}, {"task.spawn", 4}});
 }
 
 // FNV-1a over the bytes of every field of every edge, in edge order.
