@@ -70,8 +70,8 @@ void Network::drop(const Message& m, LinkClass cls, FaultInjector::DropCause cau
                    NodeId where, bool close_wan_span) {
   faults_->count_drop(cls, m.bytes, cause);
   if (trace::Recorder* rec = eng_->tracer()) {
-    rec->instant(trace::Category::Net, "net.fault.drop", where, m.id, m.bytes);
-    if (close_wan_span) rec->end(trace::Category::Net, "net.wan", where, m.id, m.bytes);
+    rec->instant(trace::Ev::FaultDrop, where, m.id, m.bytes);
+    if (close_wan_span) rec->end(trace::Ev::Wan, where, m.id, m.bytes);
   }
 }
 
@@ -103,8 +103,7 @@ void Network::deliver_at(sim::SimTime t, Message m) {
     // causal DAG builder keys send→deliver edges on the message id and
     // reads the protocol from the tag in aux.
     if (trace::Recorder* rec = eng_->tracer()) {
-      rec->instant(trace::Category::Net, "net.deliver", m.dst, m.id, m.bytes,
-                   trace::Recorder::clamp_tag(m.tag));
+      rec->instant(trace::Ev::Deliver, m.dst, m.id, m.bytes, trace::Recorder::clamp_tag(m.tag));
     }
     // Postfix expression before argument initialization (C++17 sequencing):
     // m.dst is read before the move steals the message.
@@ -151,8 +150,7 @@ void Network::run_hop(HopPlan plan) {
                                   plan.msg.bytes, plan.msg.combined_members);
       }
       if (trace::Recorder* rec = eng_->tracer()) {
-        rec->instant(trace::Category::Net, "net.hop.gw_in", topo_.gateway_of(plan.from),
-                     plan.msg.id, plan.msg.bytes);
+        rec->instant(trace::Ev::HopGwIn, topo_.gateway_of(plan.from), plan.msg.id, plan.msg.bytes);
       }
       // Store-and-forward: the gateway spends its per-message forwarding
       // overhead, then the message queues on the WAN circuit (possibly
@@ -178,8 +176,8 @@ void Network::run_hop(HopPlan plan) {
         break;
       }
       if (trace::Recorder* rec = eng_->tracer()) {
-        rec->instant(trace::Category::Net, "net.combine.hold", topo_.gateway_of(plan.from),
-                     plan.msg.id, plan.msg.bytes);
+        rec->instant(trace::Ev::CombineHold, topo_.gateway_of(plan.from), plan.msg.id,
+                     plan.msg.bytes);
       }
       const ClusterId from = plan.from;
       const ClusterId to = plan.to;
@@ -207,8 +205,8 @@ void Network::run_hop(HopPlan plan) {
           // window — the reschedule loops naturally).
           faults_->count_flap_hold(*until - eng_->now());
           if (trace::Recorder* rec = eng_->tracer()) {
-            rec->instant(trace::Category::Net, "net.fault.flap_hold",
-                         topo_.gateway_of(plan.from), plan.msg.id, plan.msg.bytes);
+            rec->instant(trace::Ev::FaultFlapHold, topo_.gateway_of(plan.from), plan.msg.id,
+                         plan.msg.bytes);
           }
           schedule_hop_at(*until, std::move(plan));
           break;
@@ -236,11 +234,9 @@ void Network::run_hop(HopPlan plan) {
         // Queue wait is recorded explicitly so the causal profiler can
         // split the circuit crossing into queue / latency / serialization.
         if (queued > 0) {
-          rec->instant(trace::Category::Net, "net.wan.queue", topo_.gateway_of(plan.from),
-                       plan.msg.id, queued);
+          rec->instant(trace::Ev::WanQueue, topo_.gateway_of(plan.from), plan.msg.id, queued);
         }
-        rec->instant(trace::Category::Net, "net.hop.wan", topo_.gateway_of(plan.from),
-                     plan.msg.id, plan.msg.bytes);
+        rec->instant(trace::Ev::HopWan, topo_.gateway_of(plan.from), plan.msg.id, plan.msg.bytes);
       }
       plan.stage = HopStage::kGatewayEgress;
       // The cross-cluster edge: from here on the message is the remote
@@ -262,8 +258,7 @@ void Network::run_hop(HopPlan plan) {
         relay_tree_children(plan);
       }
       if (trace::Recorder* rec = eng_->tracer()) {
-        rec->instant(trace::Category::Net, "net.hop.gw_out", topo_.gateway_of(plan.to),
-                     plan.msg.id, plan.msg.bytes);
+        rec->instant(trace::Ev::HopGwOut, topo_.gateway_of(plan.to), plan.msg.id, plan.msg.bytes);
       }
       const std::optional<sim::SimTime> overhead = gateway_overhead(plan.msg, plan.to);
       if (!overhead) break;
@@ -279,8 +274,7 @@ void Network::run_hop(HopPlan plan) {
         break;
       }
       if (trace::Recorder* rec = eng_->tracer()) {
-        rec->end(trace::Category::Net, "net.wan", topo_.gateway_of(plan.to), plan.msg.id,
-                 plan.msg.bytes);
+        rec->end(trace::Ev::Wan, topo_.gateway_of(plan.to), plan.msg.id, plan.msg.bytes);
       }
       if (plan.broadcast) {
         // Remote gateway re-broadcasts into its cluster.
@@ -310,8 +304,7 @@ std::uint64_t Network::send(Message m) {
     // Loopback: no link charge, but still goes through the event queue so
     // a self-send never reorders ahead of already-scheduled work.
     if (trace::Recorder* rec = eng_->tracer()) {
-      rec->instant(trace::Category::Net, "net.send.local", m.src, m.id, m.bytes,
-                   trace::Recorder::clamp_tag(m.tag));
+      rec->instant(trace::Ev::SendLocal, m.src, m.id, m.bytes, trace::Recorder::clamp_tag(m.tag));
     }
     deliver_at(eng_->now(), std::move(m));
     return id;
@@ -322,8 +315,7 @@ std::uint64_t Network::send(Message m) {
 
   if (sc == dc) {
     if (trace::Recorder* rec = eng_->tracer()) {
-      rec->instant(trace::Category::Net, "net.send.lan", m.src, m.id, m.bytes,
-                   trace::Recorder::clamp_tag(m.tag));
+      rec->instant(trace::Ev::SendLan, m.src, m.id, m.bytes, trace::Recorder::clamp_tag(m.tag));
     }
     stats_.record_intra(m.kind, m.bytes);
     // Gateways reach their own cluster over the delivery (FE) link;
@@ -345,8 +337,7 @@ std::uint64_t Network::send(Message m) {
   // (A gateway itself never originates application messages on DAS, but
   // relay code may run there in tests; it goes straight to the WAN.)
   if (trace::Recorder* rec = eng_->tracer()) {
-    rec->begin(trace::Category::Net, "net.wan", m.src, m.id, m.bytes,
-               trace::Recorder::clamp_tag(m.tag));
+    rec->begin(trace::Ev::Wan, m.src, m.id, m.bytes, trace::Recorder::clamp_tag(m.tag));
   }
   HopPlan plan{std::move(m), sc, dc, HopStage::kGatewayIngress, /*broadcast=*/false};
   if (topo_.is_gateway(plan.msg.src)) {
@@ -371,8 +362,7 @@ std::uint64_t Network::lan_broadcast(NodeId src, Message m) {
   m.src = src;
   const ClusterId c = topo_.cluster_of(src);
   if (trace::Recorder* rec = eng_->tracer()) {
-    rec->instant(trace::Category::Net, "net.bcast.lan", src, m.id, m.bytes,
-                 trace::Recorder::clamp_tag(m.tag));
+    rec->instant(trace::Ev::BcastLan, src, m.id, m.bytes, trace::Recorder::clamp_tag(m.tag));
   }
   stats_.record_intra(m.kind, m.bytes);
   sim::SimTime t = bcast_link(c).transfer(m.bytes);
@@ -396,8 +386,7 @@ std::uint64_t Network::wan_broadcast(NodeId src, ClusterId target, Message m) {
   const ClusterId sc = topo_.cluster_of(src);
   const std::uint64_t id = m.id;
   if (trace::Recorder* rec = eng_->tracer()) {
-    rec->begin(trace::Category::Net, "net.wan", src, id, m.bytes,
-               trace::Recorder::clamp_tag(m.tag));
+    rec->begin(trace::Ev::Wan, src, id, m.bytes, trace::Recorder::clamp_tag(m.tag));
   }
   const sim::SimTime at_gw = access_link(src).transfer(m.bytes);
   schedule_hop_at(at_gw, HopPlan{std::move(m), sc, target, HopStage::kGatewayIngress,
@@ -424,8 +413,7 @@ std::uint64_t Network::tree_broadcast(NodeId src, CollShape shape, Message m) {
     copy.dst = topo_.gateway_of(child);
     if (first_id == 0) first_id = copy.id;
     if (rec) {
-      rec->begin(trace::Category::Net, "net.wan", src, copy.id, copy.bytes,
-                 trace::Recorder::clamp_tag(copy.tag));
+      rec->begin(trace::Ev::Wan, src, copy.id, copy.bytes, trace::Recorder::clamp_tag(copy.tag));
     }
     // The gateway's forwarding engine dispatches its copies serially:
     // child i enters ingress i forwarding slots after the payload
@@ -452,8 +440,7 @@ void Network::relay_tree_children(const HopPlan& plan) {
     copy.sent_at = eng_->now();
     if (rec) {
       // Each relay leg is a fresh wide-area journey for the profiler.
-      rec->begin(trace::Category::Net, "net.wan", gw, copy.id, copy.bytes,
-                 trace::Recorder::clamp_tag(copy.tag));
+      rec->begin(trace::Ev::Wan, gw, copy.id, copy.bytes, trace::Recorder::clamp_tag(copy.tag));
     }
     schedule_hop_after(static_cast<sim::SimTime>(i) * cfg_.gateway_forward_overhead,
                        HopPlan{std::move(copy), plan.to, child, HopStage::kGatewayIngress,
@@ -556,8 +543,7 @@ void Network::flush_combine(ClusterId from, int idx) {
         faults_->count_flap_hold(*until - eng_->now());
         if (rec) {
           for (const HopPlan& m : buf.members) {
-            rec->instant(trace::Category::Net, "net.fault.flap_hold", topo_.gateway_of(from),
-                         m.msg.id, m.msg.bytes);
+            rec->instant(trace::Ev::FaultFlapHold, topo_.gateway_of(from), m.msg.id, m.msg.bytes);
           }
         }
         const sim::SimTime due = *until;
@@ -623,11 +609,9 @@ void Network::flush_combine(ClusterId from, int idx) {
   for (HopPlan& m : batch) {
     if (rec) {
       if (queued > 0) {
-        rec->instant(trace::Category::Net, "net.wan.queue", topo_.gateway_of(from), m.msg.id,
-                     queued);
+        rec->instant(trace::Ev::WanQueue, topo_.gateway_of(from), m.msg.id, queued);
       }
-      rec->instant(trace::Category::Net, "net.hop.wan", topo_.gateway_of(from), m.msg.id,
-                   m.msg.bytes);
+      rec->instant(trace::Ev::HopWan, topo_.gateway_of(from), m.msg.id, m.msg.bytes);
     }
     prefix += m.msg.bytes;
     sim::SimTime at = arrival;

@@ -101,7 +101,7 @@ void Engine::on_epoch(net::ClusterId c) {
     if (s.seq_hot >= kHysteresisEpochs) {
       s.seq_armed = true;
       if (rec) {
-        rec->instant(trace::Category::Orca, "orca.adapt.seq.arm", leader, cid,
+        rec->instant(trace::Ev::AdaptSeqArm, leader, cid,
                      static_cast<std::uint64_t>(kArmThreshold));
       }
       rt_->sequencer().adapt_arm(net_->topology().compute_node(c, 0), kArmThreshold);
@@ -119,7 +119,7 @@ void Engine::on_epoch(net::ClusterId c) {
     if (s.combine_hot >= kHysteresisEpochs) {
       s.combine_on = true;
       if (rec) {
-        rec->instant(trace::Category::Orca, "orca.adapt.combine.on", leader, cid, 0);
+        rec->instant(trace::Ev::AdaptCombineOn, leader, cid, 0);
       }
     }
   }
@@ -139,7 +139,7 @@ void Engine::on_epoch(net::ClusterId c) {
       s.tree_on = true;
       rt_->coll().set_mode(c, coll::Mode::Tree);
       if (rec) {
-        rec->instant(trace::Category::Orca, "orca.adapt.tree.on", leader, cid, avg);
+        rec->instant(trace::Ev::AdaptTreeOn, leader, cid, avg);
       }
     }
   }
@@ -160,8 +160,7 @@ void Engine::on_epoch(net::ClusterId c) {
         if (q.fn()) {
           ++splits_;
           if (rec) {
-            rec->instant(trace::Category::Orca, "orca.adapt.queue.split", leader, cid,
-                         gets_remote);
+            rec->instant(trace::Ev::AdaptQueueSplit, leader, cid, gets_remote);
           }
         }
       }

@@ -63,7 +63,7 @@ sim::Task<void> BroadcastEngine::broadcast(net::NodeId node, std::size_t bytes, 
   std::uint64_t span = 0;
   if (rec) {
     span = rec->next_span_id();
-    rec->begin(trace::Category::Orca, "orca.seq.get", node, span);
+    rec->begin(trace::Ev::SeqGet, node, span);
   }
   const sim::SimTime seq_start = net_->engine().now();
   const std::uint64_t seq = co_await seq_->get_sequence(node);
@@ -71,9 +71,9 @@ sim::Task<void> BroadcastEngine::broadcast(net::NodeId node, std::size_t bytes, 
     adapt_->note_seq_wait(cluster, net_->engine().now() - seq_start, bytes);
   }
   if (rec) {
-    rec->end(trace::Category::Orca, "orca.seq.get", node, span, seq);
+    rec->end(trace::Ev::SeqGet, node, span, seq);
     // Span 2: dissemination until the sender's own in-order apply.
-    rec->begin(trace::Category::Orca, "orca.bcast", node, seq, bytes);
+    rec->begin(trace::Ev::Bcast, node, seq, bytes);
   }
   auto payload = net::make_payload<Shipment>(Shipment{seq, op});
   disseminate(node, bytes, kTagBcastData, std::move(payload));
@@ -83,12 +83,12 @@ sim::Task<void> BroadcastEngine::broadcast(net::NodeId node, std::size_t bytes, 
   local_apply_waiters_[static_cast<std::size_t>(node)].emplace(seq, applied);
   enqueue(node, seq, std::move(op));
   co_await applied;
-  if (rec) rec->end(trace::Category::Orca, "orca.bcast", node, seq);
+  if (rec) rec->end(trace::Ev::Bcast, node, seq);
 }
 
 void BroadcastEngine::broadcast_unordered(net::NodeId node, std::size_t bytes, BcastOp op) {
   if (trace::Recorder* rec = net_->engine().tracer()) {
-    rec->instant(trace::Category::Orca, "orca.bcast.unordered", node, 0, bytes);
+    rec->instant(trace::Ev::BcastUnordered, node, 0, bytes);
   }
   auto payload = net::make_payload<Shipment>(Shipment{kUnordered, op});
   disseminate(node, bytes, kTagBcastData, std::move(payload));
@@ -107,7 +107,7 @@ void BroadcastEngine::drain(net::NodeId node) {
   auto& next = next_to_apply_[static_cast<std::size_t>(node)];
   trace::Recorder* rec = net_->engine().tracer();
   for (auto it = buf.find(next); it != buf.end(); it = buf.find(next)) {
-    if (rec) rec->instant(trace::Category::Orca, "orca.bcast.apply", node, next);
+    if (rec) rec->instant(trace::Ev::BcastApply, node, next);
     apply_now(node, it->second);
     buf.erase(it);
     auto& waiters = local_apply_waiters_[static_cast<std::size_t>(node)];

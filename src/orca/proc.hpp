@@ -36,7 +36,7 @@ struct Proc {
     // the causal profiler uses it to tell compute from waiting inside a
     // process's program-order gaps.
     if (trace::Recorder* rec = net->engine().tracer()) {
-      rec->instant(trace::Category::App, "app.compute", node, 0, static_cast<std::uint64_t>(d));
+      rec->instant(trace::Ev::AppCompute, node, 0, static_cast<std::uint64_t>(d));
     }
     return net->engine().delay(t);
   }

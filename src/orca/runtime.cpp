@@ -140,7 +140,7 @@ sim::Task<std::shared_ptr<const void>> Runtime::call(net::NodeId target,
   auto& pending = pending_rpcs_[static_cast<std::size_t>(cc)];
 
   trace::Recorder* rec = engine().tracer();
-  if (rec) rec->begin(trace::Category::Orca, "orca.rpc", caller, id, request_bytes);
+  if (rec) rec->begin(trace::Ev::Rpc, caller, id, request_bytes);
 
   const std::size_t reply_bytes = req.reply_bytes;
   req.call_id = id;
@@ -168,11 +168,10 @@ sim::Task<std::shared_ptr<const void>> Runtime::call(net::NodeId target,
     }
     faults_->note_rpc_timeout();
     if (rec) {
-      rec->instant(trace::Category::Orca, "orca.rpc.timeout", caller, id,
-                   static_cast<std::uint64_t>(attempt));
+      rec->instant(trace::Ev::RpcTimeout, caller, id, static_cast<std::uint64_t>(attempt));
       if (!retry_span) {
         retry_span = true;
-        rec->begin(trace::Category::Orca, "orca.rpc.retry", caller, id);
+        rec->begin(trace::Ev::RpcRetry, caller, id);
       }
     }
     if (faults_->failed(cc) || attempt >= rp->max_attempts) {
@@ -182,16 +181,16 @@ sim::Task<std::shared_ptr<const void>> Runtime::call(net::NodeId target,
                       net::FailureInfo{net::FailureInfo::Kind::RpcTimeout, caller, id, attempt});
       }
       if (rec) {
-        if (retry_span) rec->end(trace::Category::Orca, "orca.rpc.retry", caller, id);
-        rec->end(trace::Category::Orca, "orca.rpc", caller, id, 0);
+        if (retry_span) rec->end(trace::Ev::RpcRetry, caller, id);
+        rec->end(trace::Ev::Rpc, caller, id, 0);
       }
       std::rethrow_exception(faults_->failure_eptr(cc));
     }
     faults_->note_retry();
     timeout = static_cast<sim::SimTime>(static_cast<double>(timeout) * rp->backoff);
   }
-  if (rec && retry_span) rec->end(trace::Category::Orca, "orca.rpc.retry", caller, id);
-  if (rec) rec->end(trace::Category::Orca, "orca.rpc", caller, id, reply_bytes);
+  if (rec && retry_span) rec->end(trace::Ev::RpcRetry, caller, id);
+  if (rec) rec->end(trace::Ev::Rpc, caller, id, reply_bytes);
   co_return result;
 }
 
@@ -316,7 +315,7 @@ void Runtime::handle_rpc_request(net::NodeId at, RpcRequest req) {
       // the in-flight execution will reply when it completes.
       faults_->note_dup_rpc_request();
       if (trace::Recorder* rec = engine().tracer()) {
-        rec->instant(trace::Category::Orca, "orca.rpc.dup", at, req.call_id);
+        rec->instant(trace::Ev::RpcDup, at, req.call_id);
       }
       if (it->second.done) {
         send_reply(at, req.caller, req.call_id, it->second.reply_bytes, it->second.result);
@@ -326,7 +325,7 @@ void Runtime::handle_rpc_request(net::NodeId at, RpcRequest req) {
     served_rpcs_.emplace(req.call_id, ServedRpc{});
   }
   if (trace::Recorder* rec = engine().tracer()) {
-    rec->instant(trace::Category::Orca, "orca.rpc.serve", at, req.call_id);
+    rec->instant(trace::Ev::RpcServe, at, req.call_id);
   }
   if (req.op_blocking) {
     engine().spawn(serve_blocking(at, std::move(req)));
@@ -362,7 +361,7 @@ sim::Task<void> Runtime::barrier(Proc& p) {
   guard_failed(cluster_of(p.node));
   const std::uint64_t gen = barrier_local_gen_[static_cast<std::size_t>(p.rank)]++;
   if (trace::Recorder* rec = engine().tracer()) {
-    rec->instant(trace::Category::Orca, "orca.barrier.arrive", p.node, gen);
+    rec->instant(trace::Ev::BarrierArrive, p.node, gen);
   }
   sim::Future<> released(engine());
   barrier_waiters_[static_cast<std::size_t>(p.node)].emplace(gen, released);
@@ -387,7 +386,7 @@ void Runtime::release_barrier() {
   // Phase boundary marker: tools segment a run into barrier-delimited
   // phases by these instants (see tools/alb_trace.cpp).
   if (trace::Recorder* rec = engine().tracer()) {
-    rec->instant(trace::Category::Orca, "orca.barrier.release", 0, gen);
+    rec->instant(trace::Ev::BarrierRelease, 0, gen);
   }
   const auto& topo = net_->topology();
   auto payload = net::make_payload<std::uint64_t>(gen);
@@ -438,8 +437,7 @@ void Runtime::spawn_all(ProcMain main) {
 
 sim::Task<void> Runtime::run_proc(ProcMain main, Proc& p) {
   if (trace::Recorder* rec = engine().tracer()) {
-    rec->instant(trace::Category::Orca, "orca.proc.start", p.node,
-                 static_cast<std::uint64_t>(p.rank));
+    rec->instant(trace::Ev::ProcStart, p.node, static_cast<std::uint64_t>(p.rank));
   }
   try {
     co_await main(p);
@@ -452,8 +450,7 @@ sim::Task<void> Runtime::run_proc(ProcMain main, Proc& p) {
     ++failed_;
   }
   if (trace::Recorder* rec = engine().tracer()) {
-    rec->instant(trace::Category::Orca, "orca.proc.finish", p.node,
-                 static_cast<std::uint64_t>(p.rank));
+    rec->instant(trace::Ev::ProcFinish, p.node, static_cast<std::uint64_t>(p.rank));
   }
   last_finish_ = std::max(last_finish_, engine().now());
   ++finished_;

@@ -110,8 +110,7 @@ class SequencerBase : public Sequencer {
     if (recovery_on_) cache[req.req_id] = seq;
     if (trace::Recorder* rec = eng().tracer()) {
       // Ordering decision: `seq` assigned at `grantor` for `requester`.
-      rec->instant(trace::Category::Orca, "orca.seq.issue", grantor, seq,
-                   static_cast<std::uint64_t>(req.requester));
+      rec->instant(trace::Ev::SeqIssue, grantor, seq, static_cast<std::uint64_t>(req.requester));
     }
     deliver_grant(grantor, std::move(req), seq);
   }
@@ -138,7 +137,7 @@ class SequencerBase : public Sequencer {
     if (it == cache.end()) return false;
     faults_->note_dup_seq_request();
     if (trace::Recorder* rec = eng().tracer()) {
-      rec->instant(trace::Category::Orca, "orca.seq.regrant", grantor, it->second,
+      rec->instant(trace::Ev::SeqRegrant, grantor, it->second,
                    static_cast<std::uint64_t>(req.requester));
     }
     deliver_grant(grantor, std::move(req), it->second);
@@ -171,8 +170,7 @@ class SequencerBase : public Sequencer {
     const net::ClusterId cluster = topo().cluster_of(node);
     faults_->note_seq_timeout();
     if (trace::Recorder* rec = eng().tracer()) {
-      rec->instant(trace::Category::Orca, "orca.seq.timeout", node, rid,
-                   static_cast<std::uint64_t>(attempt));
+      rec->instant(trace::Ev::SeqTimeout, node, rid, static_cast<std::uint64_t>(attempt));
     }
     if (faults_->failed(cluster)) std::rethrow_exception(faults_->failure_eptr(cluster));
     const net::RecoveryParams& rp = faults_->plan().recovery;
@@ -398,8 +396,7 @@ class RotatingSequencer final : public SequencerBase {
   void pass_token(net::ClusterId from) {
     net::ClusterId next = (from + 1) % topo().clusters();
     if (trace::Recorder* rec = eng().tracer()) {
-      rec->instant(trace::Category::Orca, "orca.seq.token", seq_node(from),
-                   static_cast<std::uint64_t>(next));
+      rec->instant(trace::Ev::SeqToken, seq_node(from), static_cast<std::uint64_t>(next));
     }
     net::Message m;
     m.src = seq_node(from);
@@ -600,8 +597,7 @@ class MigratingSequencer final : public SequencerBase {
     if (threshold_ <= threshold) return;  // already armed at least this hard
     threshold_ = threshold;
     if (trace::Recorder* rec = eng().tracer()) {
-      rec->instant(trace::Category::Orca, "orca.seq.armed", at,
-                   static_cast<std::uint64_t>(threshold));
+      rec->instant(trace::Ev::SeqArmed, at, static_cast<std::uint64_t>(threshold));
     }
     // An existing streak may already clear the new threshold; the next
     // served request will notice — no migration is forced here, demand
@@ -629,8 +625,7 @@ class MigratingSequencer final : public SequencerBase {
     // (charged); from this event on, `from` only forwards.
     send_control(from, node, kTagSeqMigrate, nullptr, 2 * kControlBytes);
     if (trace::Recorder* rec = eng().tracer()) {
-      rec->instant(trace::Category::Orca, "orca.seq.migrate", from,
-                   static_cast<std::uint64_t>(node));
+      rec->instant(trace::Ev::SeqMigrate, from, static_cast<std::uint64_t>(node));
     }
     ALB_LOG_AT(util::LogLevel::Debug, eng().now())
         << "sequencer migrates " << from << " -> " << node;

@@ -114,7 +114,7 @@ void Engine::spawn_on(OwnerId dest, Task<void> task) {
   // owner); cross-owner placement is a setup-time operation.
   assert(cur_owner_ < 0 || dest == cur_owner_);
   ++tasks_spawned_;
-  if (tracer_) tracer_->instant(trace::Category::Sim, "task.spawn", -1, tasks_spawned_);
+  if (tracer_) tracer_->instant(trace::Ev::TaskSpawn, -1, tasks_spawned_);
   // The Task is move-only; UniqueFunction supports move-only captures.
   // Starting the wrapper here (inside the queued event) makes the body's
   // first instructions run at the scheduled time, not at spawn time.
@@ -128,7 +128,7 @@ void Engine::spawn_on(OwnerId dest, Task<void> task) {
 
 void Engine::note_task_finished() {
   ++tasks_finished_;
-  if (tracer_) tracer_->instant(trace::Category::Sim, "task.finish", -1, tasks_finished_);
+  if (tracer_) tracer_->instant(trace::Ev::TaskFinish, -1, tasks_finished_);
 }
 
 void Engine::attach_trace(trace::Session* s) {
@@ -146,8 +146,7 @@ void Engine::dispatch(EventQueue::Event e) {
   if (trace::Recorder* rec = tracer_) {
     rec->set_time(now_);
     if (rec->engine_events()) {
-      rec->instant(trace::Category::Sim, e.resume ? "engine.resume" : "engine.event", -1,
-                   e.key.lamport);
+      rec->instant(e.resume ? trace::Ev::EngineResume : trace::Ev::EngineEvent, -1, e.key.lamport);
     }
   }
   // FNV-1a over the canonical (time, lamport, owner) triple, into the

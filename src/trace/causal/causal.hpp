@@ -148,7 +148,7 @@ struct Segment {
   Protocol proto = Protocol::App;
   std::uint32_t edge = kNone;  ///< index into Dag::edges (kNone: virtual)
   std::int32_t actor = -1;     ///< node the segment's sink event is at
-  const char* what = "";       ///< event name at the segment's sink end
+  Ev what{};                   ///< event at the segment's sink end
 
   sim::SimTime dur() const { return end - begin; }
 };

@@ -1,10 +1,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstring>
-#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "orca/tags.hpp"
@@ -66,8 +63,6 @@ const char* to_string(EdgeClass c) {
 
 namespace {
 
-using std::string_view;
-
 /// Per-compute-node program-order sweep state.
 struct ActorState {
   std::uint32_t last_chain = kNone;
@@ -89,144 +84,34 @@ struct MsgState {
   sim::SimTime queue_pending = 0;  ///< from net.wan.queue, consumed by the hop
 };
 
-/// The event names the DAG build reacts to; every other name is Other.
-enum class Name : std::uint8_t {
-  Other,
-  // Message-journey events.
-  SendLocal,
-  SendLan,
-  BcastLan,
-  Wan,
-  HopGwIn,
-  HopWan,
-  HopGwOut,
-  FaultDrop,
-  FaultFlapHold,
-  CombineHold,
-  Deliver,
-  // Metadata and program-state events.
-  WanQueue,
-  AppCompute,
-  SeqGet,
-  Rpc,
-  RpcRetry,
-  RpcTimeout,
-  RpcServe,
-  Bcast,
-  BarrierArrive,
-  BarrierRelease,
-  ProcFinish,
-};
-
-constexpr std::array<std::pair<string_view, Name>, 22> kNames{{
-    {"net.send.local", Name::SendLocal},
-    {"net.send.lan", Name::SendLan},
-    {"net.bcast.lan", Name::BcastLan},
-    {"net.wan", Name::Wan},
-    {"net.hop.gw_in", Name::HopGwIn},
-    {"net.hop.wan", Name::HopWan},
-    {"net.hop.gw_out", Name::HopGwOut},
-    {"net.fault.drop", Name::FaultDrop},
-    {"net.fault.flap_hold", Name::FaultFlapHold},
-    {"net.combine.hold", Name::CombineHold},
-    {"net.deliver", Name::Deliver},
-    {"net.wan.queue", Name::WanQueue},
-    {"app.compute", Name::AppCompute},
-    {"orca.seq.get", Name::SeqGet},
-    {"orca.rpc", Name::Rpc},
-    {"orca.rpc.retry", Name::RpcRetry},
-    {"orca.rpc.timeout", Name::RpcTimeout},
-    {"orca.rpc.serve", Name::RpcServe},
-    {"orca.bcast", Name::Bcast},
-    {"orca.barrier.arrive", Name::BarrierArrive},
-    {"orca.barrier.release", Name::BarrierRelease},
-    {"orca.proc.finish", Name::ProcFinish},
-}};
-
-bool is_journey(Name n) { return n >= Name::SendLocal && n <= Name::Deliver; }
+/// The contiguous journey block of trace::Ev, SendLocal through Deliver.
+bool is_journey(Ev n) { return n >= Ev::SendLocal && n <= Ev::Deliver; }
 
 /// Names whose aux field carries the endpoint tag.
-bool carries_tag(Name n, EventPhase ph) {
-  return n == Name::SendLocal || n == Name::SendLan || n == Name::BcastLan ||
-         n == Name::Deliver || (n == Name::Wan && ph == EventPhase::Begin);
+bool carries_tag(Ev n, EventPhase ph) {
+  return n == Ev::SendLocal || n == Ev::SendLan || n == Ev::BcastLan || n == Ev::Deliver ||
+         (n == Ev::Wan && ph == EventPhase::Begin);
 }
 
-EdgeClass hop_class(Name from, Name to) {
-  if (to == Name::FaultDrop) return EdgeClass::Drop;
-  if (from == Name::FaultFlapHold) return EdgeClass::FaultHold;
-  if (from == Name::CombineHold) return EdgeClass::CombineWait;
-  if (from == Name::Wan) return EdgeClass::Access;  // source node → gateway
-  if (from == Name::HopWan) return EdgeClass::WanTransfer;
+EdgeClass hop_class(Ev from, Ev to) {
+  if (to == Ev::FaultDrop) return EdgeClass::Drop;
+  if (from == Ev::FaultFlapHold) return EdgeClass::FaultHold;
+  if (from == Ev::CombineHold) return EdgeClass::CombineWait;
+  if (from == Ev::Wan) return EdgeClass::Access;  // source node → gateway
+  if (from == Ev::HopWan) return EdgeClass::WanTransfer;
   // gw_in → hop.wan / flap_hold, gw_out → wan End: forwarding overhead.
   return EdgeClass::Gateway;
 }
 
-/// Interns TraceEvent::name pointers. Each distinct pointer is looked
-/// up by *content* once, because identical literals are not guaranteed
-/// merged across TUs: pointers with equal content share one id and
-/// kind. After that an event costs one probe of a small open-addressed
-/// table keyed on the pointer.
-class NameTable {
- public:
-  struct Entry {
-    const char* ptr = nullptr;
-    std::uint32_t id = 0;  ///< dense per distinct content
-    Name kind = Name::Other;
-  };
-
-  const Entry& operator()(const char* p) {
-    std::size_t i = slot(p);
-    while (slots_[i].ptr != p) {
-      if (slots_[i].ptr == nullptr) return insert(i, p);
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    return slots_[i];
-  }
-
- private:
-  std::size_t slot(const char* p) const {
-    const auto h = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)) *
-                   0x9e3779b97f4a7c15ull;
-    return static_cast<std::size_t>(h >> 40) & (slots_.size() - 1);
-  }
-
-  const Entry& insert(std::size_t i, const char* p) {
-    Entry e;
-    e.ptr = p;
-    const string_view text(p);
-    e.id = ids_.try_emplace(text, static_cast<std::uint32_t>(ids_.size())).first->second;
-    for (const auto& [literal, kind] : kNames) {
-      if (literal == text) e.kind = kind;
-    }
-    slots_[i] = e;
-    if (++used_ * 2 > slots_.size()) {
-      std::vector<Entry> old(slots_.size() * 2);
-      old.swap(slots_);
-      for (const Entry& o : old) {
-        if (o.ptr == nullptr) continue;
-        std::size_t j = slot(o.ptr);
-        while (slots_[j].ptr != nullptr) j = (j + 1) & (slots_.size() - 1);
-        slots_[j] = o;
-      }
-      return (*this)(p);
-    }
-    return slots_[i];
-  }
-
-  std::vector<Entry> slots_ = std::vector<Entry>(64);  ///< size: a power of two
-  std::size_t used_ = 0;
-  std::unordered_map<string_view, std::uint32_t> ids_;
-};
-
-/// Open-span key of the normalization pass: (interned name, span id).
+/// Open-span key of the normalization pass: (name, span id).
 struct SpanKey {
-  std::uint32_t name;
+  Ev name;
   std::uint64_t id;
   bool operator==(const SpanKey&) const = default;
 };
 struct SpanKeyHash {
   std::size_t operator()(const SpanKey& k) const {
-    return static_cast<std::size_t>((k.id ^ (std::uint64_t{k.name} << 56)) *
+    return static_cast<std::size_t>((k.id ^ (static_cast<std::uint64_t>(k.name) << 56)) *
                                     0x9e3779b97f4a7c15ull);
   }
 };
@@ -240,22 +125,17 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
 
   // --- normalization: drop End events whose Begin was truncated away
   // by ring wraparound, so every surviving End has a matching earlier
-  // Begin (pinned by causal_test.cpp). Spans are keyed by interned name
-  // content, so equal literals from different TUs match. The pass also
-  // records each kept event's name kind and sizes the actor table.
-  NameTable names;
-  std::vector<Name> kinds;
-  kinds.reserve(trace.events.size());
+  // Begin (pinned by causal_test.cpp). The pass also sizes the actor
+  // table.
   dag.events.reserve(trace.events.size());
   std::int32_t max_actor = -1;
   {
     std::unordered_map<SpanKey, int, SpanKeyHash> open;
     for (const TraceEvent& e : trace.events) {
-      const NameTable::Entry& name = names(e.name);
       if (e.phase == EventPhase::Begin) {
-        ++open[SpanKey{name.id, e.id}];
+        ++open[SpanKey{e.name, e.id}];
       } else if (e.phase == EventPhase::End) {
-        auto it = open.find(SpanKey{name.id, e.id});
+        auto it = open.find(SpanKey{e.name, e.id});
         if (it == open.end()) {
           ++dag.orphan_ends;
           continue;
@@ -263,7 +143,6 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         if (--it->second == 0) open.erase(it);
       }
       dag.events.push_back(e);
-      kinds.push_back(name.kind);
       max_actor = std::max(max_actor, e.actor);
     }
   }
@@ -294,20 +173,19 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
   std::uint32_t last_finish = kNone;
   for (std::uint32_t i = 0; i < n; ++i) {
     const TraceEvent& e = dag.events[i];
-    const Name name = kinds[i];
 
     // WAN queue-wait metadata: attached to the message, not a DAG node.
-    if (name == Name::WanQueue) {
+    if (e.name == Ev::WanQueue) {
       msgs[e.id].queue_pending = static_cast<sim::SimTime>(e.arg);
       continue;
     }
 
-    const bool journey = is_journey(name);
-    const bool deliver = name == Name::Deliver;
+    const bool journey = is_journey(e.name);
+    const bool deliver = e.name == Ev::Deliver;
 
     if (journey) {
       MsgState& ms = msgs[e.id];
-      if (!ms.proto_known && carries_tag(name, e.phase)) {
+      if (!ms.proto_known && carries_tag(e.name, e.phase)) {
         ms.proto = protocol_of_tag(e.aux);
         ms.proto_known = true;
       }
@@ -320,21 +198,20 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         edge.proto = ms.proto;
         edge.dur = e.time - prev.time;
         edge.bytes = e.arg;
-        const Name pname = kinds[ms.last];
         if (deliver) {
           // Fan-out point: several delivers can hang off one journey
           // event (LAN broadcast, WAN re-broadcast), so `last` is not
           // advanced. The final hop into the destination cluster is the
           // broadcast link for ordered-broadcast traffic, the delivery
           // (access) link otherwise.
-          if (pname == Name::Wan) {
+          if (prev.name == Ev::Wan) {
             edge.cls = ms.proto == Protocol::Bcast ? EdgeClass::Lan : EdgeClass::Access;
           } else {
             edge.cls = EdgeClass::Lan;
           }
           dag.in_message[i] = add_edge(edge);
         } else {
-          edge.cls = hop_class(pname, name);
+          edge.cls = hop_class(prev.name, e.name);
           if (edge.cls == EdgeClass::WanTransfer) {
             // Decompose the circuit crossing: queue wait was recorded
             // explicitly; propagation latency comes from the topology
@@ -387,7 +264,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         // innermost first. A gap that ends in a timeout instant is
         // retry cost regardless of what else is open.
         Protocol pref = Protocol::App;
-        if (as.retry_open > 0 || name == Name::RpcTimeout) {
+        if (as.retry_open > 0 || e.name == Ev::RpcTimeout) {
           edge.cls = EdgeClass::FaultWait;
           pref = Protocol::Rpc;
         } else if (as.seq_open > 0) {
@@ -402,7 +279,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         } else if (as.bcast_open > 0) {
           edge.cls = EdgeClass::BcastWait;
           pref = Protocol::Bcast;
-        } else if (kinds[u] == Name::RpcServe) {
+        } else if (prev.name == Ev::RpcServe) {
           edge.cls = EdgeClass::Serve;  // service time at the callee
         } else {
           edge.cls = as.last_deliver != kNone && as.last_deliver > u ? EdgeClass::RecvWait
@@ -438,18 +315,18 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
     auto count = [step](int& open) {
       if (step > 0 || open > 0) open += step;
     };
-    switch (name) {
-      case Name::ProcFinish: last_finish = i; break;
-      case Name::AppCompute:
+    switch (e.name) {
+      case Ev::ProcFinish: last_finish = i; break;
+      case Ev::AppCompute:
         as.compute_until = e.time + static_cast<sim::SimTime>(e.arg);
         break;
-      case Name::SeqGet: count(as.seq_open); break;
-      case Name::Rpc: count(as.rpc_open); break;
-      case Name::RpcRetry: count(as.retry_open); break;
-      case Name::Bcast: count(as.bcast_open); break;
-      case Name::BarrierArrive: as.barrier_wait = true; break;
+      case Ev::SeqGet: count(as.seq_open); break;
+      case Ev::Rpc: count(as.rpc_open); break;
+      case Ev::RpcRetry: count(as.retry_open); break;
+      case Ev::Bcast: count(as.bcast_open); break;
+      case Ev::BarrierArrive: as.barrier_wait = true; break;
       // Recorded at node 0 while releasing: rank 0's own wait ends here.
-      case Name::BarrierRelease: as.barrier_wait = false; break;
+      case Ev::BarrierRelease: as.barrier_wait = false; break;
       default: break;
     }
   }

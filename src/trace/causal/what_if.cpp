@@ -2,7 +2,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #include "trace/causal/causal.hpp"
 
@@ -128,9 +127,7 @@ Projection what_if(const Dag& dag, const Scenario& s) {
     // start at their real start, and a wraparound-truncated prefix is
     // never projected below what actually happened.
     nt[i] = bound ? v : dag.events[i].time;
-    if (std::string_view(dag.events[i].name) == "orca.proc.finish") {
-      finish = std::max(finish, nt[i]);
-    }
+    if (dag.events[i].name == Ev::ProcFinish) finish = std::max(finish, nt[i]);
     if (dag.in_program[i] != kNone) any_chain = std::max(any_chain, nt[i]);
   }
 

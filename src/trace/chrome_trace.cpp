@@ -26,9 +26,8 @@ void write_event(std::ostream& os, const TraceEvent& e) {
     case EventPhase::Begin: ph = "b"; break;
     case EventPhase::End: ph = "e"; break;
   }
-  os << "{\"name\":\"";
-  write_json_escaped(os, e.name);
-  os << "\",\"cat\":\"" << to_string(e.cat) << "\",\"ph\":\"" << ph << "\",\"ts\":";
+  os << "{\"name\":\"" << to_string(e.name) << "\",\"cat\":\"" << to_string(category_of(e.name))
+     << "\",\"ph\":\"" << ph << "\",\"ts\":";
   write_ts(os, e.time);
   os << ",\"pid\":0,\"tid\":" << e.actor;
   if (e.phase == EventPhase::Instant) {

@@ -15,9 +15,10 @@
 //     native unit is nanoseconds)
 //   * args             → {"id": ..., "arg": ...} raw event words
 //
-// Event names and track labels are JSON-escaped (quotes, backslashes,
-// control bytes as \u00XX); bytes ≥ 0x80 pass through, so UTF-8 names
-// stay UTF-8. A trace with zero events — or whose events were all
+// Event names come from the closed trace::Ev vocabulary and need no
+// escaping; track labels are JSON-escaped (quotes, backslashes, control
+// bytes as \u00XX), and bytes ≥ 0x80 pass through, so UTF-8 labels stay
+// UTF-8. A trace with zero events — or whose events were all
 // dropped by ring wraparound — still serializes to valid JSON (the
 // metadata record is unconditional and the event array may be empty).
 //
@@ -56,7 +57,7 @@ void write_chrome_trace(const Trace& trace, std::ostream& os,
 std::string chrome_trace_string(const Trace& trace,
                                 const std::vector<HighlightSpan>& highlight = {});
 
-/// JSON string escaping as applied to event names (exposed for tests).
+/// JSON string escaping as applied to track labels (exposed for tests).
 void write_json_escaped(std::ostream& os, std::string_view s);
 
 }  // namespace alb::trace

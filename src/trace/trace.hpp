@@ -31,6 +31,7 @@
 // async spans, so overlapping spans from interleaved coroutines need no
 // nesting discipline.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -54,24 +55,102 @@ constexpr const char* to_string(Category c) {
   return "?";
 }
 
+/// Every event name the recorder knows: one closed vocabulary. A new
+/// event gets an enumerator here and a row in kEvents. The message
+/// journey events, SendLocal through Deliver, form one contiguous block
+/// (causal::build_dag chains them per message id).
+enum class Ev : std::uint8_t {
+  // net: message journeys, then the WAN queue-wait metadata.
+  SendLocal, SendLan, BcastLan, Wan, HopGwIn, HopWan, HopGwOut, FaultDrop, FaultFlapHold,
+  CombineHold, Deliver, WanQueue,
+  // orca.
+  Rpc, RpcRetry, RpcTimeout, RpcDup, RpcServe,
+  SeqGet, SeqIssue, SeqRegrant, SeqTimeout, SeqToken, SeqArmed, SeqMigrate,
+  Bcast, BcastUnordered, BcastApply, BarrierArrive, BarrierRelease, ProcStart, ProcFinish,
+  AdaptSeqArm, AdaptCombineOn, AdaptTreeOn, AdaptQueueSplit,
+  // app, then sim.
+  AppCompute, TaskSpawn, TaskFinish, EngineEvent,
+  EngineResume,  ///< keep last: kNumEvs counts up to it
+};
+
+inline constexpr std::size_t kNumEvs = static_cast<std::size_t>(Ev::EngineResume) + 1;
+
+/// One row of the vocabulary: the exported name and its layer.
+struct EvInfo {
+  Ev ev;
+  const char* name;
+  Category cat;
+};
+
+inline constexpr std::array<EvInfo, kNumEvs> kEvents{{
+    {Ev::SendLocal, "net.send.local", Category::Net},
+    {Ev::SendLan, "net.send.lan", Category::Net},
+    {Ev::BcastLan, "net.bcast.lan", Category::Net},
+    {Ev::Wan, "net.wan", Category::Net},
+    {Ev::HopGwIn, "net.hop.gw_in", Category::Net},
+    {Ev::HopWan, "net.hop.wan", Category::Net},
+    {Ev::HopGwOut, "net.hop.gw_out", Category::Net},
+    {Ev::FaultDrop, "net.fault.drop", Category::Net},
+    {Ev::FaultFlapHold, "net.fault.flap_hold", Category::Net},
+    {Ev::CombineHold, "net.combine.hold", Category::Net},
+    {Ev::Deliver, "net.deliver", Category::Net},
+    {Ev::WanQueue, "net.wan.queue", Category::Net},
+    {Ev::Rpc, "orca.rpc", Category::Orca},
+    {Ev::RpcRetry, "orca.rpc.retry", Category::Orca},
+    {Ev::RpcTimeout, "orca.rpc.timeout", Category::Orca},
+    {Ev::RpcDup, "orca.rpc.dup", Category::Orca},
+    {Ev::RpcServe, "orca.rpc.serve", Category::Orca},
+    {Ev::SeqGet, "orca.seq.get", Category::Orca},
+    {Ev::SeqIssue, "orca.seq.issue", Category::Orca},
+    {Ev::SeqRegrant, "orca.seq.regrant", Category::Orca},
+    {Ev::SeqTimeout, "orca.seq.timeout", Category::Orca},
+    {Ev::SeqToken, "orca.seq.token", Category::Orca},
+    {Ev::SeqArmed, "orca.seq.armed", Category::Orca},
+    {Ev::SeqMigrate, "orca.seq.migrate", Category::Orca},
+    {Ev::Bcast, "orca.bcast", Category::Orca},
+    {Ev::BcastUnordered, "orca.bcast.unordered", Category::Orca},
+    {Ev::BcastApply, "orca.bcast.apply", Category::Orca},
+    {Ev::BarrierArrive, "orca.barrier.arrive", Category::Orca},
+    {Ev::BarrierRelease, "orca.barrier.release", Category::Orca},
+    {Ev::ProcStart, "orca.proc.start", Category::Orca},
+    {Ev::ProcFinish, "orca.proc.finish", Category::Orca},
+    {Ev::AdaptSeqArm, "orca.adapt.seq.arm", Category::Orca},
+    {Ev::AdaptCombineOn, "orca.adapt.combine.on", Category::Orca},
+    {Ev::AdaptTreeOn, "orca.adapt.tree.on", Category::Orca},
+    {Ev::AdaptQueueSplit, "orca.adapt.queue.split", Category::Orca},
+    {Ev::AppCompute, "app.compute", Category::App},
+    {Ev::TaskSpawn, "task.spawn", Category::Sim},
+    {Ev::TaskFinish, "task.finish", Category::Sim},
+    {Ev::EngineEvent, "engine.event", Category::Sim},
+    {Ev::EngineResume, "engine.resume", Category::Sim},
+}};
+
+constexpr bool rows_in_enum_order() {
+  for (std::size_t i = 0; i < kNumEvs; ++i) {
+    if (kEvents[i].ev != static_cast<Ev>(i)) return false;
+  }
+  return true;
+}
+static_assert(rows_in_enum_order(), "kEvents needs one row per Ev, in enum order");
+
+constexpr const char* to_string(Ev e) { return kEvents[static_cast<std::size_t>(e)].name; }
+constexpr Category category_of(Ev e) { return kEvents[static_cast<std::size_t>(e)].cat; }
+
 enum class EventPhase : std::uint8_t { Instant, Begin, End };
 
-/// One recorded event. `name` must be a string literal (or otherwise
-/// outlive the recorder) — the recorder stores the pointer, not a copy.
+/// One recorded event.
 struct TraceEvent {
   sim::SimTime time = 0;   ///< simulated nanoseconds
   std::uint64_t id = 0;    ///< span id (Begin/End) or primary argument
   std::uint64_t arg = 0;   ///< secondary argument (bytes, seq, ...)
-  const char* name = "";   ///< static event name
   std::int32_t actor = -1; ///< node id the event happened at; -1 = none
-  Category cat = Category::Sim;
+  Ev name{};               ///< what happened; kEvents gives its text and layer
   EventPhase phase = EventPhase::Instant;
   /// Protocol context (the endpoint tag for network events, clamped to
-  /// 16 bits). Lives in what used to be struct padding, so adding it
-  /// did not grow the event.
+  /// 16 bits).
   std::int16_t aux = 0;
 };
-static_assert(sizeof(TraceEvent) == 40, "aux must live in padding, not grow the event");
+static_assert(sizeof(TraceEvent) == 32, "the event packs into four words");
 
 /// The harvested recording: events oldest → newest plus drop counters.
 /// Plain data; shared by AppResult via shared_ptr so results stay cheap
@@ -88,7 +167,7 @@ struct Config {
   /// Master switch. Off (the default) means no Recorder is created and
   /// every instrumentation site reduces to a null-pointer check.
   bool enabled = false;
-  /// Ring capacity in events (40 bytes each). The default keeps the
+  /// Ring capacity in events (32 bytes each). The default keeps the
   /// newest ~1M events, enough for a full bench-size app run.
   std::size_t capacity = std::size_t{1} << 20;
   /// Also record one Sim-category instant per dispatched engine event
@@ -112,17 +191,17 @@ class Recorder {
 
   bool engine_events() const { return engine_events_; }
 
-  void instant(Category cat, const char* name, std::int32_t actor, std::uint64_t id = 0,
-               std::uint64_t arg = 0, std::int16_t aux = 0) {
-    push({now_, id, arg, name, actor, cat, EventPhase::Instant, aux});
+  void instant(Ev name, std::int32_t actor, std::uint64_t id = 0, std::uint64_t arg = 0,
+               std::int16_t aux = 0) {
+    push({now_, id, arg, actor, name, EventPhase::Instant, aux});
   }
-  void begin(Category cat, const char* name, std::int32_t actor, std::uint64_t id,
-             std::uint64_t arg = 0, std::int16_t aux = 0) {
-    push({now_, id, arg, name, actor, cat, EventPhase::Begin, aux});
+  void begin(Ev name, std::int32_t actor, std::uint64_t id, std::uint64_t arg = 0,
+             std::int16_t aux = 0) {
+    push({now_, id, arg, actor, name, EventPhase::Begin, aux});
   }
-  void end(Category cat, const char* name, std::int32_t actor, std::uint64_t id,
-           std::uint64_t arg = 0, std::int16_t aux = 0) {
-    push({now_, id, arg, name, actor, cat, EventPhase::End, aux});
+  void end(Ev name, std::int32_t actor, std::uint64_t id, std::uint64_t arg = 0,
+           std::int16_t aux = 0) {
+    push({now_, id, arg, actor, name, EventPhase::End, aux});
   }
 
   /// Clamp an endpoint tag into the 16-bit aux slot. Runtime control

@@ -115,7 +115,7 @@ TEST(AdaptivePolicies, PoliciesActAtMostOncePerClusterUnderOscillatingLoad) {
   const AppResult r = run_ra(cfg, RaParams::bench_default());
   std::map<std::pair<std::string, std::uint64_t>, int> transitions;
   for (const trace::TraceEvent& e : r.trace->events) {
-    const std::string name = e.name;
+    const std::string name = trace::to_string(e.name);
     if (name.rfind("orca.adapt.", 0) == 0) ++transitions[{name, e.id}];
   }
   EXPECT_FALSE(transitions.empty()) << "expected at least one adaptive action on RA";

@@ -418,7 +418,7 @@ TEST(MetricsGolden, Water4ClusterOptimizedStreams) {
 
 std::map<std::string, std::size_t> name_counts(const trace::Trace& t) {
   std::map<std::string, std::size_t> counts;
-  for (const trace::TraceEvent& e : t.events) ++counts[e.name];
+  for (const trace::TraceEvent& e : t.events) ++counts[trace::to_string(e.name)];
   return counts;
 }
 

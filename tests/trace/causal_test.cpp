@@ -9,7 +9,6 @@
 #include <functional>
 #include <iterator>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "apps/asp.hpp"
@@ -79,19 +78,19 @@ TEST(CausalDag, OrphanEndsFromWraparoundAreDroppedAndCounted) {
   tc.capacity = 4;
   trace::Recorder rec(tc);
   rec.set_time(0);
-  rec.begin(trace::Category::Net, "net.wan", /*actor=*/0, /*id=*/7);
+  rec.begin(trace::Ev::Wan, /*actor=*/0, /*id=*/7);
   for (int i = 1; i <= 4; ++i) {
     rec.set_time(i * 10);
-    rec.instant(trace::Category::App, "tick", 0, static_cast<std::uint64_t>(i));
+    rec.instant(trace::Ev::AppCompute, 0, static_cast<std::uint64_t>(i));
   }
   rec.set_time(100);
-  rec.end(trace::Category::Net, "net.wan", 0, 7);
+  rec.end(trace::Ev::Wan, 0, 7);
 
   const trace::causal::Dag dag =
       trace::causal::build_dag(rec.harvest(), net::das_config(2, 2));
   EXPECT_EQ(dag.orphan_ends, 1u);
   for (const trace::TraceEvent& e : dag.events) {
-    EXPECT_NE(e.phase, trace::EventPhase::End) << e.name;
+    EXPECT_NE(e.phase, trace::EventPhase::End) << trace::to_string(e.name);
   }
 }
 
@@ -101,9 +100,9 @@ TEST(CausalDag, MatchedSpansSurviveNormalization) {
   tc.capacity = 16;
   trace::Recorder rec(tc);
   rec.set_time(0);
-  rec.begin(trace::Category::Net, "net.wan", 0, 7);
+  rec.begin(trace::Ev::Wan, 0, 7);
   rec.set_time(50);
-  rec.end(trace::Category::Net, "net.wan", 0, 7);
+  rec.end(trace::Ev::Wan, 0, 7);
   const trace::causal::Dag dag =
       trace::causal::build_dag(rec.harvest(), net::das_config(2, 2));
   EXPECT_EQ(dag.orphan_ends, 0u);

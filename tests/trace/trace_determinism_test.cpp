@@ -10,7 +10,6 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -96,9 +95,8 @@ TEST(TraceDeterminism, RepeatedRunIsByteIdentical) {
 }
 
 bool same_event(const trace::TraceEvent& a, const trace::TraceEvent& b) {
-  return a.time == b.time && a.id == b.id && a.arg == b.arg &&
-         std::string_view(a.name) == b.name && a.actor == b.actor && a.cat == b.cat &&
-         a.phase == b.phase && a.aux == b.aux;
+  return a.time == b.time && a.id == b.id && a.arg == b.arg && a.name == b.name &&
+         a.actor == b.actor && a.phase == b.phase && a.aux == b.aux;
 }
 
 TEST(TraceWraparound, WrappedRunKeepsTheNewestEventsOfTheRun) {

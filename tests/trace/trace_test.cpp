@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,7 +29,7 @@ TEST(Recorder, KeepsEverythingBelowCapacity) {
   trace::Recorder rec(enabled_config(64));
   for (int i = 0; i < 10; ++i) {
     rec.set_time(i * 100);
-    rec.instant(trace::Category::App, "tick", /*actor=*/i, /*id=*/static_cast<std::uint64_t>(i));
+    rec.instant(trace::Ev::AppCompute, /*actor=*/i, /*id=*/static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(rec.recorded(), 10u);
   EXPECT_EQ(rec.dropped(), 0u);
@@ -44,7 +45,7 @@ TEST(Recorder, WraparoundDropsOldestKeepsNewestWindow) {
   trace::Recorder rec(enabled_config(8));
   for (int i = 0; i < 20; ++i) {
     rec.set_time(i);
-    rec.instant(trace::Category::App, "tick", -1, static_cast<std::uint64_t>(i));
+    rec.instant(trace::Ev::AppCompute, -1, static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(rec.recorded(), 20u);
   EXPECT_EQ(rec.dropped(), 12u);
@@ -63,7 +64,7 @@ TEST(Recorder, WraparoundDropsOldestKeepsNewestWindow) {
 
 TEST(Recorder, WraparoundAtExactMultipleOfCapacity) {
   trace::Recorder rec(enabled_config(4));
-  for (int i = 0; i < 8; ++i) rec.instant(trace::Category::Sim, "e", -1, static_cast<std::uint64_t>(i));
+  for (int i = 0; i < 8; ++i) rec.instant(trace::Ev::EngineEvent, -1, static_cast<std::uint64_t>(i));
   const trace::Trace t = rec.harvest();
   ASSERT_EQ(t.events.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(t.events[i].id, 4 + i);
@@ -77,13 +78,13 @@ TEST(Recorder, SpanBeginEndPairingSurvivesInterleaving) {
   const std::uint64_t b = rec.next_span_id();
   EXPECT_NE(a, b);
   rec.set_time(10);
-  rec.begin(trace::Category::Orca, "span", 0, a);
+  rec.begin(trace::Ev::SeqGet, 0, a);
   rec.set_time(20);
-  rec.begin(trace::Category::Orca, "span", 1, b);
+  rec.begin(trace::Ev::SeqGet, 1, b);
   rec.set_time(30);
-  rec.end(trace::Category::Orca, "span", 0, a);
+  rec.end(trace::Ev::SeqGet, 0, a);
   rec.set_time(40);
-  rec.end(trace::Category::Orca, "span", 1, b);
+  rec.end(trace::Ev::SeqGet, 1, b);
 
   const trace::Trace t = rec.harvest();
   ASSERT_EQ(t.events.size(), 4u);
@@ -106,13 +107,41 @@ TEST(Recorder, HarvestOrderAfterSeveralFullWraps) {
   trace::Recorder rec(enabled_config(3));
   for (int i = 0; i < 10; ++i) {
     rec.set_time(i);
-    rec.instant(trace::Category::App, "tick", -1, static_cast<std::uint64_t>(i));
+    rec.instant(trace::Ev::AppCompute, -1, static_cast<std::uint64_t>(i));
   }
   const trace::Trace t = rec.harvest();
   EXPECT_EQ(t.recorded, 10u);
   EXPECT_EQ(t.dropped, 7u);
   ASSERT_EQ(t.events.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(t.events[i].id, 7 + i);
+}
+
+TEST(Vocabulary, EveryEvHasAUniquePlainName) {
+  std::set<std::string> seen;
+  for (std::size_t i = 0; i < trace::kNumEvs; ++i) {
+    const std::string name = trace::to_string(static_cast<trace::Ev>(i));
+    EXPECT_FALSE(name.empty()) << "Ev " << i;
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
+    // The exporter writes names unescaped.
+    for (const char c : name) {
+      EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '.' || c == '_') << name;
+    }
+  }
+}
+
+TEST(Vocabulary, CategoryMatchesNamePrefix) {
+  const std::map<std::string, trace::Category> by_prefix{{"net", trace::Category::Net},
+                                                         {"orca", trace::Category::Orca},
+                                                         {"app", trace::Category::App},
+                                                         {"task", trace::Category::Sim},
+                                                         {"engine", trace::Category::Sim}};
+  for (std::size_t i = 0; i < trace::kNumEvs; ++i) {
+    const trace::Ev ev = static_cast<trace::Ev>(i);
+    const std::string name = trace::to_string(ev);
+    const auto it = by_prefix.find(name.substr(0, name.find('.')));
+    ASSERT_NE(it, by_prefix.end()) << "unknown prefix: " << name;
+    EXPECT_EQ(trace::category_of(ev), it->second) << name;
+  }
 }
 
 TEST(Session, DisabledSessionHasNoRecorder) {
@@ -204,11 +233,11 @@ TEST(Metrics, CsvAndJsonAreNameOrderedAndStable) {
 TEST(ChromeTrace, ExportHasMetadataAndBalancedEvents) {
   trace::Recorder rec(enabled_config(64));
   rec.set_time(1000);
-  rec.instant(trace::Category::Net, "net.hop.wan", 3, 7, 128);
+  rec.instant(trace::Ev::HopWan, 3, 7, 128);
   rec.set_time(2000);
-  rec.begin(trace::Category::Orca, "orca.rpc", 0, 42, 64);
+  rec.begin(trace::Ev::Rpc, 0, 42, 64);
   rec.set_time(3500);
-  rec.end(trace::Category::Orca, "orca.rpc", 0, 42, 32);
+  rec.end(trace::Ev::Rpc, 0, 42, 32);
 
   const std::string json = trace::chrome_trace_string(rec.harvest());
   // Structural spot-checks (full parse validation runs in tools/check.sh
@@ -217,7 +246,8 @@ TEST(ChromeTrace, ExportHasMetadataAndBalancedEvents) {
   EXPECT_EQ(json.back(), '\n');
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
-  EXPECT_NE(json.find("\"net.hop.wan\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"net.hop.wan\",\"cat\":\"net\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"orca.rpc\",\"cat\":\"orca\""), std::string::npos);
   // Async span phases for the RPC, instant phase for the hop.
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
@@ -245,10 +275,13 @@ TEST(ChromeTrace, PassesNonAsciiBytesThrough) {
 }
 
 TEST(ChromeTrace, EscapedNameSurvivesExport) {
+  // Event names come from the closed vocabulary; a highlight label is
+  // the one free-text field the exporter writes, so it is escaped.
   trace::Recorder rec(enabled_config(8));
   rec.set_time(10);
-  rec.instant(trace::Category::App, "weird\"name\n", 0, 1);
-  const std::string json = trace::chrome_trace_string(rec.harvest());
+  rec.instant(trace::Ev::AppCompute, 0, 1);
+  const std::string json =
+      trace::chrome_trace_string(rec.harvest(), {{"weird\"name\n", 0, 10}});
   EXPECT_NE(json.find("weird\\\"name\\n"), std::string::npos);
   EXPECT_EQ(json.find("weird\"name"), std::string::npos);
 }
@@ -277,7 +310,7 @@ TEST(ChromeTrace, OnlyDroppedTraceIsValidJson) {
 TEST(ChromeTrace, HighlightSpansEmitCriticalPathTrack) {
   trace::Recorder rec(enabled_config(8));
   rec.set_time(100);
-  rec.instant(trace::Category::App, "tick", 0, 1);
+  rec.instant(trace::Ev::AppCompute, 0, 1);
   const std::vector<trace::HighlightSpan> spans = {{"net/wan.latency", 0, 50},
                                                    {"app/compute", 50, 100}};
   const std::string plain = trace::chrome_trace_string(rec.harvest());

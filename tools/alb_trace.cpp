@@ -49,15 +49,14 @@ std::vector<Phase> split_phases(const trace::Trace& tr) {
   for (const trace::TraceEvent& e : tr.events) {
     Phase& cur = phases.back();
     cur.end = e.time;
-    const std::string_view name = e.name;
-    if (name == "net.wan" && e.phase == trace::EventPhase::Begin) {
+    if (e.name == trace::Ev::Wan && e.phase == trace::EventPhase::Begin) {
       ++cur.wan_msgs;
       cur.wan_bytes += e.arg;
-    } else if (name == "orca.bcast" && e.phase == trace::EventPhase::Begin) {
+    } else if (e.name == trace::Ev::Bcast && e.phase == trace::EventPhase::Begin) {
       ++cur.bcasts;
-    } else if (name == "orca.rpc" && e.phase == trace::EventPhase::Begin) {
+    } else if (e.name == trace::Ev::Rpc && e.phase == trace::EventPhase::Begin) {
       ++cur.rpcs;
-    } else if (name == "orca.barrier.release") {
+    } else if (e.name == trace::Ev::BarrierRelease) {
       phases.push_back(Phase{e.time, e.time, 0, 0, 0, 0});
     }
   }
@@ -404,7 +403,7 @@ int main(int argc, char** argv) {
             .add(trace::causal::blame(seg.cls, seg.proto))
             .add(trace::causal::to_string(seg.proto))
             .add(static_cast<long long>(seg.actor))
-            .add(seg.what);
+            .add(trace::to_string(seg.what));
       }
       std::cout << (csv ? "# critical path top segments\n" : "--- top segments ---\n");
       if (csv) st.print_csv(std::cout);
