@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
   opts.define("study", "all", "water|asp|ida|ra|sor|tsp|all");
   opts.define_flag("csv", "emit CSV");
   define_jobs_option(opts);
-  if (!opts.parse(argc, argv)) return 0;
+  if (!parse_options(opts, argc, argv)) return 0;
   const std::string study = opts.get("study");
   const bool csv = opts.has_flag("csv");
   const int njobs = static_cast<int>(opts.get_int("jobs"));

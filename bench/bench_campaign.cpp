@@ -86,12 +86,7 @@ int main(int argc, char** argv) {
   opts.define("jobs", "0", "parallel-phase workers (0 = hardware concurrency)");
   opts.define("json", "BENCH_campaign.json", "output path for machine-readable results");
   telemetry::define_cli_options(opts);
-  try {
-    if (!opts.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench_campaign: " << e.what() << "\n";
-    return 2;
-  }
+  if (!parse_options(opts, argc, argv)) return 0;
   telemetry::enable_from_cli(opts, "bench_campaign");
   const bool quick = opts.has_flag("quick");
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed"));

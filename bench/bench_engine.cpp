@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "net/presets.hpp"
 #include "orca/runtime.hpp"
 #include "orca/shared_object.hpp"
@@ -170,12 +171,7 @@ int main(int argc, char** argv) {
   opts.define("json", "BENCH_engine.json", "output path for machine-readable results");
   opts.define("min-time-ms", "300", "minimum wall time per bench");
   opts.define_flag("smoke", "single tiny rep per bench (CI smoke mode)");
-  try {
-    if (!opts.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench_engine: " << e.what() << "\n";
-    return 2;
-  }
+  if (!bench::parse_options(opts, argc, argv)) return 0;
 
   const bool smoke = opts.has_flag("smoke");
   const double min_sec = smoke ? 0.0 : static_cast<double>(opts.get_int("min-time-ms")) / 1e3;

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   util::Options opts;
   opts.define("app", "Water", "app name from the registry (or 'all')");
   opts.define_flag("opt", "run the optimized variant");
-  if (!opts.parse(argc, argv)) return 0;
+  if (!parse_options(opts, argc, argv)) return 0;
 
   const bool optimized = opts.has_flag("opt");
   util::Table t({"app", "clusters", "cpus", "sim_s", "wall_ms", "interRPC", "interKB",

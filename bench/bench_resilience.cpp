@@ -83,12 +83,7 @@ int main(int argc, char** argv) {
   opts.define("seed", "42", "workload seed");
   opts.define("json", "BENCH_resilience.json", "output path for machine-readable results");
   define_jobs_option(opts);
-  try {
-    if (!opts.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench_resilience: " << e.what() << "\n";
-    return 2;
-  }
+  if (!parse_options(opts, argc, argv)) return 0;
   const bool csv = opts.has_flag("csv");
   const bool quick = opts.has_flag("quick");
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed"));

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   opts.define_flag("csv", "emit CSV");
   opts.define("app", "ATPG", "application to sweep (or 'all')");
   define_jobs_option(opts);
-  if (!opts.parse(argc, argv)) return 0;
+  if (!parse_options(opts, argc, argv)) return 0;
   const int njobs = static_cast<int>(opts.get_int("jobs"));
 
   // The WAN grid is data, not code: scenarios/sensitivity.scn carries

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   opts.define_flag("csv", "emit CSV");
   opts.define("cpus", "60", "processors on the single cluster");
   define_jobs_option(opts);
-  if (!opts.parse(argc, argv)) return 0;
+  if (!parse_options(opts, argc, argv)) return 0;
   const int cpus = static_cast<int>(opts.get_int("cpus"));
   const int njobs = static_cast<int>(opts.get_int("jobs"));
 

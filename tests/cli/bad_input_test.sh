@@ -3,12 +3,15 @@
 # request lines are rejected up front by the scenario vocabulary: each
 # exits with status 2 (not a signal, not 0, not a failed simulation)
 # and one diagnostic line on stderr. A scenario directory holding an
-# unknown app fails `alb-serve --validate`.
+# unknown app fails `alb-serve --validate`. An unknown flag on a bench
+# binary exits 2 with one stderr line too.
 #
-# Usage: bad_input_test.sh <alb-trace> <alb-serve>
+# Usage: bad_input_test.sh <alb-trace> <alb-serve> [<bench>...]
 set -u
 trace=$1
 serve=$2
+shift 2
+benches=("$@")
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 failed=0
@@ -36,6 +39,9 @@ for args in "--clusters 0" "--per 0" "--per -1" "--seed -1" "--capacity -1" \
 done
 for request in "hetero3 app=ASP clusters=2" "das app=Bogus" "das wan_streams=65"; do
   expect_usage_error "alb-serve '$request'" "$request" "$serve"
+done
+for bench in "${benches[@]}"; do
+  expect_usage_error "$(basename "$bench") --bogus" "" "$bench" --bogus
 done
 
 mkdir "$dir/scn"
