@@ -125,13 +125,14 @@ inline constexpr std::array<EvInfo, kNumEvs> kEvents{{
     {Ev::EngineResume, "engine.resume", Category::Sim},
 }};
 
-constexpr bool rows_in_enum_order() {
-  for (std::size_t i = 0; i < kNumEvs; ++i) {
-    if (kEvents[i].ev != static_cast<Ev>(i)) return false;
-  }
-  return true;
-}
-static_assert(rows_in_enum_order(), "kEvents needs one row per Ev, in enum order");
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kNumEvs; ++i) {
+        if (kEvents[i].ev != static_cast<Ev>(i)) return false;
+      }
+      return true;
+    }(),
+    "kEvents needs one row per Ev, in enum order");
 
 constexpr const char* to_string(Ev e) { return kEvents[static_cast<std::size_t>(e)].name; }
 constexpr Category category_of(Ev e) { return kEvents[static_cast<std::size_t>(e)].cat; }
