@@ -82,8 +82,9 @@ void write_json(const std::string& path, const std::vector<std::string>& labels,
 int main(int argc, char** argv) {
   util::Options opts;
   opts.define_flag("quick", "reduced sweep per figure (60-CPU points only)");
-  opts.define("seed", "42", "workload seed");
-  opts.define("jobs", "0", "parallel-phase workers (0 = hardware concurrency)");
+  opts.define("seed", "42", "workload seed", util::Options::Kind::Int);
+  opts.define("jobs", "0", "parallel-phase workers (0 = hardware concurrency)",
+              util::Options::Kind::Int);
   opts.define("json", "BENCH_campaign.json", "output path for machine-readable results");
   telemetry::define_cli_options(opts);
   if (!parse_options(opts, argc, argv)) return 0;

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   util::Options opts;
   opts.define_flag("csv", "emit CSV instead of an aligned table");
   opts.define_flag("quick", "smaller problem sizes");
-  opts.define("seed", "42", "workload seed");
+  opts.define("seed", "42", "workload seed", util::Options::Kind::Int);
   opts.define("json", "BENCH_causal.json", "output path for machine-readable results");
   define_jobs_option(opts);
   if (!parse_options(opts, argc, argv)) return 0;

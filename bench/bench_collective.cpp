@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   util::Options opts;
   opts.define_flag("csv", "emit CSV instead of an aligned table");
   opts.define_flag("quick", "4x4 geometry instead of the full 4x16");
-  opts.define("seed", "42", "workload seed");
+  opts.define("seed", "42", "workload seed", util::Options::Kind::Int);
   opts.define("json", "BENCH_collective.json", "output path for machine-readable results");
   define_jobs_option(opts);
   if (!parse_options(opts, argc, argv)) return 0;

@@ -202,9 +202,10 @@ struct FigureOptions {
   bool parse(int argc, char** argv) {
     opts.define_flag("csv", "emit CSV instead of aligned tables");
     opts.define_flag("quick", "run a reduced sweep (60-CPU points only)");
-    opts.define("seed", "42", "workload seed");
+    opts.define("seed", "42", "workload seed", util::Options::Kind::Int);
     opts.define("jobs", "0",
-                "campaign worker threads (0 = hardware concurrency, 1 = sequential)");
+                "campaign worker threads (0 = hardware concurrency, 1 = sequential)",
+                util::Options::Kind::Int);
     telemetry::define_cli_options(opts);
     if (!parse_options(opts, argc, argv)) return false;
     csv = opts.has_flag("csv");
@@ -227,7 +228,8 @@ struct FigureOptions {
 /// Adds the `--jobs` option to a non-FigureOptions bench.
 inline void define_jobs_option(util::Options& opts) {
   opts.define("jobs", "0",
-              "campaign worker threads (0 = hardware concurrency, 1 = sequential)");
+              "campaign worker threads (0 = hardware concurrency, 1 = sequential)",
+              util::Options::Kind::Int);
 }
 
 }  // namespace alb::bench

@@ -169,7 +169,7 @@ void write_json(const std::string& path, const std::vector<BenchResult>& results
 int main(int argc, char** argv) {
   util::Options opts;
   opts.define("json", "BENCH_engine.json", "output path for machine-readable results");
-  opts.define("min-time-ms", "300", "minimum wall time per bench");
+  opts.define("min-time-ms", "300", "minimum wall time per bench", util::Options::Kind::Int);
   opts.define_flag("smoke", "single tiny rep per bench (CI smoke mode)");
   if (!bench::parse_options(opts, argc, argv)) return 0;
 

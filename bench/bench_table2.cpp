@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace alb::bench;
   util::Options opts;
   opts.define_flag("csv", "emit CSV");
-  opts.define("cpus", "60", "processors on the single cluster");
+  opts.define("cpus", "60", "processors on the single cluster", util::Options::Kind::Int);
   define_jobs_option(opts);
   if (!parse_options(opts, argc, argv)) return 0;
   const int cpus = static_cast<int>(opts.get_int("cpus"));

@@ -17,8 +17,10 @@ int main(int argc, char** argv) {
   using namespace alb::bench;
   util::Options opts;
   opts.define_flag("csv", "emit CSV");
-  opts.define("latency-skew", "1.03", "emulated/real one-way latency ratio");
-  opts.define("bandwidth-skew", "0.97", "emulated/real bandwidth ratio");
+  opts.define("latency-skew", "1.03", "emulated/real one-way latency ratio",
+              util::Options::Kind::Double);
+  opts.define("bandwidth-skew", "0.97", "emulated/real bandwidth ratio",
+              util::Options::Kind::Double);
   if (!parse_options(opts, argc, argv)) return 0;
   const double lat_skew = opts.get_double("latency-skew");
   const double bw_skew = opts.get_double("bandwidth-skew");

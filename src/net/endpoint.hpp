@@ -5,7 +5,12 @@
 // the Orca runtime to dispatch RPC requests and broadcast deliveries the
 // moment they arrive) or queued in a per-tag mailbox for processes that
 // co_await receive(tag).
+//
+// The runtime's reserved protocol tags (-kReservedTags..-1, see
+// orca/tags.hpp) carry almost every delivery, so their handlers sit in a
+// fixed array indexed by -tag-1; application tags (>= 0) keep a map.
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,7 +23,10 @@ namespace alb::net {
 
 class Endpoint {
  public:
-  using Handler = std::function<void(Message)>;
+  using Handler = std::function<void(Message&&)>;
+
+  /// Tags -kReservedTags..-1 dispatch through the fixed handler array.
+  static constexpr int kReservedTags = 16;
 
   explicit Endpoint(sim::Engine& eng) : eng_(&eng) {}
   Endpoint(const Endpoint&) = delete;
@@ -26,8 +34,21 @@ class Endpoint {
 
   /// Registers a handler invoked at arrival time for messages with `tag`.
   /// A handler takes precedence over mailbox queueing.
-  void set_handler(int tag, Handler handler) { handlers_[tag] = std::move(handler); }
-  void clear_handler(int tag) { handlers_.erase(tag); }
+  void set_handler(int tag, Handler handler) {
+    if (Handler* slot = reserved_slot(tag)) {
+      *slot = std::move(handler);
+    } else {
+      handlers_[tag] = std::move(handler);
+    }
+  }
+  /// Returns `tag` to mailbox delivery.
+  void clear_handler(int tag) {
+    if (Handler* slot = reserved_slot(tag)) {
+      *slot = nullptr;
+    } else {
+      handlers_.erase(tag);
+    }
+  }
 
   /// Awaitable receive from the mailbox for `tag` (FIFO).
   auto receive(int tag) { return mailbox(tag).receive(); }
@@ -40,7 +61,12 @@ class Endpoint {
 
   /// Called by the network at message arrival time.
   void deliver(Message m) {
-    if (auto it = handlers_.find(m.tag); it != handlers_.end()) {
+    if (Handler* slot = reserved_slot(m.tag)) {
+      if (*slot) {
+        (*slot)(std::move(m));
+        return;
+      }
+    } else if (auto it = handlers_.find(m.tag); it != handlers_.end()) {
       it->second(std::move(m));
       return;
     }
@@ -56,6 +82,11 @@ class Endpoint {
   }
 
  private:
+  Handler* reserved_slot(int tag) {
+    return tag < 0 && tag >= -kReservedTags ? &reserved_[static_cast<std::size_t>(-tag - 1)]
+                                            : nullptr;
+  }
+
   sim::Channel<Message>& mailbox(int tag) {
     auto it = mailboxes_.find(tag);
     if (it == mailboxes_.end()) {
@@ -66,7 +97,8 @@ class Endpoint {
   }
 
   sim::Engine* eng_;
-  std::map<int, Handler> handlers_;
+  std::array<Handler, kReservedTags> reserved_;  // index -tag-1
+  std::map<int, Handler> handlers_;              // every other tag
   std::map<int, std::unique_ptr<sim::Channel<Message>>> mailboxes_;
   std::exception_ptr fail_{};
 };

@@ -7,12 +7,6 @@
 
 namespace alb::orca {
 
-namespace {
-/// Unordered shipments reuse the broadcast data path with this sentinel
-/// in place of a sequence number.
-constexpr std::uint64_t kUnordered = ~std::uint64_t{0};
-}  // namespace
-
 BroadcastEngine::BroadcastEngine(net::Network& net, Sequencer& seq, coll::Engine& coll,
                                  ApplyFn apply_op)
     : net_(&net), seq_(&seq), coll_(&coll), apply_op_(std::move(apply_op)) {
@@ -27,7 +21,7 @@ BroadcastEngine::BroadcastEngine(net::Network& net, Sequencer& seq, coll::Engine
       if (s.seq == kUnordered) {
         apply_now(static_cast<net::NodeId>(n), s.op);
       } else {
-        enqueue(static_cast<net::NodeId>(n), s.seq, s.op);
+        deliver(static_cast<net::NodeId>(n), s.seq, s.op);
       }
     });
   }
@@ -75,13 +69,14 @@ sim::Task<void> BroadcastEngine::broadcast(net::NodeId node, std::size_t bytes, 
     // Span 2: dissemination until the sender's own in-order apply.
     rec->begin(trace::Ev::Bcast, node, seq, bytes);
   }
-  auto payload = net::make_payload<Shipment>(Shipment{seq, op});
-  disseminate(node, bytes, kTagBcastData, std::move(payload));
+  const auto shipment = std::make_shared<const Shipment>(Shipment{seq, std::move(op)});
+  disseminate(node, bytes, kTagBcastData, shipment);
 
-  // Queue the sender's own copy and wait for in-order local application.
+  // Hand the sender's own op over from the same shipment and wait for
+  // in-order local application.
   sim::Future<> applied(net_->engine());
   local_apply_waiters_[static_cast<std::size_t>(node)].emplace(seq, applied);
-  enqueue(node, seq, std::move(op));
+  deliver(node, seq, shipment->op);
   co_await applied;
   if (rec) rec->end(trace::Ev::Bcast, node, seq);
 }
@@ -90,33 +85,68 @@ void BroadcastEngine::broadcast_unordered(net::NodeId node, std::size_t bytes, B
   if (trace::Recorder* rec = net_->engine().tracer()) {
     rec->instant(trace::Ev::BcastUnordered, node, 0, bytes);
   }
-  auto payload = net::make_payload<Shipment>(Shipment{kUnordered, op});
-  disseminate(node, bytes, kTagBcastData, std::move(payload));
+  const auto shipment = std::make_shared<const Shipment>(Shipment{kUnordered, std::move(op)});
+  disseminate(node, bytes, kTagBcastData, shipment);
+  apply_now(node, shipment->op);
+}
+
+void BroadcastEngine::deliver(net::NodeId node, std::uint64_t seq, const BcastOp& op) {
+  const auto n = static_cast<std::size_t>(node);
+  if (seq != next_to_apply_[n]) {
+    buffer(n, seq, op);
+    return;
+  }
+  apply_next(node, op);
+  ReorderRing& ring = reorder_[n];
+  while (ring.buffered > 0) {
+    BcastOp& slot = ring.slots[next_to_apply_[n] & (ring.slots.size() - 1)];
+    if (!slot.apply) break;
+    const BcastOp early = std::move(slot);
+    slot.apply = nullptr;
+    --ring.buffered;
+    apply_next(node, early);
+  }
+}
+
+void BroadcastEngine::buffer(std::size_t node, std::uint64_t seq, const BcastOp& op) {
+  const std::uint64_t next = next_to_apply_[node];
+  assert(seq > next && "duplicate broadcast sequence number");
+  ReorderRing& ring = reorder_[node];
+  if (const std::uint64_t ahead = seq - next; ahead >= ring.slots.size()) {
+    std::size_t size = ring.slots.empty() ? kRingInitialSlots : ring.slots.size();
+    while (size <= ahead) size *= 2;
+    // Re-seat every buffered op: the one in old slot i has the unique
+    // sequence number in (next, next + old size) congruent to i.
+    std::vector<BcastOp> grown(size);
+    const std::uint64_t old_mask = ring.slots.size() - 1;
+    for (std::size_t i = 0; i < ring.slots.size(); ++i) {
+      if (ring.slots[i].apply) {
+        const std::uint64_t s = next + ((i - next) & old_mask);
+        grown[s & (size - 1)] = std::move(ring.slots[i]);
+      }
+    }
+    ring.slots = std::move(grown);
+  }
+  BcastOp& slot = ring.slots[seq & (ring.slots.size() - 1)];
+  assert(!slot.apply && "duplicate broadcast sequence number");
+  slot = op;
+  ++ring.buffered;
+}
+
+void BroadcastEngine::apply_next(net::NodeId node, const BcastOp& op) {
+  const auto n = static_cast<std::size_t>(node);
+  std::uint64_t& next = next_to_apply_[n];
+  if (trace::Recorder* rec = net_->engine().tracer()) {
+    rec->instant(trace::Ev::BcastApply, node, next);
+  }
   apply_now(node, op);
-}
-
-void BroadcastEngine::enqueue(net::NodeId node, std::uint64_t seq, BcastOp op) {
-  auto& buf = reorder_[static_cast<std::size_t>(node)];
-  assert(buf.find(seq) == buf.end() && "duplicate broadcast sequence number");
-  buf.emplace(seq, std::move(op));
-  drain(node);
-}
-
-void BroadcastEngine::drain(net::NodeId node) {
-  auto& buf = reorder_[static_cast<std::size_t>(node)];
-  auto& next = next_to_apply_[static_cast<std::size_t>(node)];
-  trace::Recorder* rec = net_->engine().tracer();
-  for (auto it = buf.find(next); it != buf.end(); it = buf.find(next)) {
-    if (rec) rec->instant(trace::Ev::BcastApply, node, next);
-    apply_now(node, it->second);
-    buf.erase(it);
-    auto& waiters = local_apply_waiters_[static_cast<std::size_t>(node)];
+  if (auto& waiters = local_apply_waiters_[n]; !waiters.empty()) {
     if (auto w = waiters.find(next); w != waiters.end()) {
       w->second.set_value();
       waiters.erase(w);
     }
-    ++next;
   }
+  ++next;
 }
 
 void BroadcastEngine::apply_now(net::NodeId node, const BcastOp& op) {

@@ -9,6 +9,11 @@
 // operations strictly in sequence order through a reorder buffer. The
 // Orca write returns when the operation has been applied locally.
 //
+// Sequence numbers are dense, so almost every shipment arrives as the
+// next one its node must apply: it is applied straight from the shared
+// shipment, with no copy. Only an early arrival is copied, into the
+// node's reorder ring, and waits there until its predecessors land.
+//
 // broadcast_unordered() is the asynchronous-broadcast extension the
 // paper proposes for ACP (§4.7): no sequencing, immediate local apply,
 // fire-and-forget dissemination. Only safe for commutative operations.
@@ -40,6 +45,16 @@ struct BcastOp {
 
 class BroadcastEngine {
  public:
+  /// Sequence number of an unordered shipment.
+  static constexpr std::uint64_t kUnordered = ~std::uint64_t{0};
+
+  /// Payload of a kTagBcastData message: the op and its global sequence
+  /// number (kUnordered for broadcast_unordered()).
+  struct Shipment {
+    std::uint64_t seq;
+    BcastOp op;
+  };
+
   /// `apply_op` is invoked once per (node, operation) in sequence order;
   /// the Runtime points it at the replicated-object registry.
   using ApplyFn = std::function<void(net::NodeId node, const BcastOp& op)>;
@@ -75,15 +90,26 @@ class BroadcastEngine {
   void fail_pending(net::ClusterId cluster, std::exception_ptr e);
 
  private:
-  struct Shipment {
-    std::uint64_t seq;
-    BcastOp op;
+  /// Early arrivals at one node. The op with sequence number s sits in
+  /// slots[s & (slots.size() - 1)]; every buffered s lies in
+  /// (next_to_apply, next_to_apply + slots.size()). An empty `apply`
+  /// marks a free slot. The ring stays unallocated until the node's
+  /// first early arrival and doubles whenever one lands too far ahead.
+  struct ReorderRing {
+    std::vector<BcastOp> slots;
+    std::size_t buffered = 0;
   };
+  static constexpr std::size_t kRingInitialSlots = 8;
 
   void disseminate(net::NodeId node, std::size_t bytes, int tag,
                    std::shared_ptr<const void> payload);
-  void enqueue(net::NodeId node, std::uint64_t seq, BcastOp op);
-  void drain(net::NodeId node);
+  /// Hands ordered op `seq` to `node`: applies it at once if it is the
+  /// next in sequence (then every buffered successor), else copies it
+  /// into the node's reorder ring.
+  void deliver(net::NodeId node, std::uint64_t seq, const BcastOp& op);
+  void buffer(std::size_t node, std::uint64_t seq, const BcastOp& op);
+  /// Applies `op` as `node`'s next sequence number and wakes its sender.
+  void apply_next(net::NodeId node, const BcastOp& op);
   void apply_now(net::NodeId node, const BcastOp& op);
 
   net::Network* net_;
@@ -92,11 +118,11 @@ class BroadcastEngine {
   adapt::Engine* adapt_ = nullptr;
   ApplyFn apply_op_;
 
-  // Per compute node: next sequence number to apply and the buffer of
+  // Per compute node: next sequence number to apply and the ring of
   // early arrivals. Every element is only touched in its node's cluster
   // context (shipment handlers run at the receiving node).
   std::vector<std::uint64_t> next_to_apply_;
-  std::vector<std::map<std::uint64_t, BcastOp>> reorder_;
+  std::vector<ReorderRing> reorder_;
   std::vector<std::uint64_t> applied_count_;
   // Per compute node: senders waiting for their own op's in-order local
   // apply, keyed by sequence number.

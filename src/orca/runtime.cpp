@@ -39,6 +39,10 @@ Runtime::Runtime(net::Network& net, Config cfg) : net_(&net) {
   }
 }
 
+// kTagSeqArm is the lowest runtime tag.
+static_assert(-kTagSeqArm <= net::Endpoint::kReservedTags,
+              "every runtime tag must dispatch through the endpoint's reserved array");
+
 void Runtime::install_handlers() {
   const int nodes = net_->topology().num_nodes();
   for (int n = 0; n < nodes; ++n) {

@@ -46,7 +46,7 @@ void EventQueue::enqueue(SimTime t, std::uint32_t n) {
   ++size_;
 }
 
-void EventQueue::push(SimTime t, EventKey key, std::int32_t exec_owner, UniqueFunction fn) {
+void EventQueue::push(SimTime t, EventKey key, std::int32_t exec_owner, UniqueFunction&& fn) {
   const std::uint32_t n = acquire_node();
   Node& nd = node(n);
   nd.key = key;
@@ -116,11 +116,12 @@ EventQueue::Event EventQueue::pop() {
   } else {
     c->head = nd.next;
   }
-  Event e{top_time, nd.key, nd.exec_owner, nd.resume, std::move(nd.fn)};
-  nd.resume = nullptr;
   free_nodes_.push_back(ni);
   --size_;
-  return e;
+  // Built in the caller's storage (a prvalue return): the body is
+  // relocated exactly once on its way out of the node.
+  return Event{top_time, nd.key, nd.exec_owner, std::exchange(nd.resume, nullptr),
+               std::move(nd.fn)};
 }
 
 }  // namespace alb::sim

@@ -85,7 +85,7 @@ class EventQueue {
 
   /// Schedules `fn` at absolute time `t` under canonical key `key`,
   /// to run in `exec_owner`'s context.
-  void push(SimTime t, EventKey key, std::int32_t exec_owner, UniqueFunction fn);
+  void push(SimTime t, EventKey key, std::int32_t exec_owner, UniqueFunction&& fn);
 
   /// Coroutine fast path: schedules a bare handle resumption at `t`.
   void push_resume(SimTime t, EventKey key, std::int32_t exec_owner,

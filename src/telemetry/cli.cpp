@@ -11,7 +11,8 @@ namespace alb::telemetry {
 void define_cli_options(util::Options& opts) {
   opts.define_opt_value("progress", "0", "2",
                         "emit heartbeat JSON lines every N seconds (bare --progress = 2); "
-                        "0 = off; sink is stderr or --progress-out");
+                        "0 = off; sink is stderr or --progress-out",
+                        util::Options::Kind::Double);
   opts.define("progress-out", "", "write heartbeat lines to this file instead of stderr");
   opts.define("telemetry-out", "", "write the wall-clock host Chrome trace (one track per thread) here");
   opts.define("telemetry-json", "", "write the host telemetry JSON snapshot here");

@@ -8,17 +8,18 @@
 namespace alb::util {
 
 void Options::define(const std::string& name, const std::string& default_value,
-                     const std::string& help) {
-  defs_[name] = Def{default_value, help, false, false, ""};
+                     const std::string& help, Kind kind) {
+  defs_[name] = Def{default_value, help, false, false, "", kind};
 }
 
 void Options::define_flag(const std::string& name, const std::string& help) {
-  defs_[name] = Def{"0", help, true, false, ""};
+  defs_[name] = Def{"0", help, true, false, "", Kind::Text};
 }
 
 void Options::define_opt_value(const std::string& name, const std::string& default_value,
-                               const std::string& implicit_value, const std::string& help) {
-  defs_[name] = Def{default_value, help, false, true, implicit_value};
+                               const std::string& implicit_value, const std::string& help,
+                               Kind kind) {
+  defs_[name] = Def{default_value, help, false, true, implicit_value, kind};
 }
 
 bool Options::parse(int argc, const char* const* argv) {
@@ -63,6 +64,8 @@ bool Options::parse(int argc, const char* const* argv) {
       }
       it->second.value = argv[++i];
     }
+    if (it->second.kind == Kind::Int) (void)get_int(key);
+    if (it->second.kind == Kind::Double) (void)get_double(key);
   }
   if (has_flag("help")) {
     print_usage(argv[0] ? argv[0] : "program");
@@ -94,7 +97,7 @@ std::int64_t Options::get_int(const std::string& name) const {
   char* end = nullptr;
   const std::int64_t parsed = std::strtoll(v.c_str(), &end, 10);
   if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::runtime_error("option --" + name + ": invalid integer '" + v + "'");
+    throw OptionError(name, "option --" + name + ": invalid integer '" + v + "'");
   }
   return parsed;
 }
@@ -105,7 +108,7 @@ double Options::get_double(const std::string& name) const {
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
   if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::runtime_error("option --" + name + ": invalid number '" + v + "'");
+    throw OptionError(name, "option --" + name + ": invalid number '" + v + "'");
   }
   return parsed;
 }

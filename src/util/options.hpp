@@ -32,9 +32,14 @@ class OptionError : public std::runtime_error {
 
 class Options {
  public:
+  /// What an option's value must parse as. parse() rejects a numeric
+  /// option's malformed value with an OptionError, so every later
+  /// get_int()/get_double() on it succeeds.
+  enum class Kind { Text, Int, Double };
+
   /// Registers an option with a default value and help text.
   void define(const std::string& name, const std::string& default_value,
-              const std::string& help);
+              const std::string& help, Kind kind = Kind::Text);
   /// Registers a boolean flag (default false).
   void define_flag(const std::string& name, const std::string& help);
   /// Registers an option whose value is optional: bare `--name` means
@@ -42,12 +47,14 @@ class Options {
   /// the next argv token (`--progress --jobs 4` parses as expected), so
   /// an explicit value must use the `=` form.
   void define_opt_value(const std::string& name, const std::string& default_value,
-                        const std::string& implicit_value, const std::string& help);
+                        const std::string& implicit_value, const std::string& help,
+                        Kind kind = Kind::Text);
 
   /// Parses argv. Returns false (after printing usage) if --help was given.
   /// Throws OptionError on unknown, malformed or repeated options —
   /// each option may appear at most once (`--seed 1 --seed 2` is a
-  /// contradiction, not a last-wins).
+  /// contradiction, not a last-wins) — and on a numeric option's value
+  /// that does not parse as its Kind.
   bool parse(int argc, const char* const* argv);
 
   /// True iff `name` appeared on the parsed command line (as opposed to
@@ -61,8 +68,8 @@ class Options {
   bool has_flag(const std::string& name) const;
   const std::string& get(const std::string& name) const;
   /// Strictly-parsed numeric accessors: the whole value must consume as
-  /// a number in range, or they throw std::runtime_error naming the
-  /// option and the offending value (`--cpus=abc` is an error, not 0).
+  /// a number in range, or they throw OptionError naming the option and
+  /// the offending value (`--cpus=abc` is an error, not 0).
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
 
@@ -78,6 +85,7 @@ class Options {
     bool is_flag = false;
     bool is_opt_value = false;
     std::string implicit_value;  ///< value of the bare form (opt-value only)
+    Kind kind = Kind::Text;
   };
   std::map<std::string, Def> defs_;
   std::set<std::string> provided_;

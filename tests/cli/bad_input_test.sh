@@ -3,8 +3,9 @@
 # request lines are rejected up front by the scenario vocabulary: each
 # exits with status 2 (not a signal, not 0, not a failed simulation)
 # and one diagnostic line on stderr. A scenario directory holding an
-# unknown app fails `alb-serve --validate`. An unknown flag on a bench
-# binary exits 2 with one stderr line too.
+# unknown app fails `alb-serve --validate`. An unknown flag, or a
+# malformed numeric value, on a bench binary exits 2 with one stderr
+# line too.
 #
 # Usage: bad_input_test.sh <alb-trace> <alb-serve> [<bench>...]
 set -u
@@ -40,8 +41,15 @@ done
 for request in "hetero3 app=ASP clusters=2" "das app=Bogus" "das wan_streams=65"; do
   expect_usage_error "alb-serve '$request'" "$request" "$serve"
 done
+expect_usage_error "alb-serve --jobs abc" "" "$serve" --jobs abc
 for bench in "${benches[@]}"; do
-  expect_usage_error "$(basename "$bench") --bogus" "" "$bench" --bogus
+  name=$(basename "$bench")
+  expect_usage_error "$name --bogus" "" "$bench" --bogus
+  expect_usage_error "$name --jobs abc" "" "$bench" --jobs abc
+  case $name in
+    bench_table2) expect_usage_error "$name --cpus abc" "" "$bench" --cpus abc ;;
+    bench_fig_asp) expect_usage_error "$name --seed abc" "" "$bench" --seed abc ;;
+  esac
 done
 
 mkdir "$dir/scn"

@@ -9,6 +9,7 @@
 //   * yield()          — requeue-at-now
 //   * LAN unicast      — send -> link -> deliver -> mailbox -> resume
 //   * channel ping-pong
+//   * ordered writes   — per receiving node, in-order broadcast apply
 //
 // These are the operations the paper's cost model says dominate
 // medium-grain applications (per-message overhead, §2-§3); a heap
@@ -27,6 +28,8 @@
 
 #include "net/network.hpp"
 #include "net/presets.hpp"
+#include "orca/runtime.hpp"
+#include "orca/shared_object.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "trace/metrics.hpp"
@@ -197,6 +200,39 @@ TEST(HotPathAlloc, WanMultiHopIsAllocationFree) {
   }(net));
   eng.run();
   EXPECT_EQ(w.count(), 0u) << "WAN multi-hop round-trip allocated in steady state";
+}
+
+// Heap allocations during `writes` ordered writes by rank 0, once warm,
+// on a 2 x per_cluster DAS topology.
+std::uint64_t ordered_write_allocations(int per_cluster, int writes) {
+  struct Counter {
+    std::uint64_t n = 0;
+  };
+  Engine eng;
+  net::Network net(eng, net::das_config(2, per_cluster));
+  orca::Runtime rt(net);
+  auto obj = orca::create_replicated<Counter>(rt, Counter{});
+  Window w;
+  rt.spawn_all([&](orca::Proc& p) -> Task<void> {
+    if (p.rank != 0) co_return;
+    for (int i = 0; i < 64; ++i) co_await obj.write(p, 32, [](Counter& c) { ++c.n; });
+    w.begin = g_allocations;
+    for (int i = 0; i < writes; ++i) co_await obj.write(p, 32, [](Counter& c) { ++c.n; });
+    w.end = g_allocations;
+  });
+  rt.run_all();
+  return w.count();
+}
+
+// The sender side of a write allocates (its coroutine frames, the
+// shipment, the completion future), but every receiving node applies
+// the op straight from the shared shipment: growing the clusters from 4
+// to 16 nodes must not add a single allocation.
+TEST(HotPathAlloc, OrderedWriteAllocationsDoNotGrowWithNodes) {
+  const std::uint64_t small = ordered_write_allocations(4, 256);
+  const std::uint64_t large = ordered_write_allocations(16, 256);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(large, small) << "in-order apply allocated per receiving node";
 }
 
 TEST(HotPathAlloc, MetricsSnapshotIsAtMostFourHeapBlocks) {

@@ -92,7 +92,7 @@ TEST(Options, MalformedIntegerThrows) {
   try {
     (void)o.get_int("cpus");
     FAIL() << "get_int accepted 'abc'";
-  } catch (const std::runtime_error& e) {
+  } catch (const OptionError& e) {
     EXPECT_NE(std::string(e.what()).find("--cpus"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("abc"), std::string::npos);
   }
@@ -114,6 +114,28 @@ TEST(Options, MalformedDoubleThrows) {
   const char* argv[] = {"prog", "--bw", "4.5e"};
   ASSERT_TRUE(o.parse(3, argv));
   EXPECT_THROW((void)o.get_double("bw"), std::runtime_error);
+}
+
+TEST(Options, NumericKindsRejectMalformedValuesAtParse) {
+  for (const char* arg : {"--cpus=abc", "--bw=4.5e", "--cpus=", "--bw=x"}) {
+    Options o;
+    o.define("cpus", "4", "cpu count", Options::Kind::Int);
+    o.define("bw", "1.5", "bandwidth", Options::Kind::Double);
+    const char* argv[] = {"prog", arg};
+    try {
+      (void)o.parse(2, argv);
+      FAIL() << "parse accepted " << arg;
+    } catch (const OptionError& e) {
+      EXPECT_NE(std::string(arg).find(e.option()), std::string::npos) << e.what();
+    }
+  }
+  Options o;
+  o.define("cpus", "4", "cpu count", Options::Kind::Int);
+  o.define_opt_value("period", "0", "2", "seconds", Options::Kind::Double);
+  const char* argv[] = {"prog", "--cpus", "-3", "--period=0.5"};
+  ASSERT_TRUE(o.parse(4, argv));
+  EXPECT_EQ(o.get_int("cpus"), -3);
+  EXPECT_DOUBLE_EQ(o.get_double("period"), 0.5);
 }
 
 TEST(Options, ValidNumbersStillParse) {

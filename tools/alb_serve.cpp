@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
   using namespace alb;
   util::Options opts;
   opts.define("requests", "", "request list file (default: read stdin)");
-  opts.define("jobs", "0", "worker threads for cache misses (0 = hardware concurrency)");
+  opts.define("jobs", "0", "worker threads for cache misses (0 = hardware concurrency)",
+              util::Options::Kind::Int);
   opts.define("cache-dir", "", "persist cache entries here (one file per key)");
   opts.define("metrics-out", "", "write the cache/serve metrics registry as CSV here");
   opts.define("app", "TSP", "default app when neither the scenario nor the request names one");
