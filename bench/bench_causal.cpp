@@ -126,11 +126,11 @@ int main(int argc, char** argv) {
       ok = false;
       continue;
     }
-    const net::TopologyConfig& net_cfg = jobs[i].cfg.net_cfg;
-    const trace::causal::Dag dag = trace::causal::build_dag(*results[i].trace, net_cfg);
+    const net::TopologyConfig topo = jobs[i].cfg.topology();
+    const trace::causal::Dag dag = trace::causal::build_dag(*results[i].trace, topo);
     profiles[i].cp = trace::causal::critical_path(dag);
     profiles[i].orphan_ends = dag.orphan_ends;
-    for (const trace::causal::Scenario& sc : trace::causal::standard_scenarios(net_cfg)) {
+    for (const trace::causal::Scenario& sc : trace::causal::standard_scenarios(topo)) {
       profiles[i].what_if.push_back(trace::causal::what_if(dag, sc));
     }
   }

@@ -52,8 +52,6 @@ inline AppConfig make_config(int clusters, int per_cluster, bool optimized,
   c.clusters = clusters;
   c.procs_per_cluster = per_cluster;
   c.net_cfg = das_scenario_net();
-  c.net_cfg.clusters = clusters;
-  c.net_cfg.nodes_per_cluster = per_cluster;
   c.optimized = optimized;
   c.seed = seed;
   return c;

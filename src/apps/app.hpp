@@ -29,7 +29,10 @@ namespace alb::apps {
 struct AppConfig {
   int clusters = 1;
   int procs_per_cluster = 1;
-  /// WAN parameters; the cluster/node counts inside are overwritten.
+  /// Link, gateway and WAN transport parameters. Its geometry fields
+  /// (`clusters`, `nodes_per_cluster`) are ignored: topology() is the
+  /// authoritative description of the network a run simulates. The WAN
+  /// stream count (--wan-streams) lives in wan_transport.streams only.
   net::TopologyConfig net_cfg = net::das_config(1, 1);
   /// Run the wide-area-optimized variant instead of the original.
   bool optimized = false;
@@ -46,9 +49,6 @@ struct AppConfig {
   /// combining at orca::coll::kTreeDefaultCombineBytes unless the
   /// config chose its own threshold.
   orca::coll::Mode coll = orca::coll::Mode::Flat;
-  /// Parallel WAN sub-streams per circuit (--wan-streams); forwarded to
-  /// net_cfg.wan_transport.streams when != 1.
-  int wan_streams = 1;
   /// Gateway combine threshold in bytes (--combine-bytes); < 0 leaves
   /// the policy default (0 for Flat, kTreeDefaultCombineBytes for
   /// Tree), 0 disables combining explicitly.
@@ -62,6 +62,24 @@ struct AppConfig {
   bool adapt = false;
 
   int total_procs() const { return clusters * procs_per_cluster; }
+
+  /// The topology a run of this config builds: net_cfg with the run's
+  /// geometry and the combine threshold applied (an explicit
+  /// combine_bytes wins; Tree defaults to kTreeDefaultCombineBytes when
+  /// net_cfg left combining off). The one resolver: the simulation, the
+  /// scenario validator, the cache key and the causal analysis all read
+  /// this object.
+  net::TopologyConfig topology() const {
+    net::TopologyConfig t = net_cfg;
+    t.clusters = clusters;
+    t.nodes_per_cluster = procs_per_cluster;
+    if (combine_bytes >= 0) {
+      t.wan_transport.combine_bytes = static_cast<std::size_t>(combine_bytes);
+    } else if (coll == orca::coll::Mode::Tree && t.wan_transport.combine_bytes == 0) {
+      t.wan_transport.combine_bytes = orca::coll::kTreeDefaultCombineBytes;
+    }
+    return t;
+  }
 };
 
 struct AppResult {
@@ -110,7 +128,7 @@ struct Harness {
   orca::Runtime rt;
 
   Harness(const AppConfig& cfg, orca::Runtime::Config rtc = {})
-      : trace(cfg.trace), net(prepare(eng, trace, cfg), patch(cfg), cfg.faults, cfg.seed),
+      : trace(cfg.trace), net(prepare(eng, trace, cfg), cfg.topology(), cfg.faults, cfg.seed),
         rt(net, with_coll(std::move(rtc), cfg)) {}
 
   /// Spawns, runs to completion and fills in elapsed + traffic +
@@ -158,27 +176,6 @@ struct Harness {
     return e;
   }
 
- public:
-  /// The topology a run of `cfg` builds: net_cfg with the run's
-  /// geometry and WAN transport flags applied. Front-ends validate it
-  /// to reject a config before simulating it.
-  static net::TopologyConfig patch(const AppConfig& cfg) {
-    net::TopologyConfig t = cfg.net_cfg;
-    t.clusters = cfg.clusters;
-    t.nodes_per_cluster = cfg.procs_per_cluster;
-    // Transport-level WAN knobs. Only non-default AppConfig values
-    // overwrite net_cfg, so configs that set wan_transport directly
-    // keep working.
-    if (cfg.wan_streams != 1) t.wan_transport.streams = cfg.wan_streams;
-    if (cfg.combine_bytes >= 0) {
-      t.wan_transport.combine_bytes = static_cast<std::size_t>(cfg.combine_bytes);
-    } else if (cfg.coll == orca::coll::Mode::Tree && t.wan_transport.combine_bytes == 0) {
-      t.wan_transport.combine_bytes = orca::coll::kTreeDefaultCombineBytes;
-    }
-    return t;
-  }
-
- private:
   /// Copies the harness-level collective + adaptive policy into the
   /// runtime config, resolving flag-vs-policy precedence (explicit
   /// flags win; the Runtime itself resolves an app-forced sequencer and

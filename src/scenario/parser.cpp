@@ -323,7 +323,7 @@ bool apply_vocabulary(RunPlan* run, const std::string& file, const KV& kv) {
       fail(Code::OutOfRange, file, kv.vpos,
            "'wan_streams': must be in [1, 64] (got " + kv.value + ")");
     }
-    cfg.wan_streams = static_cast<int>(streams);
+    cfg.net_cfg.wan_transport.streams = static_cast<int>(streams);
   } else if (kv.key == "combine_bytes") {
     const long long bytes = parse_int(file, kv);
     if (bytes < -1 || bytes > (1ll << 30)) {
@@ -453,11 +453,7 @@ Scenario parse(const std::string& text, const std::string& filename) {
   if (preset == "das") base.net_cfg = net::das_config(clusters, per_cluster);
   else if (preset == "internet") base.net_cfg = net::internet_config(clusters, per_cluster);
   else if (preset == "slow-wan") base.net_cfg = net::slow_wan_config(clusters, per_cluster);
-  else {
-    base.net_cfg = net::TopologyConfig{};
-    base.net_cfg.clusters = clusters;
-    base.net_cfg.nodes_per_cluster = per_cluster;
-  }
+  else base.net_cfg = net::TopologyConfig{};
 
   // [gateway] ----------------------------------------------------------
   if (const Section* s = in.find_unique("gateway")) {
@@ -786,7 +782,7 @@ void apply_override(RunPlan* run, const std::string& key, const std::string& val
 
 void check_run(const RunPlan& run, const std::string& file, int line, int col) {
   try {
-    apps::Harness::patch(run.cfg).validate();
+    run.cfg.topology().validate();
   } catch (const net::ConfigError& e) {
     fail(Code::OutOfRange, file, line, col, "run '" + run.label + "': " + e.what());
   }

@@ -66,18 +66,17 @@ void put_link(std::string& out, const char* name, const net::LinkParams& p) {
 }  // namespace
 
 std::string canonical_request(const std::string& app, const apps::AppConfig& cfg) {
-  std::string out = "albreq 1\n";
+  std::string out = "albreq 2\n";
   out += "app=" + app + "\n";
   out += "clusters=" + std::to_string(cfg.clusters) + "\n";
   out += "per=" + std::to_string(cfg.procs_per_cluster) + "\n";
   out += "optimized=" + std::to_string(cfg.optimized ? 1 : 0) + "\n";
   out += "seed=" + std::to_string(cfg.seed) + "\n";
   out += std::string("coll=") + orca::coll::to_string(cfg.coll) + "\n";
-  out += "wan_streams=" + std::to_string(cfg.wan_streams) + "\n";
   out += "combine_bytes=" + std::to_string(cfg.combine_bytes) + "\n";
   out += "adapt=" + std::to_string(cfg.adapt ? 1 : 0) + "\n";
 
-  const net::TopologyConfig& t = cfg.net_cfg;
+  const net::TopologyConfig t = cfg.topology();
   put_link(out, "net.lan", t.lan);
   put_link(out, "net.lan_broadcast", t.lan_broadcast);
   put_link(out, "net.access", t.access);

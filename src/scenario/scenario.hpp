@@ -130,7 +130,8 @@ Scenario load(const std::string& ref);
 std::string scenario_dir();
 
 /// Canonical request text for a (app, config) pair: every
-/// output-relevant field serialized as deterministic key=value lines.
+/// output-relevant field serialized as deterministic key=value lines,
+/// the network as the resolved cfg.topology().
 /// Excludes `trace`, the one output-neutral field (a traced run
 /// dispatches the identical event stream), so a cache keyed on this
 /// text serves traced and untraced requests alike. This is the

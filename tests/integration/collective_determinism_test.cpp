@@ -38,7 +38,7 @@ TEST(CollectiveDeterminism, TreeModeMatchesSequentialReferenceForEveryApp) {
   for (const AppEntry& app : registry()) {
     AppConfig cfg = base_cfg();
     cfg.coll = orca::coll::Mode::Tree;  // arms default gateway combining too
-    cfg.wan_streams = 2;
+    cfg.net_cfg.wan_transport.streams = 2;
     const AppResult ref = app.run(cfg);
     expect_identical(ref, app.run(cfg), app.name + "/tree/repeat");
   }

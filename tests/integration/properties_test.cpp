@@ -1,10 +1,14 @@
 // System-level property tests: determinism, traffic conservation,
-// sequencer interchangeability, and link accounting invariants, swept
-// over applications and topologies with parameterized gtest.
+// sequencer interchangeability, link accounting and causal-analysis
+// invariants, swept over applications and topologies with
+// parameterized gtest.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "apps/acp.hpp"
 #include "apps/app.hpp"
@@ -12,6 +16,8 @@
 #include "apps/tsp.hpp"
 #include "net/presets.hpp"
 #include "orca/shared_object.hpp"
+#include "scenario/scenario.hpp"
+#include "trace/causal/causal.hpp"
 
 namespace alb::apps {
 namespace {
@@ -223,6 +229,72 @@ TEST(EngineAccounting, LinkUtilizationBoundedByRunTime) {
     }
   }
 }
+
+// ------------------------------------------------ generated geometries
+// The causal analysis of a run must read the topology the run
+// simulated. Each app is traced on das.scn's net_cfg, left as loaded,
+// at a geometry other than the scenario's 4x15: every compute node of
+// cfg.topology() gets a program chain, no gateway does, and the
+// critical path telescopes to the run's elapsed time.
+using GeomParam = std::tuple<int /*registry index*/, std::pair<int, int> /*clusters x per*/>;
+
+class GeneratedGeometry : public ::testing::TestWithParam<GeomParam> {};
+
+TEST_P(GeneratedGeometry, CausalAnalysisReadsTheRunTopology) {
+  const auto [app_idx, geometry] = GetParam();
+  const auto [clusters, per] = geometry;
+  const AppEntry& app = registry()[static_cast<std::size_t>(app_idx)];
+  AppConfig c = scenario::load("das").base;
+  ASSERT_EQ(c.clusters, 4);
+  ASSERT_EQ(c.procs_per_cluster, 15);
+  c.clusters = clusters;
+  c.procs_per_cluster = per;
+  c.trace.enabled = true;  // ACP's run wraps the ring: the kept window must hold too
+  const AppResult r = app.run(c);
+  ASSERT_TRUE(r.trace);
+
+  const net::TopologyConfig topo = c.topology();
+  const trace::causal::Dag dag = trace::causal::build_dag(*r.trace, topo);
+  const net::Topology t(topo);
+  std::vector<bool> chained(static_cast<std::size_t>(t.num_nodes()), false);
+  for (std::size_t i = 0; i < dag.events.size(); ++i) {
+    const int actor = dag.events[i].actor;
+    if (dag.in_program[i] != trace::causal::kNone && actor >= 0 && actor < t.num_nodes()) {
+      chained[static_cast<std::size_t>(actor)] = true;
+    }
+  }
+  for (net::NodeId n = 0; n < t.num_nodes(); ++n) {
+    EXPECT_EQ(chained[static_cast<std::size_t>(n)], t.is_compute(n))
+        << app.name << ": node " << n << (t.is_compute(n) ? " (compute)" : " (gateway)");
+  }
+
+  const trace::causal::CriticalPath cp = trace::causal::critical_path(dag);
+  ASSERT_FALSE(cp.segments.empty()) << app.name;
+  EXPECT_EQ(cp.length, r.elapsed) << app.name;
+  EXPECT_EQ(cp.segments.front().begin, 0) << app.name;
+  EXPECT_EQ(cp.segments.back().end, cp.length) << app.name;
+  sim::SimTime sum = 0;
+  for (std::size_t i = 0; i < cp.segments.size(); ++i) {
+    if (i > 0) {
+      EXPECT_EQ(cp.segments[i].begin, cp.segments[i - 1].end) << app.name;
+    }
+    sum += cp.segments[i].dur();
+  }
+  EXPECT_EQ(sum, cp.length) << app.name;
+}
+
+std::string geom_param_name(const ::testing::TestParamInfo<GeomParam>& info) {
+  std::string name = registry()[static_cast<std::size_t>(std::get<0>(info.param))].name;
+  std::erase(name, '*');  // IDA* -> IDA: gtest names are identifiers
+  const auto [clusters, per] = std::get<1>(info.param);
+  return name + "_" + std::to_string(clusters) + "x" + std::to_string(per);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AppsGeometries, GeneratedGeometry,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(registry().size())),
+                       ::testing::Values(std::make_pair(2, 3), std::make_pair(4, 4))),
+    geom_param_name);
 
 }  // namespace
 }  // namespace alb::apps

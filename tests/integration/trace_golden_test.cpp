@@ -397,7 +397,7 @@ TEST(MetricsGolden, Ra4ClusterTree) {
 
 TEST(MetricsGolden, Water4ClusterOptimizedStreams) {
   AppConfig c = cfg4(true, 3);
-  c.wan_streams = 4;
+  c.net_cfg.wan_transport.streams = 4;
   c.net_cfg.wan_transport.stream_chunk_bytes = 128;
   WaterParams p;
   p.molecules = 96;

@@ -114,7 +114,7 @@ TEST(ScenarioParser, FlagsSectionSetsWideAreaKnobs) {
   EXPECT_EQ(sc.app, "ASP");
   EXPECT_TRUE(sc.base.optimized);
   EXPECT_EQ(sc.base.coll, orca::coll::Mode::Tree);
-  EXPECT_EQ(sc.base.wan_streams, 4);
+  EXPECT_EQ(sc.base.net_cfg.wan_transport.streams, 4);
   EXPECT_EQ(sc.base.combine_bytes, 8192);
   EXPECT_TRUE(sc.base.adapt);
   EXPECT_EQ(sc.base.seed, 7u);
@@ -349,7 +349,8 @@ TEST(ScenarioVocabulary, EveryKeyParsesAndRangeChecks) {
       {"seed", "7", [](const auto& r) { return r.cfg.seed == 7u; }, "-1", Code::OutOfRange},
       {"coll", "tree", [](const auto& r) { return r.cfg.coll == orca::coll::Mode::Tree; }, "ring",
        Code::BadValue},
-      {"wan_streams", "64", [](const auto& r) { return r.cfg.wan_streams == 64; }, "65",
+      {"wan_streams", "64",
+       [](const auto& r) { return r.cfg.net_cfg.wan_transport.streams == 64; }, "65",
        Code::OutOfRange},
       {"combine_bytes", "4096", [](const auto& r) { return r.cfg.combine_bytes == 4096; },
        "1073741825", Code::OutOfRange},
@@ -389,6 +390,17 @@ TEST(ScenarioVocabulary, EveryKeyParsesAndRangeChecks) {
   } catch (const ScenarioError& e) {
     EXPECT_EQ(static_cast<int>(e.code()), static_cast<int>(Code::UnknownKey)) << e.what();
   }
+}
+
+TEST(ScenarioVocabulary, WanStreamsWritesTheOneStreamCount) {
+  // The stream count has one copy: an override of 1 replaces a
+  // transport already set to 4, in the config and in the topology the
+  // run builds.
+  scenario::RunPlan run = scenario::load("das").runs[0];
+  run.cfg.net_cfg.wan_transport.streams = 4;
+  scenario::apply_override(&run, "wan_streams", "1", "req", 1, 1);
+  EXPECT_EQ(run.cfg.net_cfg.wan_transport.streams, 1);
+  EXPECT_EQ(run.cfg.topology().wan_transport.streams, 1);
 }
 
 TEST(ScenarioVocabulary, CheckRunRejectsAPairAShrunkenTopologyLacks) {
@@ -482,7 +494,6 @@ TEST(ScenarioCanonicalRequest, EveryOutputFieldChangesTheKey) {
       {"optimized", [](apps::AppConfig& c) { c.optimized = !c.optimized; }},
       {"seed", [](apps::AppConfig& c) { ++c.seed; }},
       {"coll", [](apps::AppConfig& c) { c.coll = orca::coll::Mode::Tree; }},
-      {"wan_streams", [](apps::AppConfig& c) { c.wan_streams = 2; }},
       {"combine_bytes", [](apps::AppConfig& c) { c.combine_bytes = 512; }},
       {"adapt", [](apps::AppConfig& c) { c.adapt = !c.adapt; }},
       {"net.lan.latency", [](apps::AppConfig& c) { ++c.net_cfg.lan.latency; }},
@@ -558,8 +569,8 @@ TEST(ScenarioCanonicalRequest, EveryOutputFieldChangesTheKey) {
     EXPECT_NE(ref, scenario::canonical_request("TSP", c)) << name << " is missing from the key";
   }
 
-  // Output-neutral: trace recording, and the topology's own node counts
-  // (the harness overwrites them with clusters/procs_per_cluster).
+  // Output-neutral: trace recording, and net_cfg's own node counts
+  // (ignored: topology() takes them from clusters/procs_per_cluster).
   apps::AppConfig neutral = base;
   neutral.trace.enabled = true;
   neutral.net_cfg.clusters = 7;

@@ -113,6 +113,7 @@ int main(int argc, char** argv) {
                    "projection error");
   const apps::AppEntry* entry = nullptr;
   apps::AppConfig cfg;
+  net::TopologyConfig topo;  // cfg.topology(): what the run simulates and the analysis reads
   bool faults = false;
   std::size_t topn = 0;
   std::vector<trace::causal::Scenario> scenarios;
@@ -152,6 +153,7 @@ int main(int argc, char** argv) {
     scenario::check_run(run, "<command line>", 1, 1);
     entry = apps::find_app(run.app);
     cfg = run.cfg;
+    topo = cfg.topology();
     const long long capacity = opts.get_int("capacity");
     if (capacity < 1) {
       throw std::runtime_error("--capacity must be >= 1 (got " + std::to_string(capacity) + ")");
@@ -170,12 +172,12 @@ int main(int argc, char** argv) {
     if (faults) cfg.faults = scenario::load("faults-preset").base.faults;
     if (const std::string& spec = opts.get("what-if"); !spec.empty()) {
       if (spec == "std") {
-        scenarios = trace::causal::standard_scenarios(cfg.net_cfg);
+        scenarios = trace::causal::standard_scenarios(topo);
       } else {
         for (std::size_t pos = 0; pos < spec.size();) {
           const std::size_t comma = std::min(spec.find(',', pos), spec.size());
           scenarios.push_back(
-              trace::causal::parse_scenario(spec.substr(pos, comma - pos), cfg.net_cfg));
+              trace::causal::parse_scenario(spec.substr(pos, comma - pos), topo));
           pos = comma + 1;
         }
       }
@@ -205,7 +207,9 @@ int main(int argc, char** argv) {
             << " per_cluster=" << cfg.procs_per_cluster
             << " variant=" << (cfg.optimized ? "optimized" : "original") << " seed=" << cfg.seed
             << " coll=" << orca::coll::to_string(cfg.coll)
-            << (cfg.wan_streams != 1 ? " wan_streams=" + std::to_string(cfg.wan_streams) : "")
+            << (topo.wan_transport.streams != 1
+                    ? " wan_streams=" + std::to_string(topo.wan_transport.streams)
+                    : "")
             << (cfg.adapt ? " adapt=on" : "") << (faults ? " faults=preset" : "") << "\n"
             << "sim_time_s=" << sim::to_seconds(r.elapsed) << " events=" << r.events
             << " trace_hash=" << r.trace_hash << "\n";
@@ -366,7 +370,7 @@ int main(int argc, char** argv) {
   const bool want_cp = opts.has_flag("critical-path");
   std::vector<trace::HighlightSpan> highlight;
   if (r.trace && (want_cp || !scenarios.empty())) {
-    const trace::causal::Dag dag = trace::causal::build_dag(*r.trace, cfg.net_cfg);
+    const trace::causal::Dag dag = trace::causal::build_dag(*r.trace, topo);
     const trace::causal::CriticalPath cp = trace::causal::critical_path(dag);
     highlight = trace::causal::highlight_track(cp);
     const auto pct = [&](sim::SimTime part) {
@@ -423,7 +427,7 @@ int main(int argc, char** argv) {
                         .add(pj.speedup, 3);
         if (validate && sc.validatable) {
           apps::AppConfig vcfg = cfg;
-          vcfg.net_cfg = trace::causal::apply_scenario(sc, cfg.net_cfg);
+          vcfg.net_cfg = trace::causal::apply_scenario(sc, topo);
           vcfg.trace.enabled = false;  // reality check only needs elapsed
           const apps::AppResult vr = entry->run(vcfg);
           const double err = vr.elapsed > 0
