@@ -12,13 +12,11 @@
 // (0 = hardware concurrency); results come back in submission order, so
 // any `--jobs` value prints byte-identical tables.
 
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -168,20 +166,6 @@ inline void print_figure(std::ostream& os, const std::string& title,
     t.print(os);
   }
   os << "\n";
-}
-
-/// Parses a bench command line; false after --help. A rejected command
-/// line (util::OptionError) prints `<bench>: <message>` on one line and
-/// exits 2.
-inline bool parse_options(util::Options& opts, int argc, char** argv) {
-  try {
-    return opts.parse(argc, argv);
-  } catch (const util::OptionError& e) {
-    std::string_view bench = argc > 0 && argv[0] ? argv[0] : "bench";
-    bench.remove_prefix(bench.rfind('/') + 1);  // npos + 1 == 0: no directory part
-    std::cerr << bench << ": " << e.what() << "\n";
-    std::exit(2);
-  }
 }
 
 /// Standard options for figure benches. Parsing also wires up the

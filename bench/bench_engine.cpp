@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   opts.define("json", "BENCH_engine.json", "output path for machine-readable results");
   opts.define("min-time-ms", "300", "minimum wall time per bench", util::Options::Kind::Int);
   opts.define_flag("smoke", "single tiny rep per bench (CI smoke mode)");
-  if (!bench::parse_options(opts, argc, argv)) return 0;
+  if (!util::parse_options(opts, argc, argv)) return 0;
 
   const bool smoke = opts.has_flag("smoke");
   const double min_sec = smoke ? 0.0 : static_cast<double>(opts.get_int("min-time-ms")) / 1e3;

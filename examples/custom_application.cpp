@@ -57,8 +57,8 @@ std::pair<double, double> run(int clusters, int per, long long samples) {
 
 int main(int argc, char** argv) {
   util::Options opts;
-  opts.define("samples", "20000000", "total Monte Carlo samples");
-  if (!opts.parse(argc, argv)) return 0;
+  opts.define("samples", "20000000", "total Monte Carlo samples", util::Options::Kind::Int);
+  if (!util::parse_options(opts, argc, argv)) return 0;
   const long long samples = opts.get_int("samples");
 
   util::Table t({"clusters", "cpus", "pi estimate", "sim ms", "speedup"});

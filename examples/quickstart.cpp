@@ -24,9 +24,9 @@ struct Counter {
 
 int main(int argc, char** argv) {
   util::Options opts;
-  opts.define("clusters", "2", "number of clusters");
-  opts.define("procs", "4", "compute nodes per cluster");
-  if (!opts.parse(argc, argv)) return 0;
+  opts.define("clusters", "2", "number of clusters", util::Options::Kind::Int);
+  opts.define("procs", "4", "compute nodes per cluster", util::Options::Kind::Int);
+  if (!util::parse_options(opts, argc, argv)) return 0;
   const int clusters = static_cast<int>(opts.get_int("clusters"));
   const int procs = static_cast<int>(opts.get_int("procs"));
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   util::Options opts;
   opts.define("app", "SOR", "application name (see README for the suite)");
   opts.define_flag("optimized", "sweep the optimized variant");
-  if (!opts.parse(argc, argv)) return 0;
+  if (!util::parse_options(opts, argc, argv)) return 0;
 
   const apps::AppEntry* entry = apps::find_app(opts.get("app"));
   if (!entry) {
@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   apps::AppConfig base_cfg;
   base_cfg.clusters = 1;
   base_cfg.procs_per_cluster = 1;
-  base_cfg.net_cfg = net::das_config(1, 1);
   apps::AppResult base = entry->run(base_cfg);
 
   auto speedup_at = [&](sim::SimTime rtt, double mbit) {

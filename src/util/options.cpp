@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
+#include <string_view>
 
 namespace alb::util {
 
@@ -123,6 +124,17 @@ void Options::print_usage(const std::string& program) const {
       std::cout << "=<" << (def.value.empty() ? "value" : def.value) << ">";
     }
     std::cout << "\n      " << def.help << "\n";
+  }
+}
+
+bool parse_options(Options& opts, int argc, char** argv) {
+  try {
+    return opts.parse(argc, argv);
+  } catch (const OptionError& e) {
+    std::string_view program = argc > 0 && argv[0] ? argv[0] : "program";
+    program.remove_prefix(program.rfind('/') + 1);  // npos + 1 == 0: no directory part
+    std::cerr << program << ": " << e.what() << "\n";
+    std::exit(2);
   }
 }
 

@@ -92,4 +92,9 @@ class Options {
   std::vector<std::string> positional_;
 };
 
+/// Parses a bench or example command line; false after --help. A
+/// rejected command line (OptionError) prints `<program>: <message>` on
+/// one line and exits 2.
+bool parse_options(Options& opts, int argc, char** argv);
+
 }  // namespace alb::util

@@ -4,14 +4,16 @@
 # exits with status 2 (not a signal, not 0, not a failed simulation)
 # and one diagnostic line on stderr. A scenario directory holding an
 # unknown app fails `alb-serve --validate`. An unknown flag, or a
-# malformed numeric value, on a bench binary exits 2 with one stderr
-# line too.
+# malformed numeric value, on a bench or example binary exits 2 with one
+# stderr line too.
 #
-# Usage: bad_input_test.sh <alb-trace> <alb-serve> [<bench>...]
+# Usage: bad_input_test.sh <alb-trace> <alb-serve> <quickstart> <wan_tuning> [<bench>...]
 set -u
 trace=$1
 serve=$2
-shift 2
+quickstart=$3
+wan_tuning=$4
+shift 4
 benches=("$@")
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
@@ -42,6 +44,8 @@ for request in "hetero3 app=ASP clusters=2" "das app=Bogus" "das wan_streams=65"
   expect_usage_error "alb-serve '$request'" "$request" "$serve"
 done
 expect_usage_error "alb-serve --jobs abc" "" "$serve" --jobs abc
+expect_usage_error "quickstart --clusters abc" "" "$quickstart" --clusters abc
+expect_usage_error "wan_tuning --bogus" "" "$wan_tuning" --bogus
 for bench in "${benches[@]}"; do
   name=$(basename "$bench")
   expect_usage_error "$name --bogus" "" "$bench" --bogus
