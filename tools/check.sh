@@ -20,9 +20,10 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== python unit tests: benchmark statistics + perf_pair verdicts ==="
+echo "=== python unit tests: benchmark statistics + perf_pair and engine-gate verdicts ==="
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 python3 tools/test_perf_pair.py
+python3 tools/test_engine_gate.py
 
 echo "=== configure + build: Debug + ASan/UBSan ==="
 cmake -B build-asan -S . \
@@ -53,15 +54,16 @@ echo "=== bench smoke ==="
 ./build-release/bench/bench_engine --smoke --json build-release/BENCH_engine.smoke.json
 ./build-release/bench/bench_campaign --quick --json build-release/BENCH_campaign.smoke.json
 
-echo "=== perf gate: bench_engine vs tracked baseline ==="
-# Full (non-smoke) run so the numbers are comparable to the baseline;
-# tolerance lives in bench_compare.py (default 25%). bench_engine links
-# the instrumented engine with no collector active, so this gate is
-# also the host-telemetry overhead gate: telemetry compiled in but off
-# must stay within tolerance of the pre-telemetry baseline.
-./build-release/bench/bench_engine --json build-release/BENCH_engine.gate.json > /dev/null
-python3 tools/bench_compare.py results/BENCH_engine.baseline.json \
-  build-release/BENCH_engine.gate.json
+echo "=== perf gate: bench_engine, paired against the base revision ==="
+# Full (non-smoke) runs of this tree's bench_engine alternate with the
+# base revision's (HEAD when the tree has uncommitted edits, else
+# HEAD~1; BASE_REV overrides), and the median per-pair ratio must stay
+# within 25%. Pairing cancels host-load drift, which alone moved single
+# runs against the recorded baseline by 0.69-0.77x; that baseline is
+# printed for reference only. bench_engine links the instrumented engine
+# with no collector active, so this gate is also the host-telemetry
+# overhead gate.
+python3 tools/engine_gate.py build-release/bench/bench_engine ${BASE_REV:+--base "$BASE_REV"}
 
 echo "=== observability smoke: traced run + artifact validation ==="
 ./build-release/tools/alb-trace --app ASP --clusters 2 --per 4 \
