@@ -36,9 +36,10 @@ using apps::AppResult;
 
 using Runner = std::function<AppResult(const AppConfig&)>;
 
-/// The canonical DAS topology, loaded once from the shipped scenario
-/// file — the same bytes alb-trace and the golden tests use, so the
-/// calibration lives in exactly one place (scenarios/das.scn).
+/// The canonical DAS link parameters, loaded once from the shipped
+/// scenario file — the same bytes alb-trace and the golden tests use, so
+/// the calibration lives in exactly one place (scenarios/das.scn). A
+/// run's geometry comes from AppConfig::topology(), not from here.
 inline const net::TopologyConfig& das_scenario_net() {
   static const net::TopologyConfig cfg = scenario::load("das").base.net_cfg;
   return cfg;

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Paired bench_engine perf gate: a bench_engine binary against a base revision's.
 
-    tools/engine_gate.py CHANGE_BENCH_ENGINE [--base REV] [--pairs N] [--tolerance 0.25]
+    tools/engine_gate.py CHANGE_BENCH_ENGINE [--base REV]
 
 The base side is REV's bench_engine, built once (Release, bench_engine
 target only) in REV's tree as tools/perf_pair.py extracts it. REV
 defaults to HEAD when the working tree has uncommitted edits to tracked
 files, and to HEAD~1 otherwise, so a clean checkout gates its last
-commit. Base and change runs alternate, N pairs, the side that runs
+commit. Base and change runs alternate for 7 pairs, the side that runs
 first alternating too. For each bench the gate takes the change/base
 ratio of events_per_sec within each pair and fails (exit 1) when the
-median ratio is below 1 - tolerance. Pairing cancels the host-load
-drift that makes a single run against a recorded number flaky.
+median ratio is below 0.75. Pairing cancels the host-load drift that
+makes a single run against a recorded number flaky.
 
 results/BENCH_engine.baseline.json is printed as a reference column;
 it never decides the verdict.
@@ -31,9 +31,11 @@ import stats  # noqa: E402  (perfbench/, on the path perf_pair set up)
 
 ROOT = perf_pair.ROOT
 BASELINE = os.path.join(ROOT, "results", "BENCH_engine.baseline.json")
+PAIRS = 7
+TOLERANCE = 0.25  # allowed fractional slowdown of the median paired ratio
 
 
-def judge(base, change, tolerance):
+def judge(base, change):
     """(rows, failures) for pairs of runs, each {bench: events_per_sec}.
 
     A row is (bench, base median, change median, median ratio, verdict);
@@ -44,7 +46,7 @@ def judge(base, change, tolerance):
         if not ratios:
             continue
         ratio = stats.median(ratios)
-        ok = ratio >= 1.0 - tolerance
+        ok = ratio >= 1.0 - TOLERANCE
         rows.append((name, stats.median([b[name] for b in base]),
                      stats.median([c[name] for c in change]), ratio,
                      "ok" if ok else "REGRESSED"))
@@ -86,26 +88,21 @@ def main():
     ap.add_argument("change", help="the bench_engine binary under test")
     ap.add_argument("--base", help="base revision (default: HEAD if the tree is dirty, "
                                    "else HEAD~1)")
-    ap.add_argument("--pairs", type=int, default=7)
-    ap.add_argument("--tolerance", type=float, default=0.25,
-                    help="allowed fractional slowdown of the median ratio (default 0.25)")
     args = ap.parse_args()
     rev = args.base or default_base()
     base_bin = build_base(perf_pair.base_tree(rev))
 
-    base, change = [], []
+    binaries = {"base": base_bin, "change": args.change}
+    runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory() as scratch:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                if side == "base":
-                    base.append(run_once(base_bin, scratch))
-                else:
-                    change.append(run_once(args.change, scratch))
-    rows, failures = judge(base, change, args.tolerance)
+                runs[side].append(run_once(binaries[side], scratch))
+    rows, failures = judge(runs["base"], runs["change"])
     reference = events_per_sec(BASELINE) if os.path.exists(BASELINE) else {}
 
     w = max([len(r[0]) for r in rows] + [5])
-    print(f"{args.pairs} pairs, base {rev} vs {args.change}")
+    print(f"{PAIRS} pairs, base {rev} vs {args.change}")
     print(f"{'bench':{w}}  {'base ev/s':>12}  {'change ev/s':>12}  {'ratio':>6}  "
           f"{'baseline ev/s':>13}  verdict")
     for name, b, c, ratio, verdict in rows:
@@ -117,9 +114,9 @@ def main():
         return 1
     if failures:
         print(f"FAIL: {', '.join(failures)}: median change/base ratio below "
-              f"{1.0 - args.tolerance:.2f}", file=sys.stderr)
+              f"{1.0 - TOLERANCE:.2f}", file=sys.stderr)
         return 1
-    print(f"all benches within {args.tolerance:.0%} of base (median paired ratio)")
+    print(f"all benches within {TOLERANCE:.0%} of base (median paired ratio)")
     return 0
 
 

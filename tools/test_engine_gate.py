@@ -19,30 +19,30 @@ def runs(values, bench="event_churn"):
 
 class PairedVerdictTest(unittest.TestCase):
     def test_identical_sides_pass(self):
-        rows, failures = engine_gate.judge(runs([100] * 5), runs([100] * 5), 0.25)
+        rows, failures = engine_gate.judge(runs([100] * 5), runs([100] * 5))
         self.assertEqual(failures, [])
         self.assertEqual(rows[0][3], 1.0)
 
     def test_host_drift_shared_by_both_sides_passes(self):
         # The host slows to 0.7x mid-run; each pair sees it on both sides.
         load = [100, 100, 70, 70, 72]
-        rows, failures = engine_gate.judge(runs(load), runs([v * 0.98 for v in load]), 0.25)
+        rows, failures = engine_gate.judge(runs(load), runs([v * 0.98 for v in load]))
         self.assertEqual(failures, [])
         self.assertAlmostEqual(rows[0][3], 0.98)
 
     def test_planted_slowdown_fails(self):
-        rows, failures = engine_gate.judge(runs([100] * 5), runs([60] * 5), 0.25)
+        rows, failures = engine_gate.judge(runs([100] * 5), runs([60] * 5))
         self.assertEqual(rows[0][-1], "REGRESSED")
         self.assertEqual(failures, ["event_churn (0.60x)"])
 
     def test_median_ignores_one_outlier_pair(self):
-        rows, failures = engine_gate.judge(runs([100] * 5), runs([100, 100, 40, 100, 100]), 0.25)
+        rows, failures = engine_gate.judge(runs([100] * 5), runs([100, 100, 40, 100, 100]))
         self.assertEqual(failures, [])
 
     def test_bench_missing_from_one_side_is_skipped(self):
         base = [{"a": 100, "b": 100}] * 3
         change = [{"a": 100}] * 3
-        rows, failures = engine_gate.judge(base, change, 0.25)
+        rows, failures = engine_gate.judge(base, change)
         self.assertEqual([r[0] for r in rows], ["a"])
         self.assertEqual(failures, [])
 
