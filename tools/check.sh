@@ -60,9 +60,9 @@ echo "=== perf gate: bench_engine, paired against the base revision ==="
 # HEAD~1; BASE_REV overrides), and the median per-pair ratio must stay
 # within 25%. Pairing cancels host-load drift, which alone moved single
 # runs against the recorded baseline to 0.69-0.77x on a 4-core host; that
-# baseline is printed for reference only. bench_engine links the instrumented engine
-# with no collector active, so this gate is also the host-telemetry
-# overhead gate.
+# baseline is printed for reference only. bench_engine links the
+# instrumented engine with no collector active, so this gate is also the
+# host-telemetry overhead gate.
 python3 tools/engine_gate.py build-release/bench/bench_engine ${BASE_REV:+--base "$BASE_REV"}
 
 echo "=== observability smoke: traced run + artifact validation ==="
