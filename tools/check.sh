@@ -54,16 +54,21 @@ echo "=== bench smoke ==="
 ./build-release/bench/bench_engine --smoke --json build-release/BENCH_engine.smoke.json
 ./build-release/bench/bench_campaign --quick --json build-release/BENCH_campaign.smoke.json
 
-echo "=== perf gate: bench_engine, paired against the base revision ==="
+echo "=== perf gate: bench_engine, paired against the baseline revision ==="
 # Full (non-smoke) runs of this tree's bench_engine alternate with the
-# base revision's (HEAD when the tree has uncommitted edits, else
-# HEAD~1; BASE_REV overrides), and the median per-pair ratio must stay
-# within 25%. Pairing cancels host-load drift, which alone moved single
-# runs against the recorded baseline to 0.69-0.77x on a 4-core host; that
-# baseline is printed for reference only. bench_engine links the
-# instrumented engine with no collector active, so this gate is also the
-# host-telemetry overhead gate.
-python3 tools/engine_gate.py build-release/bench/bench_engine ${BASE_REV:+--base "$BASE_REV"}
+# base revision's, and the median per-pair ratio must stay within 25%.
+# The base is the commit that last recorded
+# results/BENCH_engine.baseline.json (BASE_REV overrides), a fixed
+# anchor: a slowdown spread over several commits adds up against it
+# until the baseline is deliberately re-recorded. Pairing cancels
+# host-load drift, which alone moved single runs against the recorded
+# numbers to 0.69-0.77x on a 4-core host; those numbers are printed for
+# reference only. bench_engine links the instrumented engine with no
+# collector active, so this gate is also the host-telemetry overhead
+# gate.
+BASE_REV="${BASE_REV:-$(git log -1 --format=%H -- results/BENCH_engine.baseline.json)}"
+: "${BASE_REV:?no commit records results/BENCH_engine.baseline.json; set BASE_REV}"
+python3 tools/engine_gate.py "$BASE_REV" build-release/bench/bench_engine
 
 echo "=== observability smoke: traced run + artifact validation ==="
 ./build-release/tools/alb-trace --app ASP --clusters 2 --per 4 \

@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Paired bench_engine perf gate: a bench_engine binary against a base revision's.
 
-    tools/engine_gate.py CHANGE_BENCH_ENGINE [--base REV]
+    tools/engine_gate.py BASE_REV CHANGE_BENCH_ENGINE
 
-The base side is REV's bench_engine, built once (Release, bench_engine
-target only) in REV's tree as tools/perf_pair.py extracts it. REV
-defaults to HEAD when the working tree has uncommitted edits to tracked
-files, and to HEAD~1 otherwise, so a clean checkout gates its last
-commit. Base and change runs alternate for 7 pairs, the side that runs
-first alternating too. For each bench the gate takes the change/base
-ratio of events_per_sec within each pair and fails (exit 1) when the
-median ratio is below 0.75. Pairing cancels the host-load drift that
-makes a single run against a recorded number flaky.
+The base side is BASE_REV's bench_engine, built once (Release,
+bench_engine target only) in BASE_REV's tree as tools/perf_pair.py
+extracts it. Base and change runs alternate for 7 pairs, the side that
+runs first alternating too. For each bench the gate takes the
+change/base ratio of events_per_sec within each pair and fails (exit 1)
+when the median ratio is below 0.75. Pairing cancels the host-load
+drift that makes a single run against a recorded number flaky. A bench
+that only one side runs gets a row and no verdict.
 
-results/BENCH_engine.baseline.json is printed as a reference column;
-it never decides the verdict.
+BASE_REV has no default: a gate against "the previous commit" lets a
+slowdown spread over several commits pass. tools/check.sh passes the
+commit that last recorded results/BENCH_engine.baseline.json, so every
+run is held against the same anchor until the baseline is re-recorded.
+That file's numbers are printed as a reference column; they never
+decide the verdict.
 """
 
 import argparse
@@ -38,26 +41,36 @@ TOLERANCE = 0.25  # allowed fractional slowdown of the median paired ratio
 def judge(base, change):
     """(rows, failures) for pairs of runs, each {bench: events_per_sec}.
 
-    A row is (bench, base median, change median, median ratio, verdict);
-    benches missing from either side of any pair are skipped."""
+    A row is (bench, base median, change median, median ratio, verdict).
+    A bench missing from some run of one side, or never positive on the
+    base side, gets a row with no ratio; it is reported, never a failure."""
+    in_base = set.intersection(*map(set, base)) if base else set()
+    in_change = set.intersection(*map(set, change)) if change else set()
     rows, failures = [], []
-    for name in sorted(set.intersection(*map(set, base + change)) if base else ()):
-        ratios = [c[name] / b[name] for b, c in zip(base, change) if b[name] > 0]
+    for name in sorted(in_base | in_change):
+        b = stats.median([r[name] for r in base]) if name in in_base else None
+        c = stats.median([r[name] for r in change]) if name in in_change else None
+        if c is None:
+            rows.append((name, b, None, None, "missing from change"))
+            continue
+        if b is None:
+            rows.append((name, None, c, None, "new (no base)"))
+            continue
+        ratios = [rc[name] / rb[name] for rb, rc in zip(base, change) if rb[name] > 0]
         if not ratios:
+            rows.append((name, b, c, None, "base not positive"))
             continue
         ratio = stats.median(ratios)
         ok = ratio >= 1.0 - TOLERANCE
-        rows.append((name, stats.median([b[name] for b in base]),
-                     stats.median([c[name] for c in change]), ratio,
-                     "ok" if ok else "REGRESSED"))
+        rows.append((name, b, c, ratio, "ok" if ok else "REGRESSED"))
         if not ok:
             failures.append(f"{name} ({ratio:.2f}x)")
     return rows, failures
 
 
-def default_base():
-    dirty = subprocess.run(["git", "-C", ROOT, "diff", "--quiet", "HEAD"]).returncode != 0
-    return "HEAD" if dirty else "HEAD~1"
+def cell(v, width, digits=0):
+    """v right-aligned in width columns, or '-' when there is no number."""
+    return f"{v:{width}.{digits}f}" if isinstance(v, (int, float)) else f"{'-':>{width}}"
 
 
 def build_base(tree):
@@ -85,12 +98,10 @@ def run_once(binary, scratch):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", metavar="BASE_REV", help="the revision to gate against")
     ap.add_argument("change", help="the bench_engine binary under test")
-    ap.add_argument("--base", help="base revision (default: HEAD if the tree is dirty, "
-                                   "else HEAD~1)")
     args = ap.parse_args()
-    rev = args.base or default_base()
-    base_bin = build_base(perf_pair.base_tree(rev))
+    base_bin = build_base(perf_pair.base_tree(args.base))
 
     binaries = {"base": base_bin, "change": args.change}
     runs = {"base": [], "change": []}
@@ -102,14 +113,13 @@ def main():
     reference = events_per_sec(BASELINE) if os.path.exists(BASELINE) else {}
 
     w = max([len(r[0]) for r in rows] + [5])
-    print(f"{PAIRS} pairs, base {rev} vs {args.change}")
+    print(f"{PAIRS} pairs, base {args.base} vs {args.change}")
     print(f"{'bench':{w}}  {'base ev/s':>12}  {'change ev/s':>12}  {'ratio':>6}  "
           f"{'baseline ev/s':>13}  verdict")
     for name, b, c, ratio, verdict in rows:
-        ref = reference.get(name)
-        refs = f"{ref:13.0f}" if isinstance(ref, (int, float)) else f"{'-':>13}"
-        print(f"{name:{w}}  {b:12.0f}  {c:12.0f}  {ratio:6.3f}  {refs}  {verdict}")
-    if not rows:
+        print(f"{name:{w}}  {cell(b, 12)}  {cell(c, 12)}  {cell(ratio, 6, 3)}  "
+              f"{cell(reference.get(name), 13)}  {verdict}")
+    if not any(r[3] is not None for r in rows):
         print("engine_gate: no bench ran on both sides", file=sys.stderr)
         return 1
     if failures:

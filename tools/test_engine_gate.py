@@ -39,11 +39,14 @@ class PairedVerdictTest(unittest.TestCase):
         rows, failures = engine_gate.judge(runs([100] * 5), runs([100, 100, 40, 100, 100]))
         self.assertEqual(failures, [])
 
-    def test_bench_missing_from_one_side_is_skipped(self):
+    def test_bench_on_one_side_only_is_reported_not_failed(self):
+        # "b" was dropped by the change, "c" is new in it.
         base = [{"a": 100, "b": 100}] * 3
-        change = [{"a": 100}] * 3
+        change = [{"a": 100, "c": 50}] * 3
         rows, failures = engine_gate.judge(base, change)
-        self.assertEqual([r[0] for r in rows], ["a"])
+        self.assertEqual(rows, [("a", 100, 100, 1.0, "ok"),
+                                ("b", 100, None, None, "missing from change"),
+                                ("c", None, 50, None, "new (no base)")])
         self.assertEqual(failures, [])
 
 
