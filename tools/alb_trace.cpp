@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
                    "projection error");
   const apps::AppEntry* entry = nullptr;
   apps::AppConfig cfg;
-  net::TopologyConfig topo;  // cfg.topology(): what the run simulates and the analysis reads
   bool faults = false;
   std::size_t topn = 0;
   std::vector<trace::causal::Scenario> scenarios;
@@ -153,7 +152,6 @@ int main(int argc, char** argv) {
     scenario::check_run(run, "<command line>", 1, 1);
     entry = apps::find_app(run.app);
     cfg = run.cfg;
-    topo = cfg.topology();
     const long long capacity = opts.get_int("capacity");
     if (capacity < 1) {
       throw std::runtime_error("--capacity must be >= 1 (got " + std::to_string(capacity) + ")");
@@ -172,12 +170,12 @@ int main(int argc, char** argv) {
     if (faults) cfg.faults = scenario::load("faults-preset").base.faults;
     if (const std::string& spec = opts.get("what-if"); !spec.empty()) {
       if (spec == "std") {
-        scenarios = trace::causal::standard_scenarios(topo);
+        scenarios = trace::causal::standard_scenarios(cfg.topology());
       } else {
         for (std::size_t pos = 0; pos < spec.size();) {
           const std::size_t comma = std::min(spec.find(',', pos), spec.size());
           scenarios.push_back(
-              trace::causal::parse_scenario(spec.substr(pos, comma - pos), topo));
+              trace::causal::parse_scenario(spec.substr(pos, comma - pos), cfg.topology()));
           pos = comma + 1;
         }
       }
@@ -203,13 +201,12 @@ int main(int argc, char** argv) {
   const bool csv = opts.has_flag("csv");
 
   // --- run summary ---------------------------------------------------
+  const int streams = cfg.topology().wan_transport.streams;
   std::cout << "app=" << entry->name << " clusters=" << cfg.clusters
             << " per_cluster=" << cfg.procs_per_cluster
             << " variant=" << (cfg.optimized ? "optimized" : "original") << " seed=" << cfg.seed
             << " coll=" << orca::coll::to_string(cfg.coll)
-            << (topo.wan_transport.streams != 1
-                    ? " wan_streams=" + std::to_string(topo.wan_transport.streams)
-                    : "")
+            << (streams != 1 ? " wan_streams=" + std::to_string(streams) : "")
             << (cfg.adapt ? " adapt=on" : "") << (faults ? " faults=preset" : "") << "\n"
             << "sim_time_s=" << sim::to_seconds(r.elapsed) << " events=" << r.events
             << " trace_hash=" << r.trace_hash << "\n";
@@ -370,7 +367,7 @@ int main(int argc, char** argv) {
   const bool want_cp = opts.has_flag("critical-path");
   std::vector<trace::HighlightSpan> highlight;
   if (r.trace && (want_cp || !scenarios.empty())) {
-    const trace::causal::Dag dag = trace::causal::build_dag(*r.trace, topo);
+    const trace::causal::Dag dag = trace::causal::build_dag(*r.trace, cfg.topology());
     const trace::causal::CriticalPath cp = trace::causal::critical_path(dag);
     highlight = trace::causal::highlight_track(cp);
     const auto pct = [&](sim::SimTime part) {
@@ -427,7 +424,7 @@ int main(int argc, char** argv) {
                         .add(pj.speedup, 3);
         if (validate && sc.validatable) {
           apps::AppConfig vcfg = cfg;
-          vcfg.net_cfg = trace::causal::apply_scenario(sc, topo);
+          vcfg.net_cfg = trace::causal::apply_scenario(sc, cfg.topology());
           vcfg.trace.enabled = false;  // reality check only needs elapsed
           const apps::AppResult vr = entry->run(vcfg);
           const double err = vr.elapsed > 0
