@@ -540,6 +540,7 @@ TEST(CausalGolden, WrappedRa) {
 struct CausalGoldenValues {
   std::size_t events;
   std::size_t edges;
+  std::uint64_t edge_hash;
   std::map<std::string, sim::SimTime> blame;
   std::vector<sim::SimTime> projected;
 };
@@ -553,6 +554,7 @@ void expect_causal_golden(const AppResult& r, const net::TopologyConfig& net,
   EXPECT_EQ(dag.events.size(), g.events);
   EXPECT_EQ(dag.edges.size(), g.edges);
   EXPECT_EQ(dag.orphan_ends, 0u);
+  EXPECT_EQ(edge_hash(dag), g.edge_hash);
 
   const trace::causal::CriticalPath cp = trace::causal::critical_path(dag);
   EXPECT_EQ(cp.length, r.elapsed);
@@ -572,6 +574,7 @@ TEST(CausalGolden, UnwrappedRa) {
       run_ra(cfg, golden_ra()), cfg.net_cfg,
       {51154,
        45879,
+       4735021682625585074ull,
        {{"app/compute", 22236000},      {"app/recv.wait", 35685934},
         {"net/access", 4961208},        {"net/gateway", 7200000},
         {"net/lan", 515375},            {"net/wan.bandwidth", 2655536},
@@ -587,6 +590,7 @@ TEST(CausalGolden, UnwrappedAsp4ClusterOptimized) {
       run_asp(cfg, golden_asp()), cfg.net_cfg,
       {3148,
        3369,
+       6759826109453473250ull,
        {{"app/compute", 13107200},    {"app/recv.wait", 0},
         {"net/access", 304320},       {"net/gateway", 400000},
         {"net/lan", 266064},          {"net/wan.bandwidth", 1848388},
