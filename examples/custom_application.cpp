@@ -6,7 +6,9 @@
 //
 //   ./custom_application [--samples=N]
 
+#include <algorithm>
 #include <iostream>
+#include <utility>
 
 #include "core/cluster_reduce.hpp"
 #include "net/presets.hpp"
@@ -60,11 +62,20 @@ int main(int argc, char** argv) {
   opts.define("samples", "20000000", "total Monte Carlo samples", util::Options::Kind::Int);
   if (!util::parse_options(opts, argc, argv)) return 0;
   const long long samples = opts.get_int("samples");
+  // (clusters, cpus per cluster) of the sweep.
+  constexpr std::pair<int, int> kTopologies[] = {{1, 1}, {1, 16}, {1, 60}, {2, 30}, {4, 15}};
+  long long max_cpus = 0;
+  for (auto [clusters, per] : kTopologies) max_cpus = std::max<long long>(max_cpus, clusters * per);
+  // Every process needs a sample, or the estimate divides by zero.
+  if (samples < max_cpus) {
+    std::cerr << "custom_application: --samples must be at least " << max_cpus
+              << ", one per process (got " << samples << ")\n";
+    return 2;
+  }
 
   util::Table t({"clusters", "cpus", "pi estimate", "sim ms", "speedup"});
   double t1 = 0;
-  for (auto [clusters, per] : {std::pair{1, 1}, std::pair{1, 16}, std::pair{1, 60},
-                               std::pair{2, 30}, std::pair{4, 15}}) {
+  for (auto [clusters, per] : kTopologies) {
     auto [pi, ms] = run(clusters, per, samples);
     if (clusters == 1 && per == 1) t1 = ms;
     t.row()

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "net/presets.hpp"
+#include "net/topology.hpp"
 #include "orca/runtime.hpp"
 #include "orca/shared_object.hpp"
 #include "util/options.hpp"
@@ -30,9 +31,17 @@ int main(int argc, char** argv) {
   const int clusters = static_cast<int>(opts.get_int("clusters"));
   const int procs = static_cast<int>(opts.get_int("procs"));
 
-  // 1. The simulation stack: engine -> network -> runtime.
+  // 1. The simulation stack: engine -> network -> runtime. A topology
+  // range-checks its geometry when it is built.
+  const net::TopologyConfig net_cfg = net::das_config(clusters, procs);
+  try {
+    const net::Topology check(net_cfg);
+  } catch (const net::ConfigError& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 2;
+  }
   sim::Engine engine;
-  net::Network network(engine, net::das_config(clusters, procs));
+  net::Network network(engine, net_cfg);
   orca::Runtime runtime(network);
 
   // 2. Shared objects are created before the processes start.

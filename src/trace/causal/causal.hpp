@@ -41,11 +41,19 @@
 // re-simulation in tests (tolerance documented in
 // docs/OBSERVABILITY.md).
 //
+// Storage: an event has at most one in-edge of each kind, so the DAG
+// keeps no edge list. Each kept event has a 24-byte Slot holding its
+// predecessor event per kind, the edge classes and one time (program
+// work, or a WAN crossing's queue wait); Dag::edge() derives the rest
+// of an Edge — duration, payload size, the WAN split — on read. With
+// the trimmed 24-byte event copy that is 48 bytes per kept event.
+//
 // Determinism: analysis is a pure function of (Trace, TopologyConfig);
 // byte-comparing reports across campaign `--jobs` values is a valid
 // determinism check. Building the DAG never mutates the trace, and
 // enabling analysis changes nothing about the run that produced it.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -102,6 +110,9 @@ enum class EdgeClass : std::uint8_t {
 
 const char* to_string(EdgeClass c);
 
+/// One edge of the DAG as a value: what critical_path, what_if and the
+/// tests read. Dag stores none of these; Dag::edge() assembles one from
+/// the sink event's slot, deriving `dur`, `bytes` and the WAN split.
 struct Edge {
   std::uint32_t from = kNone;
   std::uint32_t to = kNone;
@@ -117,14 +128,49 @@ struct Edge {
   sim::SimTime wan_ser = 0;    ///< WanTransfer: serialization + overhead
 };
 
+/// Names one edge: an event has at most one in-edge of each kind, so
+/// the sink event and the kind identify it.
+struct EdgeRef {
+  std::uint32_t to = kNone;
+  EdgeKind kind = EdgeKind::Program;
+};
+
+/// A kept trace event, trimmed to the fields the analysis reads once
+/// the DAG is built.
+struct Event {
+  sim::SimTime time = 0;
+  std::uint64_t arg = 0;  ///< a message edge's payload size is its sink's arg
+  std::int32_t actor = -1;
+  Ev name{};
+  EventPhase phase = EventPhase::Instant;
+};
+static_assert(sizeof(Event) == 24, "a kept event packs into three words");
+
+/// The in-edges of one event, as predecessor event indices (kNone when
+/// absent). A wake edge exists only for a program edge whose wait a
+/// delivery ended; it shares the program edge's class, and its
+/// protocol is the one that wait was for.
+struct Slot {
+  std::uint32_t program = kNone;  ///< previous event of this node's program chain
+  std::uint32_t message = kNone;  ///< previous event of this message's journey
+  std::uint32_t wake = kNone;     ///< the delivery that ended the program wait
+  EdgeClass program_cls = EdgeClass::Idle;
+  EdgeClass message_cls = EdgeClass::Idle;
+  Protocol message_proto = Protocol::App;
+  /// The program edge's leading work portion; at a WanTransfer sink,
+  /// the circuit queue wait instead. That sink is a gateway event, so on
+  /// the run's own topology it has no program edge; should it have one
+  /// anyway, the work wins and the crossing reads as unqueued.
+  sim::SimTime work_or_queue = 0;
+};
+static_assert(sizeof(Slot) == 24, "an event's in-edges pack into three words");
+
 struct Dag {
   /// Normalized events: End events with no earlier matching Begin
   /// (truncated away by ring wraparound) are removed.
-  std::vector<TraceEvent> events;
-  std::vector<Edge> edges;
-  /// Incoming-edge index per event (kNone when absent). By construction
-  /// an event has at most one predecessor of each kind.
-  std::vector<std::uint32_t> in_program, in_message, in_wake;
+  std::vector<Event> events;
+  /// In-edges per event, parallel to `events`.
+  std::vector<Slot> slots;
   /// The run's completion anchor: the last orca.proc.finish when one is
   /// present (post-completion control chatter, e.g. sequencer-token
   /// parking, never extends the path), else the latest process
@@ -133,7 +179,83 @@ struct Dag {
   sim::SimTime end = 0;        ///< time of `sink`
   std::uint64_t orphan_ends = 0;  ///< Ends dropped by normalization
   net::TopologyConfig net;
+
+  /// The predecessor event of edge `r`, kNone when there is no such edge.
+  std::uint32_t pred(EdgeRef r) const;
+  /// The edge `r`, which must exist (pred(r) != kNone).
+  Edge edge(EdgeRef r) const;
+  std::size_t edge_count() const;
+
+  /// Calls f(Edge) for every edge in build order: by sink event, and
+  /// at each event its message, wake, then program in-edge.
+  template <class F>
+  void for_each_edge(F&& f) const {
+    for (std::uint32_t i = 0; i < slots.size(); ++i) {
+      for (const EdgeKind k : {EdgeKind::Message, EdgeKind::Wake, EdgeKind::Program}) {
+        if (pred({i, k}) != kNone) f(edge({i, k}));
+      }
+    }
+  }
 };
+
+/// The protocol a program wait of class `cls` waits on: its wake edge
+/// prefers a delivery of that protocol.
+inline Protocol wait_protocol(EdgeClass cls) {
+  switch (cls) {
+    case EdgeClass::FaultWait:
+    case EdgeClass::RpcWait: return Protocol::Rpc;
+    case EdgeClass::SeqWait: return Protocol::Seq;
+    case EdgeClass::BarrierWait: return Protocol::Barrier;
+    case EdgeClass::BcastWait: return Protocol::Bcast;
+    default: return Protocol::App;
+  }
+}
+
+inline std::uint32_t Dag::pred(EdgeRef r) const {
+  const Slot& s = slots[r.to];
+  switch (r.kind) {
+    case EdgeKind::Program: return s.program;
+    case EdgeKind::Message: return s.message;
+    case EdgeKind::Wake: return s.wake;
+  }
+  return kNone;
+}
+
+inline Edge Dag::edge(EdgeRef r) const {
+  const Slot& s = slots[r.to];
+  Edge e;
+  e.from = pred(r);
+  e.to = r.to;
+  e.kind = r.kind;
+  e.dur = events[r.to].time - events[e.from].time;
+  switch (r.kind) {
+    case EdgeKind::Program:
+      e.cls = s.program_cls;
+      e.work = s.work_or_queue;
+      e.wake_bound = s.wake != kNone;
+      break;
+    case EdgeKind::Wake:
+      e.cls = s.program_cls;
+      e.proto = wait_protocol(s.program_cls);
+      break;
+    case EdgeKind::Message:
+      e.cls = s.message_cls;
+      e.proto = s.message_proto;
+      e.bytes = events[r.to].arg;
+      if (e.cls == EdgeClass::WanTransfer) {
+        // The circuit crossing splits into the recorded queue wait,
+        // propagation latency from the topology (capped by what
+        // actually elapsed) and serialization — which includes the
+        // per-message overhead and any injected jitter — as the rest.
+        if (s.program == kNone) e.wan_queue = s.work_or_queue;
+        const sim::SimTime rest = e.dur - e.wan_queue;
+        e.wan_lat = std::min(net.wan.latency, rest);
+        e.wan_ser = rest - e.wan_lat;
+      }
+      break;
+  }
+  return e;
+}
 
 /// Reconstructs the happens-before DAG. `net` must be the topology the
 /// traced run used (link latencies feed the WAN decomposition and the
@@ -146,7 +268,7 @@ struct Segment {
   sim::SimTime end = 0;
   EdgeClass cls = EdgeClass::Startup;
   Protocol proto = Protocol::App;
-  std::uint32_t edge = kNone;  ///< index into Dag::edges (kNone: virtual)
+  EdgeRef edge;                ///< the edge it lies on (edge.to == kNone: virtual)
   std::int32_t actor = -1;     ///< node the segment's sink event is at
   Ev what{};                   ///< event at the segment's sink end
 

@@ -56,22 +56,22 @@ CriticalPath critical_path(const Dag& dag) {
   std::vector<Segment> segs;  // collected newest → oldest
   std::uint32_t cur = dag.sink;
   for (;;) {
-    const TraceEvent& e = dag.events[cur];
-    const std::uint32_t pe = dag.in_program[cur];
-    const std::uint32_t me = dag.in_message[cur];
+    const Event& e = dag.events[cur];
+    const EdgeRef pe{cur, EdgeKind::Program};
 
-    if (pe == kNone) {
-      if (me == kNone) break;  // truncated chain / journey head
+    if (dag.pred(pe) == kNone) {
+      const EdgeRef me{cur, EdgeKind::Message};
+      if (dag.pred(me) == kNone) break;  // truncated chain / journey head
       // Journey-only event (gateway hop or delivery): follow the
       // message backward.
-      const Edge& m = dag.edges[me];
+      const Edge m = dag.edge(me);
       segs.push_back({dag.events[m.from].time, e.time, m.cls, m.proto, me, e.actor, e.name});
       cur = m.from;
       continue;
     }
 
-    const Edge& p = dag.edges[pe];
-    const TraceEvent& u = dag.events[p.from];
+    const Edge p = dag.edge(pe);
+    const Event& u = dag.events[p.from];
     if (p.cls == EdgeClass::Compute || !p.wake_bound) {
       // The whole gap binds to this node's own program: leading work,
       // then a timer/state-driven wait (service time, retry timeout,
@@ -90,14 +90,14 @@ CriticalPath critical_path(const Dag& dag) {
     // Wake-bound wait: the gap ended when a message arrived. The slice
     // from the delivery to this event keeps the wait's class (it is
     // normally zero-width); the path then detours onto the message.
-    const std::uint32_t we = dag.in_wake[cur];
-    const Edge& w = dag.edges[we];
+    const EdgeRef we{cur, EdgeKind::Wake};
+    const Edge w = dag.edge(we);
     segs.push_back({dag.events[w.from].time, e.time, p.cls, w.proto, we, e.actor, e.name});
     cur = w.from;
   }
 
   if (dag.events[cur].time > 0) {
-    segs.push_back({0, dag.events[cur].time, EdgeClass::Startup, Protocol::App, kNone,
+    segs.push_back({0, dag.events[cur].time, EdgeClass::Startup, Protocol::App, EdgeRef{},
                     dag.events[cur].actor, dag.events[cur].name});
   }
   std::reverse(segs.begin(), segs.end());
@@ -105,8 +105,8 @@ CriticalPath critical_path(const Dag& dag) {
 
   for (const Segment& s : cp.segments) {
     if (s.cls == EdgeClass::WanTransfer && s.proto != Protocol::Seq &&
-        s.proto != Protocol::Barrier && s.edge != kNone) {
-      const Edge& e = dag.edges[s.edge];
+        s.proto != Protocol::Barrier && s.edge.to != kNone) {
+      const Edge e = dag.edge(s.edge);
       cp.by_blame["net/wan.queue"] += e.wan_queue;
       cp.by_blame["net/wan.latency"] += e.wan_lat;
       cp.by_blame["net/wan.bandwidth"] += e.wan_ser;

@@ -118,61 +118,56 @@ struct SpanKeyHash {
 
 }  // namespace
 
+std::size_t Dag::edge_count() const {
+  std::size_t n = 0;
+  for (const Slot& s : slots) {
+    n += (s.program != kNone) + (s.message != kNone) + (s.wake != kNone);
+  }
+  return n;
+}
+
 Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
   Dag dag;
   dag.net = net_cfg;
   const net::Topology topo(net_cfg);
-
-  // --- normalization: drop End events whose Begin was truncated away
-  // by ring wraparound, so every surviving End has a matching earlier
-  // Begin (pinned by causal_test.cpp). The pass also sizes the actor
-  // table.
   dag.events.reserve(trace.events.size());
-  std::int32_t max_actor = -1;
-  {
-    std::unordered_map<SpanKey, int, SpanKeyHash> open;
-    for (const TraceEvent& e : trace.events) {
-      if (e.phase == EventPhase::Begin) {
-        ++open[SpanKey{e.name, e.id}];
-      } else if (e.phase == EventPhase::End) {
-        auto it = open.find(SpanKey{e.name, e.id});
-        if (it == open.end()) {
-          ++dag.orphan_ends;
-          continue;
-        }
-        if (--it->second == 0) open.erase(it);
-      }
-      dag.events.push_back(e);
-      max_actor = std::max(max_actor, e.actor);
-    }
-  }
-
-  const std::uint32_t n = static_cast<std::uint32_t>(dag.events.size());
-  dag.in_program.assign(n, kNone);
-  dag.in_message.assign(n, kNone);
-  dag.in_wake.assign(n, kNone);
-  // An event has at most one in-edge of each kind, so this never
-  // reallocates.
-  dag.edges.reserve(3 * static_cast<std::size_t>(n));
+  dag.slots.reserve(trace.events.size());
 
   // Actor states, dense by node id; slot 0 holds every actor-less (-1)
   // event, whose state no program chain reads.
-  std::vector<ActorState> actors(static_cast<std::size_t>(max_actor) + 2);
+  std::vector<ActorState> actors;
   auto actor_state = [&actors](std::int32_t actor) -> ActorState& {
-    return actors[actor < 0 ? 0 : static_cast<std::size_t>(actor) + 1];
+    const std::size_t idx = actor < 0 ? 0 : static_cast<std::size_t>(actor) + 1;
+    if (idx >= actors.size()) actors.resize(idx + 1);
+    return actors[idx];
   };
   std::unordered_map<std::uint64_t, MsgState> msgs;
+  std::unordered_map<SpanKey, int, SpanKeyHash> open;
 
-  auto add_edge = [&](Edge e) -> std::uint32_t {
-    assert(e.dur >= 0 && "dependency edges never go backward in sim time");
-    const std::uint32_t idx = static_cast<std::uint32_t>(dag.edges.size());
-    dag.edges.push_back(e);
-    return idx;
+  auto link = [&dag](std::uint32_t from, [[maybe_unused]] std::uint32_t to) {
+    assert(dag.events[from].time <= dag.events[to].time &&
+           "dependency edges never go backward in sim time");
+    return from;
   };
 
   std::uint32_t last_finish = kNone;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const TraceEvent& e = dag.events[i];
+  for (const TraceEvent& e : trace.events) {
+    // Normalization: drop End events whose Begin was truncated away by
+    // ring wraparound, so every surviving End has a matching earlier
+    // Begin (pinned by causal_test.cpp).
+    if (e.phase == EventPhase::Begin) {
+      ++open[SpanKey{e.name, e.id}];
+    } else if (e.phase == EventPhase::End) {
+      auto it = open.find(SpanKey{e.name, e.id});
+      if (it == open.end()) {
+        ++dag.orphan_ends;
+        continue;
+      }
+      if (--it->second == 0) open.erase(it);
+    }
+    const std::uint32_t i = static_cast<std::uint32_t>(dag.events.size());
+    dag.events.push_back({e.time, e.arg, e.actor, e.name, e.phase});
+    Slot& slot = dag.slots.emplace_back();
 
     // WAN queue-wait metadata: attached to the message, not a DAG node.
     if (e.name == Ev::WanQueue) {
@@ -190,14 +185,9 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         ms.proto_known = true;
       }
       if (ms.last != kNone) {
-        const TraceEvent& prev = dag.events[ms.last];
-        Edge edge;
-        edge.from = ms.last;
-        edge.to = i;
-        edge.kind = EdgeKind::Message;
-        edge.proto = ms.proto;
-        edge.dur = e.time - prev.time;
-        edge.bytes = e.arg;
+        const Event& prev = dag.events[ms.last];
+        slot.message = link(ms.last, i);
+        slot.message_proto = ms.proto;
         if (deliver) {
           // Fan-out point: several delivers can hang off one journey
           // event (LAN broadcast, WAN re-broadcast), so `last` is not
@@ -205,26 +195,18 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
           // broadcast link for ordered-broadcast traffic, the delivery
           // (access) link otherwise.
           if (prev.name == Ev::Wan) {
-            edge.cls = ms.proto == Protocol::Bcast ? EdgeClass::Lan : EdgeClass::Access;
+            slot.message_cls = ms.proto == Protocol::Bcast ? EdgeClass::Lan : EdgeClass::Access;
           } else {
-            edge.cls = EdgeClass::Lan;
+            slot.message_cls = EdgeClass::Lan;
           }
-          dag.in_message[i] = add_edge(edge);
         } else {
-          edge.cls = hop_class(prev.name, e.name);
-          if (edge.cls == EdgeClass::WanTransfer) {
-            // Decompose the circuit crossing: queue wait was recorded
-            // explicitly; propagation latency comes from the topology
-            // (capped by what actually elapsed); serialization — which
-            // includes the per-message overhead and any injected
-            // jitter — is the remainder.
-            edge.wan_queue = std::min(ms.queue_pending, edge.dur);
-            const sim::SimTime rest = edge.dur - edge.wan_queue;
-            edge.wan_lat = std::min(net_cfg.wan.latency, rest);
-            edge.wan_ser = rest - edge.wan_lat;
+          slot.message_cls = hop_class(prev.name, e.name);
+          if (slot.message_cls == EdgeClass::WanTransfer) {
+            // Queue wait was recorded explicitly (capped by what
+            // actually elapsed); Dag::edge derives the rest of the split.
+            slot.work_or_queue = std::min(ms.queue_pending, e.time - prev.time);
             ms.queue_pending = 0;
           }
-          dag.in_message[i] = add_edge(edge);
           ms.last = i;
         }
       } else if (!deliver) {
@@ -249,62 +231,43 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
     ActorState& as = actor_state(e.actor);
     if (as.last_chain != kNone) {
       const std::uint32_t u = as.last_chain;
-      const TraceEvent& prev = dag.events[u];
-      Edge edge;
-      edge.from = u;
-      edge.to = i;
-      edge.kind = EdgeKind::Program;
-      edge.dur = e.time - prev.time;
-      edge.work = std::clamp<sim::SimTime>(as.compute_until - prev.time, 0, edge.dur);
-      if (edge.work >= edge.dur) {
-        edge.cls = EdgeClass::Compute;
-        edge.work = edge.dur;
+      const sim::SimTime prev_time = dag.events[u].time;
+      const sim::SimTime dur = e.time - prev_time;
+      // The work, if any, overwrites a WAN queue wait (see Slot).
+      slot.work_or_queue = std::clamp<sim::SimTime>(as.compute_until - prev_time, 0, dur);
+      if (slot.work_or_queue == dur) {
+        slot.program_cls = EdgeClass::Compute;
       } else {
         // Trailing wait: classed by the node's open protocol state,
         // innermost first. A gap that ends in a timeout instant is
         // retry cost regardless of what else is open.
-        Protocol pref = Protocol::App;
         if (as.retry_open > 0 || e.name == Ev::RpcTimeout) {
-          edge.cls = EdgeClass::FaultWait;
-          pref = Protocol::Rpc;
+          slot.program_cls = EdgeClass::FaultWait;
         } else if (as.seq_open > 0) {
-          edge.cls = EdgeClass::SeqWait;
-          pref = Protocol::Seq;
+          slot.program_cls = EdgeClass::SeqWait;
         } else if (as.barrier_wait) {
-          edge.cls = EdgeClass::BarrierWait;
-          pref = Protocol::Barrier;
+          slot.program_cls = EdgeClass::BarrierWait;
         } else if (as.rpc_open > 0) {
-          edge.cls = EdgeClass::RpcWait;
-          pref = Protocol::Rpc;
+          slot.program_cls = EdgeClass::RpcWait;
         } else if (as.bcast_open > 0) {
-          edge.cls = EdgeClass::BcastWait;
-          pref = Protocol::Bcast;
-        } else if (prev.name == Ev::RpcServe) {
-          edge.cls = EdgeClass::Serve;  // service time at the callee
+          slot.program_cls = EdgeClass::BcastWait;
+        } else if (dag.events[u].name == Ev::RpcServe) {
+          slot.program_cls = EdgeClass::Serve;  // service time at the callee
         } else {
-          edge.cls = as.last_deliver != kNone && as.last_deliver > u ? EdgeClass::RecvWait
-                                                                     : EdgeClass::Idle;
+          slot.program_cls = as.last_deliver != kNone && as.last_deliver > u ? EdgeClass::RecvWait
+                                                                             : EdgeClass::Idle;
         }
         // Bind the wait to the delivery that ended it, if one landed in
         // the gap: prefer the protocol being waited on, fall back to
         // the newest delivery of any kind.
-        if (edge.cls != EdgeClass::Serve) {
+        if (slot.program_cls != EdgeClass::Serve) {
+          const Protocol pref = wait_protocol(slot.program_cls);
           std::uint32_t d = as.last_deliver_by_proto[static_cast<std::size_t>(pref)];
           if (d == kNone || d <= u) d = as.last_deliver;
-          if (d != kNone && d > u) {
-            edge.wake_bound = true;
-            Edge wake;
-            wake.from = d;
-            wake.to = i;
-            wake.kind = EdgeKind::Wake;
-            wake.cls = edge.cls;
-            wake.proto = pref;
-            wake.dur = e.time - dag.events[d].time;
-            dag.in_wake[i] = add_edge(wake);
-          }
+          if (d != kNone && d > u) slot.wake = link(d, i);
         }
       }
-      dag.in_program[i] = add_edge(edge);
+      slot.program = link(u, i);
     }
     as.last_chain = i;
     dag.sink = i;  // events are time-ordered: the last chain event wins
@@ -312,8 +275,8 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
 
     // State transitions take effect for the *next* gap at this node.
     const int step = e.phase == EventPhase::Begin ? 1 : -1;
-    auto count = [step](int& open) {
-      if (step > 0 || open > 0) open += step;
+    auto count = [step](int& open_spans) {
+      if (step > 0 || open_spans > 0) open_spans += step;
     };
     switch (e.name) {
       case Ev::ProcFinish: last_finish = i; break;

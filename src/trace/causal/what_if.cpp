@@ -117,9 +117,9 @@ Projection what_if(const Dag& dag, const Scenario& s) {
   for (std::uint32_t i = 0; i < n; ++i) {
     bool bound = false;
     sim::SimTime v = 0;
-    for (const std::uint32_t idx : {dag.in_program[i], dag.in_message[i], dag.in_wake[i]}) {
-      if (idx == kNone) continue;
-      const Edge& e = dag.edges[idx];
+    for (const EdgeKind k : {EdgeKind::Program, EdgeKind::Message, EdgeKind::Wake}) {
+      if (dag.pred({i, k}) == kNone) continue;
+      const Edge e = dag.edge({i, k});
       v = std::max(v, nt[e.from] + scenario_weight(e, s, dag.net));
       bound = true;
     }
@@ -128,7 +128,7 @@ Projection what_if(const Dag& dag, const Scenario& s) {
     // never projected below what actually happened.
     nt[i] = bound ? v : dag.events[i].time;
     if (dag.events[i].name == Ev::ProcFinish) finish = std::max(finish, nt[i]);
-    if (dag.in_program[i] != kNone) any_chain = std::max(any_chain, nt[i]);
+    if (dag.slots[i].program != kNone) any_chain = std::max(any_chain, nt[i]);
   }
 
   if (finish >= 0) {

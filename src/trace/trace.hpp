@@ -169,7 +169,10 @@ struct Config {
   /// every instrumentation site reduces to a null-pointer check.
   bool enabled = false;
   /// Ring capacity in events (32 bytes each). The default keeps the
-  /// newest ~1M events, enough for a full bench-size app run.
+  /// newest 1,048,576 events (32 MiB). That is not a whole run at paper
+  /// geometry: ACP at 8x32 (seed 42) records 4.12M events, so the ring
+  /// keeps the last quarter and the causal analysis reports the lost
+  /// prefix as startup. Whole-run analysis needs a larger capacity.
   std::size_t capacity = std::size_t{1} << 20;
   /// Also record one Sim-category instant per dispatched engine event
   /// (high volume; off by default even when tracing is enabled).

@@ -5,15 +5,18 @@
 # and one diagnostic line on stderr. A scenario directory holding an
 # unknown app fails `alb-serve --validate`. An unknown flag, or a
 # malformed numeric value, on a bench or example binary exits 2 with one
-# stderr line too.
+# stderr line too, as does an example given a geometry or sample count
+# it cannot run.
 #
-# Usage: bad_input_test.sh <alb-trace> <alb-serve> <quickstart> <wan_tuning> [<bench>...]
+# Usage: bad_input_test.sh <alb-trace> <alb-serve> <quickstart> <wan_tuning>
+#                          <custom_application> [<bench>...]
 set -u
 trace=$1
 serve=$2
 quickstart=$3
 wan_tuning=$4
-shift 4
+custom_app=$5
+shift 5
 benches=("$@")
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
@@ -45,6 +48,11 @@ for request in "hetero3 app=ASP clusters=2" "das app=Bogus" "das wan_streams=65"
 done
 expect_usage_error "alb-serve --jobs abc" "" "$serve" --jobs abc
 expect_usage_error "quickstart --clusters abc" "" "$quickstart" --clusters abc
+expect_usage_error "quickstart --clusters 0" "" "$quickstart" --clusters 0
+expect_usage_error "quickstart --procs -3" "" "$quickstart" --procs -3
+for samples in 0 -5 59; do
+  expect_usage_error "custom_application --samples $samples" "" "$custom_app" --samples "$samples"
+done
 expect_usage_error "wan_tuning --bogus" "" "$wan_tuning" --bogus
 for bench in "${benches[@]}"; do
   name=$(basename "$bench")

@@ -259,7 +259,7 @@ TEST_P(GeneratedGeometry, CausalAnalysisReadsTheRunTopology) {
   std::vector<bool> chained(static_cast<std::size_t>(t.num_nodes()), false);
   for (std::size_t i = 0; i < dag.events.size(); ++i) {
     const int actor = dag.events[i].actor;
-    if (dag.in_program[i] != trace::causal::kNone && actor >= 0 && actor < t.num_nodes()) {
+    if (dag.slots[i].program != trace::causal::kNone && actor >= 0 && actor < t.num_nodes()) {
       chained[static_cast<std::size_t>(actor)] = true;
     }
   }
