@@ -133,7 +133,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
   dag.events.reserve(trace.events.size());
   dag.slots.reserve(trace.events.size());
 
-  // Actor states, dense by node id; slot 0 holds every actor-less (-1)
+  // Actor states, dense by node id; entry 0 holds every actor-less (-1)
   // event, whose state no program chain reads.
   std::vector<ActorState> actors;
   auto actor_state = [&actors](std::int32_t actor) -> ActorState& {

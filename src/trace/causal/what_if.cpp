@@ -128,7 +128,7 @@ Projection what_if(const Dag& dag, const Scenario& s) {
     // never projected below what actually happened.
     nt[i] = bound ? v : dag.events[i].time;
     if (dag.events[i].name == Ev::ProcFinish) finish = std::max(finish, nt[i]);
-    if (dag.slots[i].program != kNone) any_chain = std::max(any_chain, nt[i]);
+    if (dag.pred({i, EdgeKind::Program}) != kNone) any_chain = std::max(any_chain, nt[i]);
   }
 
   if (finish >= 0) {
