@@ -67,7 +67,9 @@
 // answer: Water makes RPCs only through its cluster cache and reducer,
 // so its RPC timeouts and duplicate requests are the blocking-RPC
 // retry loop at work. The four-stream Water run pins payloads split
-// into chunks striped over a circuit's sub-streams.
+// into chunks striped over a circuit's sub-streams. The one-cluster
+// ASP run pins the WAN histograms a run publishes even when nothing
+// crosses a WAN, and adaptive RA pins the orca/adapt.* names.
 //
 // CausalGolden pins the causal analysis end to end on a trace whose
 // recorder ring wrapped, so normalization drops orphan Ends: the DAG's
@@ -414,6 +416,33 @@ TEST(MetricsGolden, Water4ClusterOptimizedStreams) {
   EXPECT_EQ(counter_of(r, "net/link.wan.msgs"), 288u);
   EXPECT_EQ(counter_of(r, "net/link.wan.queue_ns"), 2899056u);
   EXPECT_EQ(metrics_hash(r.stats), 14112367954329667435ull) << "published metrics changed";
+}
+
+TEST(MetricsGolden, Asp1ClusterDefault) {
+  // One cluster: nothing crosses a WAN, yet both WAN histograms are
+  // published (empty) on every run.
+  AppConfig c;
+  c.clusters = 1;
+  c.procs_per_cluster = 4;
+  c.net_cfg = net::das_config(1, 4);
+  c.seed = 42;
+  const AppResult r = run_asp(c, golden_asp());
+  for (const char* name : {"net/wan.msg_bytes", "net/wan.queue_ns"}) {
+    const trace::Histogram* h = r.stats.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, 0u) << name;
+  }
+  EXPECT_EQ(r.stats.histogram("net/fault.drop_bytes.wan"), nullptr) << "no fault plan, no drops";
+  EXPECT_EQ(metrics_hash(r.stats), 17398168910498893271ull) << "published metrics changed";
+}
+
+TEST(MetricsGolden, Ra4ClusterAdapt) {
+  AppConfig c = cfg4(false, 4);
+  c.adapt = true;
+  const AppResult r = run_ra(c, golden_ra());
+  EXPECT_GE(counter_of(r, "orca/adapt.combine.enabled"), 1u) << "combining never switched on";
+  EXPECT_GT(counter_of(r, "orca/adapt.epochs"), 0u);
+  EXPECT_EQ(metrics_hash(r.stats), 748872522630211555ull) << "published metrics changed";
 }
 
 std::map<std::string, std::size_t> name_counts(const trace::Trace& t) {
