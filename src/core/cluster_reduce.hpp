@@ -57,24 +57,6 @@ sim::Task<T> cluster_reduce(orca::Runtime& rt, const orca::Proc& p, int tag, T l
   co_return acc;
 }
 
-/// Flat (unoptimized) reduction: every process sends directly to rank 0,
-/// most messages crossing the WAN on a multicluster. The baseline the
-/// paper's ATPG starts from.
-template <typename T, typename Op>
-sim::Task<T> flat_reduce(orca::Runtime& rt, const orca::Proc& p, int tag, T local,
-                         std::size_t bytes, Op op) {
-  if (p.rank != 0) {
-    rt.send_data(p, 0, tag, bytes, net::make_payload<T>(std::move(local)));
-    co_return T{};
-  }
-  T acc = std::move(local);
-  for (int i = 1; i < p.nprocs; ++i) {
-    net::Message m = co_await rt.recv_data(p, tag);
-    acc = op(std::move(acc), net::payload_as<T>(m));
-  }
-  co_return acc;
-}
-
 /// Allreduce: cluster_reduce to rank 0 followed by a result broadcast
 /// (hardware broadcast locally, one WAN message per remote cluster).
 /// Every process completes with the combined value.

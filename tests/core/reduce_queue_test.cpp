@@ -1,4 +1,4 @@
-// cluster_reduce / flat_reduce / cluster_allreduce / ClusterReducer and
+// cluster_reduce / cluster_allreduce / ClusterReducer and
 // the two job-queue flavours.
 
 #include <gtest/gtest.h>
@@ -40,19 +40,6 @@ TEST(ClusterReduce, OneInterClusterMessagePerRemoteCluster) {
   });
   f.rt.run_all();
   EXPECT_EQ(f.net.stats().kind(net::MsgKind::Data).inter_msgs, 3u);
-}
-
-TEST(FlatReduce, SameResultMoreWanTraffic) {
-  Fixture f(net::das_config(4, 4));
-  long long result = -1;
-  f.rt.spawn_all([&](orca::Proc& p) -> sim::Task<void> {
-    long long v = co_await flat_reduce<long long>(f.rt, p, 100, p.rank, 8, add);
-    if (p.rank == 0) result = v;
-  });
-  f.rt.run_all();
-  EXPECT_EQ(result, 120);
-  // 12 of 15 contributions cross the WAN (everything outside cluster 0).
-  EXPECT_EQ(f.net.stats().kind(net::MsgKind::Data).inter_msgs, 12u);
 }
 
 TEST(ClusterAllreduce, EveryoneGetsTheResult) {
