@@ -22,6 +22,7 @@
 #include "net/presets.hpp"
 #include "orca/runtime.hpp"
 #include "orca/shared_object.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace alb::apps {
@@ -109,31 +110,34 @@ struct AppResult {
   net::TrafficStats traffic;
   /// App-specific scalar metrics (iterations, nodes expanded, ...).
   std::map<std::string, double> metrics;
-  /// Full per-layer metrics registry dump (sim/net/orca scopes — the
-  /// Table 4/5 LAN-vs-WAN breakdown lives here under `net/`).
+  /// Per-layer metrics, published straight into this snapshot at the
+  /// end of the run (sim/net/orca scopes — the Table 4/5 LAN-vs-WAN
+  /// breakdown lives here under `net/`).
   trace::MetricsSnapshot stats;
   /// Flight-recorder events, present only when cfg.trace.enabled; shared
   /// so copying an AppResult stays cheap.
   std::shared_ptr<const trace::Trace> trace;
 };
 
-/// Simulation stack for one run. Owns the trace session (flight
-/// recorder + metrics registry) and attaches it to the engine before
-/// the network is built, so every layer can cache its instruments at
-/// construction time.
+/// Simulation stack for one run. Owns the flight recorder, which is
+/// null when cfg.trace.enabled is false, and attaches it to the engine
+/// before any process is spawned.
 struct Harness {
+  std::unique_ptr<trace::Recorder> recorder;
   sim::Engine eng;
-  trace::Session trace;
   net::Network net;
   orca::Runtime rt;
 
   Harness(const AppConfig& cfg, orca::Runtime::Config rtc = {})
-      : trace(cfg.trace), net(prepare(eng, trace, cfg), cfg.topology(), cfg.faults, cfg.seed),
-        rt(net, with_coll(std::move(rtc), cfg)) {}
+      : recorder(cfg.trace.enabled ? std::make_unique<trace::Recorder>(cfg.trace) : nullptr),
+        net(eng, cfg.topology(), cfg.faults, cfg.seed), rt(net, with_coll(std::move(rtc), cfg)) {
+    eng.attach_trace(recorder.get());
+  }
 
   /// Spawns, runs to completion and fills in elapsed + traffic +
   /// compute/communication breakdown + the per-layer metrics snapshot
-  /// (and the harvested trace when recording was enabled).
+  /// (and, when recording was enabled, the trace, moved out of the
+  /// recorder).
   AppResult finish(orca::Runtime::ProcMain main) {
     rt.spawn_all(std::move(main));
     AppResult r;
@@ -154,28 +158,15 @@ struct Harness {
           static_cast<double>(computed) /
           (static_cast<double>(r.elapsed) * rt.nprocs());
     }
-    sim::publish_metrics(eng, trace.metrics());
-    net.publish_metrics(trace.metrics());
-    rt.publish_metrics(trace.metrics());
-    *trace.metrics().counter("sim/compute_ns") = static_cast<std::uint64_t>(computed);
-    r.stats = trace.metrics().snapshot();
-    if (trace.config().enabled) {
-      r.trace = std::make_shared<const alb::trace::Trace>(trace.harvest());
-    }
+    sim::publish_metrics(eng, r.stats);
+    net.publish_metrics(r.stats);
+    rt.publish_metrics(r.stats);
+    r.stats.set_counter("sim/compute_ns", static_cast<std::uint64_t>(computed));
+    if (recorder) r.trace = std::make_shared<const trace::Trace>(std::move(*recorder).harvest());
     return r;
   }
 
  private:
-  /// Member-initialization shim: attaches the trace session to the
-  /// engine and gives the engine one owner per cluster — both before
-  /// Network's constructor runs (Network caches the session's
-  /// instruments).
-  static sim::Engine& prepare(sim::Engine& e, alb::trace::Session& s, const AppConfig& cfg) {
-    e.attach_trace(&s);
-    e.set_owners(cfg.clusters);
-    return e;
-  }
-
   /// Copies the harness-level collective + adaptive policy into the
   /// runtime config, resolving flag-vs-policy precedence (explicit
   /// flags win; the Runtime itself resolves an app-forced sequencer and

@@ -48,17 +48,18 @@ double RunStats::job_seconds_percentile(double p) const {
   return ran[std::min(rank, ran.size() - 1)];
 }
 
-void publish_pool_metrics(const RunStats& stats, trace::Metrics& m) {
-  *m.counter("campaign/pool.workers") = static_cast<std::uint64_t>(stats.workers > 0 ? stats.workers : 0);
-  *m.counter("campaign/pool.jobs_total") = stats.jobs_total;
-  *m.counter("campaign/pool.jobs_run") = stats.jobs_run;
-  *m.counter("campaign/pool.jobs_cancelled") = stats.jobs_cancelled;
-  *m.gauge("campaign/pool.wall_seconds") = stats.wall_seconds;
-  *m.gauge("campaign/pool.jobs_per_sec") = stats.jobs_per_sec();
-  *m.gauge("campaign/pool.utilization") = stats.utilization();
-  *m.gauge("campaign/pool.job_seconds_p50") = stats.job_seconds_percentile(50);
-  *m.gauge("campaign/pool.job_seconds_p95") = stats.job_seconds_percentile(95);
-  *m.gauge("campaign/pool.job_seconds_max") = stats.job_seconds_percentile(100);
+void publish_pool_metrics(const RunStats& stats, trace::MetricsSnapshot& m) {
+  m.set_counter("campaign/pool.workers",
+                static_cast<std::uint64_t>(stats.workers > 0 ? stats.workers : 0));
+  m.set_counter("campaign/pool.jobs_total", stats.jobs_total);
+  m.set_counter("campaign/pool.jobs_run", stats.jobs_run);
+  m.set_counter("campaign/pool.jobs_cancelled", stats.jobs_cancelled);
+  m.set_gauge("campaign/pool.wall_seconds", stats.wall_seconds);
+  m.set_gauge("campaign/pool.jobs_per_sec", stats.jobs_per_sec());
+  m.set_gauge("campaign/pool.utilization", stats.utilization());
+  m.set_gauge("campaign/pool.job_seconds_p50", stats.job_seconds_percentile(50));
+  m.set_gauge("campaign/pool.job_seconds_p95", stats.job_seconds_percentile(95));
+  m.set_gauge("campaign/pool.job_seconds_max", stats.job_seconds_percentile(100));
 }
 
 namespace detail {

@@ -25,7 +25,7 @@
 //   * Determinism — for any `jobs` value, run() returns the same results
 //     in the same order as `jobs = 1`, provided each task is itself
 //     deterministic and independent (simulation jobs are: each owns its
-//     Engine, Network, Runtime and trace::Session). Observability
+//     Engine, Network, Runtime and flight recorder). Observability
 //     composes with this: per-run metrics snapshots and traces are
 //     produced inside each job and returned in submission order, so
 //     `--jobs` never changes any output byte.
@@ -42,7 +42,7 @@
 #include <vector>
 
 namespace alb::trace {
-class Metrics;
+class MetricsSnapshot;
 }
 
 namespace alb::campaign {
@@ -91,10 +91,10 @@ struct RunStats {
 
 /// Publishes `stats` as operator-side campaign/pool.* counters and
 /// gauges. These are wall-clock host values: callers feed them only
-/// into operator registries (alb-serve --metrics-out), never into a
-/// per-run AppResult snapshot — the metric registry's determinism
-/// contract covers simulated values only.
-void publish_pool_metrics(const RunStats& stats, trace::Metrics& m);
+/// into operator snapshots (alb-serve --metrics-out), never into a
+/// per-run AppResult snapshot — the metrics' determinism contract
+/// covers simulated values only.
+void publish_pool_metrics(const RunStats& stats, trace::MetricsSnapshot& m);
 
 namespace detail {
 /// Type-erased scheduler core: invokes body(i) for i in [0, n) across

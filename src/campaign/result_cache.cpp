@@ -337,11 +337,11 @@ void ResultCache::store(const std::string& key, const apps::AppResult& r) {
   ++stats_.stores;
 }
 
-void ResultCache::publish_metrics(trace::Metrics& m) const {
-  *m.counter("campaign/cache.hits") = stats_.hits;
-  *m.counter("campaign/cache.misses") = stats_.misses;
-  *m.counter("campaign/cache.stores") = stats_.stores;
-  *m.counter("campaign/cache.corrupt") = stats_.corrupt;
+void ResultCache::publish_metrics(trace::MetricsSnapshot& m) const {
+  m.set_counter("campaign/cache.hits", stats_.hits);
+  m.set_counter("campaign/cache.misses", stats_.misses);
+  m.set_counter("campaign/cache.stores", stats_.stores);
+  m.set_counter("campaign/cache.corrupt", stats_.corrupt);
 }
 
 }  // namespace alb::campaign

@@ -70,7 +70,7 @@ class ResultCache {
   const Stats& stats() const { return stats_; }
 
   /// Publishes campaign/cache.{hits,misses,stores,corrupt} counters.
-  void publish_metrics(trace::Metrics& m) const;
+  void publish_metrics(trace::MetricsSnapshot& m) const;
 
  private:
   /// Memory, then disk; no accounting.

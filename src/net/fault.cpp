@@ -27,8 +27,7 @@ std::string FailureInfo::describe() const {
          std::to_string(op_id) + ") timed out after " + std::to_string(attempts) + " attempts";
 }
 
-FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed, trace::Metrics* metrics,
-                             int clusters)
+FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed, int clusters)
     : plan_(std::move(plan)), recovery_active_(plan_.can_drop()) {
   assert(plan_.enabled && "construct an injector only for enabled plans");
   assert(clusters >= 1);
@@ -41,11 +40,6 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed, trace::Metrics*
     // historical draw sequence; higher clusters mix their index in.
     const std::uint64_t base = seed ^ 0xfa017'5eedull;
     streams_[c].rng.reseed(c == 0 ? base : base ^ mix64(static_cast<std::uint64_t>(c)));
-  }
-  if (metrics) {
-    h_drop_bytes_[0] = metrics->histogram("net/fault.drop_bytes.lan");
-    h_drop_bytes_[1] = metrics->histogram("net/fault.drop_bytes.access");
-    h_drop_bytes_[2] = metrics->histogram("net/fault.drop_bytes.wan");
   }
 }
 
@@ -123,7 +117,7 @@ void FaultInjector::count_drop(LinkClass c, std::size_t bytes, DropCause cause) 
   }
   const auto ci = static_cast<std::size_t>(c);
   ++drops_by_class_[ci];
-  if (h_drop_bytes_[ci]) h_drop_bytes_[ci]->add(bytes);
+  drop_bytes_[ci].add(bytes);
 }
 
 void FaultInjector::count_flap_hold(sim::SimTime delay) {
@@ -173,25 +167,28 @@ std::exception_ptr FaultInjector::failure_eptr(ClusterId cluster) const {
   return f.eptr;
 }
 
-void FaultInjector::publish_metrics(trace::Metrics& m) const {
-  *m.counter("net/fault.drops") = drops();
-  *m.counter("net/fault.drops.loss") = drops_loss_;
-  *m.counter("net/fault.drops.flap") = drops_flap_;
-  *m.counter("net/fault.drops.brownout") = drops_brownout_;
-  *m.counter("net/fault.drops.lan") = drops_by_class_[0];
-  *m.counter("net/fault.drops.access") = drops_by_class_[1];
-  *m.counter("net/fault.drops.wan") = drops_by_class_[2];
-  *m.counter("net/fault.holds.flap") = flap_holds_;
-  *m.counter("net/fault.hold_ns.flap") = flap_hold_ns_;
-  *m.counter("net/fault.brownout.slowed") = brownout_slowed_;
-  *m.counter("net/fault.retries") = retries_;
-  *m.counter("net/fault.timeouts.rpc") = rpc_timeouts_;
-  *m.counter("net/fault.timeouts.seq") = seq_timeouts_;
-  *m.counter("net/fault.dup.rpc_requests") = dup_rpc_requests_;
-  *m.counter("net/fault.dup.rpc_replies") = dup_rpc_replies_;
-  *m.counter("net/fault.dup.seq_requests") = dup_seq_requests_;
-  *m.counter("net/fault.dup.seq_grants") = dup_seq_grants_;
-  *m.counter("net/fault.hard_failures") = failed() ? 1 : 0;
+void FaultInjector::publish_metrics(trace::MetricsSnapshot& m) const {
+  m.set_counter("net/fault.drops", drops());
+  m.set_counter("net/fault.drops.loss", drops_loss_);
+  m.set_counter("net/fault.drops.flap", drops_flap_);
+  m.set_counter("net/fault.drops.brownout", drops_brownout_);
+  m.set_counter("net/fault.drops.lan", drops_by_class_[0]);
+  m.set_counter("net/fault.drops.access", drops_by_class_[1]);
+  m.set_counter("net/fault.drops.wan", drops_by_class_[2]);
+  m.set_counter("net/fault.holds.flap", flap_holds_);
+  m.set_counter("net/fault.hold_ns.flap", flap_hold_ns_);
+  m.set_counter("net/fault.brownout.slowed", brownout_slowed_);
+  m.set_counter("net/fault.retries", retries_);
+  m.set_counter("net/fault.timeouts.rpc", rpc_timeouts_);
+  m.set_counter("net/fault.timeouts.seq", seq_timeouts_);
+  m.set_counter("net/fault.dup.rpc_requests", dup_rpc_requests_);
+  m.set_counter("net/fault.dup.rpc_replies", dup_rpc_replies_);
+  m.set_counter("net/fault.dup.seq_requests", dup_seq_requests_);
+  m.set_counter("net/fault.dup.seq_grants", dup_seq_grants_);
+  m.set_counter("net/fault.hard_failures", failed() ? 1 : 0);
+  m.set_histogram("net/fault.drop_bytes.lan", drop_bytes_[0]);
+  m.set_histogram("net/fault.drop_bytes.access", drop_bytes_[1]);
+  m.set_histogram("net/fault.drop_bytes.wan", drop_bytes_[2]);
 }
 
 }  // namespace alb::net

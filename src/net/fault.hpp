@@ -17,8 +17,8 @@
 // force-drop index and one failure slot *per cluster*, indexed by that
 // context. Each cluster consumes its streams in its own canonical event
 // order; which draw a message gets is part of the pinned output.
-// Drop-size histograms are three registry instruments, one per link
-// class, added to as each drop happens.
+// Drop-size histograms are three trace::Histogram members, one per
+// link class, added to as each drop happens and published at run end.
 //
 // Traffic is split into two service classes. Messages whose sender can
 // recover end-to-end (RPC requests/replies and sequencer
@@ -184,11 +184,9 @@ class FaultInjector {
  public:
   enum class DropCause : std::uint8_t { Loss, Flap, Brownout };
 
-  /// `metrics` (nullable) registers the per-class dropped-bytes
-  /// histograms; counters are published later via publish_metrics().
   /// `clusters` sizes the per-cluster RNG/failure shards (1 for
   /// standalone unit tests — every decision then draws stream 0).
-  FaultInjector(FaultPlan plan, std::uint64_t seed, trace::Metrics* metrics, int clusters = 1);
+  FaultInjector(FaultPlan plan, std::uint64_t seed, int clusters = 1);
 
   const FaultPlan& plan() const { return plan_; }
   /// True when the Orca runtime must arm timeouts/retries (see
@@ -264,9 +262,10 @@ class FaultInjector {
     on_fail_.push_back(std::move(cb));
   }
 
-  /// Publishes the `net/fault.*` counters into `m`. Assignment
-  /// semantics — call once per finished run.
-  void publish_metrics(trace::Metrics& m) const;
+  /// Publishes the `net/fault.*` counters and the per-class
+  /// dropped-bytes histograms into `m`. Assignment semantics — call
+  /// once per finished run.
+  void publish_metrics(trace::MetricsSnapshot& m) const;
 
  private:
   /// A cluster's failure slot. Written only in that cluster's engine
@@ -308,7 +307,7 @@ class FaultInjector {
   std::uint64_t dup_seq_requests_ = 0;
   std::uint64_t dup_seq_grants_ = 0;
 
-  trace::Histogram* h_drop_bytes_[3] = {nullptr, nullptr, nullptr};
+  trace::Histogram drop_bytes_[3];  ///< dropped message sizes per LinkClass
 
   mutable std::optional<FailureInfo> merged_failure_;  ///< lazy post-run view
   std::vector<std::function<void(ClusterId, const FailureInfo&)>> on_fail_;

@@ -12,22 +12,15 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
   const int compute = topo_.num_compute();
   const int clusters = topo_.clusters();
 
-  // Give the engine cluster-grained owner contexts if the harness has
-  // not already done so (direct-construction tests): one owner per
+  // Give the engine cluster-grained owner contexts: one owner per
   // cluster.
   if (eng.owners() < clusters) eng.set_owners(clusters);
 
-  trace::Session* session = eng.trace_session();
-  if (session) {
-    h_wan_bytes_ = session->metrics().histogram("net/wan.msg_bytes");
-    h_wan_queue_ = session->metrics().histogram("net/wan.queue_ns");
-  }
   // A disabled plan builds no injector: every fault check below is then
   // one null-pointer test and the run is byte-identical to a plan-free
   // network (pinned by tests/net/fault_test.cpp and the trace goldens).
   if (faults.enabled) {
-    faults_ = std::make_unique<FaultInjector>(
-        faults, fault_seed, session ? &session->metrics() : nullptr, clusters);
+    faults_ = std::make_unique<FaultInjector>(faults, fault_seed, clusters);
   }
   FaultInjector* fi = faults_.get();
 
@@ -226,10 +219,8 @@ void Network::run_hop(HopPlan plan) {
       const std::size_t wire = plan.msg.bytes + cfg_.wan_transport.frame_bytes;
       std::uint64_t queued = 0;
       const sim::SimTime at_remote_gw = wan_transfer_time(plan.from, plan.to, wire, queued);
-      if (h_wan_bytes_) {
-        h_wan_bytes_->add(wire);
-        h_wan_queue_->add(queued);
-      }
+      wan_msg_bytes_.add(wire);
+      wan_queue_ns_.add(queued);
       if (trace::Recorder* rec = eng_->tracer()) {
         // Queue wait is recorded explicitly so the causal profiler can
         // split the circuit crossing into queue / latency / serialization.
@@ -591,10 +582,8 @@ void Network::flush_combine(ClusterId from, int idx) {
 
   std::uint64_t queued = 0;
   const sim::SimTime arrival = wan_transfer_time(from, to, wire, queued);
-  if (h_wan_bytes_) {
-    h_wan_bytes_->add(wire);
-    h_wan_queue_->add(queued);
-  }
+  wan_msg_bytes_.add(wire);
+  wan_queue_ns_.add(queued);
   // Members of a single-stream train are delivered as their bytes
   // finish crossing, not held for the train's tail: the wire carries
   // the batch back to back, so member i's last byte lands
@@ -645,46 +634,42 @@ std::uint64_t sum_links(const std::vector<std::unique_ptr<Link>>& links, Fn fn) 
 
 }  // namespace
 
-void Network::publish_metrics(trace::Metrics& m) const {
+void Network::publish_metrics(trace::MetricsSnapshot& m) const {
   // Per-kind LAN/WAN breakdown straight from the traffic accounting.
   for (int k = 0; k < TrafficStats::kNumKinds; ++k) {
     const MsgKind kind = static_cast<MsgKind>(k);
     const KindCounters& c = stats_.kind(kind);
     const std::string base = to_string(kind);
-    *m.counter("net/lan." + base + ".msgs") = c.intra_msgs;
-    *m.counter("net/lan." + base + ".bytes") = c.intra_bytes;
-    *m.counter("net/wan." + base + ".msgs") = c.inter_msgs;
-    *m.counter("net/wan." + base + ".bytes") = c.inter_bytes;
+    m.set_counter("net/lan." + base + ".msgs", c.intra_msgs);
+    m.set_counter("net/lan." + base + ".bytes", c.intra_bytes);
+    m.set_counter("net/wan." + base + ".msgs", c.inter_msgs);
+    m.set_counter("net/wan." + base + ".bytes", c.inter_bytes);
   }
 
   // The paper's Table 4/5 columns: "# RPC" folds requests and raw data
   // messages, "RPC kbyte" adds replies; broadcast folds in ordering
   // control traffic. Published so benches/tools read the table numbers
   // by name instead of re-deriving them.
-  *m.counter("net/wan.table.rpc.msgs") = stats_.inter_rpc_count() + stats_.inter_data_count();
-  *m.counter("net/wan.table.rpc.bytes") = stats_.inter_rpc_bytes() + stats_.inter_data_bytes();
-  *m.counter("net/wan.table.bcast.msgs") = stats_.inter_bcast_count();
-  *m.counter("net/wan.table.bcast.bytes") = stats_.inter_bcast_bytes();
+  m.set_counter("net/wan.table.rpc.msgs", stats_.inter_rpc_count() + stats_.inter_data_count());
+  m.set_counter("net/wan.table.rpc.bytes", stats_.inter_rpc_bytes() + stats_.inter_data_bytes());
+  m.set_counter("net/wan.table.bcast.msgs", stats_.inter_bcast_count());
+  m.set_counter("net/wan.table.bcast.bytes", stats_.inter_bcast_bytes());
 
   // Per-link-class aggregates (utilization & queueing).
-  *m.counter("net/link.lan.msgs") = sum_links(lan_links_, [](const Link& l) { return l.messages(); }) +
-                                    sum_links(bcast_links_, [](const Link& l) { return l.messages(); });
-  *m.counter("net/link.lan.busy_ns") =
-      sum_links(lan_links_, [](const Link& l) { return l.busy_time(); }) +
-      sum_links(bcast_links_, [](const Link& l) { return l.busy_time(); });
-  *m.counter("net/link.access.msgs") =
-      sum_links(access_links_, [](const Link& l) { return l.messages(); }) +
-      sum_links(delivery_links_, [](const Link& l) { return l.messages(); });
-  *m.counter("net/link.access.busy_ns") =
-      sum_links(access_links_, [](const Link& l) { return l.busy_time(); }) +
-      sum_links(delivery_links_, [](const Link& l) { return l.busy_time(); });
-  *m.counter("net/link.wan.msgs") =
-      sum_links(wan_links_, [](const Link& l) { return l.messages(); });
-  *m.counter("net/link.wan.bytes") = sum_links(wan_links_, [](const Link& l) { return l.bytes(); });
-  *m.counter("net/link.wan.busy_ns") =
-      sum_links(wan_links_, [](const Link& l) { return l.busy_time(); });
-  *m.counter("net/link.wan.queue_ns") =
-      sum_links(wan_links_, [](const Link& l) { return l.queueing_time(); });
+  const auto msgs = [](const Link& l) { return l.messages(); };
+  const auto busy = [](const Link& l) { return l.busy_time(); };
+  m.set_counter("net/link.lan.msgs", sum_links(lan_links_, msgs) + sum_links(bcast_links_, msgs));
+  m.set_counter("net/link.lan.busy_ns",
+                sum_links(lan_links_, busy) + sum_links(bcast_links_, busy));
+  m.set_counter("net/link.access.msgs",
+                sum_links(access_links_, msgs) + sum_links(delivery_links_, msgs));
+  m.set_counter("net/link.access.busy_ns",
+                sum_links(access_links_, busy) + sum_links(delivery_links_, busy));
+  m.set_counter("net/link.wan.msgs", sum_links(wan_links_, msgs));
+  m.set_counter("net/link.wan.bytes", sum_links(wan_links_, [](const Link& l) { return l.bytes(); }));
+  m.set_counter("net/link.wan.busy_ns", sum_links(wan_links_, busy));
+  m.set_counter("net/link.wan.queue_ns",
+                sum_links(wan_links_, [](const Link& l) { return l.queueing_time(); }));
 
   // Logical-vs-wire split and the combining report. Published only when
   // they carry information (combining or framing actually diverged the
@@ -699,15 +684,18 @@ void Network::publish_metrics(trace::Metrics& m) const {
       const MsgKind kind = static_cast<MsgKind>(k);
       const KindCounters& c = stats_.kind(kind);
       const std::string base = to_string(kind);
-      *m.counter("net/wan." + base + ".logical_msgs") = c.inter_logical_msgs;
-      *m.counter("net/wan." + base + ".logical_bytes") = c.inter_logical_bytes;
+      m.set_counter("net/wan." + base + ".logical_msgs", c.inter_logical_msgs);
+      m.set_counter("net/wan." + base + ".logical_bytes", c.inter_logical_bytes);
     }
     const CombinedCounters& cc = stats_.combined();
-    *m.counter("net/wan.combined.flushes") = cc.flushes;
-    *m.counter("net/wan.combined.members") = cc.members;
-    *m.counter("net/wan.combined.wire_bytes") = cc.wire_bytes;
-    *m.counter("net/wan.combined.logical_bytes") = cc.logical_bytes;
+    m.set_counter("net/wan.combined.flushes", cc.flushes);
+    m.set_counter("net/wan.combined.members", cc.members);
+    m.set_counter("net/wan.combined.wire_bytes", cc.wire_bytes);
+    m.set_counter("net/wan.combined.logical_bytes", cc.logical_bytes);
   }
+
+  m.set_histogram("net/wan.msg_bytes", wan_msg_bytes_);
+  m.set_histogram("net/wan.queue_ns", wan_queue_ns_);
 
   if (faults_) faults_->publish_metrics(m);
 }

@@ -90,9 +90,10 @@ class Network {
   /// Publishes the run's traffic accounting into `m` under the `net/`
   /// scope: per-kind LAN/WAN message+byte counters matching the paper's
   /// Table 4/5 taxonomy, plus per-link-class aggregates (busy and
-  /// queueing time, message counts). Assignment semantics — call once
-  /// per finished run. See docs/OBSERVABILITY.md for the name catalogue.
-  void publish_metrics(trace::Metrics& m) const;
+  /// queueing time, message counts) and the WAN message-size and
+  /// queue-wait histograms. Assignment semantics — call once per
+  /// finished run. See docs/OBSERVABILITY.md for the name catalogue.
+  void publish_metrics(trace::MetricsSnapshot& m) const;
 
   // --- link inspection (tests, utilization reports) -----------------
   Link& lan_link(NodeId n) { return *lan_links_[static_cast<std::size_t>(n)]; }
@@ -202,10 +203,9 @@ class Network {
 
   // Observability (see src/trace/): records go through the engine's
   // tracer (eng_->tracer(), null = tracing off, one branch per site);
-  // the WAN histograms are the registry's instruments, null without a
-  // trace session.
-  trace::Histogram* h_wan_bytes_ = nullptr;
-  trace::Histogram* h_wan_queue_ = nullptr;
+  // every WAN wire message adds its size and its queue wait here.
+  trace::Histogram wan_msg_bytes_;
+  trace::Histogram wan_queue_ns_;
 
   std::vector<std::unique_ptr<Endpoint>> endpoints_;   // per node (incl. gateways)
   std::vector<std::unique_ptr<Link>> lan_links_;       // per compute node: Myrinet egress

@@ -168,28 +168,28 @@ void Engine::on_epoch(net::ClusterId c) {
   }
 }
 
-void Engine::publish_metrics(trace::Metrics& m) const {
+void Engine::publish_metrics(trace::MetricsSnapshot& m) const {
   std::uint64_t arms = 0, combine = 0, tree = 0;
   for (const Shard& s : shards_) {
     arms += s.seq_armed ? 1 : 0;
     combine += s.combine_on ? 1 : 0;
     tree += s.tree_on ? 1 : 0;
   }
-  *m.counter("orca/adapt.epochs") = epochs_;
-  *m.counter("orca/adapt.sig.seq_wait_ns") = t_seq_wait_ns_;
-  *m.counter("orca/adapt.sig.bcasts") = t_bcasts_;
-  *m.counter("orca/adapt.sig.gets") = t_gets_;
-  *m.counter("orca/adapt.sig.gets_remote") = t_gets_remote_;
-  *m.counter("orca/adapt.sig.items") = t_items_;
-  *m.counter("orca/adapt.sig.items_remote") = t_items_remote_;
-  *m.counter("orca/adapt.seq.arms") = arms;
-  *m.counter("orca/adapt.combine.enabled") = combine;
-  *m.counter("orca/adapt.tree.enabled") = tree;
-  *m.counter("orca/adapt.queue.splits") = splits_;
+  m.set_counter("orca/adapt.epochs", epochs_);
+  m.set_counter("orca/adapt.sig.seq_wait_ns", t_seq_wait_ns_);
+  m.set_counter("orca/adapt.sig.bcasts", t_bcasts_);
+  m.set_counter("orca/adapt.sig.gets", t_gets_);
+  m.set_counter("orca/adapt.sig.gets_remote", t_gets_remote_);
+  m.set_counter("orca/adapt.sig.items", t_items_);
+  m.set_counter("orca/adapt.sig.items_remote", t_items_remote_);
+  m.set_counter("orca/adapt.seq.arms", arms);
+  m.set_counter("orca/adapt.combine.enabled", combine);
+  m.set_counter("orca/adapt.tree.enabled", tree);
+  m.set_counter("orca/adapt.queue.splits", splits_);
   // Typed precedence warnings: an explicit flag suppressed a policy.
-  *m.counter("orca/adapt.override.seq") = cfg_.seq_overridden ? 1 : 0;
-  *m.counter("orca/adapt.override.coll") = coll_overridden_ ? 1 : 0;
-  *m.counter("orca/adapt.override.combine") = cfg_.combine_overridden ? 1 : 0;
+  m.set_counter("orca/adapt.override.seq", cfg_.seq_overridden ? 1 : 0);
+  m.set_counter("orca/adapt.override.coll", coll_overridden_ ? 1 : 0);
+  m.set_counter("orca/adapt.override.combine", cfg_.combine_overridden ? 1 : 0);
 }
 
 }  // namespace alb::orca::adapt

@@ -37,7 +37,7 @@
 // instrumentation site's own cluster, epoch evaluators are sim-time
 // events scheduled in the cluster they evaluate, and cross-cluster
 // actions travel as ordinary control messages. Nothing reads wall
-// clock, the metrics registry, or another cluster's shard — so adaptive
+// clock, the run's metrics, or another cluster's shard — so adaptive
 // runs stay byte-identical across runs and --jobs values and under
 // fault plans, like everything else.
 //
@@ -138,7 +138,7 @@ class Engine {
 
   /// Publishes the `orca/adapt.*` counters.
   /// Post-run, assignment semantics — call once per finished run.
-  void publish_metrics(trace::Metrics& m) const;
+  void publish_metrics(trace::MetricsSnapshot& m) const;
 
  private:
   /// Per-cluster monitor + controller state. Each shard is only touched

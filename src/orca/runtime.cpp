@@ -468,12 +468,12 @@ sim::SimTime Runtime::run_all() {
   return last_finish();
 }
 
-void Runtime::publish_metrics(trace::Metrics& m) const {
-  *m.counter("orca/rpc.calls") = rpc_calls_;
-  *m.counter("orca/bcast.applied") = bcast_->applied_total();
-  *m.counter("orca/seq.issued") = seq_->issued();
-  *m.counter("orca/barrier.rounds") = barrier_generation_;
-  *m.counter("orca/fault.failed_procs") = static_cast<std::uint64_t>(failed_);
+void Runtime::publish_metrics(trace::MetricsSnapshot& m) const {
+  m.set_counter("orca/rpc.calls", rpc_calls_);
+  m.set_counter("orca/bcast.applied", bcast_->applied_total());
+  m.set_counter("orca/seq.issued", seq_->issued());
+  m.set_counter("orca/barrier.rounds", barrier_generation_);
+  m.set_counter("orca/fault.failed_procs", static_cast<std::uint64_t>(failed_));
   if (adaptive_) adaptive_->publish_metrics(m);
 }
 

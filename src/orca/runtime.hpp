@@ -157,7 +157,7 @@ class Runtime {
   /// Publishes runtime-layer counters (RPC calls, broadcasts applied,
   /// sequence numbers issued, barrier rounds) into `m` under the
   /// `orca/` scope. Assignment semantics — call once per finished run.
-  void publish_metrics(trace::Metrics& m) const;
+  void publish_metrics(trace::MetricsSnapshot& m) const;
 
  private:
   struct RpcRequest {

@@ -131,11 +131,6 @@ void Engine::note_task_finished() {
   if (tracer_) tracer_->instant(trace::Ev::TaskFinish, -1, tasks_finished_);
 }
 
-void Engine::attach_trace(trace::Session* s) {
-  session_ = s;
-  tracer_ = s ? s->recorder() : nullptr;
-}
-
 void Engine::dispatch(EventQueue::Event e) {
   cur_owner_ = e.exec_owner;
   now_ = e.time;
@@ -189,11 +184,11 @@ std::uint64_t Engine::trace_hash() const {
   return h;
 }
 
-void publish_metrics(const Engine& eng, trace::Metrics& m) {
-  *m.counter("sim/events") = eng.events_processed();
-  *m.counter("sim/tasks.spawned") = eng.tasks_spawned();
-  *m.counter("sim/tasks.finished") = eng.tasks_finished();
-  *m.counter("sim/time_ns") = static_cast<std::uint64_t>(eng.now());
+void publish_metrics(const Engine& eng, trace::MetricsSnapshot& m) {
+  m.set_counter("sim/events", eng.events_processed());
+  m.set_counter("sim/tasks.spawned", eng.tasks_spawned());
+  m.set_counter("sim/tasks.finished", eng.tasks_finished());
+  m.set_counter("sim/time_ns", static_cast<std::uint64_t>(eng.now()));
 }
 
 }  // namespace alb::sim

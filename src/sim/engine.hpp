@@ -21,9 +21,9 @@
 //     engine reads wall time or any other ambient state.
 //   * Thread-safety — none. An Engine belongs to one run on one thread;
 //     campaigns parallelize by giving each job its own Engine.
-//   * Observability — attach_trace() connects an optional trace::Session
-//     (flight recorder + metrics registry, see src/trace/trace.hpp).
-//     With no session attached the engine does no tracing work beyond
+//   * Observability — attach_trace() connects an optional flight
+//     recorder (trace::Recorder, see src/trace/trace.hpp). With no
+//     recorder attached the engine does no tracing work beyond
 //     one null-pointer test per dispatched event, which is how the
 //     bench_engine microbenches run; instrumented layers call tracer()
 //     per record site and guard each record the same way.
@@ -40,6 +40,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace alb::sim {
@@ -139,10 +140,9 @@ class Engine {
   std::uint64_t trace_hash() const;
 
   // --- observability -------------------------------------------------
-  /// Attaches (or detaches, with nullptr) a trace session. Not owned;
-  /// the session must outlive every subsequent dispatch.
-  void attach_trace(trace::Session* s);
-  trace::Session* trace_session() const { return session_; }
+  /// Attaches (or detaches, with nullptr) the run's flight recorder.
+  /// Not owned; it must outlive every subsequent dispatch.
+  void attach_trace(trace::Recorder* rec) { tracer_ = rec; }
   /// The run's flight recorder, or nullptr when tracing is off — record
   /// sites guard with exactly this pointer.
   trace::Recorder* tracer() const { return tracer_; }
@@ -171,12 +171,11 @@ class Engine {
   SimTime now_ = 0;
   std::uint64_t events_ = 0;
   bool stopped_ = false;
-  trace::Session* session_ = nullptr;
   trace::Recorder* tracer_ = nullptr;
 };
 
 /// Publishes the engine's run counters into `m` under the `sim/` scope
 /// (assignment, not accumulation — call once per finished run).
-void publish_metrics(const Engine& eng, trace::Metrics& m);
+void publish_metrics(const Engine& eng, trace::MetricsSnapshot& m);
 
 }  // namespace alb::sim

@@ -12,9 +12,9 @@
 //   * Telemetry READS host state and WRITES only to its own sinks —
 //     the heartbeat stream, the --telemetry-out Chrome trace, the
 //     --telemetry-json snapshot, and the operator-side campaign/pool.*
-//     registry alb-serve builds for --metrics-out.
+//     metrics alb-serve builds for --metrics-out.
 //   * Telemetry never writes into apps::AppResult, a per-run metrics
-//     registry snapshot, a cache key or cached entry, or any byte of
+//     snapshot, a cache key or cached entry, or any byte of
 //     tool stdout. Enabling or disabling it must not change a single
 //     hashed or diffed output byte (tests/telemetry/firewall_test.cpp
 //     and the check.sh telemetry stage pin this).

@@ -109,21 +109,4 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
   os << "}}";
 }
 
-MetricsSnapshot Metrics::snapshot() const {
-  MetricsSnapshot s;
-  std::size_t name_bytes = 0;
-  for (const auto& entry : counters_) name_bytes += entry.first.size();
-  for (const auto& entry : gauges_) name_bytes += entry.first.size();
-  for (const auto& entry : hists_) name_bytes += entry.first.size();
-  s.names_.reserve(name_bytes);
-  s.counters_.reserve(counters_.size());
-  s.gauges_.reserve(gauges_.size());
-  s.histograms_.reserve(hists_.size());
-  // The maps iterate in name order, so every insertion appends.
-  for (const auto& [name, v] : counters_) s.set_counter(name, v);
-  for (const auto& [name, v] : gauges_) s.set_gauge(name, v);
-  for (const auto& [name, h] : hists_) s.set_histogram(name, h);
-  return s;
-}
-
 }  // namespace alb::trace

@@ -1,19 +1,18 @@
 #pragma once
-// Metrics registry: named counters, gauges and histograms.
+// Run metrics: named counters, gauges and histograms.
 //
 // Contracts:
-//   * Determinism — registries store instruments in name-ordered maps
-//     and snapshots in name-ordered arrays, both iterated in that order,
-//     so two identical runs produce byte-identical CSV/JSON dumps
-//     regardless of registration order or worker placement. Values
-//     are derived from simulated state only (never wall time).
-//   * Thread-safety — a Metrics registry belongs to one simulation
-//     (one Harness, one thread). Campaigns give every job its own
-//     registry and keep one snapshot per run; the registry itself is
-//     not synchronized.
-//   * Overhead — counter()/gauge()/histogram() do one map lookup and
-//     are meant for setup time; hot paths cache the returned pointer
-//     (stable for the registry's lifetime) and pay one add/increment.
+//   * Determinism — a snapshot keeps its instruments in name-ordered
+//     arrays and iterates them in that order, so two identical runs
+//     produce byte-identical CSV/JSON dumps regardless of the order the
+//     layers published in or of worker placement. Values are derived
+//     from simulated state only (never wall time).
+//   * Thread-safety — a snapshot belongs to one simulation (one
+//     Harness, one thread) while it is filled; campaigns keep one per
+//     run. It is plain data and not synchronized.
+//   * Overhead — the layers count in their own members during a run
+//     (plain integers, and Histogram members for distributions) and
+//     publish them once, at the end, with one sorted insert per name.
 //
 // Naming convention: `<scope>/<subsystem>.<metric>` with scope one of
 // sim | net | orca | campaign (see docs/OBSERVABILITY.md for the
@@ -25,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,15 +55,17 @@ struct Histogram {
   bool operator==(const Histogram&) const = default;
 };
 
-/// A full, order-stable dump of a registry. This is the value type
-/// carried in apps::AppResult; it is plain data and freely copyable.
+/// A run's metrics, filled by each layer's publish_metrics() at the end
+/// of the run. This is the value type carried in apps::AppResult; it is
+/// plain data and freely copyable.
 ///
 /// Storage is flat: counters, gauges and histograms are three name-sorted
 /// arrays whose names share one buffer, so a snapshot is at most four
 /// heap blocks whatever its instrument count. Sweeps keep one per run.
 class MetricsSnapshot {
  public:
-  /// Setters create the named instrument (in name order) or overwrite it.
+  /// Setters create the named instrument (in name order) or overwrite
+  /// it: publishing assigns, it never accumulates.
   void set_counter(std::string_view name, std::uint64_t v) { *slot(counters_, name) = v; }
   void set_gauge(std::string_view name, double v) { *slot(gauges_, name) = v; }
   void set_histogram(std::string_view name, const Histogram& h) { *slot(histograms_, name) = h; }
@@ -98,8 +98,6 @@ class MetricsSnapshot {
   void write_json(std::ostream& os) const;
 
  private:
-  friend class Metrics;  // sizes a snapshot's storage exactly
-
   /// A name's bytes in names_.
   struct Name {
     std::uint32_t offset;
@@ -146,27 +144,6 @@ class MetricsSnapshot {
   Slots<std::uint64_t> counters_;
   Slots<double> gauges_;
   Slots<Histogram> histograms_;
-};
-
-/// The registry. Instruments are created on first use and live as long
-/// as the registry; returned pointers are stable (node-based storage),
-/// so hot paths fetch them once at setup and never search again.
-class Metrics {
- public:
-  /// Monotonic integral counter. The pointer is the instrument: hot
-  /// paths do `*c += n` directly.
-  std::uint64_t* counter(const std::string& name) { return &counters_[name]; }
-  /// Last-writer-wins double value.
-  double* gauge(const std::string& name) { return &gauges_[name]; }
-  /// Log2-bucketed distribution.
-  Histogram* histogram(const std::string& name) { return &hists_[name]; }
-
-  MetricsSnapshot snapshot() const;
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> hists_;
 };
 
 }  // namespace alb::trace

@@ -18,7 +18,7 @@
 //   * When-off overhead — instrumented code guards every record with a
 //     `Recorder*` null check (`if (rec) rec->...`): tracing disabled
 //     costs one predictable branch per site and touches no memory.
-//     Harness-level microbenches (bench_engine) run with no Session
+//     The engine microbenches (bench_engine) run with no recorder
 //     attached and see zero additional work.
 //   * Wraparound — when full, the ring overwrites the *oldest* event
 //     and counts it in dropped(); the newest window always survives
@@ -31,14 +31,14 @@
 // async spans, so overlapping spans from interleaved coroutines need no
 // nesting discipline.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "trace/metrics.hpp"
 
 namespace alb::trace {
 
@@ -230,17 +230,19 @@ class Recorder {
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
 
-  /// Copies the ring out in chronological (record) order: from the
-  /// oldest slot (head_) to the end, then from the start up to head_.
-  Trace harvest() const {
+  /// Hands the recording over in chronological (record) order and
+  /// leaves the recorder empty. The ring is unwrapped in place, rotated
+  /// so its oldest slot (head_) comes first, and its buffer moves into
+  /// the Trace: harvesting never holds a second copy of the ring.
+  Trace harvest() && {
     Trace t;
     t.recorded = recorded_;
     t.dropped = dropped();
     t.capacity = capacity_;
-    const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
-    t.events.reserve(ring_.size());
-    t.events.insert(t.events.end(), head, ring_.end());
-    t.events.insert(t.events.end(), ring_.begin(), head);
+    std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_), ring_.end());
+    t.events = std::exchange(ring_, {});
+    head_ = 0;
+    recorded_ = 0;
     return t;
   }
 
@@ -262,36 +264,6 @@ class Recorder {
   std::uint64_t next_span_id_ = 1;
   sim::SimTime now_ = 0;
   bool engine_events_;
-};
-
-/// One simulation's observability context: the (optional) flight
-/// recorder plus the always-available metrics registry. A Session is
-/// owned by the harness running the simulation (apps::Harness) and
-/// attached to the engine, from which every layer reaches it. Same
-/// thread-affinity rules as its parts: one Session per simulation, not
-/// shared across threads.
-class Session {
- public:
-  Session() : Session(Config{}) {}
-  explicit Session(const Config& cfg) : config_(cfg) {
-    if (cfg.enabled) rec_ = std::make_unique<Recorder>(cfg);
-  }
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  /// Null when tracing is disabled — callers cache this pointer and
-  /// guard each record with it.
-  Recorder* recorder() { return rec_.get(); }
-  Metrics& metrics() { return metrics_; }
-  const Config& config() const { return config_; }
-
-  /// The recording so far, oldest → newest; empty when tracing is off.
-  Trace harvest() const { return rec_ ? rec_->harvest() : Trace{}; }
-
- private:
-  Config config_;
-  std::unique_ptr<Recorder> rec_;
-  Metrics metrics_;
 };
 
 }  // namespace alb::trace

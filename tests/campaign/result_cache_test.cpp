@@ -245,9 +245,9 @@ TEST(ResultCache, CorruptDiskEntryIsAMissAndResimulationReplacesIt) {
     EXPECT_EQ(serve.stats().misses, 1u);
     EXPECT_EQ(serve.stats().hits, 0u);
     EXPECT_EQ(serve.stats().corrupt, 1u);
-    trace::Metrics m;
+    trace::MetricsSnapshot m;
     serve.publish_metrics(m);
-    EXPECT_EQ(m.snapshot().value("campaign/cache.corrupt"), 1.0);
+    EXPECT_EQ(m.value("campaign/cache.corrupt"), 1.0);
     serve.store(key, r);  // the re-simulated result
     ASSERT_TRUE(serve.lookup(key).has_value());
   }
@@ -264,9 +264,8 @@ TEST(ResultCache, PublishesMetrics) {
   (void)cache.lookup(cache.key("a"));
   cache.store(cache.key("a"), small_tsp_result());
   (void)cache.lookup(cache.key("a"));
-  trace::Metrics m;
-  cache.publish_metrics(m);
-  const trace::MetricsSnapshot snap = m.snapshot();
+  trace::MetricsSnapshot snap;
+  cache.publish_metrics(snap);
   EXPECT_EQ(snap.value("campaign/cache.hits"), 1.0);
   EXPECT_EQ(snap.value("campaign/cache.misses"), 1.0);
   EXPECT_EQ(snap.value("campaign/cache.stores"), 1.0);

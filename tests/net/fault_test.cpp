@@ -39,21 +39,21 @@ TEST(FaultInjector, JitterOnlyPlansDoNotArmRecovery) {
   p.wan.latency_jitter = 0.5;
   p.lan.bandwidth_jitter = 0.1;
   EXPECT_FALSE(p.can_drop());
-  FaultInjector fi(p, 42, nullptr);
+  FaultInjector fi(p, 42);
   EXPECT_FALSE(fi.recovery_active());
 }
 
 TEST(FaultInjector, LossDrawsAreSeedDeterministic) {
   FaultPlan p = lossy_wan_plan();
-  FaultInjector a(p, 42, nullptr);
-  FaultInjector b(p, 42, nullptr);
+  FaultInjector a(p, 42);
+  FaultInjector b(p, 42);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(a.lose(LinkClass::Wan), b.lose(LinkClass::Wan)) << "draw " << i;
   }
   // A different seed decorrelates the stream.
-  FaultInjector c(p, 43, nullptr);
+  FaultInjector c(p, 43);
   int differing = 0;
-  FaultInjector a2(p, 42, nullptr);
+  FaultInjector a2(p, 42);
   for (int i = 0; i < 1000; ++i) {
     if (a2.lose(LinkClass::Wan) != c.lose(LinkClass::Wan)) ++differing;
   }
@@ -64,7 +64,7 @@ TEST(FaultInjector, LossRateIsRoughlyHonored) {
   FaultPlan p;
   p.enabled = true;
   p.wan.loss = 0.1;
-  FaultInjector fi(p, 42, nullptr);
+  FaultInjector fi(p, 42);
   int dropped = 0;
   for (int i = 0; i < 10000; ++i) {
     if (fi.lose(LinkClass::Wan)) ++dropped;
@@ -79,7 +79,7 @@ TEST(FaultInjector, JitterIsOneSidedAndBounded) {
   FaultPlan p;
   p.enabled = true;
   p.wan.latency_jitter = 0.5;
-  FaultInjector fi(p, 42, nullptr);
+  FaultInjector fi(p, 42);
   const sim::SimTime base = sim::microseconds(100);
   for (int i = 0; i < 1000; ++i) {
     const sim::SimTime t = fi.jitter_latency(LinkClass::Wan, base);
@@ -95,7 +95,7 @@ TEST(FaultInjector, ForceDropHitsListedWanMessages) {
   FaultPlan p;
   p.enabled = true;
   p.force_drop = {1, 3};
-  FaultInjector fi(p, 42, nullptr);
+  FaultInjector fi(p, 42);
   EXPECT_FALSE(fi.lose(LinkClass::Wan));  // index 0
   EXPECT_TRUE(fi.lose(LinkClass::Wan));   // index 1
   EXPECT_FALSE(fi.lose(LinkClass::Wan));  // index 2
@@ -109,7 +109,7 @@ TEST(FaultInjector, FlapWindowLookup) {
   p.enabled = true;
   p.flaps.push_back(FlapWindow{0, 1, sim::milliseconds(1), sim::milliseconds(2)});
   p.flaps.push_back(FlapWindow{-1, -1, sim::milliseconds(5), sim::milliseconds(6)});
-  FaultInjector fi(p, 42, nullptr);
+  FaultInjector fi(p, 42);
   EXPECT_FALSE(fi.flapped_until(0, 1, 0).has_value());
   auto until = fi.flapped_until(0, 1, sim::milliseconds(1));
   ASSERT_TRUE(until.has_value());
@@ -127,7 +127,7 @@ TEST(FaultInjector, BrownoutStateComposesWorstCase) {
   p.enabled = true;
   p.brownouts.push_back(Brownout{0, 0, sim::milliseconds(10), 2.0, 0.1});
   p.brownouts.push_back(Brownout{-1, 0, sim::milliseconds(10), 4.0, 0.05});
-  FaultInjector fi(p, 42, nullptr);
+  FaultInjector fi(p, 42);
   auto gs = fi.gateway_state(0, sim::milliseconds(5));
   EXPECT_DOUBLE_EQ(gs.slow_factor, 4.0);
   EXPECT_DOUBLE_EQ(gs.extra_loss, 0.1);

@@ -87,7 +87,7 @@ TEST(CausalDag, OrphanEndsFromWraparoundAreDroppedAndCounted) {
   rec.end(trace::Ev::Wan, 0, 7);
 
   const trace::causal::Dag dag =
-      trace::causal::build_dag(rec.harvest(), net::das_config(2, 2));
+      trace::causal::build_dag(std::move(rec).harvest(), net::das_config(2, 2));
   EXPECT_EQ(dag.orphan_ends, 1u);
   for (const trace::causal::Event& e : dag.events) {
     EXPECT_NE(e.phase, trace::EventPhase::End) << trace::to_string(e.name);
@@ -104,7 +104,7 @@ TEST(CausalDag, MatchedSpansSurviveNormalization) {
   rec.set_time(50);
   rec.end(trace::Ev::Wan, 0, 7);
   const trace::causal::Dag dag =
-      trace::causal::build_dag(rec.harvest(), net::das_config(2, 2));
+      trace::causal::build_dag(std::move(rec).harvest(), net::das_config(2, 2));
   EXPECT_EQ(dag.orphan_ends, 0u);
   ASSERT_EQ(dag.events.size(), 2u);
   EXPECT_EQ(dag.events[1].phase, trace::EventPhase::End);

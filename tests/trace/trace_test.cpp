@@ -1,5 +1,5 @@
-// Unit tests for the flight recorder (ring semantics, span pairing),
-// the metrics registry, and the Chrome trace exporter.
+// Unit tests for the flight recorder (ring semantics, span pairing,
+// harvest), the metrics snapshot, and the Chrome trace exporter.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,10 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/app.hpp"
 #include "sim/engine.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/metrics.hpp"
@@ -33,7 +35,7 @@ TEST(Recorder, KeepsEverythingBelowCapacity) {
   }
   EXPECT_EQ(rec.recorded(), 10u);
   EXPECT_EQ(rec.dropped(), 0u);
-  const trace::Trace t = rec.harvest();
+  const trace::Trace t = std::move(rec).harvest();
   ASSERT_EQ(t.events.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(t.events[static_cast<std::size_t>(i)].id, static_cast<std::uint64_t>(i));
@@ -50,7 +52,7 @@ TEST(Recorder, WraparoundDropsOldestKeepsNewestWindow) {
   EXPECT_EQ(rec.recorded(), 20u);
   EXPECT_EQ(rec.dropped(), 12u);
   EXPECT_EQ(rec.size(), 8u);
-  const trace::Trace t = rec.harvest();
+  const trace::Trace t = std::move(rec).harvest();
   EXPECT_EQ(t.recorded, 20u);
   EXPECT_EQ(t.dropped, 12u);
   EXPECT_EQ(t.capacity, 8u);
@@ -65,7 +67,7 @@ TEST(Recorder, WraparoundDropsOldestKeepsNewestWindow) {
 TEST(Recorder, WraparoundAtExactMultipleOfCapacity) {
   trace::Recorder rec(enabled_config(4));
   for (int i = 0; i < 8; ++i) rec.instant(trace::Ev::EngineEvent, -1, static_cast<std::uint64_t>(i));
-  const trace::Trace t = rec.harvest();
+  const trace::Trace t = std::move(rec).harvest();
   ASSERT_EQ(t.events.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(t.events[i].id, 4 + i);
 }
@@ -86,7 +88,7 @@ TEST(Recorder, SpanBeginEndPairingSurvivesInterleaving) {
   rec.set_time(40);
   rec.end(trace::Ev::SeqGet, 1, b);
 
-  const trace::Trace t = rec.harvest();
+  const trace::Trace t = std::move(rec).harvest();
   ASSERT_EQ(t.events.size(), 4u);
   // Every Begin has exactly one matching End with the same (name, id),
   // and the End comes later.
@@ -109,7 +111,7 @@ TEST(Recorder, HarvestOrderAfterSeveralFullWraps) {
     rec.set_time(i);
     rec.instant(trace::Ev::AppCompute, -1, static_cast<std::uint64_t>(i));
   }
-  const trace::Trace t = rec.harvest();
+  const trace::Trace t = std::move(rec).harvest();
   EXPECT_EQ(t.recorded, 10u);
   EXPECT_EQ(t.dropped, 7u);
   ASSERT_EQ(t.events.size(), 3u);
@@ -144,45 +146,64 @@ TEST(Vocabulary, CategoryMatchesNamePrefix) {
   }
 }
 
-TEST(Session, DisabledSessionHasNoRecorder) {
-  trace::Session off{};  // default config: disabled
-  EXPECT_EQ(off.recorder(), nullptr);
+TEST(Recorder, HarvestHandsTheRingOverAndLeavesTheRecorderEmpty) {
+  trace::Recorder rec(enabled_config(4));
+  for (int i = 0; i < 6; ++i) rec.instant(trace::Ev::AppCompute, -1, static_cast<std::uint64_t>(i));
+  const trace::Trace t = std::move(rec).harvest();
+  ASSERT_EQ(t.events.size(), 4u);
+  EXPECT_EQ(t.events.front().id, 2u);
+  // harvest() leaves the recorder empty.
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.recorded(), 0u);
+}
 
-  trace::Session on(enabled_config(16));
-  EXPECT_NE(on.recorder(), nullptr);
+// A run's trace session is its apps::Harness: it owns the recorder,
+// which exists only when tracing is enabled, and the engine's tracer
+// is that recorder.
+TEST(Session, DisabledSessionHasNoRecorder) {
+  apps::AppConfig cfg;
+  apps::Harness off(cfg);
+  EXPECT_EQ(off.recorder, nullptr);
+  EXPECT_EQ(off.eng.tracer(), nullptr);
+
+  cfg.trace = enabled_config(16);
+  apps::Harness on(cfg);
+  ASSERT_NE(on.recorder, nullptr);
+  EXPECT_EQ(on.eng.tracer(), on.recorder.get());
 }
 
 TEST(Session, HarvestIsEmptyWhenTracingIsOff) {
-  const trace::Trace t = trace::Session{}.harvest();
+  apps::Harness h(apps::AppConfig{});
+  const apps::AppResult r = h.finish([](orca::Proc&) -> sim::Task<void> { co_return; });
+  EXPECT_EQ(r.trace, nullptr);
+  EXPECT_FALSE(r.stats.empty()) << "metrics are published with tracing off too";
+
+  // An enabled recorder that saw nothing harvests an empty trace.
+  const trace::Trace t = trace::Recorder(enabled_config(16)).harvest();
   EXPECT_TRUE(t.events.empty());
   EXPECT_EQ(t.recorded, 0u);
-  EXPECT_EQ(t.capacity, 0u);
+  EXPECT_EQ(t.capacity, 16u);
 }
 
 TEST(Session, EngineTracerNullWhenNothingAttached) {
   sim::Engine eng;
-  // The zero-overhead-when-off contract: no session attached means the
-  // cached recorder pointer every layer checks is null.
+  // The zero-overhead-when-off contract: no recorder attached means the
+  // recorder pointer every layer checks is null.
   EXPECT_EQ(eng.tracer(), nullptr);
-  EXPECT_EQ(eng.trace_session(), nullptr);
 }
 
 TEST(Metrics, CounterGaugeHistogramRoundTrip) {
-  trace::Metrics m;
-  std::uint64_t* c = m.counter("net/test.msgs");
-  *c += 3;
-  *c += 4;
-  *m.gauge("app/ratio") = 0.5;
-  trace::Histogram* h = m.histogram("net/test.bytes");
-  h->add(0);
-  h->add(1);
-  h->add(100);
-  h->add(1000);
+  trace::MetricsSnapshot s;
+  s.set_counter("net/test.msgs", 3);
+  s.set_counter("net/test.msgs", 7);  // publishing assigns
+  s.set_gauge("app/ratio", 0.5);
+  trace::Histogram h;
+  h.add(0);
+  h.add(1);
+  h.add(100);
+  h.add(1000);
+  s.set_histogram("net/test.bytes", h);
 
-  // Instrument pointers are stable: a second lookup is the same object.
-  EXPECT_EQ(m.counter("net/test.msgs"), c);
-
-  const trace::MetricsSnapshot s = m.snapshot();
   EXPECT_EQ(*s.counter("net/test.msgs"), 7u);
   EXPECT_DOUBLE_EQ(*s.gauge("app/ratio"), 0.5);
   EXPECT_DOUBLE_EQ(s.value("net/test.msgs"), 7.0);
@@ -192,6 +213,7 @@ TEST(Metrics, CounterGaugeHistogramRoundTrip) {
   EXPECT_EQ(s.histogram("net/test.msgs"), nullptr);
   ASSERT_NE(s.histogram("net/test.bytes"), nullptr);
   const trace::Histogram& hs = *s.histogram("net/test.bytes");
+  EXPECT_EQ(hs, h);
   EXPECT_EQ(hs.count, 4u);
   EXPECT_EQ(hs.sum, 1101u);
   EXPECT_EQ(hs.min, 0u);
@@ -213,18 +235,18 @@ TEST(Metrics, HistogramPercentilesAreBucketUpperBounds) {
 }
 
 TEST(Metrics, CsvAndJsonAreNameOrderedAndStable) {
-  trace::Metrics m;
-  *m.counter("b/second") = 2;
-  *m.counter("a/first") = 1;
+  trace::MetricsSnapshot m;
+  m.set_counter("b/second", 2);
+  m.set_counter("a/first", 1);
   std::ostringstream csv1, csv2;
-  m.snapshot().write_csv(csv1);
-  m.snapshot().write_csv(csv2);
+  m.write_csv(csv1);
+  m.write_csv(csv2);
   EXPECT_EQ(csv1.str(), csv2.str());
-  // Name order, independent of registration order.
+  // Name order, independent of publishing order.
   EXPECT_LT(csv1.str().find("a/first"), csv1.str().find("b/second"));
 
   std::ostringstream js;
-  m.snapshot().write_json(js);
+  m.write_json(js);
   const std::string j = js.str();
   EXPECT_NE(j.find("\"counters\""), std::string::npos);
   EXPECT_NE(j.find("\"a/first\":1"), std::string::npos);
@@ -239,7 +261,8 @@ TEST(ChromeTrace, ExportHasMetadataAndBalancedEvents) {
   rec.set_time(3500);
   rec.end(trace::Ev::Rpc, 0, 42, 32);
 
-  const std::string json = trace::chrome_trace_string(rec.harvest());
+  const trace::Trace t = std::move(rec).harvest();
+  const std::string json = trace::chrome_trace_string(t);
   // Structural spot-checks (full parse validation runs in tools/check.sh
   // via python3 -m json.tool).
   EXPECT_EQ(json.front(), '{');
@@ -257,7 +280,7 @@ TEST(ChromeTrace, ExportHasMetadataAndBalancedEvents) {
   EXPECT_NE(json.find("\"ts\":3.500"), std::string::npos);
 
   // Serialization is a pure function of the Trace.
-  EXPECT_EQ(json, trace::chrome_trace_string(rec.harvest()));
+  EXPECT_EQ(json, trace::chrome_trace_string(t));
 }
 
 TEST(ChromeTrace, EscapesQuotesBackslashesAndControlChars) {
@@ -281,7 +304,7 @@ TEST(ChromeTrace, EscapedNameSurvivesExport) {
   rec.set_time(10);
   rec.instant(trace::Ev::AppCompute, 0, 1);
   const std::string json =
-      trace::chrome_trace_string(rec.harvest(), {{"weird\"name\n", 0, 10}});
+      trace::chrome_trace_string(std::move(rec).harvest(), {{"weird\"name\n", 0, 10}});
   EXPECT_NE(json.find("weird\\\"name\\n"), std::string::npos);
   EXPECT_EQ(json.find("weird\"name"), std::string::npos);
 }
@@ -313,8 +336,9 @@ TEST(ChromeTrace, HighlightSpansEmitCriticalPathTrack) {
   rec.instant(trace::Ev::AppCompute, 0, 1);
   const std::vector<trace::HighlightSpan> spans = {{"net/wan.latency", 0, 50},
                                                    {"app/compute", 50, 100}};
-  const std::string plain = trace::chrome_trace_string(rec.harvest());
-  const std::string with = trace::chrome_trace_string(rec.harvest(), spans);
+  const trace::Trace t = std::move(rec).harvest();
+  const std::string plain = trace::chrome_trace_string(t);
+  const std::string with = trace::chrome_trace_string(t, spans);
   // No highlight → byte-identical to the pre-highlight format, so the
   // determinism gates over default exports are unaffected.
   EXPECT_EQ(plain.find("critical path"), std::string::npos);

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   opts.define("jobs", "0", "worker threads for cache misses (0 = hardware concurrency)",
               util::Options::Kind::Int);
   opts.define("cache-dir", "", "persist cache entries here (one file per key)");
-  opts.define("metrics-out", "", "write the cache/serve metrics registry as CSV here");
+  opts.define("metrics-out", "", "write the cache/serve metrics as CSV here");
   opts.define("app", "TSP", "default app when neither the scenario nor the request names one");
   opts.define("validate", "", "parse-validate every .scn under this directory and exit");
   telemetry::define_cli_options(opts);
@@ -298,18 +298,18 @@ int main(int argc, char** argv) {
             << " job_s_max=" << fmt_g(stats.job_seconds_percentile(100)) << '\n';
 
   if (const std::string& p = opts.get("metrics-out"); !p.empty()) {
-    trace::Metrics m;
+    trace::MetricsSnapshot m;
     cache.publish_metrics(m);
     campaign::publish_pool_metrics(stats, m);
-    *m.counter("campaign/serve.requests") = request_lines;
-    *m.counter("campaign/serve.expanded") = units.size();
-    *m.counter("campaign/serve.simulated") = fresh.size();
+    m.set_counter("campaign/serve.requests", request_lines);
+    m.set_counter("campaign/serve.expanded", units.size());
+    m.set_counter("campaign/serve.simulated", fresh.size());
     std::ofstream os(p, std::ios::binary);
     if (!os) {
       std::cerr << "alb-serve: cannot open " << p << " for writing\n";
       return 1;
     }
-    m.snapshot().write_csv(os);
+    m.write_csv(os);
     std::cout << "wrote " << p << '\n';
   }
 

@@ -3,7 +3,7 @@
 //
 //   * a Chrome trace_event JSON timeline (open in chrome://tracing or
 //     ui.perfetto.dev) via --trace-out,
-//   * the full metrics registry as CSV (--metrics-out) or JSON
+//   * the run's full metrics snapshot as CSV (--metrics-out) or JSON
 //     (--metrics-json),
 //   * and, on stdout, the run summary, the LAN/WAN traffic breakdown in
 //     the paper's Table 4/5 taxonomy, WAN circuit queueing/size
@@ -94,8 +94,8 @@ int main(int argc, char** argv) {
   opts.define("capacity", "1048576", "flight-recorder ring capacity (events)");
   opts.define_flag("engine-events", "also record one instant per engine event (high volume)");
   opts.define("trace-out", "", "write Chrome trace_event JSON here");
-  opts.define("metrics-out", "", "write the metrics registry as CSV here");
-  opts.define("metrics-json", "", "write the metrics registry as JSON here");
+  opts.define("metrics-out", "", "write the run's metrics as CSV here");
+  opts.define("metrics-json", "", "write the run's metrics as JSON here");
   opts.define_flag("csv", "print the summary tables as CSV");
   opts.define_flag("faults",
                    "inject the preset WAN fault plan (5% loss, 25% jitter, one flap, "
