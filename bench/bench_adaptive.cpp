@@ -19,8 +19,8 @@
 // Everything printed is simulated and deterministic: any --jobs value
 // emits a byte-identical table (tools/check.sh diffs --jobs 1 vs 4).
 // Wall-clock throughput goes only into the JSON, as events_per_sec per
-// suite arm, for tools/bench_compare.py against
-// results/BENCH_adaptive.baseline.json.
+// suite arm, for tools/bench_gate.py (paired against the commit that
+// recorded results/BENCH_adaptive.baseline.json).
 //
 //   ./bench_adaptive [--quick] [--csv] [--jobs=N] [--seed=S] [--json=PATH]
 

@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Paired bench_engine perf gate: a bench_engine binary against a base revision's.
+"""Paired perf gate: a bench binary against a base revision's.
 
-    tools/engine_gate.py BASE_REV CHANGE_BENCH_ENGINE
+    tools/bench_gate.py BASE_REV CHANGE_BENCH
 
-The base side is BASE_REV's bench_engine, built once (Release,
-bench_engine target only) in BASE_REV's tree as tools/perf_pair.py
-extracts it. Base and change runs alternate for 7 pairs, the side that
-runs first alternating too. For each bench the gate takes the
-change/base ratio of events_per_sec within each pair and fails (exit 1)
-when the median ratio is below 0.75. Pairing cancels the host-load
-drift that makes a single run against a recorded number flaky. A bench
-that only one side runs gets a row and no verdict.
+CHANGE_BENCH is any bench binary whose --json output lists
+benches[].events_per_sec (bench_engine, bench_collective,
+bench_adaptive). Its basename names everything else: the CMake target
+the base side builds, and results/BENCH_<suite>.baseline.json, where
+<suite> is the basename without its "bench_" prefix.
+
+The base side is BASE_REV's build of that target (Release, that target
+only) in BASE_REV's tree as tools/perf_pair.py extracts it. Base and
+change runs alternate for 7 pairs, the side that runs first
+alternating too. For each bench the gate takes the change/base ratio
+of events_per_sec within each pair and fails (exit 1) when the median
+ratio is below 0.75. Pairing cancels the host-load drift that makes a
+single run against a recorded number flaky. A bench that only one side
+runs gets a row and no verdict.
 
 BASE_REV has no default: a gate against "the previous commit" lets a
 slowdown spread over several commits pass. tools/check.sh passes the
-commit that last recorded results/BENCH_engine.baseline.json, so every
-run is held against the same anchor until the baseline is re-recorded.
-That file's numbers are printed as a reference column; they never
-decide the verdict.
+commit that last recorded the suite's baseline file, so every run is
+held against the same anchor until the baseline is re-recorded. That
+file's numbers are printed as a reference column; they never decide
+the verdict.
 """
 
 import argparse
@@ -33,7 +39,6 @@ import perf_pair  # noqa: E402
 import stats  # noqa: E402  (perfbench/, on the path perf_pair set up)
 
 ROOT = perf_pair.ROOT
-BASELINE = os.path.join(ROOT, "results", "BENCH_engine.baseline.json")
 PAIRS = 7
 TOLERANCE = 0.25  # allowed fractional slowdown of the median paired ratio
 
@@ -73,16 +78,22 @@ def cell(v, width, digits=0):
     return f"{v:{width}.{digits}f}" if isinstance(v, (int, float)) else f"{'-':>{width}}"
 
 
-def build_base(tree):
-    build = os.path.join(tree, "build-engine-gate")
+def baseline_of(binary):
+    """results/BENCH_<suite>.baseline.json for a bench binary's path."""
+    suite = os.path.basename(binary).removeprefix("bench_")
+    return os.path.join(ROOT, "results", f"BENCH_{suite}.baseline.json")
+
+
+def build_base(tree, target):
+    build = os.path.join(tree, "build-bench-gate")
     env = dict(os.environ, GIT_CEILING_DIRECTORIES=perf_pair.BASES)
     for cmd in (["cmake", "-S", tree, "-B", build, "-DCMAKE_BUILD_TYPE=Release"],
-                ["cmake", "--build", build, "--target", "bench_engine", "-j", str(os.cpu_count())]):
+                ["cmake", "--build", build, "--target", target, "-j", str(os.cpu_count())]):
         p = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if p.returncode != 0:
             sys.stderr.write(p.stdout[-4000:] + p.stderr[-4000:])
-            raise SystemExit(f"engine_gate: {' '.join(cmd)} failed")
-    return os.path.join(build, "bench", "bench_engine")
+            raise SystemExit(f"bench_gate: {' '.join(cmd)} failed")
+    return os.path.join(build, "bench", target)
 
 
 def events_per_sec(path):
@@ -99,9 +110,9 @@ def run_once(binary, scratch):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", metavar="BASE_REV", help="the revision to gate against")
-    ap.add_argument("change", help="the bench_engine binary under test")
+    ap.add_argument("change", help="the bench binary under test")
     args = ap.parse_args()
-    base_bin = build_base(perf_pair.base_tree(args.base))
+    base_bin = build_base(perf_pair.base_tree(args.base), os.path.basename(args.change))
 
     binaries = {"base": base_bin, "change": args.change}
     runs = {"base": [], "change": []}
@@ -110,7 +121,8 @@ def main():
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
                 runs[side].append(run_once(binaries[side], scratch))
     rows, failures = judge(runs["base"], runs["change"])
-    reference = events_per_sec(BASELINE) if os.path.exists(BASELINE) else {}
+    baseline = baseline_of(args.change)
+    reference = events_per_sec(baseline) if os.path.exists(baseline) else {}
 
     w = max([len(r[0]) for r in rows] + [5])
     print(f"{PAIRS} pairs, base {args.base} vs {args.change}")
@@ -120,7 +132,7 @@ def main():
         print(f"{name:{w}}  {cell(b, 12)}  {cell(c, 12)}  {cell(ratio, 6, 3)}  "
               f"{cell(reference.get(name), 13)}  {verdict}")
     if not any(r[3] is not None for r in rows):
-        print("engine_gate: no bench ran on both sides", file=sys.stderr)
+        print("bench_gate: no bench ran on both sides", file=sys.stderr)
         return 1
     if failures:
         print(f"FAIL: {', '.join(failures)}: median change/base ratio below "

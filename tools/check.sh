@@ -20,10 +20,10 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== python unit tests: benchmark statistics + perf_pair and engine-gate verdicts ==="
+echo "=== python unit tests: benchmark statistics + perf_pair and bench-gate verdicts ==="
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 python3 tools/test_perf_pair.py
-python3 tools/test_engine_gate.py
+python3 tools/test_bench_gate.py
 
 echo "=== configure + build: Debug + ASan/UBSan ==="
 cmake -B build-asan -S . \
@@ -54,21 +54,26 @@ echo "=== bench smoke ==="
 ./build-release/bench/bench_engine --smoke --json build-release/BENCH_engine.smoke.json
 ./build-release/bench/bench_campaign --quick --json build-release/BENCH_campaign.smoke.json
 
+# bench_gate BENCH: full (non-smoke) runs of this tree's bench binary
+# alternate with the base revision's, and the median per-pair ratio of
+# each events_per_sec must stay within 25%. The base is the commit that
+# last recorded results/BENCH_<suite>.baseline.json (BASE_REV
+# overrides), a fixed anchor: a slowdown spread over several commits
+# adds up against it until the baseline is deliberately re-recorded.
+# Pairing cancels host-load drift, which alone moved single runs
+# against the recorded numbers to 0.69-0.77x on a 4-core host; those
+# numbers are printed for reference only.
+bench_gate() {
+  local bench="$1" base
+  base="${BASE_REV:-$(git log -1 --format=%H -- "results/BENCH_${bench#bench_}.baseline.json")}"
+  : "${base:?no commit records the $bench baseline; set BASE_REV}"
+  python3 tools/bench_gate.py "$base" "build-release/bench/$bench"
+}
+
 echo "=== perf gate: bench_engine, paired against the baseline revision ==="
-# Full (non-smoke) runs of this tree's bench_engine alternate with the
-# base revision's, and the median per-pair ratio must stay within 25%.
-# The base is the commit that last recorded
-# results/BENCH_engine.baseline.json (BASE_REV overrides), a fixed
-# anchor: a slowdown spread over several commits adds up against it
-# until the baseline is deliberately re-recorded. Pairing cancels
-# host-load drift, which alone moved single runs against the recorded
-# numbers to 0.69-0.77x on a 4-core host; those numbers are printed for
-# reference only. bench_engine links the instrumented engine with no
-# collector active, so this gate is also the host-telemetry overhead
-# gate.
-BASE_REV="${BASE_REV:-$(git log -1 --format=%H -- results/BENCH_engine.baseline.json)}"
-: "${BASE_REV:?no commit records results/BENCH_engine.baseline.json; set BASE_REV}"
-python3 tools/engine_gate.py "$BASE_REV" build-release/bench/bench_engine
+# bench_engine links the instrumented engine with no collector active,
+# so this gate is also the host-telemetry overhead gate.
+bench_gate bench_engine
 
 echo "=== observability smoke: traced run + artifact validation ==="
 ./build-release/tools/alb-trace --app ASP --clusters 2 --per 4 \
@@ -127,17 +132,13 @@ assert tree["net/wan.combined.flushes"] > 0, "tree RA run never combined"
 print(f"RA 4x16 WAN wire RPCs: flat {f:.0f} -> tree {t:.0f} OK")
 EOF
 
-echo "=== perf gate: bench_collective vs tracked baseline ==="
-./build-release/bench/bench_collective --json build-release/BENCH_collective.gate.json > /dev/null
-python3 tools/bench_compare.py results/BENCH_collective.baseline.json \
-  build-release/BENCH_collective.gate.json
+echo "=== perf gate: bench_collective, paired against the baseline revision ==="
+bench_gate bench_collective
 
-echo "=== perf gate: bench_adaptive vs tracked baseline ==="
-# Full (paper-geometry) run: the three-arm verdicts gate via the exit
-# code, the suite throughputs gate via bench_compare.py.
-./build-release/bench/bench_adaptive --json build-release/BENCH_adaptive.gate.json > /dev/null
-python3 tools/bench_compare.py results/BENCH_adaptive.baseline.json \
-  build-release/BENCH_adaptive.gate.json
+echo "=== perf gate: bench_adaptive, paired against the baseline revision ==="
+# Full (paper-geometry) runs: a failed three-arm verdict exits nonzero
+# and fails the gate too.
+bench_gate bench_adaptive
 
 echo "=== scenario DSL: every shipped .scn parses ==="
 # Typed errors abort here; the absolute goldens pinning scenario-loaded
