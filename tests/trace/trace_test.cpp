@@ -118,6 +118,17 @@ TEST(Recorder, HarvestOrderAfterSeveralFullWraps) {
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(t.events[i].id, 7 + i);
 }
 
+TEST(Recorder, HarvestHandsTheRingOverAndLeavesTheRecorderEmpty) {
+  trace::Recorder rec(enabled_config(4));
+  for (int i = 0; i < 6; ++i) rec.instant(trace::Ev::AppCompute, -1, static_cast<std::uint64_t>(i));
+  const trace::Trace t = std::move(rec).harvest();
+  ASSERT_EQ(t.events.size(), 4u);
+  EXPECT_EQ(t.events.front().id, 2u);
+  // harvest() leaves the recorder empty.
+  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.recorded(), 0u);
+}
+
 TEST(Vocabulary, EveryEvHasAUniquePlainName) {
   std::set<std::string> seen;
   for (std::size_t i = 0; i < trace::kNumEvs; ++i) {
@@ -144,17 +155,6 @@ TEST(Vocabulary, CategoryMatchesNamePrefix) {
     ASSERT_NE(it, by_prefix.end()) << "unknown prefix: " << name;
     EXPECT_EQ(trace::category_of(ev), it->second) << name;
   }
-}
-
-TEST(Recorder, HarvestHandsTheRingOverAndLeavesTheRecorderEmpty) {
-  trace::Recorder rec(enabled_config(4));
-  for (int i = 0; i < 6; ++i) rec.instant(trace::Ev::AppCompute, -1, static_cast<std::uint64_t>(i));
-  const trace::Trace t = std::move(rec).harvest();
-  ASSERT_EQ(t.events.size(), 4u);
-  EXPECT_EQ(t.events.front().id, 2u);
-  // harvest() leaves the recorder empty.
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.recorded(), 0u);
 }
 
 // A run's trace session is its apps::Harness: it owns the recorder,
