@@ -41,12 +41,16 @@
 // re-simulation in tests (tolerance documented in
 // docs/OBSERVABILITY.md).
 //
-// Storage: an event has at most one in-edge of each kind, so the DAG
-// keeps no edge list. Each kept event has a 24-byte Slot holding its
-// predecessor event per kind, the edge classes and one time (program
-// work, or a WAN crossing's queue wait); Dag::edge() derives the rest
-// of an Edge — duration, payload size, the WAN split — on read. With
-// the trimmed 24-byte event copy that is 48 bytes per kept event.
+// Storage: the Dag reads its events from the trace it was built from
+// and keeps no copy of them: Dag::events is a view holding a pointer to
+// the Trace and one 4-byte trace index per kept event. The trace must
+// outlive the Dag (build_dag refuses a temporary). An event has at most
+// one in-edge of each kind, so the DAG keeps no edge list either. Each
+// kept event has a 24-byte Slot holding its predecessor event per kind,
+// the edge classes and one time (program wait, or a WAN crossing's
+// queue wait); Dag::edge() derives the rest of an Edge — duration,
+// payload size, the WAN split — on read. That is 28 bytes per kept
+// event beside the trace.
 //
 // Determinism: analysis is a pure function of (Trace, TopologyConfig);
 // byte-comparing reports across campaign `--jobs` values is a valid
@@ -135,16 +139,44 @@ struct EdgeRef {
   EdgeKind kind = EdgeKind::Program;
 };
 
-/// A kept trace event, trimmed to the fields the analysis reads once
-/// the DAG is built.
-struct Event {
-  sim::SimTime time = 0;
-  std::uint64_t arg = 0;  ///< a message edge's payload size is its sink's arg
-  std::int32_t actor = -1;
-  Ev name{};
-  EventPhase phase = EventPhase::Instant;
+struct Dag;
+
+/// The kept events of a Dag, read in place: kept event i is the trace
+/// event at trace_index(i). Indices strictly increase; the trace
+/// positions they skip are the orphan Ends normalization dropped. The
+/// view holds a pointer to the trace, which must outlive it.
+class EventView {
+ public:
+  /// Range-for over the kept events, oldest first.
+  class iterator {
+   public:
+    iterator(const TraceEvent* events, const std::uint32_t* pos) : events_(events), pos_(pos) {}
+    const TraceEvent& operator*() const { return events_[*pos_]; }
+    iterator& operator++() {
+      ++pos_;
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return pos_ == o.pos_; }
+
+   private:
+    const TraceEvent* events_;
+    const std::uint32_t* pos_;
+  };
+
+  const TraceEvent& operator[](std::size_t i) const { return trace_->events[index_[i]]; }
+  std::size_t size() const { return index_.size(); }
+  iterator begin() const { return {trace_events(), index_.data()}; }
+  iterator end() const { return {trace_events(), index_.data() + index_.size()}; }
+  /// The position in the trace of kept event `i`.
+  std::uint32_t trace_index(std::size_t i) const { return index_[i]; }
+
+ private:
+  friend Dag build_dag(const Trace& trace, const net::TopologyConfig& net);
+  const TraceEvent* trace_events() const { return trace_ ? trace_->events.data() : nullptr; }
+
+  const Trace* trace_ = nullptr;
+  std::vector<std::uint32_t> index_;
 };
-static_assert(sizeof(Event) == 24, "a kept event packs into three words");
 
 /// The in-edges of one event, as predecessor event indices (kNone when
 /// absent). A wake edge exists only for a program edge whose wait a
@@ -157,18 +189,20 @@ struct Slot {
   EdgeClass program_cls = EdgeClass::Idle;
   EdgeClass message_cls = EdgeClass::Idle;
   Protocol message_proto = Protocol::App;
-  /// The program edge's leading work portion; at a WanTransfer sink,
-  /// the circuit queue wait instead. That sink is a gateway event, so on
-  /// the run's own topology it has no program edge; should it have one
-  /// anyway, the work wins and the crossing reads as unqueued.
-  sim::SimTime work_or_queue = 0;
+  /// The program edge's trailing wait (its duration minus the leading
+  /// work), which what_if collapses without reading any event; at a
+  /// WanTransfer sink, the circuit queue wait instead. That sink is a
+  /// gateway event, so on the run's own topology it has no program
+  /// edge; should it have one anyway, the program wait wins and the
+  /// crossing reads as unqueued.
+  sim::SimTime wait_or_queue = 0;
 };
 static_assert(sizeof(Slot) == 24, "an event's in-edges pack into three words");
 
 struct Dag {
-  /// Normalized events: End events with no earlier matching Begin
-  /// (truncated away by ring wraparound) are removed.
-  std::vector<Event> events;
+  /// Normalized events, read from the trace: End events with no earlier
+  /// matching Begin (truncated away by ring wraparound) are skipped.
+  EventView events;
   /// In-edges per event, parallel to `events`.
   std::vector<Slot> slots;
   /// The run's completion anchor: the last orca.proc.finish when one is
@@ -177,6 +211,9 @@ struct Dag {
   /// (non-deliver) event.
   std::uint32_t sink = kNone;
   sim::SimTime end = 0;        ///< time of `sink`
+  /// Every kept orca.proc.finish event, oldest first: what_if projects
+  /// the run's finish from these without reading the other events.
+  std::vector<std::uint32_t> finishes;
   std::uint64_t orphan_ends = 0;  ///< Ends dropped by normalization
   net::TopologyConfig net;
 
@@ -231,7 +268,7 @@ inline Edge Dag::edge(EdgeRef r) const {
   switch (r.kind) {
     case EdgeKind::Program:
       e.cls = s.program_cls;
-      e.work = s.work_or_queue;
+      e.work = e.dur - s.wait_or_queue;
       e.wake_bound = s.wake != kNone;
       break;
     case EdgeKind::Wake:
@@ -247,7 +284,7 @@ inline Edge Dag::edge(EdgeRef r) const {
         // propagation latency from the topology (capped by what
         // actually elapsed) and serialization — which includes the
         // per-message overhead and any injected jitter — as the rest.
-        if (s.program == kNone) e.wan_queue = s.work_or_queue;
+        if (s.program == kNone) e.wan_queue = s.wait_or_queue;
         const sim::SimTime rest = e.dur - e.wan_queue;
         e.wan_lat = std::min(net.wan.latency, rest);
         e.wan_ser = rest - e.wan_lat;
@@ -259,8 +296,11 @@ inline Edge Dag::edge(EdgeRef r) const {
 
 /// Reconstructs the happens-before DAG. `net` must be the topology the
 /// traced run used (link latencies feed the WAN decomposition and the
-/// what-if engine).
+/// what-if engine). The Dag reads its events from `trace`, which must
+/// outlive it; a temporary trace would leave it dangling, so that
+/// overload is deleted.
 Dag build_dag(const Trace& trace, const net::TopologyConfig& net);
+Dag build_dag(Trace&& trace, const net::TopologyConfig& net) = delete;
 
 /// One contiguous interval of the critical path.
 struct Segment {

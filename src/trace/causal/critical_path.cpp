@@ -56,7 +56,7 @@ CriticalPath critical_path(const Dag& dag) {
   std::vector<Segment> segs;  // collected newest → oldest
   std::uint32_t cur = dag.sink;
   for (;;) {
-    const Event& e = dag.events[cur];
+    const TraceEvent& e = dag.events[cur];
     const EdgeRef pe{cur, EdgeKind::Program};
 
     if (dag.pred(pe) == kNone) {
@@ -71,7 +71,7 @@ CriticalPath critical_path(const Dag& dag) {
     }
 
     const Edge p = dag.edge(pe);
-    const Event& u = dag.events[p.from];
+    const TraceEvent& u = dag.events[p.from];
     if (p.cls == EdgeClass::Compute || !p.wake_bound) {
       // The whole gap binds to this node's own program: leading work,
       // then a timer/state-driven wait (service time, retry timeout,

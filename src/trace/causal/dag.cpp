@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "orca/tags.hpp"
@@ -76,12 +78,63 @@ struct ActorState {
   std::array<std::uint32_t, 5> last_deliver_by_proto{kNone, kNone, kNone, kNone, kNone};
 };
 
-/// Per-message-id journey state.
+/// Per-message-id journey state, kept in a JourneyTable slot.
 struct MsgState {
-  std::uint32_t last = kNone;  ///< last non-deliver journey event
+  std::uint64_t id = 0;            ///< the table's key
+  sim::SimTime queue_pending = 0;  ///< from net.wan.queue, consumed by the hop
+  std::uint32_t last = kNone;      ///< last non-deliver journey event
   Protocol proto = Protocol::App;
   bool proto_known = false;
-  sim::SimTime queue_pending = 0;  ///< from net.wan.queue, consumed by the hop
+  bool used = false;  ///< the table slot holds a journey
+};
+static_assert(sizeof(MsgState) == 24, "a journey slot packs into three words");
+
+/// Journey states by message id, in one open-addressed table: linear
+/// probing over a power-of-two array that doubles past 3/4 load. It
+/// grows with the number of distinct ids, never with their span, and
+/// allocates nothing per entry. States are never erased: a journey's
+/// deliveries can fan out at any later point.
+class JourneyTable {
+ public:
+  MsgState& operator[](std::uint64_t id) {
+    std::size_t i = find(id);
+    if (!slots_[i].used) {
+      if (4 * (used_ + 1) > 3 * slots_.size()) {
+        grow();
+        i = find(id);
+      }
+      slots_[i].id = id;
+      slots_[i].used = true;
+      ++used_;
+    }
+    return slots_[i];
+  }
+
+ private:
+  static constexpr unsigned kFirstBits = 10;
+
+  /// The slot holding `id`, or the empty slot where it belongs.
+  std::size_t find(std::uint64_t id) const {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the top bits of id * 2^64/phi spread dense
+    // and sparse ids alike.
+    std::size_t i = static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ull) >> shift_);
+    while (slots_[i].used && slots_[i].id != id) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    const std::vector<MsgState> old =
+        std::exchange(slots_, std::vector<MsgState>(slots_.size() * 2));
+    --shift_;
+    for (const MsgState& m : old) {
+      if (m.used) slots_[find(m.id)] = m;
+    }
+  }
+
+  std::vector<MsgState> slots_ = std::vector<MsgState>(std::size_t{1} << kFirstBits);
+  unsigned shift_ = 64 - kFirstBits;  ///< keeps the hash's top log2(size) bits
+  std::size_t used_ = 0;
 };
 
 /// The contiguous journey block of trace::Ev, SendLocal through Deliver.
@@ -130,7 +183,11 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
   Dag dag;
   dag.net = net_cfg;
   const net::Topology topo(net_cfg);
-  dag.events.reserve(trace.events.size());
+  if (trace.events.size() >= kNone) {
+    throw std::length_error("build_dag: a trace of 2^32 events or more cannot be indexed");
+  }
+  dag.events.trace_ = &trace;
+  dag.events.index_.reserve(trace.events.size());
   dag.slots.reserve(trace.events.size());
 
   // Actor states, dense by node id; entry 0 holds every actor-less (-1)
@@ -141,7 +198,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
     if (idx >= actors.size()) actors.resize(idx + 1);
     return actors[idx];
   };
-  std::unordered_map<std::uint64_t, MsgState> msgs;
+  JourneyTable msgs;
   std::unordered_map<SpanKey, int, SpanKeyHash> open;
 
   auto link = [&dag](std::uint32_t from, [[maybe_unused]] std::uint32_t to) {
@@ -151,7 +208,8 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
   };
 
   std::uint32_t last_finish = kNone;
-  for (const TraceEvent& e : trace.events) {
+  for (std::uint32_t at = 0; at < trace.events.size(); ++at) {
+    const TraceEvent& e = trace.events[at];
     // Normalization: drop End events whose Begin was truncated away by
     // ring wraparound, so every surviving End has a matching earlier
     // Begin (pinned by causal_test.cpp).
@@ -166,8 +224,9 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
       if (--it->second == 0) open.erase(it);
     }
     const std::uint32_t i = static_cast<std::uint32_t>(dag.events.size());
-    dag.events.push_back({e.time, e.arg, e.actor, e.name, e.phase});
+    dag.events.index_.push_back(at);
     Slot& slot = dag.slots.emplace_back();
+    if (e.name == Ev::ProcFinish) dag.finishes.push_back(i);
 
     // WAN queue-wait metadata: attached to the message, not a DAG node.
     if (e.name == Ev::WanQueue) {
@@ -185,7 +244,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
         ms.proto_known = true;
       }
       if (ms.last != kNone) {
-        const Event& prev = dag.events[ms.last];
+        const TraceEvent& prev = dag.events[ms.last];
         slot.message = link(ms.last, i);
         slot.message_proto = ms.proto;
         if (deliver) {
@@ -204,7 +263,7 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
           if (slot.message_cls == EdgeClass::WanTransfer) {
             // Queue wait was recorded explicitly (capped by what
             // actually elapsed); Dag::edge derives the rest of the split.
-            slot.work_or_queue = std::min(ms.queue_pending, e.time - prev.time);
+            slot.wait_or_queue = std::min(ms.queue_pending, e.time - prev.time);
             ms.queue_pending = 0;
           }
           ms.last = i;
@@ -233,9 +292,10 @@ Dag build_dag(const Trace& trace, const net::TopologyConfig& net_cfg) {
       const std::uint32_t u = as.last_chain;
       const sim::SimTime prev_time = dag.events[u].time;
       const sim::SimTime dur = e.time - prev_time;
-      // The work, if any, overwrites a WAN queue wait (see Slot).
-      slot.work_or_queue = std::clamp<sim::SimTime>(as.compute_until - prev_time, 0, dur);
-      if (slot.work_or_queue == dur) {
+      const sim::SimTime work = std::clamp<sim::SimTime>(as.compute_until - prev_time, 0, dur);
+      // The program wait overwrites a WAN queue wait (see Slot).
+      slot.wait_or_queue = dur - work;
+      if (work == dur) {
         slot.program_cls = EdgeClass::Compute;
       } else {
         // Trailing wait: classed by the node's open protocol state,

@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
+#include <vector>
 
 #include "trace/causal/causal.hpp"
 
@@ -21,46 +23,36 @@ double parse_factor(const std::string& spec, std::size_t prefix_len) {
   return k;
 }
 
-/// The hypothetical duration of one edge under a scenario. Program
-/// waits collapse to their work portion only when a delivery ended
-/// them — timer-driven gaps (compute, service time, retry timeouts)
-/// are not message-limited and keep their duration, which makes the
-/// retimer exact on communication-free runs.
-sim::SimTime scenario_weight(const Edge& e, const Scenario& s, const net::TopologyConfig& cfg) {
-  switch (e.kind) {
-    case EdgeKind::Program:
-      if (e.cls == EdgeClass::Compute) return e.dur;
-      return e.wake_bound ? e.work : e.dur;
-    case EdgeKind::Wake:
-      return e.dur;  // scheduling slack, observed (normally zero)
-    case EdgeKind::Message: break;
-  }
-  if (s.seq_local && e.proto == Protocol::Seq) {
+/// How much longer the message edge into event `to` would take under
+/// a scenario: its hypothetical minus its observed duration. Only a WAN
+/// crossing and, under seq-local, a sequencer message's access and
+/// gateway hops change; no other message edge reads its events.
+sim::SimTime message_delta(const Dag& dag, std::uint32_t to, const Scenario& s) {
+  const Slot& sl = dag.slots[to];
+  const bool seq_local = s.seq_local && sl.message_proto == Protocol::Seq;
+  const bool leaves_cluster =
+      sl.message_cls == EdgeClass::Access || sl.message_cls == EdgeClass::Gateway;
+  if (sl.message_cls != EdgeClass::WanTransfer && !(seq_local && leaves_cluster)) return 0;
+  const Edge e = dag.edge({to, EdgeKind::Message});
+  const net::TopologyConfig& cfg = dag.net;
+  if (seq_local) {
     // Sequencer co-located with the writer's cluster: control traffic
     // never crosses the access link or the WAN; the circuit crossing
     // becomes one LAN hop.
-    switch (e.cls) {
-      case EdgeClass::Access:
-      case EdgeClass::Gateway: return 0;
-      case EdgeClass::WanTransfer:
-        return cfg.lan.latency + cfg.lan.serialize_time(static_cast<std::size_t>(e.bytes));
-      default: return e.dur;
-    }
+    if (e.cls != EdgeClass::WanTransfer) return -e.dur;
+    return cfg.lan.latency + cfg.lan.serialize_time(static_cast<std::size_t>(e.bytes)) - e.dur;
   }
-  if (e.cls == EdgeClass::WanTransfer) {
-    const sim::SimTime lat = s.wan_latency ? std::min(*s.wan_latency, e.wan_lat) : e.wan_lat;
-    // The per-message overhead is CPU cost, not bandwidth: it survives
-    // a faster circuit (mirrors apply_scenario, which scales only
-    // bandwidth_bytes_per_sec).
-    const sim::SimTime overhead = std::min(cfg.wan.per_message_overhead, e.wan_ser);
-    const sim::SimTime ser =
-        overhead + static_cast<sim::SimTime>(static_cast<double>(e.wan_ser - overhead) *
-                                             s.wan_ser_scale);
-    const sim::SimTime q =
-        static_cast<sim::SimTime>(static_cast<double>(e.wan_queue) * s.wan_queue_scale);
-    return q + lat + ser;
-  }
-  return e.dur;
+  const sim::SimTime lat = s.wan_latency ? std::min(*s.wan_latency, e.wan_lat) : e.wan_lat;
+  // The per-message overhead is CPU cost, not bandwidth: it survives a
+  // faster circuit (mirrors apply_scenario, which scales only
+  // bandwidth_bytes_per_sec).
+  const sim::SimTime overhead = std::min(cfg.wan.per_message_overhead, e.wan_ser);
+  const sim::SimTime ser =
+      overhead +
+      static_cast<sim::SimTime>(static_cast<double>(e.wan_ser - overhead) * s.wan_ser_scale);
+  const sim::SimTime q =
+      static_cast<sim::SimTime>(static_cast<double>(e.wan_queue) * s.wan_queue_scale);
+  return q + lat + ser - e.dur;
 }
 
 }  // namespace
@@ -110,33 +102,45 @@ Projection what_if(const Dag& dag, const Scenario& s) {
   p.scenario = s;
   p.observed = dag.end;
   const std::uint32_t n = static_cast<std::uint32_t>(dag.events.size());
-  std::vector<sim::SimTime> nt(n, 0);
-
-  sim::SimTime finish = -1;     // max over proc-finish events
-  sim::SimTime any_chain = -1;  // fallback: max over program-chained events
+  // The replay keeps each event's shift, its retimed minus its observed
+  // time: an edge that keeps its duration hands its source's shift on
+  // unchanged. Events with no predecessor keep their observed time
+  // (shift 0): chain heads start at their real start, and a
+  // wraparound-truncated prefix is never projected below what actually
+  // happened.
+  std::vector<sim::SimTime> shift(n, 0);
   for (std::uint32_t i = 0; i < n; ++i) {
-    bool bound = false;
+    const Slot& sl = dag.slots[i];
     sim::SimTime v = 0;
-    for (const EdgeKind k : {EdgeKind::Program, EdgeKind::Message, EdgeKind::Wake}) {
-      if (dag.pred({i, k}) == kNone) continue;
-      const Edge e = dag.edge({i, k});
-      v = std::max(v, nt[e.from] + scenario_weight(e, s, dag.net));
-      bound = true;
+    if (sl.program != kNone) {
+      // Program waits collapse to their work portion only when a
+      // delivery ended them, and the event then follows the delivery
+      // (the wake edge's scheduling slack is kept as observed). Timer-
+      // driven gaps (compute, service time, retry timeouts) are not
+      // message-limited and keep their duration, which makes the
+      // retimer exact on communication-free runs.
+      v = sl.wake != kNone ? std::max(shift[sl.program] - sl.wait_or_queue, shift[sl.wake])
+                           : shift[sl.program];
+      if (sl.message != kNone) v = std::max(v, shift[sl.message] + message_delta(dag, i, s));
+    } else if (sl.message != kNone) {
+      v = shift[sl.message] + message_delta(dag, i, s);
     }
-    // Events with no predecessor keep their observed time: chain heads
-    // start at their real start, and a wraparound-truncated prefix is
-    // never projected below what actually happened.
-    nt[i] = bound ? v : dag.events[i].time;
-    if (dag.events[i].name == Ev::ProcFinish) finish = std::max(finish, nt[i]);
-    if (dag.pred({i, EdgeKind::Program}) != kNone) any_chain = std::max(any_chain, nt[i]);
+    // Edge weights are never negative, so neither is a retimed time.
+    assert(dag.events[i].time + v >= 0);
+    shift[i] = v;
   }
+  const auto retimed = [&](std::uint32_t i) { return dag.events[i].time + shift[i]; };
 
+  sim::SimTime finish = -1;  // max over proc-finish events
+  for (const std::uint32_t i : dag.finishes) finish = std::max(finish, retimed(i));
   if (finish >= 0) {
     p.projected = finish;
-  } else if (any_chain >= 0) {
-    p.projected = any_chain;
   } else {
-    p.projected = dag.end;
+    sim::SimTime any_chain = -1;  // fallback: max over program-chained events
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (dag.slots[i].program != kNone) any_chain = std::max(any_chain, retimed(i));
+    }
+    p.projected = any_chain >= 0 ? any_chain : dag.end;
   }
   p.speedup = p.projected > 0 ? static_cast<double>(p.observed) / static_cast<double>(p.projected)
                               : 1.0;

@@ -10,11 +10,13 @@
 #include <iterator>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "apps/asp.hpp"
 #include "apps/ra.hpp"
 #include "apps/tsp.hpp"
 #include "net/presets.hpp"
+#include "net/topology.hpp"
 #include "orca/tags.hpp"
 #include "trace/causal/causal.hpp"
 #include "trace/trace.hpp"
@@ -86,10 +88,10 @@ TEST(CausalDag, OrphanEndsFromWraparoundAreDroppedAndCounted) {
   rec.set_time(100);
   rec.end(trace::Ev::Wan, 0, 7);
 
-  const trace::causal::Dag dag =
-      trace::causal::build_dag(std::move(rec).harvest(), net::das_config(2, 2));
+  const trace::Trace t = std::move(rec).harvest();
+  const trace::causal::Dag dag = trace::causal::build_dag(t, net::das_config(2, 2));
   EXPECT_EQ(dag.orphan_ends, 1u);
-  for (const trace::causal::Event& e : dag.events) {
+  for (const trace::TraceEvent& e : dag.events) {
     EXPECT_NE(e.phase, trace::EventPhase::End) << trace::to_string(e.name);
   }
 }
@@ -103,11 +105,137 @@ TEST(CausalDag, MatchedSpansSurviveNormalization) {
   rec.begin(trace::Ev::Wan, 0, 7);
   rec.set_time(50);
   rec.end(trace::Ev::Wan, 0, 7);
-  const trace::causal::Dag dag =
-      trace::causal::build_dag(std::move(rec).harvest(), net::das_config(2, 2));
+  const trace::Trace t = std::move(rec).harvest();
+  const trace::causal::Dag dag = trace::causal::build_dag(t, net::das_config(2, 2));
   EXPECT_EQ(dag.orphan_ends, 0u);
   ASSERT_EQ(dag.events.size(), 2u);
   EXPECT_EQ(dag.events[1].phase, trace::EventPhase::End);
+}
+
+TEST(CausalDag, EventsAreTheTraceEvents) {
+  // The Dag reads its events in place: kept event i is the trace event
+  // at trace_index(i), the indices strictly increase, and the positions
+  // they skip are exactly the orphan Ends. Checked on a wrapped ring
+  // (capacity 24000, under half the run) and an unwrapped one.
+  apps::RaParams ra;
+  ra.stones = 6;
+  for (const bool wrapped : {true, false}) {
+    AppConfig cfg = traced_config(4, 4);
+    if (wrapped) cfg.trace.capacity = 24000;
+    const AppResult r = apps::run_ra(cfg, ra);
+    ASSERT_TRUE(r.trace);
+    const trace::Trace& t = *r.trace;
+    ASSERT_EQ(t.dropped > 0, wrapped);
+    const trace::causal::Dag dag = trace::causal::build_dag(t, cfg.net_cfg);
+    EXPECT_EQ(dag.orphan_ends > 0, wrapped);
+
+    std::vector<bool> kept(t.events.size(), false);
+    std::size_t i = 0;
+    for (const trace::TraceEvent& e : dag.events) {
+      const std::uint32_t at = dag.events.trace_index(i);
+      ASSERT_LT(at, t.events.size());
+      if (i > 0) {
+        ASSERT_LT(dag.events.trace_index(i - 1), at);
+      }
+      const trace::TraceEvent& want = t.events[at];
+      EXPECT_EQ(&e, &want) << "kept event " << i << " is not read in place";
+      EXPECT_EQ(e.time, want.time);
+      EXPECT_EQ(e.id, want.id);
+      EXPECT_EQ(e.arg, want.arg);
+      EXPECT_EQ(e.actor, want.actor);
+      EXPECT_EQ(e.name, want.name);
+      EXPECT_EQ(e.phase, want.phase);
+      EXPECT_EQ(e.aux, want.aux);
+      EXPECT_EQ(&dag.events[i], &e);
+      kept[at] = true;
+      ++i;
+    }
+    EXPECT_EQ(i, dag.events.size());
+    EXPECT_EQ(dag.slots.size(), dag.events.size());
+
+    std::uint64_t skipped = 0;
+    for (std::size_t at = 0; at < t.events.size(); ++at) {
+      if (kept[at]) continue;
+      ++skipped;
+      EXPECT_EQ(t.events[at].phase, trace::EventPhase::End) << "trace event " << at;
+    }
+    EXPECT_EQ(skipped, dag.orphan_ends) << (wrapped ? "wrapped" : "unwrapped");
+  }
+}
+
+TEST(CausalDag, SparseMessageIdsKeepTheirJourneys) {
+  // Real runs mint dense message ids; the journey table must not rely
+  // on that. Ids 1 and 2^40 interleave a LAN and a WAN journey, then
+  // 3000 more ids spaced 2^40 apart force the table to grow. Trailing
+  // comments give each event's kept index.
+  trace::Config tc;
+  tc.enabled = true;
+  tc.capacity = 1 << 16;
+  trace::Recorder rec(tc);
+  const std::int16_t rpc = trace::Recorder::clamp_tag(orca::kTagRpcRequest);
+  const std::int16_t bcast = trace::Recorder::clamp_tag(orca::kTagBcastData);
+  const net::TopologyConfig net = net::das_config(2, 2);
+  const net::NodeId gw0 = net::Topology(net).gateway_of(0);
+  const net::NodeId gw1 = net::Topology(net).gateway_of(1);
+  const std::uint64_t lan = 1;
+  const std::uint64_t wan = std::uint64_t{1} << 40;
+  rec.set_time(10);
+  rec.instant(trace::Ev::SendLan, 0, lan, 64, rpc);        // 0
+  rec.set_time(20);
+  rec.begin(trace::Ev::Wan, 0, wan, 128, bcast);            // 1
+  rec.set_time(30);
+  rec.instant(trace::Ev::Deliver, 1, lan, 64, rpc);         // 2
+  rec.set_time(40);
+  rec.instant(trace::Ev::HopGwIn, gw0, wan, 128);           // 3
+  rec.instant(trace::Ev::WanQueue, gw0, wan, 5);            // 4
+  rec.set_time(60);
+  rec.instant(trace::Ev::HopWan, gw0, wan, 128);            // 5
+  rec.set_time(1060);
+  rec.instant(trace::Ev::HopGwOut, gw1, wan, 128);          // 6
+  rec.set_time(1070);
+  rec.instant(trace::Ev::Deliver, 2, wan, 128, bcast);      // 7
+  constexpr std::uint32_t kBulk = 3000;
+  constexpr std::uint32_t kFirstBulk = 8;
+  for (std::uint32_t k = 1; k <= kBulk; ++k) {
+    rec.instant(trace::Ev::SendLan, 0, std::uint64_t{k} << 40 | 3, k, rpc);
+  }
+  rec.set_time(2000);
+  for (std::uint32_t k = 1; k <= kBulk; ++k) {
+    rec.instant(trace::Ev::Deliver, 1, std::uint64_t{k} << 40 | 3, k, rpc);
+  }
+
+  const trace::Trace t = std::move(rec).harvest();
+  const trace::causal::Dag dag = trace::causal::build_dag(t, net);
+  ASSERT_EQ(dag.events.size(), kFirstBulk + 2 * kBulk);
+  using trace::causal::EdgeClass;
+  using trace::causal::EdgeKind;
+  using trace::causal::Protocol;
+  const auto message = [&dag](std::uint32_t to) { return dag.edge({to, EdgeKind::Message}); };
+  struct Hop {
+    std::uint32_t from, to;
+    EdgeClass cls;
+    Protocol proto;
+  };
+  for (const Hop& h : {Hop{0, 2, EdgeClass::Lan, Protocol::Rpc},
+                       Hop{1, 3, EdgeClass::Access, Protocol::Bcast},
+                       Hop{3, 5, EdgeClass::Gateway, Protocol::Bcast},
+                       Hop{5, 6, EdgeClass::WanTransfer, Protocol::Bcast},
+                       Hop{6, 7, EdgeClass::Lan, Protocol::Bcast}}) {
+    ASSERT_EQ(dag.pred({h.to, EdgeKind::Message}), h.from) << "event " << h.to;
+    const trace::causal::Edge e = message(h.to);
+    EXPECT_EQ(e.cls, h.cls) << "event " << h.to;
+    EXPECT_EQ(e.proto, h.proto) << "event " << h.to;
+  }
+  EXPECT_EQ(message(2).bytes, 64u);
+  EXPECT_EQ(message(6).wan_queue, 5);
+  EXPECT_EQ(message(6).wan_lat + message(6).wan_ser, 1000 - 5);
+  for (std::uint32_t k = 0; k < kBulk; ++k) {
+    const std::uint32_t send = kFirstBulk + k;
+    const std::uint32_t deliver = kFirstBulk + kBulk + k;
+    ASSERT_EQ(dag.pred({deliver, EdgeKind::Message}), send) << "bulk id " << k + 1;
+    EXPECT_EQ(message(deliver).cls, EdgeClass::Lan);
+    EXPECT_EQ(message(deliver).proto, Protocol::Rpc);
+  }
 }
 
 TEST(CausalDag, EdgesNeverGoBackwardInSimTime) {

@@ -112,6 +112,19 @@ opt = wan_share("build-release/alb-trace.cp.opt.csv")
 assert opt < orig, f"optimized TSP WAN share did not drop: {orig} -> {opt}"
 print(f"critical-path WAN share: orig {orig}% -> opt {opt}% OK")
 EOF
+# Whole-run analysis at paper geometry: ACP 8x32 with a ring that keeps
+# all 4.12M events must peak within 300 MB (the Dag reads its events
+# from the trace; it holds no copy of them).
+python3 - <<'EOF'
+import resource, subprocess
+cmd = ["./build-release/tools/alb-trace", "--app", "ACP", "--clusters", "8", "--per", "32",
+       "--capacity", "8000000", "--critical-path", "--what-if", "std"]
+out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+assert " dropped=0 " in out, "the whole-run ring dropped events: the run was not analyzed whole"
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak <= 300, f"whole-run ACP 8x32 causal analysis peaked at {peak:.1f} MB (> 300 MB)"
+print(f"whole-run ACP 8x32 causal analysis peak: {peak:.1f} MB <= 300 MB OK")
+EOF
 
 echo "=== wide-area collectives: RA traffic floor ==="
 # Tree dissemination + gateway combining must cut RA's WAN wire RPC
