@@ -25,6 +25,20 @@
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
+/// Compiles a host kernel twice, for AVX2 and for the baseline ISA, and
+/// lets the loader pick the clone the CPU runs (GCC/Clang on x86-64;
+/// nothing elsewhere). Only for kernels whose every operation is on
+/// integers or correctly rounded, so both clones give the same bits
+/// (DESIGN.md §5, item 6). A ThreadSanitizer build keeps the baseline
+/// clone alone: the loader runs the clone resolver before the TSan
+/// runtime is up, and the program crashes at start.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__)
+#define ALB_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define ALB_KERNEL_CLONES
+#endif
+
 namespace alb::apps {
 
 struct AppConfig {

@@ -88,13 +88,14 @@ struct SearchResult {
   long long nodes = 0;
 };
 
-/// Depth-first search below a partial tour ending at `cur`, with the
-/// cities still to visit in `unused` (bit c = city c). Children are
-/// visited in ascending city order; every call counts one node.
-void dfs(const Instance& ins, int cur, std::uint64_t unused, long long length, long long bound,
-         SearchResult* out) {
-  ++out->nodes;
-  if (length >= bound) return;  // prune against the fixed global bound
+/// Depth-first search below a node at `cur` that is under the bound,
+/// with the cities still to visit in `unused` (bit c = city c). Every
+/// search node counts once, and a node's children are counted here, by
+/// their parent: the search recurses only into a child whose path is
+/// still under the bound, since the others would return at once.
+/// Children are visited in ascending city order.
+void expand(const Instance& ins, int cur, std::uint64_t unused, long long length,
+            long long bound, SearchResult* out) {
   const int* row = &ins.dist[static_cast<std::size_t>(cur) * ins.n];
   if (unused == 0) {
     long long tour = length + row[0];
@@ -103,7 +104,9 @@ void dfs(const Instance& ins, int cur, std::uint64_t unused, long long length, l
   }
   for (std::uint64_t rest = unused; rest != 0; rest &= rest - 1) {
     const int c = std::countr_zero(rest);
-    dfs(ins, c, unused & ~(std::uint64_t{1} << c), length + row[c], bound, out);
+    ++out->nodes;  // not std::popcount: baseline x86-64 has no popcnt instruction
+    const long long child = length + row[c];
+    if (child < bound) expand(ins, c, unused & ~(std::uint64_t{1} << c), child, bound, out);
   }
 }
 
@@ -112,17 +115,27 @@ SearchResult solve_job(const Instance& ins, const Job& job, long long bound) {
   // Cities 1..n-1; city 0 starts every tour.
   std::uint64_t unused = ((std::uint64_t{1} << ins.n) - 1) & ~std::uint64_t{1};
   for (int c : job.prefix) unused &= ~(std::uint64_t{1} << c);
-  dfs(ins, job.prefix.back(), unused, job.length, bound, &r);
+  // The job root is a search node too, pruned like any other.
+  r.nodes = 1;
+  if (job.length < bound) expand(ins, job.prefix.back(), unused, job.length, bound, &r);
   return r;
 }
 
-/// Rejects instances the 64-bit city mask of the search cannot hold.
+/// Rejects instances the 64-bit city mask of the search cannot hold,
+/// and job depths that are no prefix of a tour.
 void check_params(const TspParams& params) {
   if (params.cities < 2 || params.cities > kMaxTspCities) {
     std::string msg = "tsp: cities must be in [2, ";
     msg += std::to_string(kMaxTspCities);
     msg += "], got ";
     msg += std::to_string(params.cities);
+    throw std::invalid_argument(msg);
+  }
+  if (params.job_depth < 1 || params.job_depth > params.cities) {
+    std::string msg = "tsp: job_depth must be in [1, cities = ";
+    msg += std::to_string(params.cities);
+    msg += "], got ";
+    msg += std::to_string(params.job_depth);
     throw std::invalid_argument(msg);
   }
 }
@@ -156,7 +169,7 @@ AppResult run_tsp(const AppConfig& cfg, const TspParams& params) {
   Instance ins = Instance::generate(params.cities, cfg.seed);
   const long long bound = ins.greedy_bound();
   std::vector<Job> jobs = make_jobs(ins, params.job_depth);
-  const std::size_t job_bytes = 8 + params.job_depth * 4ul;
+  const std::size_t job_bytes = 8 + static_cast<std::size_t>(params.job_depth) * 4;
 
   // The global minimum lives in a replicated object; with the bound
   // fixed it is only read (locally, for pruning), as in the paper runs.

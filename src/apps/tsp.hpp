@@ -24,7 +24,8 @@ inline constexpr int kMaxTspCities = 63;
 struct TspParams {
   int cities = 13;
   /// Prefix depth used to generate jobs (master-side): depth 4 yields
-  /// 1320 jobs, ~22 per worker at 60 CPUs.
+  /// 1320 jobs, ~22 per worker at 60 CPUs. Must be in [1, cities]
+  /// (std::invalid_argument otherwise).
   int job_depth = 4;
   /// Simulated cost of expanding one search-tree node.
   sim::SimTime ns_per_node = 150;

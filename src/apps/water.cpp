@@ -43,16 +43,17 @@ std::vector<Molecule> generate_molecules(int n, std::uint64_t seed) {
 
 /// Softened inverse-square pair force on `a` from `b`, quantized to
 /// fixed point so the value is identical no matter which process
-/// computes it.
+/// computes it. Each component is under 2^18 in magnitude, well inside
+/// round_half_away's exact domain.
 std::array<Fixed, 3> pair_force(const Vec3& a, const Vec3& b) {
   const double dx = b.x - a.x;
   const double dy = b.y - a.y;
   const double dz = b.z - a.z;
   const double r2 = dx * dx + dy * dy + dz * dz + 0.1;  // softening
   const double inv = 1.0 / (r2 * std::sqrt(r2));
-  return {static_cast<Fixed>(std::lround(dx * inv * kFixedScale)),
-          static_cast<Fixed>(std::lround(dy * inv * kFixedScale)),
-          static_cast<Fixed>(std::lround(dz * inv * kFixedScale))};
+  return {detail::round_half_away(dx * inv * kFixedScale),
+          detail::round_half_away(dy * inv * kFixedScale),
+          detail::round_half_away(dz * inv * kFixedScale)};
 }
 
 /// Computes forces between two distinct blocks. Adds to `fa` (forces on

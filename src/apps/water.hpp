@@ -42,6 +42,19 @@ struct WaterParams {
   static WaterParams bench_default() { return {}; }
 };
 
+namespace detail {
+
+/// std::lround without the libm call: rounds half away from zero. Exact
+/// for |x| < 2^52, where truncating to an integer and subtracting it
+/// leaves the fraction with no rounding error.
+inline long long round_half_away(double x) {
+  const long long t = static_cast<long long>(x);
+  const double f = x - static_cast<double>(t);
+  return t + (f >= 0.5) - (f <= -0.5);
+}
+
+}  // namespace detail
+
 /// Sequential trajectory checksum (the ground truth for all runs).
 std::uint64_t water_reference_checksum(const WaterParams& params, std::uint64_t seed);
 

@@ -5,16 +5,19 @@
 // The host kernels may be rewritten freely as long as the modeled work
 // counts stay the same (DESIGN.md, "Host kernels"). The equivalence
 // tests below keep the straightforward scalar ATPG and vector-based TSP
-// searches as oracles and require the shipped kernels to reproduce
-// their counts exactly.
+// searches, a conditional-store Floyd-Warshall and an std::lround Water
+// as oracles, and require the shipped kernels to reproduce their counts
+// and answers exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "apps/acp.hpp"
@@ -40,32 +43,55 @@ AppConfig cfg(int clusters, int per, bool optimized = false) {
 }
 
 // ---------------------------------------------------------------- ASP
-// Floyd-Warshall output must satisfy the triangle inequality and
-// preserve zero diagonals; spot-check against Dijkstra-by-hand on a
-// tiny instance computed with an independent implementation.
-TEST(AspKernel, OutputsSatisfyShortestPathAxioms) {
-  // Re-derive the final matrix through the public parallel API.
-  AspParams prm;
-  prm.nodes = 24;
-  // The checksum locks the matrix; rebuild it independently here.
-  sim::Rng rng(42);
-  const int n = prm.nodes;
-  std::vector<std::vector<int>> d(n, std::vector<int>(n));
+namespace asp_oracle {
+
+using Matrix = std::vector<std::vector<int>>;
+
+/// The app's input matrix, rebuilt from the same seeded stream.
+Matrix generate(int n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  Matrix d(static_cast<std::size_t>(n), std::vector<int>(static_cast<std::size_t>(n)));
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       d[i][j] = i == j ? 0 : static_cast<int>(rng.uniform_int(1, 1000));
     }
   }
-  auto ref = d;
-  for (int k = 0; k < n; ++k) {
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        ref[i][j] = std::min(ref[i][j], ref[i][k] + ref[k][j]);
+  return d;
+}
+
+/// Scalar Floyd-Warshall with the textbook conditional store.
+Matrix floyd_warshall(Matrix d) {
+  const std::size_t n = d.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const int via = d[i][k] + d[k][j];
+        if (via < d[i][j]) d[i][j] = via;
       }
     }
   }
-  // Axioms on the reference (which the app's checksum equals by the
-  // MatchesReference tests).
+  return d;
+}
+
+std::uint64_t checksum(const Matrix& d) {
+  std::uint64_t h = kHashSeed;
+  for (const auto& row : d) {
+    for (int v : row) h = hash_mix(h, static_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+}  // namespace asp_oracle
+
+// Floyd-Warshall output must satisfy the triangle inequality and
+// preserve zero diagonals, and the app must agree with an independent
+// scalar recomputation.
+TEST(AspKernel, OutputsSatisfyShortestPathAxioms) {
+  AspParams prm;
+  prm.nodes = 24;
+  const int n = prm.nodes;
+  const asp_oracle::Matrix d = asp_oracle::generate(n, 42);
+  const asp_oracle::Matrix ref = asp_oracle::floyd_warshall(d);
   for (int i = 0; i < n; ++i) {
     EXPECT_EQ(ref[i][i], 0);
     for (int j = 0; j < n; ++j) {
@@ -75,12 +101,27 @@ TEST(AspKernel, OutputsSatisfyShortestPathAxioms) {
       }
     }
   }
-  // And the app agrees with this independent recomputation.
-  std::uint64_t want = kHashSeed;
-  for (const auto& row : ref) {
-    for (int v : row) want = hash_mix(want, static_cast<std::uint64_t>(v));
+  EXPECT_EQ(asp_reference_checksum(prm, 42), asp_oracle::checksum(ref));
+}
+
+// Row lengths that are not a multiple of any vector width of the relax
+// loop (8 or 16 cells), so every clone of it runs its remainder
+// iterations, in the sequential reference and in parallel runs whose row
+// blocks are uneven.
+TEST(AspKernel, MatchesOracleOffVectorWidth) {
+  for (int n : {37, 61, 100}) {
+    AspParams prm;
+    prm.nodes = n;
+    const std::uint64_t want =
+        asp_oracle::checksum(asp_oracle::floyd_warshall(asp_oracle::generate(n, 42)));
+    EXPECT_EQ(asp_reference_checksum(prm, 42), want) << n;
+    for (auto [clusters, per] : {std::pair{2, 3}, std::pair{4, 2}}) {
+      for (bool opt : {false, true}) {
+        EXPECT_EQ(run_asp(cfg(clusters, per, opt), prm).checksum, want)
+            << n << " nodes, " << clusters << "x" << per << (opt ? " opt" : " orig");
+      }
+    }
   }
-  EXPECT_EQ(asp_reference_checksum(prm, 42), want);
 }
 
 // --------------------------------------------------------------- ATPG
@@ -294,8 +335,9 @@ void dfs(const Instance& ins, std::vector<int>& path, std::vector<char>& used, l
 }
 
 /// Expands every job prefix of `depth` cities in lexicographic order
-/// and searches below it.
-TspOutcome solve(int cities, int depth, std::uint64_t seed) {
+/// and searches below it. `pruned_roots` counts the prefixes already at
+/// or over the bound.
+TspOutcome solve(int cities, int depth, std::uint64_t seed, long long* pruned_roots = nullptr) {
   const Instance ins = generate(cities, seed);
   const long long bound = greedy_bound(ins);
   TspOutcome out;
@@ -305,6 +347,7 @@ TspOutcome solve(int cities, int depth, std::uint64_t seed) {
   used[0] = 1;
   auto expand = [&](auto& self, long long length) -> void {
     if (static_cast<int>(path.size()) >= depth) {
+      if (pruned_roots != nullptr && length >= bound) ++*pruned_roots;
       dfs(ins, path, used, length, bound, &out);
       return;
     }
@@ -325,6 +368,7 @@ TspOutcome solve(int cities, int depth, std::uint64_t seed) {
 }  // namespace tsp_oracle
 
 TEST(TspKernel, BitmaskSearchMatchesVectorSearch) {
+  long long pruned_roots = 0;
   for (int cities = 5; cities <= 13; ++cities) {
     for (int depth = 1; depth <= 4; ++depth) {
       TspParams prm;
@@ -332,11 +376,14 @@ TEST(TspKernel, BitmaskSearchMatchesVectorSearch) {
       prm.job_depth = depth;
       const std::uint64_t seed = 42 + static_cast<std::uint64_t>(cities);
       const TspOutcome got = tsp_reference(prm, seed);
-      const TspOutcome want = tsp_oracle::solve(cities, depth, seed);
+      const TspOutcome want = tsp_oracle::solve(cities, depth, seed, &pruned_roots);
       EXPECT_EQ(got.best_tour, want.best_tour) << cities << " cities, depth " << depth;
       EXPECT_EQ(got.nodes_expanded, want.nodes_expanded) << cities << " cities, depth " << depth;
     }
   }
+  // Some job prefix must already reach the bound, so the search's
+  // job-root prune is compared too, not only its pruning of children.
+  EXPECT_GT(pruned_roots, 0);
 }
 
 TEST(TspKernel, RejectsInstancesTheCityMaskCannotHold) {
@@ -350,6 +397,24 @@ TEST(TspKernel, RejectsInstancesTheCityMaskCannotHold) {
   two.cities = 2;
   two.job_depth = 1;
   EXPECT_EQ(tsp_reference(two, 42).best_tour, 2 * tsp_oracle::generate(2, 42).d(0, 1));
+}
+
+TEST(TspKernel, RejectsJobDepthsOutsideTheTour) {
+  for (int depth : {-5, -1, 0, 9, 64}) {
+    TspParams prm;
+    prm.cities = 8;
+    prm.job_depth = depth;
+    EXPECT_THROW((void)tsp_reference(prm, 42), std::invalid_argument) << depth;
+    EXPECT_THROW((void)run_tsp(cfg(1, 2), prm), std::invalid_argument) << depth;
+  }
+  // A prefix as long as the tour is one job per full tour.
+  TspParams whole;
+  whole.cities = 8;
+  whole.job_depth = 8;
+  const TspOutcome got = tsp_reference(whole, 42);
+  const TspOutcome want = tsp_oracle::solve(8, 8, 42);
+  EXPECT_EQ(got.best_tour, want.best_tour);
+  EXPECT_EQ(got.nodes_expanded, want.nodes_expanded);
 }
 
 // --------------------------------------------------------------- IDA*
@@ -496,6 +561,93 @@ TEST(WaterKernel, TrajectoriesDivergeAcrossSeeds) {
   prm.molecules = 32;
   prm.steps = 2;
   EXPECT_NE(water_reference_checksum(prm, 1), water_reference_checksum(prm, 2));
+}
+
+// The inline rounding of the pair forces against libm, on the ties it
+// must round away from zero, the largest double below one half, and a
+// seeded mix of magnitudes inside its |x| < 2^52 domain.
+TEST(WaterKernel, RoundHalfAwayMatchesLround) {
+  for (double x : {0.5, 1.5, 2.5, 0.49999999999999994, 2147483648.5}) {
+    EXPECT_EQ(detail::round_half_away(x), std::lround(x)) << x;
+    EXPECT_EQ(detail::round_half_away(-x), std::lround(-x)) << -x;
+  }
+  sim::Rng rng(2024);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double u = rng.uniform() * 2.0 - 1.0;
+    double x = 0;
+    switch (i % 3) {
+      case 0: x = u * 262144.0; break;                    // the pair forces' range
+      case 1: x = std::floor(u * 1e6) + 0.5; break;       // exact ties
+      default: x = std::ldexp(u, static_cast<int>(rng.uniform_int(-8, 52))); break;
+    }
+    ASSERT_EQ(detail::round_half_away(x), std::lround(x)) << std::hexfloat << x;
+  }
+}
+
+// Sequential Water written apart from the app's kernel, with its pair
+// forces quantized by libm's std::lround.
+namespace water_oracle {
+
+struct Vec3 {
+  double x, y, z;
+};
+
+std::uint64_t checksum(int molecules, int steps, std::uint64_t seed) {
+  constexpr double kScale = 65536.0;
+  constexpr double dt = 0.005;
+  const auto n = static_cast<std::size_t>(molecules);
+  std::vector<Vec3> pos(n), vel(n);
+  sim::Rng rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos[i] = {rng.uniform() * 10.0, rng.uniform() * 10.0, rng.uniform() * 10.0};
+    vel[i] = {rng.uniform() - 0.5, rng.uniform() - 0.5, rng.uniform() - 0.5};
+  }
+  for (int step = 0; step < steps; ++step) {
+    std::vector<std::array<long long, 3>> f(n, {0, 0, 0});
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double d[3] = {pos[j].x - pos[i].x, pos[j].y - pos[i].y, pos[j].z - pos[i].z};
+        const double r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + 0.1;
+        const double inv = 1.0 / (r2 * std::sqrt(r2));
+        for (int c = 0; c < 3; ++c) {
+          const long long q = std::lround(d[c] * inv * kScale);
+          f[i][c] += q;
+          f[j][c] -= q;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      vel[i].x += static_cast<double>(f[i][0]) / kScale * dt;
+      vel[i].y += static_cast<double>(f[i][1]) / kScale * dt;
+      vel[i].z += static_cast<double>(f[i][2]) / kScale * dt;
+      pos[i].x += vel[i].x * dt;
+      pos[i].y += vel[i].y * dt;
+      pos[i].z += vel[i].z * dt;
+    }
+  }
+  std::uint64_t h = kHashSeed;
+  for (const Vec3& p : pos) {
+    h = hash_mix(h, static_cast<std::uint64_t>(std::llround(p.x * 1e6)));
+    h = hash_mix(h, static_cast<std::uint64_t>(std::llround(p.y * 1e6)));
+    h = hash_mix(h, static_cast<std::uint64_t>(std::llround(p.z * 1e6)));
+  }
+  return h;
+}
+
+}  // namespace water_oracle
+
+TEST(WaterKernel, MatchesLroundOracle) {
+  for (int molecules : {61, 256}) {
+    WaterParams prm;
+    prm.molecules = molecules;
+    prm.steps = 3;
+    const std::uint64_t want = water_oracle::checksum(molecules, prm.steps, 42);
+    EXPECT_EQ(water_reference_checksum(prm, 42), want) << molecules;
+    for (bool opt : {false, true}) {
+      EXPECT_EQ(run_water(cfg(2, 3, opt), prm).checksum, want)
+          << molecules << " molecules" << (opt ? " opt" : " orig");
+    }
+  }
 }
 
 }  // namespace

@@ -197,7 +197,7 @@ R=build-release
 # Campaign parallelism: --jobs 4 must equal --jobs 1. The CSVs carry
 # only simulated numbers; the causal and resilience JSONs do too (the
 # collective and adaptive JSONs add wall-clock throughput).
-for b in bench_fig_water bench_fig15; do
+for b in bench_fig_water bench_fig_asp bench_fig_tsp bench_fig15; do
   det_diff "$b.jobs" "$B/$b" --quick --csv --jobs 1 -- "$B/$b" --quick --csv --jobs 4
 done
 for b in causal resilience collective adaptive; do
