@@ -8,9 +8,6 @@
 // per-job wall times plus campaign throughput as machine-readable JSON.
 //
 //   ./bench_campaign [--jobs=N] [--quick] [--seed=S] [--json=PATH]
-//
-// results/BENCH_campaign.json holds the tracked numbers for this
-// machine; rerun with `--json results/BENCH_campaign.json` to refresh.
 
 #include <chrono>
 #include <fstream>

@@ -12,8 +12,7 @@
 //
 //   ./bench_causal [--quick] [--csv] [--jobs=N] [--seed=S] [--json=PATH]
 //
-// results/BENCH_causal.json holds the tracked numbers; rerun with
-// `--json results/BENCH_causal.json` to refresh.
+// tools/publish_results.py regenerates results/BENCH_causal.json.
 
 #include <fstream>
 #include <iostream>

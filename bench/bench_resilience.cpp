@@ -11,8 +11,7 @@
 //
 //   ./bench_resilience [--quick] [--csv] [--jobs=N] [--seed=S] [--json=PATH]
 //
-// results/BENCH_resilience.json holds the tracked numbers; rerun with
-// `--json results/BENCH_resilience.json` to refresh.
+// tools/publish_results.py regenerates results/BENCH_resilience.json.
 
 #include <fstream>
 #include <iostream>

@@ -1,16 +1,14 @@
 // Table 1: application-to-application performance of the low-level Orca
 // primitives — null-operation latency and 100 KB-message bandwidth for
 // RPC (non-replicated objects) and totally-ordered broadcast (replicated
-// objects), on the LAN (Myrinet) and across the WAN (ATM).
-//
-// Paper values:            latency            bandwidth
-//   RPC        Myrinet 40 us / ATM 2.7 ms   208 / 4.53 Mbit/s
-//   Broadcast  Myrinet 65 us / ATM 3.0 ms   248 / 4.53 Mbit/s
+// objects), on the LAN (Myrinet) and across the WAN (ATM). The paper's
+// values are in paper.hpp.
 
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "orca/shared_object.hpp"
+#include "paper.hpp"
 
 namespace {
 
@@ -82,9 +80,10 @@ Measure bcast_micro(bool cross_wan) {
     net::Network net(eng, cross_wan ? net::das_config(4, 15) : net::das_config(1, 60));
     orca::Runtime rt(net);
     auto obj = orca::create_replicated<Slot>(rt, {});
-    // WAN case: the writer's cluster does not hold the sequencing token,
-    // so the write pays WAN ordering before the (local) delivery — the
-    // composition behind the paper's 3.0 ms figure.
+    // WAN case: four clusters run the multicluster default, the rotating
+    // sequencer. The writer's cluster does not hold its token, so the
+    // write waits for the token to come round (DESIGN §6c) before the
+    // local delivery. The paper does not say which sequencer it used.
     const int writer = cross_wan ? 18 : 3;
     const int observer = cross_wan ? 20 : 30;
     sim::SimTime delivered = 0;
@@ -133,29 +132,24 @@ int main(int argc, char** argv) {
   FigureOptions fo;
   if (!fo.parse(argc, argv)) return 0;
 
-  Measure rpc_lan = rpc_micro(false);
-  Measure rpc_wan = rpc_micro(true);
-  Measure bc_lan = bcast_micro(false);
-  Measure bc_wan = bcast_micro(true);
-
   util::Table t({"benchmark", "LAN latency", "WAN latency", "LAN bandwidth",
                  "WAN bandwidth", "paper LAN/WAN lat", "paper LAN/WAN bw"});
-  t.row()
-      .add("RPC (non-replicated)")
-      .add(util::format_fixed(rpc_lan.latency_us, 0) + " us")
-      .add(util::format_fixed(rpc_wan.latency_us / 1000.0, 2) + " ms")
-      .add(util::format_fixed(rpc_lan.bandwidth_mbit, 0) + " Mbit/s")
-      .add(util::format_fixed(rpc_wan.bandwidth_mbit, 2) + " Mbit/s")
-      .add("40 us / 2.7 ms")
-      .add("208 / 4.53 Mbit/s");
-  t.row()
-      .add("Broadcast (replicated)")
-      .add(util::format_fixed(bc_lan.latency_us, 0) + " us")
-      .add(util::format_fixed(bc_wan.latency_us / 1000.0, 2) + " ms")
-      .add(util::format_fixed(bc_lan.bandwidth_mbit, 0) + " Mbit/s")
-      .add(util::format_fixed(bc_wan.bandwidth_mbit, 2) + " Mbit/s")
-      .add("65 us / 3.0 ms")
-      .add("248 / 4.53 Mbit/s");
+  auto add_row = [&](const std::string& label, const Measure& lan, const Measure& wan,
+                     const paper::Primitive& p) {
+    using util::format_fixed;
+    t.row()
+        .add(label)
+        .add(format_fixed(lan.latency_us, 0) + " us")
+        .add(format_fixed(wan.latency_us / 1000.0, 2) + " ms")
+        .add(format_fixed(lan.bandwidth_mbit, 0) + " Mbit/s")
+        .add(format_fixed(wan.bandwidth_mbit, 2) + " Mbit/s")
+        .add(format_fixed(p.lan_latency_us, 0) + " us / " + format_fixed(p.wan_latency_ms, 1) +
+             " ms")
+        .add(format_fixed(p.lan_mbit, 0) + " / " + format_fixed(p.wan_mbit, 2) + " Mbit/s");
+  };
+  add_row("RPC (non-replicated)", rpc_micro(false), rpc_micro(true), paper::kRpc);
+  add_row("Broadcast (replicated; WAN rotating sequencer)", bcast_micro(false),
+          bcast_micro(true), paper::kBroadcast);
 
   std::cout << "=== Table 1: low-level Orca primitive performance ===\n";
   if (fo.csv) t.print_csv(std::cout);

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "paper.hpp"
 
 int main(int argc, char** argv) {
   using namespace alb;
@@ -23,9 +24,6 @@ int main(int argc, char** argv) {
 
   util::Table t({"program", "#RPC/s", "RPC kbytes/s", "#bcast/s", "bcast kbytes/s",
                  "speedup", "paper speedup(64P)"});
-  const std::map<std::string, std::string> paper_speedup{
-      {"Water", "56.5"}, {"TSP", "62.9"}, {"ASP", "59.3"}, {"ATPG", "50.3"},
-      {"IDA*", "62.1"},  {"RA", "25.9"},  {"ACP", "37.0"}, {"SOR", "46.3"}};
 
   std::vector<campaign::SimJob> jobs;
   for (const auto& entry : apps::registry()) {
@@ -58,7 +56,7 @@ int main(int argc, char** argv) {
         .add(bcasts / secs, 0)
         .add(bc_kb / secs, 0)
         .add(static_cast<double>(base.elapsed) / static_cast<double>(r.elapsed), 1)
-        .add(paper_speedup.at(entry.name));
+        .add(paper::app(entry.name).speedup_64cpu, 1);
   }
   std::cout << "=== Table 2: application characteristics on " << cpus
             << " processors, one cluster ===\n"

@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "paper.hpp"
 
 namespace {
 
@@ -42,14 +43,21 @@ int main(int argc, char** argv) {
   }
   std::vector<AppResult> results = campaign::run_sim_jobs(jobs, {fo.jobs});
 
-  util::Table before({"app", "#RPC", "RPC kbyte", "#bcast", "bcast kbyte"});
-  util::Table after({"app", "#RPC", "RPC kbyte", "#bcast", "bcast kbyte"});
+  const std::vector<std::string> cols{"app",         "#RPC",       "RPC kbyte",   "#bcast",
+                                      "bcast kbyte", "paper #RPC", "paper #bcast"};
+  util::Table before(cols);
+  util::Table after(cols);
+  auto add = [](util::Table& t, const std::string& app, const Row& r, long long paper_rpc,
+                long long paper_bc) {
+    auto quoted = [](long long v) { return v < 0 ? std::string("-") : std::to_string(v); };
+    t.row().add(app).add(r.rpc_count).add(r.rpc_kb).add(r.bc_count).add(r.bc_kb)
+        .add(quoted(paper_rpc)).add(quoted(paper_bc));
+  };
   std::size_t i = 0;
   for (const auto& entry : apps::registry()) {
-    Row o = traffic_row(results[i++]);
-    Row p = traffic_row(results[i++]);
-    before.row().add(entry.name).add(o.rpc_count).add(o.rpc_kb).add(o.bc_count).add(o.bc_kb);
-    after.row().add(entry.name).add(p.rpc_count).add(p.rpc_kb).add(p.bc_count).add(p.bc_kb);
+    const paper::App& p = paper::app(entry.name);
+    add(before, entry.name, traffic_row(results[i++]), p.rpc_before, p.bcast_before);
+    add(after, entry.name, traffic_row(results[i++]), p.rpc_after, p.bcast_after);
   }
   std::cout << "=== Table 4: intercluster traffic BEFORE optimization (P=60, C=4) ===\n";
   if (fo.csv) before.print_csv(std::cout);

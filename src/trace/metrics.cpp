@@ -3,6 +3,8 @@
 #include <bit>
 #include <ostream>
 
+#include "trace/chrome_trace.hpp"
+
 namespace alb::trace {
 
 void Histogram::add(std::uint64_t v) {
@@ -68,15 +70,6 @@ void MetricsSnapshot::write_csv(std::ostream& os) const {
 
 namespace {
 
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
 /// Writes `"name":<value>` members separated by commas.
 struct JsonMembers {
   std::ostream& os;
@@ -84,8 +77,9 @@ struct JsonMembers {
   std::ostream& next(std::string_view name) {
     if (!first) os << ',';
     first = false;
-    write_json_string(os, name);
-    return os << ':';
+    os << '"';
+    write_json_escaped(os, name);
+    return os << "\":";
   }
 };
 

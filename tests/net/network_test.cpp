@@ -7,6 +7,7 @@
 
 #include "net/network.hpp"
 #include "net/presets.hpp"
+#include "paper.hpp"
 #include "sim/task.hpp"
 
 namespace alb::net {
@@ -67,7 +68,7 @@ TEST(Network, RoundtripMatchesPaperWanLatency) {
     out = n.engine().now() - start;
   }(net, rtt));
   eng.run();
-  EXPECT_NEAR(static_cast<double>(rtt), 2.7e6, 0.1e6);  // paper: 2.7 ms
+  EXPECT_NEAR(static_cast<double>(rtt), bench::paper::kRpc.wan_latency_ms * 1e6, 0.1e6);
 }
 
 TEST(Network, WanBandwidthLimitsLargeMessages) {

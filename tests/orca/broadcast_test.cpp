@@ -17,6 +17,7 @@
 #include "orca/runtime.hpp"
 #include "orca/shared_object.hpp"
 #include "orca/tags.hpp"
+#include "paper.hpp"
 
 namespace alb::orca {
 namespace {
@@ -70,10 +71,11 @@ TEST(Replicated, WriteReachesAllReplicas) {
 }
 
 TEST(Replicated, SingleClusterNullBroadcastTakes65us) {
-  // Paper Table 1: replicated-object update latency 65 us on Myrinet,
+  // Paper Table 1: replicated-object update latency on Myrinet,
   // measured as the time until the update is applied at the other
-  // replicas: get-sequence RPC to the sequencer (40 us, two control
-  // hops) plus hardware broadcast delivery (25 us).
+  // replicas: get-sequence RPC to the sequencer (a null RPC, two
+  // control hops) plus hardware broadcast delivery (25 us).
+  const double lat_us = bench::paper::kBroadcast.lan_latency_us;
   Fixture f(net::das_config(1, 8));
   auto obj = create_replicated<Log>(f.rt, Log{});
   sim::SimTime delivered = -1;
@@ -85,13 +87,13 @@ TEST(Replicated, SingleClusterNullBroadcastTakes65us) {
       co_await obj.write(p, 0, [](Log& l) { l.entries.push_back(1); });
       // The writer itself returns after the get-sequence roundtrip plus
       // local application — it does not wait for remote delivery.
-      EXPECT_LT(p.now(), sim::microseconds(65));
-      EXPECT_GE(p.now(), sim::microseconds(40));
+      EXPECT_LT(p.now(), sim::microseconds(lat_us));
+      EXPECT_GE(p.now(), sim::microseconds(bench::paper::kRpc.lan_latency_us));
     }
   });
   f.rt.run_all();
-  // 16-byte control framing adds ~1.2 us over the idealized 65 us.
-  EXPECT_NEAR(static_cast<double>(delivered), 65e3, 2e3);
+  // 16-byte control framing adds ~1.2 us over the idealized latency.
+  EXPECT_NEAR(static_cast<double>(delivered), lat_us * 1e3, 2e3);
 }
 
 using SweepParam = std::tuple<SequencerKind, int /*clusters*/, int /*per cluster*/>;

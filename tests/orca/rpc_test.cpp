@@ -5,6 +5,7 @@
 #include "net/presets.hpp"
 #include "orca/runtime.hpp"
 #include "orca/shared_object.hpp"
+#include "paper.hpp"
 
 namespace alb::orca {
 namespace {
@@ -48,8 +49,8 @@ TEST(Rpc, IntraClusterNullRpcTakes40us) {
     elapsed = p.now() - t0;
   });
   f.rt.run_all();
-  // Paper Table 1: Myrinet null RPC latency 40 us.
-  EXPECT_EQ(elapsed, sim::microseconds(40));
+  // Paper Table 1: Myrinet null RPC latency.
+  EXPECT_EQ(elapsed, sim::microseconds(bench::paper::kRpc.lan_latency_us));
 }
 
 TEST(Rpc, InterClusterNullRpcTakes2700us) {
@@ -63,8 +64,8 @@ TEST(Rpc, InterClusterNullRpcTakes2700us) {
     elapsed = p.now() - t0;
   });
   f.rt.run_all();
-  // Paper Table 1: WAN null RPC latency 2.7 ms.
-  EXPECT_NEAR(static_cast<double>(elapsed), 2.7e6, 0.1e6);
+  // Paper Table 1: WAN null RPC latency.
+  EXPECT_NEAR(static_cast<double>(elapsed), bench::paper::kRpc.wan_latency_ms * 1e6, 0.1e6);
 }
 
 TEST(Rpc, ReturnsValues) {

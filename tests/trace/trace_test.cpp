@@ -238,6 +238,7 @@ TEST(Metrics, CsvAndJsonAreNameOrderedAndStable) {
   trace::MetricsSnapshot m;
   m.set_counter("b/second", 2);
   m.set_counter("a/first", 1);
+  m.set_counter("c/\"quoted\"\x01", 3);
   std::ostringstream csv1, csv2;
   m.write_csv(csv1);
   m.write_csv(csv2);
@@ -250,6 +251,8 @@ TEST(Metrics, CsvAndJsonAreNameOrderedAndStable) {
   const std::string j = js.str();
   EXPECT_NE(j.find("\"counters\""), std::string::npos);
   EXPECT_NE(j.find("\"a/first\":1"), std::string::npos);
+  // Names go through the same escaper as the Chrome export.
+  EXPECT_NE(j.find("\"c/\\\"quoted\\\"\\u0001\":3"), std::string::npos);
 }
 
 TEST(ChromeTrace, ExportHasMetadataAndBalancedEvents) {

@@ -14,13 +14,13 @@ namespace {
 
 TEST(Table, RendersAlignedColumns) {
   Table t({"app", "speedup"});
-  t.row().add("Water").add(56.5, 1);
-  t.row().add("TSP").add(62.9, 1);
+  t.row().add("Water").add(12.5, 1);
+  t.row().add("TSP").add(8.0, 1);
   std::ostringstream os;
   t.print(os);
   std::string s = os.str();
   EXPECT_NE(s.find("Water"), std::string::npos);
-  EXPECT_NE(s.find("56.5"), std::string::npos);
+  EXPECT_NE(s.find("12.5"), std::string::npos);
   EXPECT_NE(s.find("-----"), std::string::npos);
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI gate: Python unit tests, sanitizer build + release build,
 # both test suites, a TSan pass over the campaign engine, perf and
-# paper-claim gates, a table of byte-identity diffs, and doc lints.
+# paper-claim gates, a table of byte-identity diffs, a diff of the
+# published results against this build, and doc lints.
 # Usage: tools/check.sh [jobs]
 #
 #   build-asan/     Debug + ASan/UBSan (catches lifetime bugs in the
@@ -20,10 +21,11 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-echo "=== python unit tests: benchmark statistics + perf_pair and bench-gate verdicts ==="
+echo "=== python unit tests: benchmark statistics, perf_pair, bench-gate, publish_results ==="
 python3 -m unittest discover -s perfbench -p 'test_*.py'
 python3 tools/test_perf_pair.py
 python3 tools/test_bench_gate.py
+python3 tools/test_publish_results.py
 
 echo "=== configure + build: Debug + ASan/UBSan ==="
 cmake -B build-asan -S . \
@@ -327,6 +329,15 @@ assert {"serve.parse", "serve.resolve", "serve.simulate", "serve.output",
 print(f"telemetry artifacts OK: {len(names)} serve tracks, {len(spans)} span kinds")
 EOF
 
+echo "=== published results: regenerated from this build, byte-identical ==="
+# publish_results.py writes next to its own copy, so the copy under
+# $R/publish regenerates without touching the tree.
+rm -rf "$R/publish" && mkdir -p "$R/publish/tools"
+cp -r results EXPERIMENTS.md "$R/publish/" && cp tools/publish_results.py "$R/publish/tools/"
+python3 "$R/publish/tools/publish_results.py" "$R"
+diff -r results "$R/publish/results" && diff EXPERIMENTS.md "$R/publish/EXPERIMENTS.md" \
+  || { echo "published results differ from this build: run tools/publish_results.py $R"; exit 1; }
+
 echo "=== lint: no orphan headers ==="
 # Every header under src/ must be included by some file under src/,
 # tools/, bench/, perfbench/ or examples/ other than its own .cpp. A
@@ -438,10 +449,17 @@ if undocd:
 print(f"telemetry doc coverage OK: {len(spans)} spans, {len(counters)} counters")
 EOF
 
-echo "=== docs: no dead relative links ==="
+echo "=== docs: no dead relative links or cited artifacts ==="
 fail=0
 for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md; do
   dir=$(dirname "$doc")
+  # Backticked repo paths under results/ tools/ bench/ scenarios/ docs/,
+  # and bare data-file names, must exist (`<name>` matches any file).
+  while read -r path; do
+    compgen -G "$path" > /dev/null || { echo "missing artifact cited in $doc: $path"; fail=1; }
+  done < <(sed '/^```/,/^```/d' "$doc" \
+           | grep -o '`\(\(results\|tools\|bench\|scenarios\|docs\)/[^` ]*\|[A-Za-z0-9_.-]*\.\(txt\|csv\|json\)\)[` ]' \
+           | tr -d '` ' | sed 's/<[^>]*>/*/g; s#/$##')
   # Extract relative markdown link targets (skip fenced code blocks,
   # which contain lambda syntax that looks like links, URLs and #anchors).
   for target in $(sed '/^```/,/^```/d' "$doc" \
@@ -453,6 +471,6 @@ for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md; do
     fi
   done
 done
-[ "$fail" -eq 0 ] || { echo "dead relative links found"; exit 1; }
+[ "$fail" -eq 0 ] || { echo "dead relative links or missing artifacts found"; exit 1; }
 
 echo "=== all checks passed ==="
