@@ -43,15 +43,15 @@ def main(build_dir):
     (ROOT / "results/paper").mkdir()
     files = {}
     for b in CSV_BENCHES:
-        files[f"results/paper/{b}.csv"] = subprocess.run(
+        name = f"results/paper/{b}.csv"
+        files[name] = subprocess.run(
             [bench / b, "--csv"], check=True, capture_output=True, text=True).stdout
+        (ROOT / name).write_text(files[name])
     for suite in JSON_SUITES:
         name = f"results/BENCH_{suite}.json"
         subprocess.run([bench / f"bench_{suite}", "--json", ROOT / name], check=True,
                        stdout=subprocess.DEVNULL)
         files[name] = (ROOT / name).read_text()
-    for name, text in files.items():
-        (ROOT / name).write_text(text)
     doc = ROOT / "EXPERIMENTS.md"
     doc.write_text(render(doc.read_text(), files))
 
