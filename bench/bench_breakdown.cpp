@@ -6,6 +6,7 @@
 // to see what each optimization bought back.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -15,17 +16,24 @@ int main(int argc, char** argv) {
   FigureOptions fo;
   if (!fo.parse(argc, argv)) return 0;
 
+  // Three runs per app, fanned out over --jobs; results come back in
+  // submission order.
+  std::vector<campaign::SimJob> jobs;
+  for (const auto& entry : apps::registry()) {
+    jobs.push_back({entry.run, make_config(1, 60, false)});
+    jobs.push_back({entry.run, make_config(4, 15, false)});
+    jobs.push_back({entry.run, make_config(4, 15, true)});
+  }
+  std::vector<AppResult> results = campaign::run_sim_jobs(jobs, {fo.jobs});
+
   util::Table t({"app", "1cl compute %", "orig 4cl compute %", "opt 4cl compute %",
                  "overhead removed %"});
-  for (const auto& entry : apps::registry()) {
-    AppResult one = entry.run(make_config(1, 60, false));
-    AppResult orig = entry.run(make_config(4, 15, false));
-    AppResult opt = entry.run(make_config(4, 15, true));
-    const double c1 = one.metrics["compute_fraction"] * 100;
-    const double co = orig.metrics["compute_fraction"] * 100;
-    const double cp = opt.metrics["compute_fraction"] * 100;
+  for (std::size_t i = 0; i < apps::registry().size(); ++i) {
+    const double c1 = results[3 * i].metrics["compute_fraction"] * 100;
+    const double co = results[3 * i + 1].metrics["compute_fraction"] * 100;
+    const double cp = results[3 * i + 2].metrics["compute_fraction"] * 100;
     t.row()
-        .add(entry.name)
+        .add(apps::registry()[i].name)
         .add(c1, 1)
         .add(co, 1)
         .add(cp, 1)

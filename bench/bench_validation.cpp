@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "paper.hpp"
@@ -22,28 +23,39 @@ int main(int argc, char** argv) {
               util::Options::Kind::Double);
   opts.define("bandwidth-skew", "0.97", "emulated/real bandwidth ratio",
               util::Options::Kind::Double);
+  define_jobs_option(opts);
   if (!parse_options(opts, argc, argv)) return 0;
   const double lat_skew = opts.get_double("latency-skew");
   const double bw_skew = opts.get_double("bandwidth-skew");
 
-  util::Table t({"app", "real WAN (s)", "emulated WAN (s)", "diff %"});
-  double sum = 0;
-  double sum_sq = 0;
-  int n = 0;
+  // The nominal and the emulated run of every app, fanned out over
+  // --jobs; results come back in submission order.
+  std::vector<campaign::SimJob> jobs;
   for (const auto& entry : apps::registry()) {
     AppConfig real_cfg = make_config(2, 16, false);
     AppConfig emu_cfg = real_cfg;
     emu_cfg.net_cfg.wan.latency =
         static_cast<sim::SimTime>(emu_cfg.net_cfg.wan.latency * lat_skew);
     emu_cfg.net_cfg.wan.bandwidth_bytes_per_sec *= bw_skew;
-    AppResult real_r = entry.run(real_cfg);
-    AppResult emu_r = entry.run(emu_cfg);
+    jobs.push_back({entry.run, real_cfg});
+    jobs.push_back({entry.run, emu_cfg});
+  }
+  std::vector<AppResult> results =
+      campaign::run_sim_jobs(jobs, {static_cast<int>(opts.get_int("jobs"))});
+
+  util::Table t({"app", "real WAN (s)", "emulated WAN (s)", "diff %"});
+  double sum = 0;
+  double sum_sq = 0;
+  int n = 0;
+  for (std::size_t i = 0; i < apps::registry().size(); ++i) {
+    const AppResult& real_r = results[2 * i];
+    const AppResult& emu_r = results[2 * i + 1];
     double diff = (static_cast<double>(emu_r.elapsed) / real_r.elapsed - 1.0) * 100.0;
     sum += diff;
     sum_sq += diff * diff;
     ++n;
     t.row()
-        .add(entry.name)
+        .add(apps::registry()[i].name)
         .add(sim::to_seconds(real_r.elapsed), 3)
         .add(sim::to_seconds(emu_r.elapsed), 3)
         .add(diff, 2);

@@ -12,6 +12,24 @@ namespace alb::apps {
 
 namespace {
 
+/// kDist[t][c]: Manhattan distance of tile t at cell c from its goal
+/// cell t - 1; 0 for the blank. A move changes the heuristic by the
+/// moved tile's entries alone.
+constexpr auto kDist = [] {
+  std::array<std::array<std::int8_t, 16>, 16> d{};
+  for (int t = 1; t < 16; ++t) {
+    const int goal = t - 1;
+    for (int c = 0; c < 16; ++c) {
+      const int dr = c / 4 - goal / 4;
+      const int dc = c % 4 - goal % 4;
+      // std::abs is not constexpr before C++23.
+      d[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)] =
+          static_cast<std::int8_t>((dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc));
+    }
+  }
+  return d;
+}();
+
 // 15-puzzle board: 16 nibbles, nibble c = tile at cell c, 0 = blank.
 struct Puzzle {
   std::uint64_t board;
@@ -50,10 +68,7 @@ struct Puzzle {
   int manhattan() const {
     int h = 0;
     for (int c = 0; c < 16; ++c) {
-      int t = tile(c);
-      if (t == 0) continue;
-      int goal = t - 1;
-      h += std::abs(c / 4 - goal / 4) + std::abs(c % 4 - goal % 4);
+      h += kDist[static_cast<std::size_t>(tile(c))][static_cast<std::size_t>(c)];
     }
     return h;
   }
@@ -114,9 +129,9 @@ struct DfsResult {
   long long nodes = 0;
 };
 
-void dfs(const Puzzle& p, int g, int last, int threshold, DfsResult* out) {
+/// `h` is p.manhattan(), kept up to date move by move through kDist.
+void dfs(const Puzzle& p, int g, int h, int last, int threshold, DfsResult* out) {
   ++out->nodes;
-  const int h = p.manhattan();
   if (g + h > threshold) return;
   if (h == 0) {
     if (g == threshold) ++out->solutions;
@@ -125,15 +140,34 @@ void dfs(const Puzzle& p, int g, int last, int threshold, DfsResult* out) {
   for (int d = 0; d < 4; ++d) {
     if (!p.can_move(d)) continue;
     if (last >= 0 && d == opposite(last)) continue;
-    Puzzle q = p.moved(d);
-    dfs(q, g + 1, d, threshold, out);
+    const Puzzle q = p.moved(d);
+    // The tile at q.blank's old cell slid into p.blank.
+    const auto& dist = kDist[static_cast<std::size_t>(q.tile(p.blank))];
+    const int hq = h - dist[static_cast<std::size_t>(q.blank)] +
+                   dist[static_cast<std::size_t>(p.blank)];
+    if (g + 1 + hq > threshold) {
+      ++out->nodes;  // the child's own visit would count it and return
+      continue;
+    }
+    dfs(q, g + 1, hq, d, threshold, out);
   }
 }
 
 DfsResult search_job(const Job& j, int threshold) {
   DfsResult r;
-  dfs(Puzzle{j.board, static_cast<int>(j.blank)}, j.g, j.last_move, threshold, &r);
+  const Puzzle p{j.board, static_cast<int>(j.blank)};
+  dfs(p, j.g, p.manhattan(), j.last_move, threshold, &r);
   return r;
+}
+
+DfsResult search_jobs(const std::vector<Job>& jobs, int threshold) {
+  DfsResult sum;
+  for (const Job& j : jobs) {
+    const DfsResult r = search_job(j, threshold);
+    sum.solutions += r.solutions;
+    sum.nodes += r.nodes;
+  }
+  return sum;
 }
 
 }  // namespace
@@ -145,18 +179,21 @@ IdaOutcome ida_reference(const IdaParams& params, std::uint64_t seed) {
   std::vector<Job> jobs = make_jobs(root, params.job_pool);
   IdaOutcome out;
   for (int threshold = root.manhattan();; threshold += 2) {
-    long long solutions = 0;
-    for (const Job& j : jobs) {
-      DfsResult r = search_job(j, threshold);
-      out.nodes_expanded += r.nodes;
-      solutions += r.solutions;
-    }
-    if (solutions > 0) {
+    const DfsResult r = search_jobs(jobs, threshold);
+    out.nodes_expanded += r.nodes;
+    if (r.solutions > 0) {
       out.solution_depth = threshold;
-      out.solutions = solutions;
+      out.solutions = r.solutions;
       return out;
     }
   }
+}
+
+detail::IdaIteration detail::ida_iteration(const IdaParams& params, std::uint64_t seed,
+                                           int threshold) {
+  const DfsResult r =
+      search_jobs(make_jobs(scramble(params.scramble_moves, seed), params.job_pool), threshold);
+  return {r.solutions, r.nodes};
 }
 
 std::uint64_t ida_checksum(const IdaOutcome& o) {

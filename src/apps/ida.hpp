@@ -47,4 +47,17 @@ std::uint64_t ida_checksum(const IdaOutcome& o);
 
 AppResult run_ida(const AppConfig& cfg, const IdaParams& params);
 
+namespace detail {
+
+struct IdaIteration {
+  long long solutions = 0;
+  long long nodes = 0;
+};
+
+/// One deepening iteration of ida_reference: the whole job pool
+/// searched at `threshold`.
+IdaIteration ida_iteration(const IdaParams& params, std::uint64_t seed, int threshold);
+
+}  // namespace detail
+
 }  // namespace alb::apps

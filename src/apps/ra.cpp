@@ -3,6 +3,7 @@
 #include <array>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/message_combiner.hpp"
@@ -10,77 +11,77 @@
 
 namespace alb::apps {
 
+detail::RaRanking::RaRanking(int max_stones)
+    : width_(static_cast<std::size_t>(max_stones) + 2),
+      cum_(static_cast<std::size_t>(kRaPits - 1) * width_ * width_, 0) {
+  // ways(s, p): distributions of s stones over p pits = C(s + p - 1, p - 1).
+  const int n = max_stones + kRaPits;
+  std::vector<std::vector<long long>> binom(static_cast<std::size_t>(n),
+                                            std::vector<long long>(static_cast<std::size_t>(n), 0));
+  for (std::size_t i = 0; i < binom.size(); ++i) {
+    binom[i][0] = 1;
+    for (std::size_t j = 1; j <= i; ++j) binom[i][j] = binom[i - 1][j - 1] + binom[i - 1][j];
+  }
+  auto ways = [&](int stones, int pits) {
+    return binom[static_cast<std::size_t>(stones + pits - 1)][static_cast<std::size_t>(pits - 1)];
+  };
+  for (int s = 0; s <= max_stones; ++s) positions_.push_back(ways(s, kRaPits));
+  for (int i = 0; i < kRaPits - 1; ++i) {
+    for (int rem = 0; rem <= max_stones; ++rem) {
+      long long sum = 0;
+      for (int c = 0; c <= rem + 1; ++c) {
+        cum_[(static_cast<std::size_t>(i) * width_ + static_cast<std::size_t>(rem)) * width_ +
+             static_cast<std::size_t>(c)] = sum;
+        if (c <= rem) sum += ways(rem - c, kRaPits - 1 - i);
+      }
+    }
+  }
+}
+
+std::uint32_t detail::RaRanking::rank(const RaBoard& b, int stones) const {
+  long long r = 0;
+  int rem = stones;
+  for (int i = 0; i < kRaPits - 1; ++i) {
+    const int c = b[static_cast<std::size_t>(i)];
+    r += cum(i, rem, c);
+    rem -= c;
+  }
+  return static_cast<std::uint32_t>(r);
+}
+
+detail::RaBoard detail::RaRanking::unrank(std::uint32_t index, int stones) const {
+  RaBoard b{};
+  long long r = index;
+  int rem = stones;
+  for (int i = 0; i < kRaPits - 1; ++i) {
+    int v = 0;
+    while (cum(i, rem, v + 1) <= r) ++v;
+    r -= cum(i, rem, v);
+    b[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(v);
+    rem -= v;
+  }
+  b[kRaPits - 1] = static_cast<std::int8_t>(rem);
+  return b;
+}
+
 namespace {
 
-constexpr int kPits = 12;
-using Board = std::array<std::int8_t, kPits>;
+constexpr int kPits = detail::kRaPits;
+using Board = detail::RaBoard;
+using detail::PredLists;
+using detail::RaRanking;
 
 enum Value : std::int8_t { kUnknown = 0, kWin = 1, kLoss = 2 };
 // kUnknown at fixpoint == draw.
-
-/// ways(s, p): distributions of s stones over p pits = C(s+p-1, p-1).
-struct Combinatorics {
-  // binom[n][k] for n <= stones + kPits.
-  std::vector<std::vector<long long>> binom;
-
-  explicit Combinatorics(int max_stones) {
-    const int n = max_stones + kPits + 1;
-    binom.assign(static_cast<std::size_t>(n), std::vector<long long>(static_cast<std::size_t>(n), 0));
-    for (int i = 0; i < n; ++i) {
-      binom[static_cast<std::size_t>(i)][0] = 1;
-      for (int j = 1; j <= i; ++j) {
-        binom[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-            binom[static_cast<std::size_t>(i - 1)][static_cast<std::size_t>(j - 1)] +
-            binom[static_cast<std::size_t>(i - 1)][static_cast<std::size_t>(j)];
-      }
-    }
-  }
-
-  long long ways(int stones, int pits) const {
-    if (pits == 0) return stones == 0 ? 1 : 0;
-    return binom[static_cast<std::size_t>(stones + pits - 1)]
-                [static_cast<std::size_t>(pits - 1)];
-  }
-
-  long long positions(int stones) const { return ways(stones, kPits); }
-
-  /// Lexicographic rank of `b` among boards with `stones` stones.
-  std::uint32_t rank(const Board& b, int stones) const {
-    long long r = 0;
-    int rem = stones;
-    for (int i = 0; i < kPits - 1; ++i) {
-      for (int v = 0; v < b[static_cast<std::size_t>(i)]; ++v) {
-        r += ways(rem - v, kPits - 1 - i);
-      }
-      rem -= b[static_cast<std::size_t>(i)];
-    }
-    return static_cast<std::uint32_t>(r);
-  }
-
-  Board unrank(std::uint32_t index, int stones) const {
-    Board b{};
-    long long r = index;
-    int rem = stones;
-    for (int i = 0; i < kPits - 1; ++i) {
-      int v = 0;
-      for (;; ++v) {
-        long long w = ways(rem - v, kPits - 1 - i);
-        if (r < w) break;
-        r -= w;
-      }
-      b[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(v);
-      rem -= v;
-    }
-    b[kPits - 1] = static_cast<std::int8_t>(rem);
-    return b;
-  }
-};
 
 struct Successor {
   bool capture;
   int stones_after;      // == k when !capture
   std::uint32_t index;   // in the stones_after database
 };
+
+/// A position has at most one successor per own pit.
+using Successors = std::array<Successor, 6>;
 
 bool mover_has_stones(const Board& b) {
   for (int i = 0; i < 6; ++i) {
@@ -95,9 +96,10 @@ Board flip(const Board& b) {
   return f;
 }
 
-/// All legal successors of `b` (k stones), ranked in their databases.
-std::vector<Successor> successors(const Combinatorics& comb, const Board& b, int k) {
-  std::vector<Successor> out;
+/// Writes the legal successors of `b` (k stones), ranked in their
+/// databases, to `out`; returns how many there are.
+int successors(const RaRanking& ranking, const Board& b, int k, Successors& out) {
+  int count = 0;
   for (int pit = 0; pit < 6; ++pit) {
     const int c = b[static_cast<std::size_t>(pit)];
     if (c == 0) continue;
@@ -113,82 +115,111 @@ std::vector<Successor> successors(const Combinatorics& comb, const Board& b, int
       stones_after = k - n[static_cast<std::size_t>(last)];
       n[static_cast<std::size_t>(last)] = 0;
     }
-    Board next = flip(n);
-    out.push_back(Successor{stones_after != k, stones_after,
-                            comb.rank(next, stones_after)});
+    out[static_cast<std::size_t>(count++)] =
+        Successor{stones_after != k, stones_after, ranking.rank(flip(n), stones_after)};
   }
-  return out;
+  return count;
+}
+
+/// One database under construction: values, and for each undecided
+/// position its count of undecided within-database successors and
+/// whether a known non-WIN (draw) capture successor blocks a LOSS.
+/// The scan that fills it runs twice (PredLists counts, then fills);
+/// scanning a position again rewrites the same values.
+struct Database {
+  std::vector<std::int8_t> value;
+  std::vector<std::int16_t> pending;
+  std::vector<char> blocked;
+  PredLists preds;
+
+  explicit Database(std::size_t n) : value(n, kUnknown), pending(n, 0), blocked(n, 0) {}
+};
+
+/// The initialization scan of position `idx` of the k-stone database:
+/// its immediate value or its pending count and blocked flag, and its
+/// within-database successor edges, each passed to edge(idx, succ).
+/// Returns false, recording nothing but the LOSS, when the mover has no
+/// stones (no moves to generate).
+template <class Edge>
+bool scan_position(const RaRanking& ranking, int k,
+                   const std::vector<std::vector<std::int8_t>>& smaller, std::uint32_t idx,
+                   Database& db, const Edge& edge) {
+  const Board b = ranking.unrank(idx, k);
+  if (!mover_has_stones(b)) {
+    db.value[idx] = kLoss;
+    return false;
+  }
+  Successors succ;
+  const int count = successors(ranking, b, k, succ);
+  bool win = false;
+  int within = 0;
+  bool blk = false;
+  for (int i = 0; i < count; ++i) {
+    const Successor& s = succ[static_cast<std::size_t>(i)];
+    if (s.capture) {
+      const std::int8_t v = smaller[static_cast<std::size_t>(s.stones_after)][s.index];
+      if (v == kLoss) win = true;
+      else if (v != kWin) blk = true;  // draw successor: cannot be LOSS
+    } else {
+      ++within;
+      edge(idx, s.index);
+    }
+  }
+  if (win) {
+    db.value[idx] = kWin;
+  } else {
+    db.pending[idx] = static_cast<std::int16_t>(within);
+    db.blocked[idx] = blk ? 1 : 0;
+    if (within == 0 && !blk) db.value[idx] = kLoss;
+  }
+  return true;
+}
+
+/// Applies the news that a within-database successor of `q` was
+/// decided as `val`. Returns true when that decides `q`.
+bool apply_update(Database& db, std::uint32_t q, std::int8_t val) {
+  if (db.value[q] != kUnknown) return false;
+  if (val == kLoss) {
+    db.value[q] = kWin;
+    return true;
+  }
+  if (val == kWin && --db.pending[q] == 0 && !db.blocked[q]) {
+    db.value[q] = kLoss;
+    return true;
+  }
+  return false;
 }
 
 /// Sequential backward induction for one database, given all smaller
 /// ones. Returns the value array. Also used for the reference run.
-std::vector<std::int8_t> solve_sequential(const Combinatorics& comb, int k,
+std::vector<std::int8_t> solve_sequential(const RaRanking& ranking, int k,
                                           const std::vector<std::vector<std::int8_t>>& smaller) {
-  const auto n = static_cast<std::size_t>(comb.positions(k));
-  std::vector<std::int8_t> value(n, kUnknown);
-  std::vector<std::int16_t> pending(n, 0);
-  std::vector<char> blocked(n, 0);  // has a known non-WIN successor
-  std::vector<std::vector<std::uint32_t>> preds(n);
-  std::deque<std::uint32_t> queue;
-
+  const auto n = static_cast<std::size_t>(ranking.positions(k));
+  Database db(n);
+  db.preds = PredLists(n, [&](const auto& edge) {
+    for (std::uint32_t idx = 0; idx < n; ++idx) scan_position(ranking, k, smaller, idx, db, edge);
+  });
+  // Every position enters the queue at most once, when it is decided.
+  std::vector<std::uint32_t> queue;
+  queue.reserve(n);
   for (std::uint32_t idx = 0; idx < n; ++idx) {
-    Board b = comb.unrank(idx, k);
-    if (!mover_has_stones(b)) {
-      value[idx] = kLoss;
-      queue.push_back(idx);
-      continue;
-    }
-    bool win = false;
-    int within = 0;
-    bool blk = false;
-    for (const Successor& s : successors(comb, b, k)) {
-      if (s.capture) {
-        std::int8_t v = smaller[static_cast<std::size_t>(s.stones_after)]
-                               [s.index];
-        if (v == kLoss) win = true;
-        else if (v != kWin) blk = true;  // draw successor: cannot be LOSS
-      } else {
-        ++within;
-        preds[s.index].push_back(idx);
-      }
-    }
-    if (win) {
-      value[idx] = kWin;
-      queue.push_back(idx);
-    } else {
-      pending[idx] = static_cast<std::int16_t>(within);
-      blocked[idx] = blk ? 1 : 0;
-      if (within == 0 && !blk) {
-        value[idx] = kLoss;
-        queue.push_back(idx);
-      }
-    }
+    if (db.value[idx] != kUnknown) queue.push_back(idx);
   }
 
-  while (!queue.empty()) {
-    std::uint32_t v = queue.front();
-    queue.pop_front();
-    const std::int8_t val = value[v];
-    for (std::uint32_t q : preds[v]) {
-      if (value[q] != kUnknown) continue;
-      if (val == kLoss) {
-        value[q] = kWin;
-        queue.push_back(q);
-      } else if (val == kWin) {
-        if (--pending[q] == 0 && !blocked[q]) {
-          value[q] = kLoss;
-          queue.push_back(q);
-        }
-      }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t v = queue[head];
+    const std::int8_t val = db.value[v];
+    for (std::uint32_t q : db.preds[v]) {
+      if (apply_update(db, q, val)) queue.push_back(q);
     }
   }
-  return value;
+  return std::move(db.value);
 }
 
-std::vector<std::vector<std::int8_t>> solve_smaller(const Combinatorics& comb, int k) {
+std::vector<std::vector<std::int8_t>> solve_smaller(const RaRanking& ranking, int k) {
   std::vector<std::vector<std::int8_t>> dbs;
   dbs.reserve(static_cast<std::size_t>(k));
-  for (int s = 0; s < k; ++s) dbs.push_back(solve_sequential(comb, s, dbs));
+  for (int s = 0; s < k; ++s) dbs.push_back(solve_sequential(ranking, s, dbs));
   return dbs;
 }
 
@@ -208,9 +239,9 @@ RaOutcome tally(const std::vector<std::int8_t>& value) {
 }  // namespace
 
 RaOutcome ra_reference(const RaParams& params) {
-  Combinatorics comb(params.stones);
-  auto smaller = solve_smaller(comb, params.stones);
-  return tally(solve_sequential(comb, params.stones, smaller));
+  RaRanking ranking(params.stones);
+  auto smaller = solve_smaller(ranking, params.stones);
+  return tally(solve_sequential(ranking, params.stones, smaller));
 }
 
 std::uint64_t ra_checksum(const RaOutcome& o) {
@@ -225,9 +256,9 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
   Harness h(cfg);
   const int P = cfg.total_procs();
   const int k = params.stones;
-  Combinatorics comb(k);
-  auto smaller = solve_smaller(comb, k);
-  const auto n = static_cast<std::size_t>(comb.positions(k));
+  RaRanking ranking(k);
+  auto smaller = solve_smaller(ranking, k);
+  const auto n = static_cast<std::size_t>(ranking.positions(k));
 
   auto owner_of = [P](std::uint32_t idx) {
     return static_cast<int>((static_cast<std::uint64_t>(idx) * 2654435761ull) % P);
@@ -248,41 +279,17 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
   // each rank's positions in ascending order lists preds[v] by
   // ascending owner rank, then ascending index: the order that fixes
   // which updates are emitted when.
-  std::vector<std::int8_t> value(n, kUnknown);
-  std::vector<std::int16_t> pending(n, 0);
-  std::vector<char> blocked(n, 0);
-  std::vector<std::vector<std::uint32_t>> preds(n);
+  Database db(n);
   std::vector<long long> scanned(static_cast<std::size_t>(P), 0);
-  for (int r = 0; r < P; ++r) {
-    for (std::uint32_t idx : owned[static_cast<std::size_t>(r)]) {
-      Board b = comb.unrank(idx, k);
-      if (!mover_has_stones(b)) {
-        value[idx] = kLoss;
-        continue;
+  db.preds = PredLists(n, [&](const auto& edge) {
+    for (int r = 0; r < P; ++r) {
+      long long movable = 0;
+      for (std::uint32_t idx : owned[static_cast<std::size_t>(r)]) {
+        movable += scan_position(ranking, k, smaller, idx, db, edge) ? 1 : 0;
       }
-      ++scanned[static_cast<std::size_t>(r)];
-      bool win = false;
-      int within = 0;
-      bool blk = false;
-      for (const Successor& s : successors(comb, b, k)) {
-        if (s.capture) {
-          std::int8_t v = smaller[static_cast<std::size_t>(s.stones_after)][s.index];
-          if (v == kLoss) win = true;
-          else if (v != kWin) blk = true;
-        } else {
-          ++within;
-          preds[s.index].push_back(idx);
-        }
-      }
-      if (win) {
-        value[idx] = kWin;
-      } else {
-        pending[idx] = static_cast<std::int16_t>(within);
-        blocked[idx] = blk ? 1 : 0;
-        if (within == 0 && !blk) value[idx] = kLoss;
-      }
+      scanned[static_cast<std::size_t>(r)] = movable;
     }
-  }
+  });
 
   struct Update {
     std::uint32_t pos;
@@ -306,24 +313,9 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
   AppResult result = h.finish([&, params](orca::Proc& p) -> sim::Task<void> {
     // Emit the determination of `idx` to its predecessors' owners.
     auto emit = [&](std::uint32_t idx) {
-      for (std::uint32_t q : preds[idx]) {
-        comb_net.send(p, owner_of(q), Update{q, value[idx]});
+      for (std::uint32_t q : db.preds[idx]) {
+        comb_net.send(p, owner_of(q), Update{q, db.value[idx]});
       }
-    };
-    // Applies one update; returns any newly determined position.
-    auto apply = [&](const Update& u) -> bool {
-      if (value[u.pos] != kUnknown) return false;
-      if (u.val == kLoss) {
-        value[u.pos] = kWin;
-        return true;
-      }
-      if (u.val == kWin) {
-        if (--pending[u.pos] == 0 && !blocked[u.pos]) {
-          value[u.pos] = kLoss;
-          return true;
-        }
-      }
-      return false;
     };
 
     // The initialization scan's simulated cost (its host work ran in
@@ -338,7 +330,7 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
 
     // Seed propagation with my initially-determined positions.
     for (std::uint32_t idx : owned[static_cast<std::size_t>(p.rank)]) {
-      if (value[idx] != kUnknown) emit(idx);
+      if (db.value[idx] != kUnknown) emit(idx);
     }
 
     // Propagate until global quiescence.
@@ -350,7 +342,7 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
           Update u = q.front();
           q.pop_front();
           ++processed[static_cast<std::size_t>(p.rank)];
-          if (apply(u)) emit(u.pos);
+          if (apply_update(db, u.pos, u.val)) emit(u.pos);
         }
         co_await p.compute(static_cast<long long>(batch) * params.ns_per_update);
       }
@@ -371,7 +363,7 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
     }
   });
 
-  RaOutcome out = tally(value);
+  RaOutcome out = tally(db.value);
   result.checksum = ra_checksum(out);
   result.metrics["positions"] = static_cast<double>(n);
   result.metrics["wins"] = static_cast<double>(out.wins);

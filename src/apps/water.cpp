@@ -41,57 +41,68 @@ std::vector<Molecule> generate_molecules(int n, std::uint64_t seed) {
   return m;
 }
 
-/// Softened inverse-square pair force on `a` from `b`, quantized to
-/// fixed point so the value is identical no matter which process
-/// computes it. Each component is under 2^18 in magnitude, well inside
-/// round_half_away's exact domain.
-std::array<Fixed, 3> pair_force(const Vec3& a, const Vec3& b) {
-  const double dx = b.x - a.x;
-  const double dy = b.y - a.y;
-  const double dz = b.z - a.z;
-  const double r2 = dx * dx + dy * dy + dz * dz + 0.1;  // softening
-  const double inv = 1.0 / (r2 * std::sqrt(r2));
-  return {detail::round_half_away(dx * inv * kFixedScale),
-          detail::round_half_away(dy * inv * kFixedScale),
-          detail::round_half_away(dz * inv * kFixedScale)};
-}
+/// One process's own molecules as struct-of-arrays, the layout the row
+/// kernel reads, with a fixed-point force accumulator per molecule and
+/// component. Built once per step; every block the process computes
+/// against runs its molecules as rows over this one.
+struct OwnBlock {
+  std::vector<double> x, y, z;
+  std::vector<Fixed> fx, fy, fz;
 
-/// Computes forces between two distinct blocks. Adds to `fa` (forces on
-/// a's molecules) and `fb` (equal and opposite, on b's). Returns the
-/// number of pairs evaluated.
-long long block_pair_forces(const Block& a, const Block& b, ForceUpdate& fa,
-                            ForceUpdate& fb) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  OwnBlock(const std::vector<Molecule>& mols, std::size_t lo, std::size_t hi)
+      : fx(hi - lo, 0), fy(hi - lo, 0), fz(hi - lo, 0) {
+    x.reserve(hi - lo);
+    y.reserve(hi - lo);
+    z.reserve(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i) {
+      x.push_back(mols[i].pos.x);
+      y.push_back(mols[i].pos.y);
+      z.push_back(mols[i].pos.z);
+    }
+  }
+
+  std::size_t size() const { return x.size(); }
+
+  /// The pair forces on the molecule at `a` from the own molecules from
+  /// `first` on; adds the opposite forces to theirs.
+  detail::RowForce row(double ax, double ay, double az, std::size_t first) {
+    return detail::pair_row(ax, ay, az, x.data() + first, y.data() + first, z.data() + first,
+                            size() - first, fx.data() + first, fy.data() + first,
+                            fz.data() + first);
+  }
+
+  /// Internal pairs. Returns the number of pairs evaluated.
+  long long self_forces() {
+    for (std::size_t i = 0; i < size(); ++i) {
+      const detail::RowForce r = row(x[i], y[i], z[i], i + 1);
+      fx[i] += r.x;
+      fy[i] += r.y;
+      fz[i] += r.z;
+    }
+    const auto n = static_cast<long long>(size());
+    return n * (n - 1) / 2;
+  }
+
+  /// Pairs with a distinct block `b`: adds the forces on b's molecules
+  /// to `fb` (pair forces are exactly antisymmetric, so computing them
+  /// from b's side gives the same values). Returns the number of pairs.
+  long long pair_forces(const Block& b, ForceUpdate& fb) {
     for (std::size_t j = 0; j < b.size(); ++j) {
-      auto f = pair_force(a[i], b[j]);
-      fa[i][0] += f[0];
-      fa[i][1] += f[1];
-      fa[i][2] += f[2];
-      fb[j][0] -= f[0];
-      fb[j][1] -= f[1];
-      fb[j][2] -= f[2];
+      const detail::RowForce r = row(b[j].x, b[j].y, b[j].z, 0);
+      fb[j][0] += r.x;
+      fb[j][1] += r.y;
+      fb[j][2] += r.z;
     }
+    return static_cast<long long>(size()) * static_cast<long long>(b.size());
   }
-  return static_cast<long long>(a.size()) * static_cast<long long>(b.size());
-}
 
-/// Internal pairs of one block.
-long long block_self_forces(const Block& a, ForceUpdate& fa) {
-  long long pairs = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = i + 1; j < a.size(); ++j) {
-      auto f = pair_force(a[i], a[j]);
-      fa[i][0] += f[0];
-      fa[i][1] += f[1];
-      fa[i][2] += f[2];
-      fa[j][0] -= f[0];
-      fa[j][1] -= f[1];
-      fa[j][2] -= f[2];
-      ++pairs;
-    }
+  /// The accumulated forces on the own molecules.
+  ForceUpdate forces() const {
+    ForceUpdate f(size());
+    for (std::size_t i = 0; i < size(); ++i) f[i] = {fx[i], fy[i], fz[i]};
+    return f;
   }
-  return pairs;
-}
+};
 
 void integrate(std::vector<Molecule>& mols, std::size_t lo, std::size_t hi,
                const ForceUpdate& f) {
@@ -148,14 +159,47 @@ Block snapshot(const std::vector<Molecule>& mols, std::size_t lo, std::size_t hi
 
 }  // namespace
 
+/// Softened inverse-square pair force on `a` from each `b`, quantized to
+/// fixed point so the value is identical no matter which process
+/// computes it. The molecules are summed as integers, so the order of
+/// the lanes does not matter, and every operation is IEEE-exact (no
+/// FMA, see DESIGN.md §5 item 6), so the AVX2 and baseline clones agree.
+/// The softening keeps r2 >= 0.1, so sqrt and the divide never see a
+/// value that would set errno or trap.
+ALB_KERNEL_CLONES detail::RowForce detail::pair_row(double ax, double ay, double az,
+                                                    const double* __restrict bx,
+                                                    const double* __restrict by,
+                                                    const double* __restrict bz,
+                                                    std::size_t m, long long* __restrict fx,
+                                                    long long* __restrict fy,
+                                                    long long* __restrict fz) {
+  long long sx = 0, sy = 0, sz = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double dx = bx[j] - ax;
+    const double dy = by[j] - ay;
+    const double dz = bz[j] - az;
+    const double r2 = dx * dx + dy * dy + dz * dz + 0.1;  // softening
+    const double inv = 1.0 / (r2 * std::sqrt(r2));
+    const long long qx = round_half_away(dx * inv * kFixedScale);
+    const long long qy = round_half_away(dy * inv * kFixedScale);
+    const long long qz = round_half_away(dz * inv * kFixedScale);
+    sx += qx;
+    sy += qy;
+    sz += qz;
+    fx[j] -= qx;
+    fy[j] -= qy;
+    fz[j] -= qz;
+  }
+  return {sx, sy, sz};
+}
+
 std::uint64_t water_reference_checksum(const WaterParams& params, std::uint64_t seed) {
   auto mols = generate_molecules(params.molecules, seed);
   const std::size_t n = mols.size();
   for (int step = 0; step < params.steps; ++step) {
-    ForceUpdate f(n, {0, 0, 0});
-    Block all = snapshot(mols, 0, n);
-    block_self_forces(all, f);
-    integrate(mols, 0, n, f);
+    OwnBlock all(mols, 0, n);
+    all.self_forces();
+    integrate(mols, 0, n, all.forces());
   }
   return trajectory_checksum(mols);
 }
@@ -280,16 +324,16 @@ AppResult run_water(const AppConfig& cfg, const WaterParams& params) {
       }
 
       // Phase 2 — compute all pair forces.
-      ForceUpdate my_forces(my_hi - my_lo, {0, 0, 0});
-      Block my_block = snapshot(*mols, my_lo, my_hi);
-      long long pairs = block_self_forces(my_block, my_forces);
+      OwnBlock mine(*mols, my_lo, my_hi);
+      long long pairs = mine.self_forces();
       std::vector<ForceUpdate> outgoing;
       outgoing.reserve(shell.size());
       for (std::size_t s = 0; s < shell.size(); ++s) {
         ForceUpdate theirs(blocks[s]->size(), {0, 0, 0});
-        pairs += block_pair_forces(my_block, *blocks[s], my_forces, theirs);
+        pairs += mine.pair_forces(*blocks[s], theirs);
         outgoing.push_back(std::move(theirs));
       }
+      ForceUpdate my_forces = mine.forces();
       co_await p.compute(pairs * params.ns_per_pair);
 
       // Phase 3 — scatter: send the opposite forces back to the owners.

@@ -44,14 +44,28 @@ struct WaterParams {
 
 namespace detail {
 
-/// std::lround without the libm call: rounds half away from zero. Exact
-/// for |x| < 2^52, where truncating to an integer and subtracting it
-/// leaves the fraction with no rounding error.
-inline long long round_half_away(double x) {
-  const long long t = static_cast<long long>(x);
-  const double f = x - static_cast<double>(t);
-  return t + (f >= 0.5) - (f <= -0.5);
+/// std::lround for |x| < 2^31 - 1, without the libm call: truncates through
+/// int32, then rounds half away from zero by comparing the exact
+/// remainder x - trunc(x) with one half. The pair forces stay under
+/// 2^18, far inside the domain.
+inline std::int32_t round_half_away(double x) {
+  const double t = static_cast<double>(static_cast<std::int32_t>(x));
+  const double f = x - t;
+  return static_cast<std::int32_t>(t + static_cast<double>(f >= 0.5) -
+                                   static_cast<double>(f <= -0.5));
 }
+
+/// Sum of the quantized pair forces on one molecule.
+struct RowForce {
+  long long x = 0, y = 0, z = 0;
+};
+
+/// Water's row kernel: the quantized pair forces on the molecule at
+/// (ax, ay, az) from the m molecules of a struct-of-arrays block (bx,
+/// by, bz). Returns their sum and subtracts each from the other
+/// molecule's accumulator (fx, fy, fz), which must not alias the block.
+RowForce pair_row(double ax, double ay, double az, const double* bx, const double* by,
+                  const double* bz, std::size_t m, long long* fx, long long* fy, long long* fz);
 
 }  // namespace detail
 

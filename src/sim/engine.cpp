@@ -16,15 +16,8 @@ struct DetachedTask {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
+using detail::fnv_mix;
+using detail::kFnvBasis;
 
 /// Detached wrapper coroutine: keeps the spawned Task's frame alive for
 /// its whole run, reports completion to the engine, and self-destructs

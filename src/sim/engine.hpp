@@ -33,7 +33,9 @@
 //     (trace_hash goldens) and post-hoc analysis such as
 //     src/trace/causal/ sees real timings, not probe effects.
 
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +46,35 @@
 #include "trace/trace.hpp"
 
 namespace alb::sim {
+
+namespace detail {
+
+inline constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// kFnvPrimePow[n] = kFnvPrime^n mod 2^64.
+inline constexpr auto kFnvPrimePow = [] {
+  std::array<std::uint64_t, 9> p{};
+  p[0] = 1;
+  for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * kFnvPrime;
+  return p;
+}();
+
+/// FNV-1a over the eight little-endian bytes of `v`. A zero byte only
+/// multiplies by the prime, so the bytes above the highest non-zero one
+/// fold into one multiply by a power of the prime: the same value as
+/// the eight-step byte loop, with fewer dependent multiplies for the
+/// small times, counters and owner ids the engine hashes.
+inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  std::size_t bytes = 0;
+  for (; v != 0; v >>= 8, ++bytes) {
+    h ^= v & 0xff;
+    h *= kFnvPrime;
+  }
+  h *= kFnvPrimePow[8 - bytes];
+}
+
+}  // namespace detail
 
 class Engine {
  public:

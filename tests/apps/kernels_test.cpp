@@ -5,17 +5,20 @@
 // The host kernels may be rewritten freely as long as the modeled work
 // counts stay the same (DESIGN.md, "Host kernels"). The equivalence
 // tests below keep the straightforward scalar ATPG and vector-based TSP
-// searches, a conditional-store Floyd-Warshall and an std::lround Water
-// as oracles, and require the shipped kernels to reproduce their counts
-// and answers exactly.
+// searches, a conditional-store Floyd-Warshall, a recomputing-heuristic
+// IDA*, a binomial-loop and vector-of-vector RA, and an std::lround
+// Water as oracles, and require the shipped kernels to reproduce their
+// counts and answers exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -434,6 +437,127 @@ TEST(IdaKernel, DepthMatchesBreadthFirstSearch) {
   EXPECT_GT(got.solutions, 0);
 }
 
+// IDA* written apart from the app's kernel: the board as 16 cells, and
+// a depth-first search that recomputes the Manhattan distance at every
+// node, over the same scramble and breadth-first job pool.
+namespace ida_oracle {
+
+using Cells = std::array<int, 16>;
+
+struct Node {
+  Cells cells;
+  int blank;
+  int g;
+  int last;  // -1 for the root
+};
+
+int manhattan(const Cells& c) {
+  int h = 0;
+  for (int i = 0; i < 16; ++i) {
+    if (c[i] == 0) continue;
+    const int goal = c[i] - 1;
+    h += std::abs(i / 4 - goal / 4) + std::abs(i % 4 - goal % 4);
+  }
+  return h;
+}
+
+bool can_move(int blank, int d) {  // 0=up,1=down,2=left,3=right
+  const int r = blank / 4 + (d == 0 ? -1 : d == 1 ? 1 : 0);
+  const int c = blank % 4 + (d == 2 ? -1 : d == 3 ? 1 : 0);
+  return r >= 0 && r < 4 && c >= 0 && c < 4;
+}
+
+Node child(const Node& n, int d) {
+  const int to = n.blank + (d == 0 ? -4 : d == 1 ? 4 : d == 2 ? -1 : 1);
+  Node m = n;
+  std::swap(m.cells[n.blank], m.cells[to]);
+  m.blank = to;
+  m.g = n.g + 1;
+  m.last = d;
+  return m;
+}
+
+bool allowed(const Node& n, int d) {
+  return can_move(n.blank, d) && !(n.last >= 0 && d == (n.last ^ 1));
+}
+
+Node scramble(int moves, std::uint64_t seed) {
+  Node n{{}, 15, 0, -1};
+  for (int i = 0; i < 15; ++i) n.cells[i] = i + 1;
+  sim::Rng rng(seed);
+  for (int i = 0; i < moves; ++i) {
+    for (;;) {
+      const int d = static_cast<int>(rng.uniform_int(0, 3));
+      if (!allowed(n, d)) continue;
+      n = child(n, d);
+      break;
+    }
+  }
+  return Node{n.cells, n.blank, 0, -1};
+}
+
+std::vector<Node> jobs(const Node& root, int target) {
+  std::vector<Node> frontier{root};
+  while (static_cast<int>(frontier.size()) < target) {
+    std::vector<Node> next;
+    for (const Node& n : frontier) {
+      if (manhattan(n.cells) == 0) {
+        next.push_back(n);
+        continue;
+      }
+      for (int d = 0; d < 4; ++d) {
+        if (allowed(n, d)) next.push_back(child(n, d));
+      }
+    }
+    if (next.size() == frontier.size()) break;
+    frontier = std::move(next);
+  }
+  return frontier;
+}
+
+void dfs(const Node& n, int threshold, detail::IdaIteration* out) {
+  ++out->nodes;
+  const int h = manhattan(n.cells);
+  if (n.g + h > threshold) return;
+  if (h == 0) {
+    if (n.g == threshold) ++out->solutions;
+    return;
+  }
+  for (int d = 0; d < 4; ++d) {
+    if (allowed(n, d)) dfs(child(n, d), threshold, out);
+  }
+}
+
+}  // namespace ida_oracle
+
+// The incremental heuristic must expand exactly the nodes a search that
+// recomputes it would, at every threshold of the deepening up to the
+// solution, and so give ida_reference the same totals.
+TEST(IdaKernel, IncrementalHeuristicMatchesRecomputingSearch) {
+  for (std::uint64_t seed : {1, 2, 3, 5, 8}) {
+    IdaParams prm;
+    prm.scramble_moves = 34;
+    prm.job_pool = 64;
+    const ida_oracle::Node root = ida_oracle::scramble(prm.scramble_moves, seed);
+    const std::vector<ida_oracle::Node> jobs = ida_oracle::jobs(root, prm.job_pool);
+    long long nodes = 0;
+    int threshold = ida_oracle::manhattan(root.cells);
+    for (;; threshold += 2) {
+      detail::IdaIteration want;
+      for (const ida_oracle::Node& j : jobs) ida_oracle::dfs(j, threshold, &want);
+      const detail::IdaIteration got = detail::ida_iteration(prm, seed, threshold);
+      // A kernel that misses the solution would deepen forever below.
+      ASSERT_EQ(got.nodes, want.nodes) << "seed " << seed << " threshold " << threshold;
+      ASSERT_EQ(got.solutions, want.solutions) << "seed " << seed << " threshold " << threshold;
+      nodes += want.nodes;
+      if (want.solutions > 0) break;
+    }
+    const IdaOutcome out = ida_reference(prm, seed);
+    EXPECT_EQ(out.solution_depth, threshold) << seed;
+    EXPECT_EQ(out.nodes_expanded, nodes) << seed;
+  }
+}
+
 TEST(IdaKernel, DeeperScramblesNeverShortenSolutions) {
   IdaParams a;
   a.scramble_moves = 6;
@@ -491,6 +615,193 @@ TEST(RaKernel, DatabaseSizesMatchCombinatorics) {
     p.stones = k;
     RaOutcome r = ra_reference(p);
     EXPECT_EQ(r.wins + r.losses + r.draws, positions(k)) << "k=" << k;
+  }
+}
+
+// RA written apart from the app's kernel: nested binomial loops for the
+// ranking, and the database solver with vector-of-vector predecessor
+// lists and a deque, the form the kernel replaced.
+namespace ra_oracle {
+
+using Board = std::array<int, 12>;
+
+long long ways(int stones, int pits) {  // C(stones + pits - 1, pits - 1)
+  if (pits == 0) return stones == 0 ? 1 : 0;
+  long long c = 1;
+  for (int i = 1; i < pits; ++i) c = c * (stones + i) / i;
+  return c;
+}
+
+std::uint32_t rank(const Board& b, int stones) {
+  long long r = 0;
+  int rem = stones;
+  for (int i = 0; i < 11; ++i) {
+    for (int v = 0; v < b[i]; ++v) r += ways(rem - v, 11 - i);
+    rem -= b[i];
+  }
+  return static_cast<std::uint32_t>(r);
+}
+
+Board unrank(std::uint32_t index, int stones) {
+  Board b{};
+  long long r = index;
+  int rem = stones;
+  for (int i = 0; i < 11; ++i) {
+    int v = 0;
+    for (;; ++v) {
+      const long long w = ways(rem - v, 11 - i);
+      if (r < w) break;
+      r -= w;
+    }
+    b[i] = v;
+    rem -= v;
+  }
+  b[11] = rem;
+  return b;
+}
+
+enum : std::int8_t { kDraw = 0, kWin = 1, kLoss = 2 };
+
+std::vector<std::int8_t> solve(int k, const std::vector<std::vector<std::int8_t>>& smaller) {
+  const auto n = static_cast<std::size_t>(ways(k, 12));
+  std::vector<std::int8_t> value(n, kDraw);
+  std::vector<int> pending(n, 0);
+  std::vector<bool> blocked(n, false);
+  std::vector<std::vector<std::uint32_t>> preds(n);
+  std::deque<std::uint32_t> queue;
+  for (std::uint32_t idx = 0; idx < n; ++idx) {
+    const Board b = unrank(idx, k);
+    if (b[0] + b[1] + b[2] + b[3] + b[4] + b[5] == 0) {
+      value[idx] = kLoss;
+      queue.push_back(idx);
+      continue;
+    }
+    bool win = false;
+    bool blk = false;
+    int within = 0;
+    for (int pit = 0; pit < 6; ++pit) {
+      if (b[pit] == 0) continue;
+      Board m = b;
+      m[pit] = 0;
+      for (int j = 1; j <= b[pit]; ++j) ++m[(pit + j) % 12];
+      const int last = (pit + b[pit]) % 12;
+      int after = k;
+      if (last >= 6 && (m[last] == 2 || m[last] == 3)) {
+        after = k - m[last];
+        m[last] = 0;
+      }
+      Board flipped{};
+      for (int i = 0; i < 12; ++i) flipped[i] = m[(i + 6) % 12];
+      const std::uint32_t s = rank(flipped, after);
+      if (after != k) {
+        const std::int8_t v = smaller[static_cast<std::size_t>(after)][s];
+        if (v == kLoss) win = true;
+        else if (v == kDraw) blk = true;
+      } else {
+        ++within;
+        preds[s].push_back(idx);
+      }
+    }
+    if (win) {
+      value[idx] = kWin;
+      queue.push_back(idx);
+    } else {
+      pending[idx] = within;
+      blocked[idx] = blk;
+      if (within == 0 && !blk) {
+        value[idx] = kLoss;
+        queue.push_back(idx);
+      }
+    }
+  }
+  while (!queue.empty()) {
+    const std::uint32_t v = queue.front();
+    queue.pop_front();
+    for (std::uint32_t q : preds[v]) {
+      if (value[q] != kDraw) continue;
+      if (value[v] == kLoss) {
+        value[q] = kWin;
+        queue.push_back(q);
+      } else if (--pending[q] == 0 && !blocked[q]) {
+        value[q] = kLoss;
+        queue.push_back(q);
+      }
+    }
+  }
+  return value;
+}
+
+}  // namespace ra_oracle
+
+// Every board at stones 0..8 round-trips through the table ranking, and
+// both directions equal the nested binomial loops.
+TEST(RaKernel, TableRankingMatchesBinomialLoops) {
+  const detail::RaRanking ranking(8);
+  for (int stones = 0; stones <= 8; ++stones) {
+    const long long n = ranking.positions(stones);
+    ASSERT_EQ(n, ra_oracle::ways(stones, 12)) << stones;
+    for (std::uint32_t idx = 0; idx < n; ++idx) {
+      const detail::RaBoard b = ranking.unrank(idx, stones);
+      ra_oracle::Board want = ra_oracle::unrank(idx, stones);
+      ra_oracle::Board got{};
+      for (int i = 0; i < 12; ++i) got[i] = b[static_cast<std::size_t>(i)];
+      ASSERT_EQ(got, want) << "stones " << stones << " index " << idx;
+      ASSERT_EQ(ranking.rank(b, stones), idx) << "stones " << stones;
+      ASSERT_EQ(ra_oracle::rank(want, stones), idx) << "stones " << stones;
+    }
+  }
+}
+
+// The databases the kernel builds equal the oracle solver's, position
+// by position (through the value hash) and in their tallies.
+TEST(RaKernel, DatabasesMatchVectorDequeSolver) {
+  std::vector<std::vector<std::int8_t>> dbs;
+  for (int k = 0; k <= 8; ++k) {
+    dbs.push_back(ra_oracle::solve(k, dbs));
+    if (k == 0) continue;
+    RaOutcome want;
+    std::uint64_t h = kHashSeed;
+    for (std::int8_t v : dbs.back()) {
+      if (v == ra_oracle::kWin) ++want.wins;
+      else if (v == ra_oracle::kLoss) ++want.losses;
+      else ++want.draws;
+      h = hash_mix(h, static_cast<std::uint64_t>(v));
+    }
+    RaParams prm;
+    prm.stones = k;
+    const RaOutcome got = ra_reference(prm);
+    EXPECT_EQ(got.value_hash, h) << "k=" << k;
+    EXPECT_EQ(got.wins, want.wins) << "k=" << k;
+    EXPECT_EQ(got.losses, want.losses) << "k=" << k;
+    EXPECT_EQ(got.draws, want.draws) << "k=" << k;
+  }
+}
+
+// The CSR lists keep each position's predecessors in the order the
+// vector-of-vector push_back form would, empty lists and the last
+// position included.
+TEST(RaKernel, PredListsKeepPushBackOrder) {
+  for (std::size_t n : {1, 7, 500}) {
+    sim::Rng rng(n);
+    std::vector<std::vector<std::uint32_t>> want(n);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    for (int e = 0; e < 4000; ++e) {
+      const auto pred = static_cast<std::uint32_t>(rng.uniform_int(0, 1'000'000));
+      // Skew toward low successors so some lists stay empty.
+      const auto succ = static_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1) / (e % 3 + 1));
+      edges.emplace_back(pred, succ);
+    }
+    edges.emplace_back(42, static_cast<std::uint32_t>(n - 1));
+    for (auto [pred, succ] : edges) want[succ].push_back(pred);
+    const detail::PredLists got(n, [&](const auto& sink) {
+      for (auto [pred, succ] : edges) sink(pred, succ);
+    });
+    for (std::uint32_t v = 0; v < n; ++v) {
+      const std::span<const std::uint32_t> list = got[v];
+      EXPECT_EQ(std::vector<std::uint32_t>(list.begin(), list.end()), want[v])
+          << "n " << n << " position " << v;
+    }
   }
 }
 
@@ -565,9 +876,9 @@ TEST(WaterKernel, TrajectoriesDivergeAcrossSeeds) {
 
 // The inline rounding of the pair forces against libm, on the ties it
 // must round away from zero, the largest double below one half, and a
-// seeded mix of magnitudes inside its |x| < 2^52 domain.
+// seeded mix of magnitudes inside its |x| < 2^31 - 1 domain.
 TEST(WaterKernel, RoundHalfAwayMatchesLround) {
-  for (double x : {0.5, 1.5, 2.5, 0.49999999999999994, 2147483648.5}) {
+  for (double x : {0.5, 1.5, 2.5, 0.49999999999999994, 2147483645.5, 2147483646.4999998}) {
     EXPECT_EQ(detail::round_half_away(x), std::lround(x)) << x;
     EXPECT_EQ(detail::round_half_away(-x), std::lround(-x)) << -x;
   }
@@ -578,7 +889,7 @@ TEST(WaterKernel, RoundHalfAwayMatchesLround) {
     switch (i % 3) {
       case 0: x = u * 262144.0; break;                    // the pair forces' range
       case 1: x = std::floor(u * 1e6) + 0.5; break;       // exact ties
-      default: x = std::ldexp(u, static_cast<int>(rng.uniform_int(-8, 52))); break;
+      default: x = std::ldexp(u, static_cast<int>(rng.uniform_int(-8, 30))); break;
     }
     ASSERT_EQ(detail::round_half_away(x), std::lround(x)) << std::hexfloat << x;
   }
@@ -635,6 +946,91 @@ std::uint64_t checksum(int molecules, int steps, std::uint64_t seed) {
 }
 
 }  // namespace water_oracle
+
+// The row kernel against the pair force written out with std::lround,
+// on a block of m molecules and accumulators that start non-zero.
+void expect_row_matches_lround(const std::vector<std::array<double, 3>>& block,
+                               const std::array<double, 3>& a) {
+  constexpr double kScale = 65536.0;
+  const std::size_t m = block.size();
+  std::vector<double> bx(m), by(m), bz(m);
+  std::vector<long long> fx(m), fy(m), fz(m);
+  std::vector<std::array<long long, 3>> want_f(m);
+  std::array<long long, 3> want_sum{0, 0, 0};
+  for (std::size_t j = 0; j < m; ++j) {
+    bx[j] = block[j][0];
+    by[j] = block[j][1];
+    bz[j] = block[j][2];
+    fx[j] = fy[j] = fz[j] = static_cast<long long>(j) - 5;
+    const double d[3] = {bx[j] - a[0], by[j] - a[1], bz[j] - a[2]};
+    const double r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + 0.1;
+    const double inv = 1.0 / (r2 * std::sqrt(r2));
+    for (int c = 0; c < 3; ++c) {
+      const long long q = std::lround(d[c] * inv * kScale);
+      want_sum[c] += q;
+      want_f[j][c] = static_cast<long long>(j) - 5 - q;
+    }
+  }
+  const detail::RowForce got = detail::pair_row(a[0], a[1], a[2], bx.data(), by.data(),
+                                                bz.data(), m, fx.data(), fy.data(), fz.data());
+  EXPECT_EQ(got.x, want_sum[0]) << m;
+  EXPECT_EQ(got.y, want_sum[1]) << m;
+  EXPECT_EQ(got.z, want_sum[2]) << m;
+  for (std::size_t j = 0; j < m; ++j) {
+    EXPECT_EQ(fx[j], want_f[j][0]) << m << " molecules, molecule " << j;
+    EXPECT_EQ(fy[j], want_f[j][1]) << m << " molecules, molecule " << j;
+    EXPECT_EQ(fz[j], want_f[j][2]) << m << " molecules, molecule " << j;
+  }
+}
+
+// Block sizes off every vector width of the row kernel (2 or 4 lanes),
+// so its remainder iterations run too, and molecules close enough for
+// the largest forces.
+TEST(WaterKernel, RowKernelMatchesLroundOffVectorWidth) {
+  sim::Rng rng(61);
+  for (std::size_t m : {1, 3, 61}) {
+    std::vector<std::array<double, 3>> block(m);
+    for (auto& p : block) p = {rng.uniform() * 10.0, rng.uniform() * 10.0, rng.uniform() * 10.0};
+    expect_row_matches_lround(block, {rng.uniform() * 10.0, rng.uniform() * 10.0,
+                                      rng.uniform() * 10.0});
+    std::vector<std::array<double, 3>> close(m);
+    for (auto& p : close) p = {5.0 + rng.uniform() * 0.5, 5.0, 5.0 + rng.uniform() * 0.5};
+    expect_row_matches_lround(close, {5.0, 5.0, 5.0});
+  }
+}
+
+// Pair forces that are exact ties ±(k + 0.5), which lround rounds away
+// from zero. With r2 exactly 4 the kernel's 1 / (r2 sqrt(r2)) is 1/8,
+// so an x offset of (k + 0.5) / 8192 quantizes to k + 0.5 exactly; the
+// y offset is searched ulp by ulp until the softened r2 rounds to 4.
+TEST(WaterKernel, RowKernelRoundsExactTiesAwayFromZero) {
+  std::vector<std::array<double, 3>> block;
+  for (int k : {0, 1, 2, 7, 100, 4095, 9999, 16000}) {
+    const double dx = (k + 0.5) / 8192.0;
+    double dy = std::sqrt(4.0 - 0.1 - dx * dx);
+    double lo = dy, hi = dy;
+    for (int step = 0; step < 4096; ++step) {
+      if (dx * dx + lo * lo + 0.0 * 0.0 + 0.1 == 4.0) {
+        dy = lo;
+        break;
+      }
+      if (dx * dx + hi * hi + 0.0 * 0.0 + 0.1 == 4.0) {
+        dy = hi;
+        break;
+      }
+      lo = std::nextafter(lo, 0.0);
+      hi = std::nextafter(hi, 4.0);
+    }
+    ASSERT_EQ(dx * dx + dy * dy + 0.0 * 0.0 + 0.1, 4.0) << k;
+    const double q = dx * (1.0 / 8.0) * 65536.0;
+    ASSERT_EQ(q - std::floor(q), 0.5) << k;
+    block.push_back({dx, dy, 0.0});
+    block.push_back({-dx, -dy, 0.0});
+  }
+  expect_row_matches_lround(block, {0.0, 0.0, 0.0});
+  // One tie alone, so no vector lane carries it.
+  expect_row_matches_lround({block[3]}, {0.0, 0.0, 0.0});
+}
 
 TEST(WaterKernel, MatchesLroundOracle) {
   for (int molecules : {61, 256}) {

@@ -6,6 +6,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 
 namespace alb::sim {
 namespace {
@@ -145,6 +146,31 @@ TEST(Engine, CountsEvents) {
   for (int i = 0; i < 17; ++i) eng.schedule_after(i, [] {});
   EXPECT_EQ(eng.run(), 17u);
   EXPECT_EQ(eng.events_processed(), 17u);
+}
+
+// The trace-hash fold against FNV-1a written as the plain eight-byte
+// loop, on the edge values and on values with every count of leading
+// zero bytes, chained so a wrong multiplier anywhere shows.
+TEST(Engine, FnvMixMatchesByteLoop) {
+  auto byte_loop = [](std::uint64_t h, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xff;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  std::vector<std::uint64_t> values = {0, 1, 0xff, 0x100, 1ull << 56, ~0ull};
+  Rng rng(7);
+  for (int i = 0; i < 10'000; ++i) {
+    values.push_back(rng.next_u64() >> (8 * (i % 8)));
+  }
+  std::uint64_t want = detail::kFnvBasis;
+  std::uint64_t got = detail::kFnvBasis;
+  for (std::uint64_t v : values) {
+    want = byte_loop(want, v);
+    detail::fnv_mix(got, v);
+    ASSERT_EQ(got, want) << std::hex << v;
+  }
 }
 
 }  // namespace

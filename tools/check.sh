@@ -199,9 +199,12 @@ R=build-release
 # Campaign parallelism: --jobs 4 must equal --jobs 1. The CSVs carry
 # only simulated numbers; the causal and resilience JSONs do too (the
 # collective and adaptive JSONs add wall-clock throughput).
-for b in bench_fig_water bench_fig_asp bench_fig_tsp bench_fig15; do
+for b in bench_fig_water bench_fig_asp bench_fig_tsp bench_fig_ida bench_fig_ra bench_fig15 \
+         bench_breakdown; do
   det_diff "$b.jobs" "$B/$b" --quick --csv --jobs 1 -- "$B/$b" --quick --csv --jobs 4
 done
+det_diff "bench_validation.jobs" "$B/bench_validation" --csv --jobs 1 \
+                              -- "$B/bench_validation" --csv --jobs 4
 for b in causal resilience collective adaptive; do
   det_diff "bench_$b.jobs" "$B/bench_$b" --quick --csv --jobs 1 --json "$R/BENCH_$b.j1.json" \
                         -- "$B/bench_$b" --quick --csv --jobs 4 --json "$R/BENCH_$b.j4.json"
