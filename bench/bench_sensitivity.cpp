@@ -20,11 +20,11 @@ int main(int argc, char** argv) {
 
   // The WAN grid is data, not code: scenarios/sensitivity.scn carries
   // one labelled [run] per point. The table's rtt/Mbit columns derive
-  // from each run's WAN link (one-way latency + the fixed 140 us
-  // per-direction path cost, see net::custom_wan_config).
+  // from each run's WAN link (one-way latency + the fixed per-direction
+  // path cost, see net::wan_one_way_for_rtt).
   const scenario::Scenario sweep = scenario::load("sensitivity");
   const auto rtt_ms = [](const AppConfig& cfg) {
-    return static_cast<double>(cfg.net_cfg.wan.latency + sim::microseconds(140)) * 2 / 1e6;
+    return static_cast<double>(cfg.net_cfg.wan.latency + net::kWanFixedOneWay) * 2 / 1e6;
   };
   const auto mbit = [](const AppConfig& cfg) {
     return cfg.net_cfg.wan.bandwidth_bytes_per_sec * 8 / 1e6;

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <deque>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster_reduce.hpp"
@@ -178,7 +180,9 @@ IdaOutcome ida_reference(const IdaParams& params, std::uint64_t seed) {
   Puzzle root = scramble(params.scramble_moves, seed);
   std::vector<Job> jobs = make_jobs(root, params.job_pool);
   IdaOutcome out;
-  for (int threshold = root.manhattan();; threshold += 2) {
+  // An optimal solution is never longer than the scramble, so a search
+  // that passes it is broken: fail rather than deepen forever.
+  for (int threshold = root.manhattan(); threshold <= params.scramble_moves; threshold += 2) {
     const DfsResult r = search_jobs(jobs, threshold);
     out.nodes_expanded += r.nodes;
     if (r.solutions > 0) {
@@ -187,6 +191,8 @@ IdaOutcome ida_reference(const IdaParams& params, std::uint64_t seed) {
       return out;
     }
   }
+  throw std::logic_error("ida_reference: no solution within the " +
+                         std::to_string(params.scramble_moves) + "-move scramble");
 }
 
 detail::IdaIteration detail::ida_iteration(const IdaParams& params, std::uint64_t seed,

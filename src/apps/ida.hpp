@@ -42,6 +42,9 @@ struct IdaOutcome {
   long long nodes_expanded = 0;  // total over all iterations
 };
 
+/// The sequential solve. Throws std::logic_error when the deepening
+/// threshold passes `scramble_moves` without a solution, which only a
+/// broken search kernel can cause.
 IdaOutcome ida_reference(const IdaParams& params, std::uint64_t seed);
 std::uint64_t ida_checksum(const IdaOutcome& o);
 

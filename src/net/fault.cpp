@@ -125,6 +125,18 @@ void FaultInjector::count_flap_hold(sim::SimTime delay) {
   flap_hold_ns_ += static_cast<std::uint64_t>(delay);
 }
 
+std::optional<sim::SimTime> FaultInjector::after_timeout(ClusterId cluster,
+                                                         const FailureInfo& attempt,
+                                                         sim::SimTime timeout, sim::SimTime now) {
+  ++(attempt.kind == FailureInfo::Kind::RpcTimeout ? rpc_timeouts_ : seq_timeouts_);
+  if (!failed(cluster) && attempt.attempts >= plan_.recovery.max_attempts) {
+    fail(cluster, now, attempt);
+  }
+  if (failed(cluster)) return std::nullopt;
+  ++retries_;
+  return static_cast<sim::SimTime>(static_cast<double>(timeout) * plan_.recovery.backoff);
+}
+
 void FaultInjector::fail(ClusterId cluster, sim::SimTime time, FailureInfo info) {
   ClusterFailure& f = fail_[static_cast<std::size_t>(cluster)];
   if (f.failed) return;  // first failure per cluster wins; later give-ups just unwind

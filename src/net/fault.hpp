@@ -221,9 +221,6 @@ class FaultInjector {
   void count_drop(LinkClass c, std::size_t bytes, DropCause cause);
   void count_flap_hold(sim::SimTime delay);
   void count_brownout_slow() { ++brownout_slowed_; }
-  void note_retry() { ++retries_; }
-  void note_rpc_timeout() { ++rpc_timeouts_; }
-  void note_seq_timeout() { ++seq_timeouts_; }
   void note_dup_rpc_request() { ++dup_rpc_requests_; }
   void note_dup_rpc_reply() { ++dup_rpc_replies_; }
   void note_dup_seq_request() { ++dup_seq_requests_; }
@@ -234,6 +231,17 @@ class FaultInjector {
   std::uint64_t rpc_timeouts() const { return rpc_timeouts_; }
   std::uint64_t seq_timeouts() const { return seq_timeouts_; }
   std::uint64_t dup_rpc_requests() const { return dup_rpc_requests_; }
+
+  // --- recovery protocol ----------------------------------------------
+  /// The timeout decision shared by RPC and get-sequence: `attempt`
+  /// names the request (`op_id`, from `node`, by `kind`) and the number
+  /// of the attempt whose `timeout` just expired in `cluster`'s context
+  /// at `now`. Counts the timeout. Returns the next attempt's backed-off
+  /// timeout, counting a retry, or nullopt when the request gives up:
+  /// the cluster already failed, or this attempt spent the retry budget
+  /// and the cluster fails here with `attempt` as its FailureInfo.
+  std::optional<sim::SimTime> after_timeout(ClusterId cluster, const FailureInfo& attempt,
+                                            sim::SimTime timeout, sim::SimTime now);
 
   // --- hard failure --------------------------------------------------
   /// Records cluster `cluster`'s first failure (at simulated time

@@ -86,16 +86,23 @@ inline TopologyConfig slow_wan_config(int clusters, int nodes_per_cluster) {
   return cfg;
 }
 
+/// The fixed one-way path cost outside the WAN circuit proper: FE access
+/// + delivery + two gateway forwards + WAN stack overhead.
+inline constexpr sim::SimTime kWanFixedOneWay = sim::microseconds(140);
+
+/// The one-way circuit latency that gives an application-level WAN
+/// roundtrip of `rtt` (zero when `rtt` is below the fixed path cost).
+constexpr sim::SimTime wan_one_way_for_rtt(sim::SimTime rtt) {
+  const sim::SimTime one_way = rtt / 2 - kWanFixedOneWay;
+  return one_way < 0 ? 0 : one_way;
+}
+
 /// DAS topology with an arbitrary WAN (sensitivity sweeps): `rtt` is the
 /// application-level roundtrip target, bandwidth in bits/second.
 inline TopologyConfig custom_wan_config(int clusters, int nodes_per_cluster,
                                         sim::SimTime rtt, double bandwidth_bits_per_sec) {
   TopologyConfig cfg = das_config(clusters, nodes_per_cluster);
-  // Subtract the fixed per-direction path costs (FE access + delivery +
-  // two gateway forwards + WAN stack overhead = 140 us one-way).
-  sim::SimTime one_way = rtt / 2 - sim::microseconds(140);
-  if (one_way < 0) one_way = 0;
-  cfg.wan = wan_params(one_way, bandwidth_bits_per_sec);
+  cfg.wan = wan_params(wan_one_way_for_rtt(rtt), bandwidth_bits_per_sec);
   return cfg;
 }
 

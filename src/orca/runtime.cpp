@@ -139,7 +139,7 @@ sim::Task<std::shared_ptr<const void>> Runtime::call(net::NodeId target,
     co_return req.op();
   }
   const net::ClusterId cc = cluster_of(caller);
-  guard_failed(cc);
+  guard_failed(faults_, cc);
   const std::uint64_t id = ++rpc_calls_;
   auto& pending = pending_rpcs_[static_cast<std::size_t>(cc)];
 
@@ -150,27 +150,25 @@ sim::Task<std::shared_ptr<const void>> Runtime::call(net::NodeId target,
   req.call_id = id;
   auto payload = net::make_payload<RpcRequest>(std::move(req));
 
-  // One loop for every run: resend the *same* payload (same call_id, the
-  // dedup key at the server) with a backed-off timeout per attempt, until
-  // a reply lands or the retry budget is exhausted. Without recovery no
-  // timer is armed, so the first attempt is the only one. Inlined rather
-  // than factored into a helper coroutine: an extra Task would add
-  // event-queue traffic and perturb the trace goldens.
-  const net::RecoveryParams* rp = recovery_on_ ? &faults_->plan().recovery : nullptr;
-  sim::SimTime timeout = rp ? rp->rpc_timeout : 0;
+  // The recovery loop of orca/recovery.hpp: resend the *same* payload
+  // (same call_id, the server's at-most-once key) until a reply lands or
+  // the injector gives up. Without recovery no timer is armed, so the
+  // first attempt is the only one. Inlined rather than factored into a
+  // helper coroutine: an extra Task would add event-queue traffic and
+  // perturb the trace goldens.
+  sim::SimTime timeout = recovery_on_ ? faults_->plan().recovery.rpc_timeout : 0;
   bool retry_span = false;
   std::shared_ptr<const void> result;
   for (int attempt = 1;; ++attempt) {
     sim::Future<RpcWait> fut(engine());
     pending.insert_or_assign(id, fut);
     send_rpc_request(caller, target, request_bytes, payload);
-    arm_rpc_timer(fut, timeout);
+    if (recovery_on_) arm_timeout(engine(), fut, timeout);
     RpcWait w = co_await fut;
     if (!w.timed_out) {
-      result = std::move(w.result);
+      result = std::move(w.reply);
       break;
     }
-    faults_->note_rpc_timeout();
     if (rec) {
       rec->instant(trace::Ev::RpcTimeout, caller, id, static_cast<std::uint64_t>(attempt));
       if (!retry_span) {
@@ -178,30 +176,22 @@ sim::Task<std::shared_ptr<const void>> Runtime::call(net::NodeId target,
         rec->begin(trace::Ev::RpcRetry, caller, id);
       }
     }
-    if (faults_->failed(cc) || attempt >= rp->max_attempts) {
+    const std::optional<sim::SimTime> next = faults_->after_timeout(
+        cc, net::FailureInfo{net::FailureInfo::Kind::RpcTimeout, caller, id, attempt}, timeout,
+        engine().now());
+    if (!next) {
       pending.erase(id);
-      if (!faults_->failed(cc)) {
-        faults_->fail(cc, engine().now(),
-                      net::FailureInfo{net::FailureInfo::Kind::RpcTimeout, caller, id, attempt});
-      }
       if (rec) {
         if (retry_span) rec->end(trace::Ev::RpcRetry, caller, id);
         rec->end(trace::Ev::Rpc, caller, id, 0);
       }
       std::rethrow_exception(faults_->failure_eptr(cc));
     }
-    faults_->note_retry();
-    timeout = static_cast<sim::SimTime>(static_cast<double>(timeout) * rp->backoff);
+    timeout = *next;
   }
   if (rec && retry_span) rec->end(trace::Ev::RpcRetry, caller, id);
   if (rec) rec->end(trace::Ev::Rpc, caller, id, reply_bytes);
   co_return result;
-}
-
-void Runtime::guard_failed(net::ClusterId cluster) const {
-  if (faults_ != nullptr && faults_->failed(cluster)) {
-    std::rethrow_exception(faults_->failure_eptr(cluster));
-  }
 }
 
 void Runtime::send_rpc_request(net::NodeId caller, net::NodeId target,
@@ -216,16 +206,6 @@ void Runtime::send_rpc_request(net::NodeId caller, net::NodeId target,
   m.droppable = recovery_on_;
   m.payload = std::move(payload);
   net_->send(std::move(m));
-}
-
-void Runtime::arm_rpc_timer(const sim::Future<RpcWait>& fut, sim::SimTime timeout) {
-  if (!recovery_on_) return;
-  auto timer = [f = fut]() mutable {
-    if (!f.ready()) f.set_value(RpcWait{nullptr, true});
-  };
-  static_assert(sim::UniqueFunction::stores_inline<decltype(timer)>,
-                "RPC timeout timer must fit the event queue's inline storage");
-  engine().schedule_after(timeout, std::move(timer));
 }
 
 void Runtime::fail_cluster_waiters(net::ClusterId cluster, std::exception_ptr e) {
@@ -275,14 +255,9 @@ void Runtime::on_hard_failure(net::ClusterId cluster, const net::FailureInfo& in
 
 void Runtime::send_reply(net::NodeId at, net::NodeId caller, std::uint64_t call_id,
                          std::size_t reply_bytes, std::shared_ptr<const void> result) {
-  if (recovery_on_) {
-    // Cache the reply so a duplicate (retried) request re-receives it
-    // instead of re-executing the operation.
-    ServedRpc& s = served_rpcs_[call_id];
-    s.result = result;
-    s.reply_bytes = reply_bytes;
-    s.done = true;
-  }
+  // Keep the reply so a retried request re-receives it instead of
+  // re-executing the operation.
+  if (recovery_on_) served_rpcs_.record(call_id, ServedReply{result, reply_bytes});
   net::Message m;
   m.src = at;
   m.dst = caller;
@@ -310,23 +285,22 @@ sim::Task<void> Runtime::serve_blocking(net::NodeId at, RpcRequest req) {
 
 void Runtime::handle_rpc_request(net::NodeId at, RpcRequest req) {
   if (recovery_on_) {
-    auto it = served_rpcs_.find(req.call_id);
-    if (it != served_rpcs_.end()) {
-      // Duplicate of a request this node already accepted (its reply
-      // was lost, or the original is still executing). Never re-run the
-      // operation — RPC handlers have side effects (job-queue pops,
-      // cache fills). Resend the cached reply if one exists; otherwise
-      // the in-flight execution will reply when it completes.
+    if (const std::optional<ServedReply>* served = served_rpcs_.find(req.call_id)) {
+      // Duplicate of a request already accepted (its reply was lost, or
+      // the original is still executing). Never re-run the operation —
+      // RPC handlers have side effects (job-queue pops, cache fills).
+      // Resend the kept reply if one exists; otherwise the running
+      // execution will reply when it completes.
       faults_->note_dup_rpc_request();
       if (trace::Recorder* rec = engine().tracer()) {
         rec->instant(trace::Ev::RpcDup, at, req.call_id);
       }
-      if (it->second.done) {
-        send_reply(at, req.caller, req.call_id, it->second.reply_bytes, it->second.result);
+      if (*served) {
+        send_reply(at, req.caller, req.call_id, (*served)->reply_bytes, (*served)->result);
       }
       return;
     }
-    served_rpcs_.emplace(req.call_id, ServedRpc{});
+    served_rpcs_.accept(req.call_id);
   }
   if (trace::Recorder* rec = engine().tracer()) {
     rec->instant(trace::Ev::RpcServe, at, req.call_id);
@@ -362,7 +336,7 @@ void Runtime::send_data(const Proc& from, int dst_rank, int tag, std::size_t byt
 
 sim::Task<void> Runtime::barrier(Proc& p) {
   if (nprocs() == 1) co_return;
-  guard_failed(cluster_of(p.node));
+  guard_failed(faults_, cluster_of(p.node));
   const std::uint64_t gen = barrier_local_gen_[static_cast<std::size_t>(p.rank)]++;
   if (trace::Recorder* rec = engine().tracer()) {
     rec->instant(trace::Ev::BarrierArrive, p.node, gen);

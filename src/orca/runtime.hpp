@@ -37,6 +37,7 @@
 #include "orca/broadcast.hpp"
 #include "orca/collective.hpp"
 #include "orca/proc.hpp"
+#include "orca/recovery.hpp"
 #include "orca/sequencer.hpp"
 #include "orca/tags.hpp"
 #include "sim/future.hpp"
@@ -177,21 +178,12 @@ class Runtime {
     std::function<bool()> pred;
     sim::Future<> fut;
   };
-  /// What an rpc() caller resumes with: a reply, or a local timeout
-  /// fired by the recovery machinery (see src/net/fault.hpp).
-  struct RpcWait {
-    std::shared_ptr<const void> result;
-    bool timed_out = false;
-  };
-  /// Server-side duplicate suppression (recovery mode only): one entry
-  /// per call_id ever accepted at this runtime. `done` distinguishes a
-  /// request whose execution is still in flight (blocking handler or
-  /// service-time delay) — duplicates of those wait for the original
-  /// reply — from one whose cached reply can be resent immediately.
-  struct ServedRpc {
+  /// What an rpc() caller resumes with (see orca/recovery.hpp).
+  using RpcWait = Attempt<std::shared_ptr<const void>>;
+  /// A served call's reply, kept to answer its retries.
+  struct ServedReply {
     std::shared_ptr<const void> result;
     std::size_t reply_bytes = 0;
-    bool done = false;
   };
 
   /// The one RPC path behind rpc() and rpc_blocking(): runs `req`
@@ -209,11 +201,8 @@ class Runtime {
   void release_barrier();
   sim::Task<void> run_proc(ProcMain main, Proc& p);
 
-  // --- recovery helpers (no-ops unless the fault plan arms recovery) --
-  void guard_failed(net::ClusterId cluster) const;
   void send_rpc_request(net::NodeId caller, net::NodeId target, std::size_t request_bytes,
                         std::shared_ptr<const void> payload);
-  void arm_rpc_timer(const sim::Future<RpcWait>& fut, sim::SimTime timeout);
   /// Hard-failure fan-out for one cluster (runs in that cluster's
   /// context): errors its parked futures (pending RPCs, barrier
   /// waiters, object waiters), poisons its mailboxes, and forwards to
@@ -247,7 +236,7 @@ class Runtime {
   // every node.
   std::uint64_t rpc_calls_ = 0;
   std::vector<std::map<std::uint64_t, sim::Future<RpcWait>>> pending_rpcs_;
-  std::map<std::uint64_t, ServedRpc> served_rpcs_;  // recovery mode only
+  ServedTable<ServedReply> served_rpcs_;
 
   // Barrier service state. The arrival counter and generation belong to
   // the root (rank 0) context; waiters are sharded per node, keyed by

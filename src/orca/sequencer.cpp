@@ -5,19 +5,15 @@
 #include <optional>
 #include <vector>
 
+#include "orca/recovery.hpp"
 #include "orca/tags.hpp"
-#include "util/log.hpp"
 
 namespace alb::orca {
 
 namespace {
 
-/// What a get-sequence caller resumes with: either a granted sequence
-/// number or a local timeout fired by the retry machinery.
-struct SeqWait {
-  std::uint64_t seq = 0;
-  bool timed_out = false;
-};
+/// What a get-sequence caller resumes with (see orca/recovery.hpp).
+using SeqWait = Attempt<std::uint64_t>;
 
 /// A pending get-sequence call: who asked, which attempt-independent
 /// request id it carries (retries resend the same id so the sequencer
@@ -48,7 +44,8 @@ struct SeqArm {
   int threshold;
 };
 
-using GrantCache = std::map<std::uint64_t, std::uint64_t>;  // req_id -> seq
+/// Granted sequence numbers by request id.
+using GrantCache = ServedTable<std::uint64_t>;
 
 class SequencerBase : public Sequencer {
  public:
@@ -59,6 +56,34 @@ class SequencerBase : public Sequencer {
 
   /// Post-run accessor (counter_ is handoff-owned during a run).
   std::uint64_t issued() const override { return counter_; }
+
+  /// The one get-sequence loop: a number the caller's node can take
+  /// without a message, else a request resent under one request id until
+  /// a grant lands or the recovery protocol gives up (orca/recovery.hpp).
+  sim::Task<std::uint64_t> get_sequence(net::NodeId node) final {
+    const net::ClusterId cluster = topo().cluster_of(node);
+    guard_failed(faults_, cluster);
+    if (const std::optional<std::uint64_t> seq = take_local(node)) co_return *seq;
+    // Unique across the run and never 0; every attempt resends it, so
+    // the serving side can answer a retry at most once.
+    const std::uint64_t rid = ++last_req_id_;
+    sim::SimTime timeout = recovery_on_ ? faults_->plan().recovery.seq_timeout : 0;
+    for (int attempt = 1;; ++attempt) {
+      sim::Future<SeqWait> fut(eng());
+      submit(SeqRequest{node, rid, fut});
+      if (recovery_on_) arm_timeout(eng(), fut, timeout);
+      const SeqWait w = co_await fut;
+      if (!w.timed_out) co_return w.reply;
+      if (trace::Recorder* rec = eng().tracer()) {
+        rec->instant(trace::Ev::SeqTimeout, node, rid, static_cast<std::uint64_t>(attempt));
+      }
+      const std::optional<sim::SimTime> next = faults_->after_timeout(
+          cluster, net::FailureInfo{net::FailureInfo::Kind::SeqTimeout, node, rid, attempt},
+          timeout, eng().now());
+      if (!next) std::rethrow_exception(faults_->failure_eptr(cluster));
+      timeout = *next;
+    }
+  }
 
  protected:
   net::Network& net() { return *net_; }
@@ -72,18 +97,16 @@ class SequencerBase : public Sequencer {
   /// touches the counter, and that right only moves by message.
   std::uint64_t take_seq() { return counter_++; }
 
-  /// Fresh request id: unique across the run, never 0. Retries resend
-  /// it, so the serving side can deduplicate under recovery.
-  std::uint64_t next_req_id() { return ++last_req_id_; }
-
-  /// Entry guard: once the caller's cluster has observed the hard
-  /// failure, new get-sequence calls rethrow immediately instead of
-  /// joining a dead protocol.
-  void guard_failed(net::ClusterId cluster) {
-    if (faults_ != nullptr && faults_->failed(cluster)) {
-      std::rethrow_exception(faults_->failure_eptr(cluster));
-    }
+  /// A number `node` takes in place, with no request: the migrating
+  /// sequencer's active node. Called before a request id is minted.
+  virtual std::optional<std::uint64_t> take_local(net::NodeId node) {
+    (void)node;
+    return std::nullopt;
   }
+
+  /// Sends one attempt of `req` toward the sequencer. A retry resends the
+  /// same request id with a fresh future.
+  virtual void submit(SeqRequest req) = 0;
 
   void send_control(net::NodeId from, net::NodeId to, int tag,
                     std::shared_ptr<const void> payload, std::size_t bytes = kControlBytes,
@@ -107,7 +130,7 @@ class SequencerBase : public Sequencer {
   /// belongs to the serving context (per-cluster for the rotating
   /// sequencer, handoff-owned for the migrating one).
   void grant(net::NodeId grantor, SeqRequest req, std::uint64_t seq, GrantCache& cache) {
-    if (recovery_on_) cache[req.req_id] = seq;
+    if (recovery_on_) cache.record(req.req_id, seq);
     if (trace::Recorder* rec = eng().tracer()) {
       // Ordering decision: `seq` assigned at `grantor` for `requester`.
       rec->instant(trace::Ev::SeqIssue, grantor, seq, static_cast<std::uint64_t>(req.requester));
@@ -131,56 +154,17 @@ class SequencerBase : public Sequencer {
   /// Duplicate suppression at the serving side: a request id that was
   /// already granted gets the *same* sequence number re-sent instead of
   /// a fresh one (a second number would double-apply the broadcast).
-  bool regrant_if_served(net::NodeId grantor, SeqRequest& req, GrantCache& cache) {
+  bool regrant_if_served(net::NodeId grantor, SeqRequest& req, const GrantCache& cache) {
     if (!recovery_on_) return false;
-    auto it = cache.find(req.req_id);
-    if (it == cache.end()) return false;
+    const std::optional<std::uint64_t>* served = cache.find(req.req_id);
+    if (served == nullptr) return false;
+    const std::uint64_t seq = **served;  // a grant is recorded as it is issued
     faults_->note_dup_seq_request();
     if (trace::Recorder* rec = eng().tracer()) {
-      rec->instant(trace::Ev::SeqRegrant, grantor, it->second,
-                   static_cast<std::uint64_t>(req.requester));
+      rec->instant(trace::Ev::SeqRegrant, grantor, seq, static_cast<std::uint64_t>(req.requester));
     }
-    deliver_grant(grantor, std::move(req), it->second);
+    deliver_grant(grantor, std::move(req), seq);
     return true;
-  }
-
-  /// The first attempt's grant timeout (unused without recovery).
-  sim::SimTime first_timeout() const {
-    return recovery_on_ ? faults_->plan().recovery.seq_timeout : 0;
-  }
-
-  /// Arms an attempt's timeout when recovery is on; without it the
-  /// attempt waits for its grant alone and is the only one.
-  void arm_timer(const sim::Future<SeqWait>& fut, sim::SimTime timeout) {
-    if (!recovery_on_) return;
-    auto timer = [f = fut]() mutable {
-      if (!f.ready()) f.set_value(SeqWait{0, true});
-    };
-    static_assert(sim::UniqueFunction::stores_inline<decltype(timer)>,
-                  "sequencer timeout timer must fit the event queue's inline storage");
-    eng().schedule_after(timeout, std::move(timer));
-  }
-
-  /// Bookkeeping after one timed-out attempt. Throws HardFailure when
-  /// the retry budget is exhausted (or the caller's cluster failed while
-  /// this call was suspended); otherwise returns the backed-off timeout
-  /// for the next attempt.
-  sim::SimTime after_timeout(net::NodeId node, std::uint64_t rid, int attempt,
-                             sim::SimTime timeout) {
-    const net::ClusterId cluster = topo().cluster_of(node);
-    faults_->note_seq_timeout();
-    if (trace::Recorder* rec = eng().tracer()) {
-      rec->instant(trace::Ev::SeqTimeout, node, rid, static_cast<std::uint64_t>(attempt));
-    }
-    if (faults_->failed(cluster)) std::rethrow_exception(faults_->failure_eptr(cluster));
-    const net::RecoveryParams& rp = faults_->plan().recovery;
-    if (attempt >= rp.max_attempts) {
-      faults_->fail(cluster, eng().now(),
-                    net::FailureInfo{net::FailureInfo::Kind::SeqTimeout, node, rid, attempt});
-      std::rethrow_exception(faults_->failure_eptr(cluster));
-    }
-    faults_->note_retry();
-    return static_cast<sim::SimTime>(static_cast<double>(timeout) * rp.backoff);
   }
 
   /// Installs the universal grant-delivery handler on every node.
@@ -265,30 +249,6 @@ class RotatingSequencer final : public SequencerBase {
     }
   }
 
-  sim::Task<std::uint64_t> get_sequence(net::NodeId node) override {
-    const net::ClusterId c = topo().cluster_of(node);
-    guard_failed(c);
-    const std::uint64_t rid = next_req_id();
-    sim::SimTime timeout = first_timeout();
-    for (int attempt = 1;; ++attempt) {
-      sim::Future<SeqWait> fut(eng());
-      SeqRequest req{node, rid, fut};
-      if (node == seq_node(c)) {
-        // The request reaches the per-cluster sequencer without touching
-        // the network, but its *grant* may still need the token to ring-
-        // hop over lossy WAN links — so the timeout is armed regardless.
-        on_local_request(c, std::move(req));
-      } else {
-        send_control(node, seq_node(c), kTagSeqRequest, net::make_payload<SeqRequest>(req),
-                     kControlBytes, /*droppable=*/recovery_on());
-      }
-      arm_timer(fut, timeout);
-      const SeqWait w = co_await fut;
-      if (!w.timed_out) co_return w.seq;
-      timeout = after_timeout(node, rid, attempt, timeout);
-    }
-  }
-
   void fail_pending(net::ClusterId cluster, std::exception_ptr e) override {
     ClusterSlot& s = slots_[static_cast<std::size_t>(cluster)];
     for (SeqRequest& r : s.pending) {
@@ -320,6 +280,20 @@ class RotatingSequencer final : public SequencerBase {
   };
 
   net::NodeId seq_node(net::ClusterId c) const { return topo().compute_node(c, 0); }
+
+  void submit(SeqRequest req) override {
+    const net::ClusterId c = topo().cluster_of(req.requester);
+    if (req.requester == seq_node(c)) {
+      // The request reaches the per-cluster sequencer without touching
+      // the network, but its *grant* may still need the token to ring-
+      // hop over lossy WAN links — so the timeout is armed regardless.
+      on_local_request(c, std::move(req));
+    } else {
+      send_control(req.requester, seq_node(c), kTagSeqRequest,
+                   net::make_payload<SeqRequest>(req), kControlBytes,
+                   /*droppable=*/recovery_on());
+    }
+  }
 
   void on_local_request(net::ClusterId c, SeqRequest req) {
     ClusterSlot& s = slots_[static_cast<std::size_t>(c)];
@@ -466,31 +440,6 @@ class MigratingSequencer final : public SequencerBase {
     }
   }
 
-  sim::Task<std::uint64_t> get_sequence(net::NodeId node) override {
-    const net::ClusterId cluster = topo().cluster_of(node);
-    guard_failed(cluster);
-    if (active_[static_cast<std::size_t>(node)]) {
-      note_request_from(node);
-      loc_hint_[static_cast<std::size_t>(cluster)] = node;
-      co_return take_seq();
-    }
-    const std::uint64_t rid = next_req_id();
-    sim::SimTime timeout = first_timeout();
-    for (int attempt = 1;; ++attempt) {
-      // The hint is re-read every attempt, so a retry sent after the
-      // sequencer visited this cluster starts from the node it last
-      // served from here; forwarding pointers take it on from there.
-      sim::Future<SeqWait> fut(eng());
-      send_control(node, loc_hint_[static_cast<std::size_t>(cluster)], kTagSeqRequest,
-                   net::make_payload<SeqRequest>(SeqRequest{node, rid, fut}), kControlBytes,
-                   /*droppable=*/recovery_on());
-      arm_timer(fut, timeout);
-      const SeqWait w = co_await fut;
-      if (!w.timed_out) co_return w.seq;
-      timeout = after_timeout(node, rid, attempt, timeout);
-    }
-  }
-
   void hint_migrate(net::NodeId node) override {
     if (active_[static_cast<std::size_t>(node)]) return;  // already here
     const net::ClusterId cluster = topo().cluster_of(node);
@@ -522,6 +471,23 @@ class MigratingSequencer final : public SequencerBase {
   }
 
  private:
+  std::optional<std::uint64_t> take_local(net::NodeId node) override {
+    if (!active_[static_cast<std::size_t>(node)]) return std::nullopt;
+    note_request_from(node);
+    loc_hint_[static_cast<std::size_t>(topo().cluster_of(node))] = node;
+    return take_seq();
+  }
+
+  void submit(SeqRequest req) override {
+    // The hint is read at every attempt, so a retry sent after the
+    // sequencer visited this cluster starts from the node it last served
+    // from here; forwarding pointers take it on from there.
+    const net::NodeId from = req.requester;
+    send_control(from, loc_hint_[static_cast<std::size_t>(topo().cluster_of(from))],
+                 kTagSeqRequest, net::make_payload<SeqRequest>(std::move(req)), kControlBytes,
+                 /*droppable=*/recovery_on());
+  }
+
   void on_request(net::NodeId at, SeqRequest req) {
     if (active_[static_cast<std::size_t>(at)]) {
       serve(at, std::move(req));
@@ -627,8 +593,6 @@ class MigratingSequencer final : public SequencerBase {
     if (trace::Recorder* rec = eng().tracer()) {
       rec->instant(trace::Ev::SeqMigrate, from, static_cast<std::uint64_t>(node));
     }
-    ALB_LOG_AT(util::LogLevel::Debug, eng().now())
-        << "sequencer migrates " << from << " -> " << node;
     active_[static_cast<std::size_t>(from)] = 0;
     forward_[static_cast<std::size_t>(from)] = node;
     consec_cluster_ = topo().cluster_of(node);

@@ -269,14 +269,6 @@ int parse_cluster(const std::string& file, const KV& kv, int clusters, bool allo
   return static_cast<int>(c);
 }
 
-/// The fixed per-direction path cost outside the WAN circuit proper
-/// (FE access + delivery + two gateway forwards + WAN stack overhead),
-/// matching net::custom_wan_config: rtt -> one-way circuit latency.
-sim::SimTime rtt_to_one_way(sim::SimTime rtt) {
-  sim::SimTime one_way = rtt / 2 - sim::microseconds(140);
-  return one_way < 0 ? 0 : one_way;
-}
-
 [[noreturn]] void unknown_key(const std::string& file, const Section& s, const KV& kv,
                               const std::string& known) {
   fail(Code::UnknownKey, file, kv.kpos,
@@ -346,7 +338,7 @@ bool apply_vocabulary(RunPlan* run, const std::string& file, const KV& kv) {
     }
     cfg.procs_per_cluster = static_cast<int>(n);
   } else if (kv.key == "rtt") {
-    cfg.net_cfg.wan.latency = rtt_to_one_way(parse_time(file, kv));
+    cfg.net_cfg.wan.latency = net::wan_one_way_for_rtt(parse_time(file, kv));
   } else if (kv.key == "latency") {
     cfg.net_cfg.wan.latency = parse_time(file, kv);
   } else if (kv.key == "bandwidth") {
@@ -380,7 +372,9 @@ struct Interp {
       if (kv.key == "latency") p->latency = parse_time(file, kv);
       else if (kv.key == "bandwidth") p->bandwidth_bytes_per_sec = parse_bandwidth(file, kv);
       else if (kv.key == "overhead") p->per_message_overhead = parse_time(file, kv);
-      else if (kv.key == "rtt" && is_wan) p->latency = rtt_to_one_way(parse_time(file, kv));
+      else if (kv.key == "rtt" && is_wan) {
+        p->latency = net::wan_one_way_for_rtt(parse_time(file, kv));
+      }
       else {
         unknown_key(file, s, kv,
                     is_wan ? "latency bandwidth overhead rtt" : "latency bandwidth overhead");

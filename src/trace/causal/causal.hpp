@@ -221,6 +221,9 @@ struct Dag {
   std::uint32_t pred(EdgeRef r) const;
   /// The edge `r`, which must exist (pred(r) != kNone).
   Edge edge(EdgeRef r) const;
+  /// The WAN circuit crossed by the WanTransfer edge `from` → `to`,
+  /// honouring the per-pair `wan_overrides`.
+  const net::LinkParams& circuit(std::uint32_t from, std::uint32_t to) const;
   std::size_t edge_count() const;
 
   /// Calls f(Edge) for every edge in build order: by sink event, and
@@ -258,6 +261,14 @@ inline std::uint32_t Dag::pred(EdgeRef r) const {
   return kNone;
 }
 
+inline const net::LinkParams& Dag::circuit(std::uint32_t from, std::uint32_t to) const {
+  if (net.wan_overrides.empty()) return net.wan;
+  // Both ends are gateway events; gateway ids follow the compute nodes
+  // in cluster order (net::Topology::gateway_of).
+  const int compute = net.clusters * net.nodes_per_cluster;
+  return net.wan_between(events[from].actor - compute, events[to].actor - compute);
+}
+
 inline Edge Dag::edge(EdgeRef r) const {
   const Slot& s = slots[r.to];
   Edge e;
@@ -286,7 +297,7 @@ inline Edge Dag::edge(EdgeRef r) const {
         // per-message overhead and any injected jitter — as the rest.
         if (s.program == kNone) e.wan_queue = s.wait_or_queue;
         const sim::SimTime rest = e.dur - e.wan_queue;
-        e.wan_lat = std::min(net.wan.latency, rest);
+        e.wan_lat = std::min(circuit(e.from, e.to).latency, rest);
         e.wan_ser = rest - e.wan_lat;
       }
       break;
@@ -343,8 +354,10 @@ std::vector<Segment> top_segments(const CriticalPath& cp, std::size_t n);
 /// A hypothetical network edit to re-time the DAG under.
 struct Scenario {
   std::string name;
-  /// Replacement one-way WAN latency (e.g. the LAN's).
+  /// Cap on every WAN circuit's one-way latency (e.g. the LAN's).
   std::optional<sim::SimTime> wan_latency;
+  /// Divisor on every WAN circuit's one-way latency ("latency ÷k").
+  double wan_lat_div = 1.0;
   /// Scale on WAN serialization time (1/k for "bandwidth ×k").
   double wan_ser_scale = 1.0;
   /// Scale on WAN circuit queueing (shrinks with bandwidth).
@@ -366,8 +379,9 @@ Scenario parse_scenario(const std::string& spec, const net::TopologyConfig& net)
 /// wan-bw-x8, seq-local.
 std::vector<Scenario> standard_scenarios(const net::TopologyConfig& net);
 
-/// Applies a validatable scenario to a topology so the caller can
-/// re-simulate reality for comparison.
+/// Applies a validatable scenario to a topology, the uniform WAN and
+/// every per-pair circuit alike, so the caller can re-simulate reality
+/// for comparison.
 net::TopologyConfig apply_scenario(const Scenario& s, net::TopologyConfig cfg);
 
 struct Projection {

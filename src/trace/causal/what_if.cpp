@@ -23,6 +23,17 @@ double parse_factor(const std::string& spec, std::size_t prefix_len) {
   return k;
 }
 
+/// A WAN circuit's one-way latency `lat` under the scenario's latency
+/// edits, which never slow a circuit down.
+sim::SimTime edited_latency(const Scenario& s, sim::SimTime lat) {
+  sim::SimTime out = lat;
+  if (s.wan_latency) out = std::min(*s.wan_latency, out);
+  if (s.wan_lat_div != 1.0) {
+    out = std::min(static_cast<sim::SimTime>(static_cast<double>(lat) / s.wan_lat_div), out);
+  }
+  return out;
+}
+
 /// How much longer the message edge into event `to` would take under
 /// a scenario: its hypothetical minus its observed duration. Only a WAN
 /// crossing and, under seq-local, a sequencer message's access and
@@ -42,11 +53,12 @@ sim::SimTime message_delta(const Dag& dag, std::uint32_t to, const Scenario& s) 
     if (e.cls != EdgeClass::WanTransfer) return -e.dur;
     return cfg.lan.latency + cfg.lan.serialize_time(static_cast<std::size_t>(e.bytes)) - e.dur;
   }
-  const sim::SimTime lat = s.wan_latency ? std::min(*s.wan_latency, e.wan_lat) : e.wan_lat;
+  const net::LinkParams& circuit = dag.circuit(e.from, e.to);
+  const sim::SimTime lat = std::min(edited_latency(s, circuit.latency), e.wan_lat);
   // The per-message overhead is CPU cost, not bandwidth: it survives a
   // faster circuit (mirrors apply_scenario, which scales only
   // bandwidth_bytes_per_sec).
-  const sim::SimTime overhead = std::min(cfg.wan.per_message_overhead, e.wan_ser);
+  const sim::SimTime overhead = std::min(circuit.per_message_overhead, e.wan_ser);
   const sim::SimTime ser =
       overhead +
       static_cast<sim::SimTime>(static_cast<double>(e.wan_ser - overhead) * s.wan_ser_scale);
@@ -76,8 +88,7 @@ Scenario parse_scenario(const std::string& spec, const net::TopologyConfig& net)
     return s;
   }
   if (spec.rfind("wan-lat-x", 0) == 0) {
-    const double k = parse_factor(spec, 9);
-    s.wan_latency = static_cast<sim::SimTime>(static_cast<double>(net.wan.latency) / k);
+    s.wan_lat_div = parse_factor(spec, 9);
     return s;
   }
   throw std::runtime_error("unknown what-if scenario '" + spec +
@@ -90,10 +101,14 @@ std::vector<Scenario> standard_scenarios(const net::TopologyConfig& net) {
 }
 
 net::TopologyConfig apply_scenario(const Scenario& s, net::TopologyConfig cfg) {
-  if (s.wan_latency) cfg.wan.latency = std::min(*s.wan_latency, cfg.wan.latency);
-  if (s.wan_ser_scale != 1.0) {
-    cfg.wan.bandwidth_bytes_per_sec /= s.wan_ser_scale;  // ser × 1/k ⇔ bandwidth × k
-  }
+  const auto edit = [&s](net::LinkParams& circuit) {
+    circuit.latency = edited_latency(s, circuit.latency);
+    if (s.wan_ser_scale != 1.0) {
+      circuit.bandwidth_bytes_per_sec /= s.wan_ser_scale;  // ser × 1/k ⇔ bandwidth × k
+    }
+  };
+  edit(cfg.wan);
+  for (net::WanPairOverride& o : cfg.wan_overrides) edit(o.params);
   return cfg;
 }
 

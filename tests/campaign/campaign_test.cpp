@@ -1,21 +1,16 @@
 // Campaign engine unit tests: submission-order results, exception
-// propagation, the sequential reference path, stats accounting, and the
-// thread-safety of util::log that concurrent campaigns rely on.
+// propagation, the sequential reference path and stats accounting.
 
 #include "campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
-
-#include "util/log.hpp"
 
 namespace alb {
 namespace {
@@ -179,51 +174,6 @@ TEST(CampaignTest, ResolveJobsDefaultsToHardwareConcurrency) {
   EXPECT_GE(campaign::resolve_jobs(0), 1);
   EXPECT_GE(campaign::resolve_jobs(-3), 1);
   EXPECT_EQ(campaign::resolve_jobs(7), 7);
-}
-
-TEST(CampaignLogTest, CaptureIsThreadLocal) {
-  // Each worker installs its own capture buffer; lines must never land
-  // in another thread's buffer (the pre-campaign logger was a single
-  // process-global pointer, which this pins as fixed).
-  const util::LogLevel saved = util::log_level();
-  util::set_log_level(util::LogLevel::Info);
-  const int n = 8;
-  std::vector<std::string> buffers(n);
-  std::vector<std::function<int()>> tasks;
-  for (int i = 0; i < n; ++i) {
-    tasks.push_back([i, &buffers] {
-      util::set_log_capture(&buffers[i]);
-      for (int k = 0; k < 50; ++k) {
-        ALB_LOG(Info) << "thread " << i << " line " << k;
-      }
-      util::set_log_capture(nullptr);
-      return i;
-    });
-  }
-  campaign::run(std::move(tasks), Options{4});
-  util::set_log_level(saved);
-  for (int i = 0; i < n; ++i) {
-    // Exactly this thread's 50 lines, all tagged with its own id.
-    EXPECT_EQ(std::count(buffers[i].begin(), buffers[i].end(), '\n'), 50)
-        << "buffer " << i;
-    EXPECT_EQ(buffers[i].find("thread " + std::to_string((i + 1) % n) + " "),
-              std::string::npos)
-        << "buffer " << i << " contains another thread's lines";
-  }
-}
-
-TEST(CampaignLogTest, LevelIsSharedAcrossThreads) {
-  const util::LogLevel saved = util::log_level();
-  util::set_log_level(util::LogLevel::Error);
-  std::vector<std::function<int()>> tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back([] {
-      return static_cast<int>(util::log_level());
-    });
-  }
-  std::vector<int> levels = campaign::run(std::move(tasks), Options{4});
-  util::set_log_level(saved);
-  for (int lv : levels) EXPECT_EQ(lv, static_cast<int>(util::LogLevel::Error));
 }
 
 }  // namespace

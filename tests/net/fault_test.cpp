@@ -138,6 +138,41 @@ TEST(FaultInjector, BrownoutStateComposesWorstCase) {
   EXPECT_DOUBLE_EQ(after.extra_loss, 0.0);
 }
 
+TEST(FaultInjector, TimeoutsBackOffUntilTheBudgetFailsTheCluster) {
+  FaultPlan p = lossy_wan_plan();
+  p.recovery.backoff = 2.0;
+  p.recovery.max_attempts = 3;
+  FaultInjector fi(p, 42, 2);
+  const auto attempt = [](FailureInfo::Kind kind, int n) {
+    return FailureInfo{kind, /*node=*/1, /*op_id=*/7, n};
+  };
+  const sim::SimTime t0 = sim::milliseconds(10);
+  EXPECT_EQ(fi.after_timeout(0, attempt(FailureInfo::Kind::RpcTimeout, 1), t0, 0), 2 * t0);
+  EXPECT_EQ(fi.after_timeout(0, attempt(FailureInfo::Kind::SeqTimeout, 2), 2 * t0, 0), 4 * t0);
+  EXPECT_FALSE(fi.failed(0));
+
+  // The last attempt fails its cluster, and only that one.
+  int fan_outs = 0;
+  fi.on_fail([&](ClusterId c, const FailureInfo& info) {
+    ++fan_outs;
+    EXPECT_EQ(c, 0);
+    EXPECT_EQ(info.attempts, 3);
+  });
+  EXPECT_EQ(fi.after_timeout(0, attempt(FailureInfo::Kind::RpcTimeout, 3), 4 * t0, 5),
+            std::nullopt);
+  EXPECT_TRUE(fi.failed(0));
+  EXPECT_FALSE(fi.failed(1));
+  ASSERT_TRUE(fi.failure().has_value());
+  EXPECT_EQ(fi.failure()->kind, FailureInfo::Kind::RpcTimeout);
+
+  // A failed cluster's requests give up at once; nothing fails twice.
+  EXPECT_EQ(fi.after_timeout(0, attempt(FailureInfo::Kind::SeqTimeout, 1), t0, 6), std::nullopt);
+  EXPECT_EQ(fan_outs, 1);
+  EXPECT_EQ(fi.retries(), 2u);
+  EXPECT_EQ(fi.rpc_timeouts(), 2u);
+  EXPECT_EQ(fi.seq_timeouts(), 2u);
+}
+
 // ---------------------------------------------------------------------
 // Whole-run contracts (through the app harness).
 // ---------------------------------------------------------------------

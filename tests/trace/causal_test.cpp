@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <iterator>
@@ -18,6 +19,7 @@
 #include "net/presets.hpp"
 #include "net/topology.hpp"
 #include "orca/tags.hpp"
+#include "scenario/scenario.hpp"
 #include "trace/causal/causal.hpp"
 #include "trace/trace.hpp"
 
@@ -412,6 +414,49 @@ TEST(WhatIf, StandardScenariosProjectNoSlowdown) {
     EXPECT_LE(pj.projected, pj.observed) << sc.name;
     EXPECT_GE(pj.speedup, 1.0) << sc.name;
   }
+}
+
+TEST(WhatIf, Hetero3CircuitsAreRetimedAndResimulated) {
+  // hetero3 overrides every cluster pair, so no message crosses the
+  // uniform `wan` link: the analysis must read each crossing's own
+  // circuit, and a validated edit must reach the circuits the run used.
+  AppConfig cfg = scenario::load("hetero3").runs[0].cfg;
+  cfg.trace.enabled = true;
+  const net::TopologyConfig topo = cfg.topology();
+  ASSERT_EQ(topo.wan_overrides.size(), 3u);
+  const apps::AspParams p = small_asp();
+  const AppResult r = apps::run_asp(cfg, p);
+  ASSERT_TRUE(r.trace);
+  const trace::causal::Dag dag = trace::causal::build_dag(*r.trace, topo);
+
+  // The 0-2 and 1-2 circuits are slower than the uniform link, so some
+  // crossing carries more propagation latency than the uniform link has.
+  sim::SimTime max_lat = 0;
+  dag.for_each_edge([&](const trace::causal::Edge& e) {
+    if (e.cls == trace::causal::EdgeClass::WanTransfer) max_lat = std::max(max_lat, e.wan_lat);
+  });
+  EXPECT_GT(max_lat, topo.wan.latency);
+
+  const trace::causal::Scenario lat = trace::causal::parse_scenario("wan-lat-x2", topo);
+  const trace::causal::Scenario bw = trace::causal::parse_scenario("wan-bw-x8", topo);
+  const net::TopologyConfig lat_cfg = trace::causal::apply_scenario(lat, topo);
+  const net::TopologyConfig bw_cfg = trace::causal::apply_scenario(bw, topo);
+  for (std::size_t i = 0; i < topo.wan_overrides.size(); ++i) {
+    const net::LinkParams& was = topo.wan_overrides[i].params;
+    EXPECT_EQ(lat_cfg.wan_overrides[i].params.latency, was.latency / 2) << i;
+    EXPECT_DOUBLE_EQ(bw_cfg.wan_overrides[i].params.bandwidth_bytes_per_sec,
+                     was.bandwidth_bytes_per_sec * 8)
+        << i;
+  }
+
+  // Re-simulating the edited circuits moves the run.
+  AppConfig vcfg = cfg;
+  vcfg.net_cfg = bw_cfg;
+  vcfg.trace.enabled = false;
+  const AppResult actual = apps::run_asp(vcfg, p);
+  ASSERT_EQ(actual.status, AppResult::RunStatus::Ok);
+  EXPECT_LT(actual.elapsed, r.elapsed);
+  EXPECT_LT(trace::causal::what_if(dag, bw).projected, r.elapsed);
 }
 
 // --- faults composition ----------------------------------------------

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <string>
 
-#include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 
@@ -279,20 +278,6 @@ TEST(Options, ProvidedTracksExplicitArgumentsOnly) {
   EXPECT_TRUE(o.provided("csv"));
   EXPECT_FALSE(o.provided("nodes"));  // default applied, not provided
   EXPECT_FALSE(o.provided("bogus"));
-}
-
-TEST(Log, CaptureRespectsLevelAndTimestamp) {
-  std::string captured;
-  set_log_capture(&captured);
-  set_log_level(LogLevel::Info);
-  ALB_LOG(Debug) << "hidden";
-  ALB_LOG(Info) << "visible " << 42;
-  ALB_LOG_AT(LogLevel::Warn, 1500) << "stamped";
-  set_log_capture(nullptr);
-  set_log_level(LogLevel::Warn);
-  EXPECT_EQ(captured.find("hidden"), std::string::npos);
-  EXPECT_NE(captured.find("visible 42"), std::string::npos);
-  EXPECT_NE(captured.find("t=1500ns"), std::string::npos);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 #   build-release/  -O3 NDEBUG with -Werror, the configuration benchmarks
 #                   run in
 #   build-tsan/     ALB_SANITIZE=thread; runs test_campaign, the suite
-#                   that exercises the worker pool and the logger from
-#                   concurrent threads
+#                   that exercises the worker pool from concurrent
+#                   threads
 #
 # All trees are configured out-of-source and are .gitignore'd.
 
@@ -222,6 +222,7 @@ TWICE_ROWS=(
   "adapt:--app ASP --clusters 4 --per 2 --csv --adapt"
   "adapt-faults:--app ASP --clusters 4 --per 2 --csv --adapt --faults"
   "hetero3:--scenario hetero3 --app ASP --csv"
+  "hetero3-validate:--scenario hetero3 --app ASP --csv --critical-path --what-if std --validate"
   "ra-wrapped:--app RA --clusters 4 --per 4 --csv --critical-path --what-if std --capacity 20000"
   "water-opt-faults:--app Water --clusters 4 --per 4 --opt --csv --faults"
   "tsp-adapt:--app TSP --clusters 4 --per 4 --csv --adapt"
@@ -234,8 +235,9 @@ done
 # feature: the faulted TSP run retries, the faulted optimized Water run
 # times out RPCs made by its cluster cache and reducer (the blocking
 # RPC path), the adaptive ASP run arms its sequencer migration, the
-# adaptive TSP run splits its central job queue, and the RA causal
-# run's ring wraps, so normalization drops orphan Ends.
+# adaptive TSP run splits its central job queue, the RA causal run's
+# ring wraps, so normalization drops orphan Ends, and the hetero3
+# validation re-simulates the per-pair circuits it edits.
 grep -q '^retries,' "$R/det.trace.faults.a" \
   || { echo "fault counter table missing from --faults output"; exit 1; }
 if grep -q '^retries,0$' "$R/det.trace.faults.a"; then
@@ -249,6 +251,9 @@ grep -q '^queue splits,[1-9]' "$R/det.trace.tsp-adapt.a" \
   || { echo "adaptive TSP run split no job queue — the split path did not run"; exit 1; }
 grep -q 'cp_orphan_ends=[1-9]' "$R/det.trace.ra-wrapped.a" \
   || { echo "wrapped RA causal run dropped no orphan Ends — the ring did not wrap"; exit 1; }
+awk -F, '$1 == "wan-bw-x8" { seen = 1; if ($5 == $2) same = 1 } END { exit !(seen && !same) }' \
+  "$R/det.trace.hetero3-validate.a" \
+  || { echo "hetero3 wan-bw-x8 validation re-simulated the observed time — the edit missed the [wan A-B] circuits"; exit 1; }
 
 # The result cache, end to end: the sweep-demo grid is the same bytes
 # fresh at any --jobs value; a warm repeat is answered entirely from the
