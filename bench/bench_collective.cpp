@@ -65,7 +65,7 @@ sim::SimTime stream_point(int streams) {
   sim::Engine eng;
   net::Network net(eng, cfg);
   sim::SimTime arrival = 0;
-  net.endpoint(2).set_handler(0, [&](net::Message) { arrival = eng.now(); });
+  net.endpoint(2).set_handler(0, [&](const net::Message&) { arrival = eng.now(); });
   net::Message m;
   m.src = 0;
   m.dst = 2;

@@ -59,7 +59,7 @@ class CentralJobQueue {
     if (topo.clusters() > 1) adapt_ = rt.adaptive();
     if (adapt_ == nullptr) return;
     for (net::ClusterId c = 0; c < topo.clusters(); ++c) {
-      rt.network().endpoint(topo.compute_node(c, 0)).set_handler(tag_, [this, c](net::Message m) {
+      rt.network().endpoint(topo.compute_node(c, 0)).set_handler(tag_, [this, c](const net::Message& m) {
         deliver_batch(c, net::payload_as<SplitBatch>(m).jobs);
       });
     }

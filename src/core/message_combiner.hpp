@@ -54,21 +54,21 @@ class ClusterCombiner {
     if (topo.clusters() > 1) adapt_ = rt.adaptive();
     for (int n = 0; n < topo.num_compute(); ++n) {
       // Direct item (intracluster, or unoptimized intercluster).
-      rt.network().endpoint(n).set_handler(opt_.tag, [this, n](net::Message m) {
+      rt.network().endpoint(n).set_handler(opt_.tag, [this, n](const net::Message& m) {
         deliver_item(n, std::move(const_cast<Item&>(net::payload_as<Item>(m))));
       });
       // Sender-to-relay hop.
-      rt.network().endpoint(n).set_handler(opt_.tag + 1, [this](net::Message m) {
+      rt.network().endpoint(n).set_handler(opt_.tag + 1, [this](const net::Message& m) {
         const auto& h = net::payload_as<Handoff>(m);
         relay_enqueue(h.relay_cluster, h.dst_rank, std::move(const_cast<Item&>(h.item)));
       });
       // Combined intercluster message arriving at the remote relay.
-      rt.network().endpoint(n).set_handler(opt_.tag + 2, [this](net::Message m) {
+      rt.network().endpoint(n).set_handler(opt_.tag + 2, [this](const net::Message& m) {
         const auto& batch = net::payload_as<std::vector<Addressed>>(m);
         for (const Addressed& a : batch) distribute(a);
       });
       // Sender-batched direct message: unpack at the destination.
-      rt.network().endpoint(n).set_handler(opt_.tag + 3, [this, n](net::Message m) {
+      rt.network().endpoint(n).set_handler(opt_.tag + 3, [this, n](const net::Message& m) {
         const auto& batch = net::payload_as<std::vector<Item>>(m);
         for (const Item& it : batch) deliver_item(n, Item(it));
       });

@@ -6,6 +6,15 @@
 // moment they arrive) or queued in a per-tag mailbox for processes that
 // co_await receive(tag).
 //
+// A handler sees the message by const reference, for the duration of the
+// call only. For a hardware broadcast that reference is the fan-out
+// record every receiver shares (net/network.hpp): the network rewrites
+// its `dst` for the next receiver and recycles it after the last, so a
+// handler must not keep the reference or a pointer into the Message —
+// it copies what it needs (payload_as<T> fields, or the payload
+// shared_ptr itself) before returning. A unicast is handed over the
+// same way; only mailbox delivery takes the message by value.
+//
 // The runtime's reserved protocol tags (-kReservedTags..-1, see
 // orca/tags.hpp) carry almost every delivery, so their handlers sit in a
 // fixed array indexed by -tag-1; application tags (>= 0) keep a map.
@@ -23,7 +32,8 @@ namespace alb::net {
 
 class Endpoint {
  public:
-  using Handler = std::function<void(Message&&)>;
+  /// Runs at arrival time; the reference is valid only during the call.
+  using Handler = std::function<void(const Message&)>;
 
   /// Tags -kReservedTags..-1 dispatch through the fixed handler array.
   static constexpr int kReservedTags = 16;
@@ -59,18 +69,23 @@ class Endpoint {
     return it == mailboxes_.end() ? 0 : it->second->size();
   }
 
-  /// Called by the network at message arrival time.
-  void deliver(Message m) {
-    if (Handler* slot = reserved_slot(m.tag)) {
-      if (*slot) {
-        (*slot)(std::move(m));
-        return;
-      }
-    } else if (auto it = handlers_.find(m.tag); it != handlers_.end()) {
-      it->second(std::move(m));
-      return;
+  /// Called by the network at a unicast's arrival time: the handler
+  /// sees `m`, or the mailbox takes it over.
+  void deliver(Message&& m) {
+    if (Handler* h = handler(m.tag)) {
+      (*h)(m);
+    } else {
+      mailbox(m.tag).send(std::move(m));
     }
-    mailbox(m.tag).send(std::move(m));
+  }
+  /// Called by the network at a broadcast receiver's arrival time: `m`
+  /// is shared by the whole fan-out, so the mailbox gets a copy.
+  void deliver(const Message& m) {
+    if (Handler* h = handler(m.tag)) {
+      (*h)(m);
+    } else {
+      mailbox(m.tag).send(m);
+    }
   }
 
   /// Poisons every mailbox (current and future): blocked and subsequent
@@ -82,6 +97,13 @@ class Endpoint {
   }
 
  private:
+  /// The handler registered for `tag`, or nullptr.
+  Handler* handler(int tag) {
+    if (Handler* slot = reserved_slot(tag)) return *slot ? slot : nullptr;
+    auto it = handlers_.find(tag);
+    return it == handlers_.end() ? nullptr : &it->second;
+  }
+
   Handler* reserved_slot(int tag) {
     return tag < 0 && tag >= -kReservedTags ? &reserved_[static_cast<std::size_t>(-tag - 1)]
                                             : nullptr;

@@ -76,11 +76,14 @@ namespace detail {
 
 }  // namespace detail
 
-/// Wraps a value for shipment. One allocation: the shared_ptr<const T>
+/// Wraps a value for shipment. One allocation: the shared_ptr<T>
 /// converts to shared_ptr<const void> sharing the same control block.
+/// Receivers see the value as const, but the object itself is not, so
+/// the one receiver of a unicast may move out of it through a
+/// const_cast (wide::ClusterCombiner does).
 template <typename T>
 std::shared_ptr<const void> make_payload(T value) {
-  return std::make_shared<const T>(std::move(value));
+  return std::make_shared<T>(std::move(value));
 }
 
 /// Extracts a payload previously created with make_payload<T>.

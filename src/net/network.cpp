@@ -107,6 +107,44 @@ void Network::deliver_at(sim::SimTime t, Message m) {
   eng_->schedule_at(t, std::move(ev));
 }
 
+void Network::broadcast_at(sim::SimTime t, ClusterId c, NodeId skip, Message m) {
+  assert(skip == kNoNode || topo_.cluster_of(skip) == c);
+  const int members = topo_.nodes_per_cluster();
+  const int receivers = skip == kNoNode ? members : members - 1;
+  if (receivers == 0) return;
+  FanOut* f;
+  if (free_fanouts_.empty()) {
+    f = &fanouts_.emplace_back();
+  } else {
+    f = free_fanouts_.back();
+    free_fanouts_.pop_back();
+  }
+  f->msg = std::move(m);
+  f->pending = receivers;
+  for (int i = 0; i < members; ++i) {
+    const NodeId dst = topo_.compute_node(c, i);
+    if (dst == skip) continue;
+    auto ev = [this, f, dst] { deliver_fan_out(*f, dst); };
+    static_assert(sim::UniqueFunction::stores_inline<decltype(ev)>,
+                  "a fan-out delivery must fit the event queue's inline storage");
+    eng_->schedule_at(t, std::move(ev));
+  }
+}
+
+void Network::deliver_fan_out(FanOut& f, NodeId dst) {
+  f.msg.dst = dst;
+  const Message& m = f.msg;
+  if (trace::Recorder* rec = eng_->tracer()) {
+    rec->instant(trace::Ev::Deliver, dst, m.id, m.bytes, trace::Recorder::clamp_tag(m.tag));
+  }
+  endpoint(dst).deliver(m);
+  if (--f.pending == 0) {
+    // The last receiver is done: release the payload with the record.
+    f.msg.payload.reset();
+    free_fanouts_.push_back(&f);
+  }
+}
+
 void Network::schedule_hop_at(sim::SimTime t, HopPlan plan) {
   auto ev = [this, plan = std::move(plan)]() mutable { run_hop(std::move(plan)); };
   static_assert(sim::UniqueFunction::stores_inline<decltype(ev)>,
@@ -270,11 +308,7 @@ void Network::run_hop(HopPlan plan) {
       if (plan.broadcast) {
         // Remote gateway re-broadcasts into its cluster.
         const sim::SimTime t = bcast_link(plan.to).transfer(plan.msg.bytes);
-        for (int i = 0; i < topo_.nodes_per_cluster(); ++i) {
-          Message copy = plan.msg;
-          copy.dst = topo_.compute_node(plan.to, i);
-          deliver_at(t, std::move(copy));
-        }
+        broadcast_at(t, plan.to, kNoNode, std::move(plan.msg));
       } else {
         const sim::SimTime t = delivery_link(plan.to).transfer(plan.msg.bytes);
         deliver_at(t, std::move(plan.msg));
@@ -356,15 +390,10 @@ std::uint64_t Network::lan_broadcast(NodeId src, Message m) {
     rec->instant(trace::Ev::BcastLan, src, m.id, m.bytes, trace::Recorder::clamp_tag(m.tag));
   }
   stats_.record_intra(m.kind, m.bytes);
-  sim::SimTime t = bcast_link(c).transfer(m.bytes);
-  for (int i = 0; i < topo_.nodes_per_cluster(); ++i) {
-    NodeId dst = topo_.compute_node(c, i);
-    if (dst == src) continue;  // the sender applies its own update locally
-    Message copy = m;
-    copy.dst = dst;
-    deliver_at(t, std::move(copy));
-  }
-  return m.id;
+  const std::uint64_t id = m.id;
+  // The sender applies its own update locally: it is not a receiver.
+  broadcast_at(bcast_link(c).transfer(m.bytes), c, src, std::move(m));
+  return id;
 }
 
 std::uint64_t Network::wan_broadcast(NodeId src, ClusterId target, Message m) {

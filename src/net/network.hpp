@@ -16,6 +16,14 @@
 // Every hop is a scheduled event, so queueing at gateways and on the WAN
 // circuits emerges naturally from link busy-until times.
 //
+// A hardware broadcast (lan_broadcast, and a remote gateway's local
+// re-broadcast) schedules one delivery event per receiver but stores its
+// Message once, in a fan-out record the network recycles. Each
+// receiver's event sets the record's `dst` to itself and hands the one
+// Message to the endpoint by const reference (see net/endpoint.hpp), so
+// a receiver copies neither the Message nor its payload pointer; only a
+// receiver without a handler gets a copy, in its mailbox.
+//
 // Cluster contexts: every hop up to the WAN transfer runs in the
 // *source* cluster's engine context; the remote-gateway hop onward runs
 // in the *destination* cluster's. The WAN crossing is scheduled through
@@ -25,6 +33,7 @@
 // histograms are single instruments: the engine runs one sequential
 // loop.
 
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -137,6 +146,19 @@ class Network {
   void schedule_hop_at(sim::SimTime t, HopPlan plan);
   void schedule_hop_after(sim::SimTime delay, HopPlan plan);
   void deliver_at(sim::SimTime t, Message m);
+  /// One hardware broadcast in flight: its Message, stored once for all
+  /// receivers, and the number of deliveries still to run. Each
+  /// receiver's event points at the record and sets msg.dst to itself
+  /// before handing the message over; the last one recycles the record.
+  struct FanOut {
+    Message msg;
+    int pending = 0;
+  };
+  /// Schedules the delivery of `m` at `t` to every compute node of
+  /// cluster `c` except `skip` (kNoNode: all of them), sharing one
+  /// FanOut record. With no receivers it schedules nothing.
+  void broadcast_at(sim::SimTime t, ClusterId c, NodeId skip, Message m);
+  void deliver_fan_out(FanOut& f, NodeId dst);
   /// At the egress gateway of a tree-dissemination leg: forward fresh
   /// copies to this cluster's children in the tree (no-op for leaves).
   void relay_tree_children(const HopPlan& plan);
@@ -213,6 +235,12 @@ class Network {
   std::vector<std::unique_ptr<Link>> wan_links_;       // C*C*streams (diagonal unused)
   std::vector<std::unique_ptr<Link>> delivery_links_;  // per gateway: FE egress into cluster
   std::vector<std::unique_ptr<Link>> bcast_links_;     // per cluster: Myrinet broadcast
+
+  // FanOut records: a deque keeps their addresses stable (pending
+  // events and running handlers point into it) and the free list
+  // recycles them.
+  std::deque<FanOut> fanouts_;
+  std::vector<FanOut*> free_fanouts_;
 
   /// One combine buffer per (source, destination, kind, service class);
   /// a source's buffers are enqueued and flushed in its cluster's

@@ -16,7 +16,7 @@ BroadcastEngine::BroadcastEngine(net::Network& net, Sequencer& seq, coll::Engine
   applied_count_.assign(static_cast<std::size_t>(compute), 0);
   local_apply_waiters_.resize(static_cast<std::size_t>(compute));
   for (int n = 0; n < compute; ++n) {
-    net.endpoint(n).set_handler(kTagBcastData, [this, n](net::Message m) {
+    net.endpoint(n).set_handler(kTagBcastData, [this, n](const net::Message& m) {
       const auto& s = net::payload_as<Shipment>(m);
       if (s.seq == kUnordered) {
         apply_now(static_cast<net::NodeId>(n), s.op);

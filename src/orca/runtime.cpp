@@ -47,12 +47,12 @@ void Runtime::install_handlers() {
   const int nodes = net_->topology().num_nodes();
   for (int n = 0; n < nodes; ++n) {
     const net::ClusterId nc = cluster_of(static_cast<net::NodeId>(n));
-    net_->endpoint(n).set_handler(kTagRpcRequest, [this, n](net::Message m) {
+    net_->endpoint(n).set_handler(kTagRpcRequest, [this, n](const net::Message& m) {
       handle_rpc_request(static_cast<net::NodeId>(n), net::payload_as<RpcRequest>(m));
     });
     // The reply handler runs at the caller's node, so it resolves
     // against the caller cluster's pending table.
-    net_->endpoint(n).set_handler(kTagRpcReply, [this, nc](net::Message m) {
+    net_->endpoint(n).set_handler(kTagRpcReply, [this, nc](const net::Message& m) {
       const auto& rep = net::payload_as<RpcReply>(m);
       auto& pending = pending_rpcs_[static_cast<std::size_t>(nc)];
       auto it = pending.find(rep.call_id);
@@ -69,7 +69,7 @@ void Runtime::install_handlers() {
       it->second.set_value(RpcWait{rep.result, false});
       pending.erase(it);
     });
-    net_->endpoint(n).set_handler(kTagBarrierRelease, [this, n](net::Message m) {
+    net_->endpoint(n).set_handler(kTagBarrierRelease, [this, n](const net::Message& m) {
       auto gen = net::payload_as<std::uint64_t>(m);
       auto& waiters = barrier_waiters_[static_cast<std::size_t>(n)];
       auto it = waiters.find(gen);
@@ -79,7 +79,7 @@ void Runtime::install_handlers() {
       }
     });
   }
-  net_->endpoint(0).set_handler(kTagBarrierArrive, [this](net::Message) {
+  net_->endpoint(0).set_handler(kTagBarrierArrive, [this](const net::Message&) {
     ++barrier_arrivals_;
     if (barrier_arrivals_ == nprocs()) release_barrier();
   });

@@ -170,7 +170,7 @@ class SequencerBase : public Sequencer {
   /// Installs the universal grant-delivery handler on every node.
   void install_reply_handlers() {
     for (int n = 0; n < topo().num_nodes(); ++n) {
-      net_->endpoint(n).set_handler(kTagSeqReply, [this](net::Message m) {
+      net_->endpoint(n).set_handler(kTagSeqReply, [this](const net::Message& m) {
         on_grant_arrival(net::payload_as<SeqGrant>(m));
       });
     }
@@ -236,10 +236,10 @@ class RotatingSequencer final : public SequencerBase {
     for (net::ClusterId c = 0; c < topo().clusters(); ++c) {
       // The per-cluster sequencer runs on the cluster's first node.
       net::NodeId sn = seq_node(c);
-      this->net().endpoint(sn).set_handler(kTagSeqRequest, [this, c](net::Message m) {
+      this->net().endpoint(sn).set_handler(kTagSeqRequest, [this, c](const net::Message& m) {
         on_local_request(c, net::payload_as<SeqRequest>(m));
       });
-      this->net().endpoint(sn).set_handler(kTagSeqToken, [this, c](net::Message m) {
+      this->net().endpoint(sn).set_handler(kTagSeqToken, [this, c](const net::Message& m) {
         if (m.bytes >= kTokenBytes) {
           on_token_arrival(c, net::payload_as<TokenMsg>(m).target);
         } else {
@@ -425,16 +425,16 @@ class MigratingSequencer final : public SequencerBase {
     active_[static_cast<std::size_t>(start)] = 1;
     install_reply_handlers();
     for (int n = 0; n < nodes; ++n) {
-      this->net().endpoint(n).set_handler(kTagSeqRequest, [this, n](net::Message m) {
+      this->net().endpoint(n).set_handler(kTagSeqRequest, [this, n](const net::Message& m) {
         on_request(static_cast<net::NodeId>(n), net::payload_as<SeqRequest>(m));
       });
-      this->net().endpoint(n).set_handler(kTagSeqMigrate, [this, n](net::Message) {
+      this->net().endpoint(n).set_handler(kTagSeqMigrate, [this, n](const net::Message&) {
         on_migrate_arrival(static_cast<net::NodeId>(n));
       });
-      this->net().endpoint(n).set_handler(kTagSeqHint, [this, n](net::Message m) {
+      this->net().endpoint(n).set_handler(kTagSeqHint, [this, n](const net::Message& m) {
         on_hint(static_cast<net::NodeId>(n), net::payload_as<SeqHint>(m).target);
       });
-      this->net().endpoint(n).set_handler(kTagSeqArm, [this, n](net::Message m) {
+      this->net().endpoint(n).set_handler(kTagSeqArm, [this, n](const net::Message& m) {
         on_arm(static_cast<net::NodeId>(n), net::payload_as<SeqArm>(m).threshold);
       });
     }

@@ -1,9 +1,27 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace alb::sim {
+namespace {
+
+/// A heap child competing in heap_pop's tournament: its time and its
+/// index among its siblings.
+struct Entrant {
+  SimTime time;
+  std::size_t index;
+};
+
+/// The earlier of two entrants, picked with a min and a mask instead of
+/// a branch: which child wins is data the predictor cannot learn.
+Entrant lesser(Entrant a, Entrant b) {
+  const std::size_t take_b = std::size_t{0} - static_cast<std::size_t>(b.time < a.time);
+  return {std::min(a.time, b.time), a.index ^ ((a.index ^ b.index) & take_b)};
+}
+
+}  // namespace
 
 std::uint32_t EventQueue::acquire_node() {
   if (!free_nodes_.empty()) {
@@ -17,26 +35,32 @@ std::uint32_t EventQueue::acquire_node() {
   return nodes_in_use_++;
 }
 
-void EventQueue::enqueue(SimTime t, std::uint32_t n) {
+void EventQueue::insert_sorted(TimeMap::Cell& cell, std::uint32_t n) {
+  // Owners mostly schedule in ascending Lamport order, so appending at
+  // the tail is the common case; interleaved owners with diverging
+  // Lamport clocks cause the mid-list inserts.
   Node& nd = node(n);
-  nd.next = kNil;
-  if (TimeMap::Cell* c = lists_.find(t)) {
-    // Keep the list sorted by key. Owners mostly schedule in ascending
-    // Lamport order, so appending at the tail is the common case;
-    // interleaved owners with diverging Lamport clocks cause the
-    // mid-list inserts.
-    if (node(c->tail).key < nd.key) {
-      node(c->tail).next = n;
-      c->tail = n;
-    } else if (nd.key < node(c->head).key) {
-      nd.next = c->head;
-      c->head = n;
-    } else {
-      std::uint32_t prev = c->head;
-      while (node(node(prev).next).key < nd.key) prev = node(prev).next;
-      nd.next = node(prev).next;
-      node(prev).next = n;
-    }
+  if (node(cell.tail).key < nd.key) {
+    node(cell.tail).next = n;
+    cell.tail = n;
+  } else if (nd.key < node(cell.head).key) {
+    nd.next = cell.head;
+    cell.head = n;
+  } else {
+    std::uint32_t prev = cell.head;
+    while (node(node(prev).next).key < nd.key) prev = node(prev).next;
+    nd.next = node(prev).next;
+    node(prev).next = n;
+  }
+}
+
+void EventQueue::enqueue(SimTime t, std::uint32_t n) {
+  node(n).next = kNil;
+  assert((cur_.head == kNil || t >= cur_.key) && "pushed before the current time");
+  if (cur_.head != kNil && t == cur_.key) {
+    insert_sorted(cur_, n);
+  } else if (TimeMap::Cell* c = lists_.find(t)) {
+    insert_sorted(*c, n);
   } else {
     TimeMap::Cell& fresh = lists_.insert(t);
     fresh.head = n;
@@ -66,61 +90,59 @@ void EventQueue::push_resume(SimTime t, EventKey key, std::int32_t exec_owner,
 }
 
 void EventQueue::heap_push(SimTime t) {
+  // The heap holds exactly the index's times, so its storage grows with
+  // the index's: it never reallocates while the index keeps its table.
+  const std::size_t want = lists_.capacity() + kArity;
+  if (heap_.size() < want) heap_.resize(want, kNever);
   // Sift-up with a hole: the new entry is only written once, into its
   // final position.
-  std::size_t i = heap_times_.size();
-  heap_times_.emplace_back();
+  std::size_t i = heap_n_++;
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!(t < heap_times_[parent])) break;
-    heap_times_[i] = heap_times_[parent];
+    if (!(t < heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_times_[i] = t;
+  heap_[i] = t;
 }
 
 void EventQueue::heap_pop() {
-  const SimTime vt = heap_times_.back();
-  heap_times_.pop_back();
-  if (heap_times_.empty()) return;
-  const std::size_t n = heap_times_.size();
+  const SimTime vt = heap_[--heap_n_];
+  heap_[heap_n_] = kNever;
+  const std::size_t n = heap_n_;
+  if (n == 0) return;
   std::size_t i = 0;
   for (;;) {
     const std::size_t first = i * kArity + 1;
     if (first >= n) break;
-    const std::size_t last = std::min(first + kArity, n);
-    std::size_t best = first;
-    SimTime bt = heap_times_[first];
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (heap_times_[c] < bt) {
-        bt = heap_times_[c];
-        best = c;
-      }
-    }
-    if (!(bt < vt)) break;
-    heap_times_[i] = bt;
-    i = best;
+    // Least of the eight children by a pairwise tournament: the pads
+    // past n are kNever and never win, and heap times are distinct, so
+    // no match is a tie.
+    const SimTime* c = heap_.data() + first;
+    const Entrant best =
+        lesser(lesser(lesser({c[0], 0}, {c[1], 1}), lesser({c[2], 2}, {c[3], 3})),
+               lesser(lesser({c[4], 4}, {c[5], 5}), lesser({c[6], 6}, {c[7], 7})));
+    if (!(best.time < vt)) break;
+    heap_[i] = best.time;
+    i = first + best.index;
   }
-  heap_times_[i] = vt;
+  heap_[i] = vt;
 }
 
 EventQueue::Event EventQueue::pop() {
-  const SimTime top_time = heap_times_.front();
-  TimeMap::Cell* c = lists_.find(top_time);
-  const std::uint32_t ni = c->head;
-  Node& nd = node(ni);
-  if (nd.next == kNil) {
-    // Last event at this time: retire its list and heap entry.
-    lists_.erase(top_time);
+  if (cur_.head == kNil) {
+    // The earliest time comes due: drain its whole list from here on.
+    cur_ = lists_.take(heap_[0]);
     heap_pop();
-  } else {
-    c->head = nd.next;
   }
+  const std::uint32_t ni = cur_.head;
+  Node& nd = node(ni);
+  cur_.head = nd.next;
   free_nodes_.push_back(ni);
   --size_;
   // Built in the caller's storage (a prvalue return): the body is
   // relocated exactly once on its way out of the node.
-  return Event{top_time, nd.key, nd.exec_owner, std::exchange(nd.resume, nullptr),
+  return Event{cur_.key, nd.key, nd.exec_owner, std::exchange(nd.resume, nullptr),
                std::move(nd.fn)};
 }
 

@@ -14,21 +14,32 @@
 // optimize storage around how simulations actually schedule:
 //
 //   * pending times repeat heavily (same-time wakeups, link busy-until
-//     clustering), so the priority heap holds one 16-byte POD entry per
+//     clustering), so the priority heap holds one 8-byte entry per
 //     DISTINCT time, not per event — most pushes and pops never sift;
 //   * all events at one time form an intrusive list through a recycled
 //     node pool (chunked, so node addresses are stable and pool growth
 //     never moves live events), kept sorted by (lamport, key_owner).
 //     Scheduling runs mostly in key order already, so the common case
 //     is an O(1) append at the tail;
-//   * nodes, list heads and the time->list index are all recycled — a
-//     steady-state push/pop cycle performs no heap allocation;
+//   * the drained current list: when the first event of the earliest
+//     time pops, that time's whole list leaves the time->list index and
+//     the heap at once and becomes the current list. The following pops
+//     at that time unlink its head with no hash lookup, and a push at
+//     the current time (a same-time wakeup or zero-delay send) joins it
+//     in key order. Every indexed time is later than the current one;
+//   * the heap's sift-down picks the least of eight children by a
+//     min/mask tournament, with no data-dependent branch, over storage
+//     padded with never-times so every scanned group is full;
+//   * nodes, list heads, the time->list index and the heap are all
+//     recycled (the heap reserves as the index grows) — a steady-state
+//     push/pop cycle performs no heap allocation;
 //   * an event body is either a callable (UniqueFunction, itself
 //     small-buffer optimized) or a bare coroutine handle: the coroutine
 //     fast path used by Engine::schedule_resume skips closure storage.
 
 #include <coroutine>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -81,10 +92,12 @@ class EventQueue {
   std::size_t size() const { return size_; }
 
   /// Time of the earliest pending event; undefined when empty.
-  SimTime next_time() const { return heap_times_.front(); }
+  SimTime next_time() const { return cur_.head != kNil ? cur_.key : heap_[0]; }
 
   /// Schedules `fn` at absolute time `t` under canonical key `key`,
-  /// to run in `exec_owner`'s context.
+  /// to run in `exec_owner`'s context. `t` must not precede the last
+  /// popped event's time (the engine never schedules into the simulated
+  /// past).
   void push(SimTime t, EventKey key, std::int32_t exec_owner, UniqueFunction&& fn);
 
   /// Coroutine fast path: schedules a bare handle resumption at `t`.
@@ -114,17 +127,25 @@ class EventQueue {
   Node& node(std::uint32_t i) { return chunks_[i >> kChunkShift][i & kChunkMask]; }
   std::uint32_t acquire_node();
   void enqueue(SimTime t, std::uint32_t n);
+  /// Links node `n` into the non-empty list of `cell` in key order.
+  void insert_sorted(TimeMap::Cell& cell, std::uint32_t n);
   void heap_push(SimTime t);
   void heap_pop();
 
-  // 8-ary implicit heap of bare times, one entry per distinct pending
+  // 8-ary implicit heap of bare times, one entry per distinct indexed
   // time (times in the heap are unique — each one's sorted list lives in
   // its TimeMap cell). Eight 8-byte keys per cache line, so a sift-down
-  // level's child scan costs roughly one line.
+  // level's child scan costs roughly one line. heap_ holds heap_n_ live
+  // entries followed by at least kArity kNever pads.
   static constexpr std::size_t kArity = 8;
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
-  std::vector<SimTime> heap_times_;
+  std::vector<SimTime> heap_ = std::vector<SimTime>(kArity, kNever);
+  std::size_t heap_n_ = 0;
   TimeMap lists_;  // time -> {head, tail} of its pending key-sorted list
+  // The drained current list, keyed by the current time; head == kNil
+  // when it is empty.
+  TimeMap::Cell cur_{TimeMap::kEmptyKey, kNil, kNil};
   std::vector<std::unique_ptr<Node[]>> chunks_;
   std::vector<std::uint32_t> free_nodes_;
   std::uint32_t nodes_in_use_ = 0;  // high-water count of constructed nodes

@@ -2,7 +2,8 @@
 // Open-addressing hash map: SimTime -> FIFO list {head, tail}.
 //
 // The event queue looks up "the pending list for time t" on every push
-// and pop. std::unordered_map allocates a node per insert, which would
+// past the current time, and takes each time's list out once, when it
+// comes due. std::unordered_map allocates a node per insert, which would
 // put a malloc back on the scheduling hot path; this flat table uses
 // linear probing with backward-shift deletion, so a steady-state
 // insert/erase cycle reuses the same storage. The key and both list
@@ -57,13 +58,14 @@ class TimeMap {
     return cells_[i];
   }
 
-  /// Erases a key that must be present.
-  void erase(SimTime key) {
+  /// Erases a key that must be present and returns its cell as it was.
+  Cell take(SimTime key) {
     std::size_t i = probe_start(key);
     while (cells_[i].key != key) {
-      assert(cells_[i].key != kEmptyKey && "erasing a missing key");
+      assert(cells_[i].key != kEmptyKey && "taking a missing key");
       i = (i + 1) & mask();
     }
+    const Cell taken = cells_[i];
     // Backward-shift deletion: pull later members of the probe chain into
     // the hole, so lookups never need tombstones and the table's probe
     // distances stay short under heavy insert/erase churn.
@@ -74,7 +76,7 @@ class TimeMap {
         j = (j + 1) & mask();
         if (cells_[j].key == kEmptyKey) {
           --size_;
-          return;
+          return taken;
         }
         const std::size_t home = probe_start(cells_[j].key);
         // If j's home lies cyclically in (i, j], j still probes through
@@ -89,6 +91,8 @@ class TimeMap {
   }
 
   std::size_t size() const { return size_; }
+  /// Cells allocated; size() never exceeds three quarters of it.
+  std::size_t capacity() const { return cells_.size(); }
 
  private:
   static constexpr std::size_t kMinCap = 16;  // power of two

@@ -113,7 +113,7 @@ TEST(CollTree, TreeBroadcastCrossesEachPairOnceAndDeliversEverywhere) {
     Network net(eng, das_config(4, 3));
     int delivered = 0;
     for (int n = 0; n < 12; ++n) {
-      net.endpoint(n).set_handler(5, [&delivered](Message) { ++delivered; });
+      net.endpoint(n).set_handler(5, [&delivered](const Message&) { ++delivered; });
     }
     Message m;
     m.bytes = 256;
@@ -145,7 +145,7 @@ TEST(CollTree, TreeBroadcastCrossesEachPairOnceAndDeliversEverywhere) {
 TEST(CollTree, BinomialRelaysThroughIntermediateGateways) {
   sim::Engine eng;
   Network net(eng, das_config(4, 1));
-  for (int n = 0; n < 4; ++n) net.endpoint(n).set_handler(1, [](Message) {});
+  for (int n = 0; n < 4; ++n) net.endpoint(n).set_handler(1, [](const Message&) {});
   Message m;
   m.bytes = 64;
   m.tag = 1;
@@ -164,7 +164,7 @@ TEST(CollTree, TreeBroadcastPaysOneAccessSerialization) {
   // the tree ships a single copy to the gateway, which replicates.
   sim::Engine eng;
   Network net(eng, das_config(4, 2));
-  for (int n = 0; n < 8; ++n) net.endpoint(n).set_handler(2, [](Message) {});
+  for (int n = 0; n < 8; ++n) net.endpoint(n).set_handler(2, [](const Message&) {});
   Message m;
   m.bytes = 1024;
   m.kind = MsgKind::Bcast;

@@ -26,7 +26,7 @@ Message mk(NodeId src, NodeId dst, std::size_t bytes, MsgKind kind = MsgKind::Da
 
 /// Arrival-time probe: remembers when tag-0 messages reach `node`.
 void watch(Network& net, NodeId node, std::vector<sim::SimTime>& out) {
-  net.endpoint(node).set_handler(0, [&net, &out](Message) { out.push_back(net.engine().now()); });
+  net.endpoint(node).set_handler(0, [&net, &out](const Message&) { out.push_back(net.engine().now()); });
 }
 
 TEST(Combine, SizeThresholdFlushShipsOneWireMessage) {
@@ -134,7 +134,7 @@ TEST(Combine, IdleCircuitBypassesCombining) {
   for (int i = 0; i < 2; ++i) {
     sim::Engine eng;
     Network net(eng, i == 0 ? das_config(2, 2) : combining);
-    net.endpoint(2).set_handler(0, [&net, &t = arrival[i]](Message) { t = net.engine().now(); });
+    net.endpoint(2).set_handler(0, [&net, &t = arrival[i]](const Message&) { t = net.engine().now(); });
     net.send(mk(0, 2, 512));
     eng.run();
     if (i == 1) {
@@ -185,7 +185,7 @@ TEST(Combine, FrameBytesChargedPerWireMessageAndAmortizedByCombining) {
   {
     sim::Engine eng;
     Network net(eng, flat);
-    for (NodeId n = 9; n <= 12; ++n) net.endpoint(n).set_handler(0, [](Message) {});
+    for (NodeId n = 9; n <= 12; ++n) net.endpoint(n).set_handler(0, [](const Message&) {});
     for (int i = 1; i <= 4; ++i) net.send(mk(i, 8 + i, 512));
     eng.run();
     EXPECT_EQ(net.stats().kind(MsgKind::Data).inter_bytes, 4u * (512u + 64u));
@@ -198,7 +198,7 @@ TEST(Combine, FrameBytesChargedPerWireMessageAndAmortizedByCombining) {
   {
     sim::Engine eng;
     Network net(eng, combined);
-    for (NodeId n = 8; n <= 12; ++n) net.endpoint(n).set_handler(0, [](Message) {});
+    for (NodeId n = 8; n <= 12; ++n) net.endpoint(n).set_handler(0, [](const Message&) {});
     net.send(mk(0, 8, 12 * 1024, MsgKind::Control));
     eng.schedule_after(sim::milliseconds(20), [&net] {
       for (int i = 1; i <= 4; ++i) net.send(mk(i, 8 + i, 512));
@@ -219,7 +219,7 @@ TEST(Combine, ParallelStreamsSpeedLargeTransfersAndSingleStreamIsIdentical) {
     if (i == 2) cfg.wan_transport.streams = 4;
     sim::Engine eng;
     Network net(eng, cfg);
-    net.endpoint(2).set_handler(0, [&net, &t = arrival[i]](Message) { t = net.engine().now(); });
+    net.endpoint(2).set_handler(0, [&net, &t = arrival[i]](const Message&) { t = net.engine().now(); });
     net.send(mk(0, 2, bytes));
     eng.run();
   }

@@ -24,7 +24,7 @@ TEST(Endpoint, ReservedTagHandlerIsCalled) {
   sim::Engine eng;
   Endpoint ep(eng);
   std::vector<std::size_t> seen;
-  ep.set_handler(-3, [&](Message m) { seen.push_back(m.bytes); });
+  ep.set_handler(-3, [&](const Message& m) { seen.push_back(m.bytes); });
   ep.deliver(tagged(-3, 40));
   ep.deliver(tagged(-Endpoint::kReservedTags, 7));  // no handler: mailbox
   EXPECT_EQ(seen, (std::vector<std::size_t>{40}));
@@ -36,7 +36,7 @@ TEST(Endpoint, ApplicationTagHandlerIsCalled) {
   sim::Engine eng;
   Endpoint ep(eng);
   int calls = 0;
-  ep.set_handler(9001, [&](Message m) {
+  ep.set_handler(9001, [&](const Message& m) {
     EXPECT_EQ(m.tag, 9001);
     ++calls;
   });
@@ -49,7 +49,7 @@ TEST(Endpoint, ApplicationTagHandlerIsCalled) {
 TEST(Endpoint, UnregisteredReservedTagQueuesInMailbox) {
   sim::Engine eng;
   Endpoint ep(eng);
-  ep.set_handler(-1, [](Message) { FAIL() << "wrong reserved slot"; });
+  ep.set_handler(-1, [](const Message&) { FAIL() << "wrong reserved slot"; });
   ep.deliver(tagged(-2, 11));
   ep.deliver(tagged(-2, 12));
   EXPECT_EQ(ep.pending(-2), 2u);
@@ -66,7 +66,7 @@ TEST(Endpoint, ClearHandlerReturnsReservedTagToMailbox) {
   sim::Engine eng;
   Endpoint ep(eng);
   int calls = 0;
-  ep.set_handler(-4, [&](Message) { ++calls; });
+  ep.set_handler(-4, [&](const Message&) { ++calls; });
   ep.deliver(tagged(-4));
   ep.clear_handler(-4);
   ep.deliver(tagged(-4));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -121,40 +123,106 @@ TEST(Network, PayloadSurvivesShipment) {
   EXPECT_EQ(got, "hello world");
 }
 
+/// One receiver's copy of a broadcast: its arrival time and the fields a
+/// shared fan-out delivery must hand each receiver.
+struct Receipt {
+  sim::SimTime at = -1;
+  NodeId dst = kNoNode;
+  std::uint64_t id = 0;
+  std::size_t bytes = 0;
+  const void* payload = nullptr;
+};
+
+Receipt receipt(sim::SimTime at, const Message& m) {
+  return Receipt{at, m.dst, m.id, m.bytes, m.payload.get()};
+}
+
+/// Receives one tag-0 message at `node` through a handler.
+void receive_by_handler(Network& net, NodeId node, std::vector<Receipt>& out) {
+  net.endpoint(node).set_handler(0, [&net, &out](const Message& m) {
+    out.push_back(receipt(net.engine().now(), m));
+  });
+}
+
+/// Receives one tag-0 message at `node` from its mailbox.
+void receive_by_mailbox(Network& net, NodeId node, std::vector<Receipt>& out) {
+  net.engine().spawn([](Network& n, NodeId at, std::vector<Receipt>& o) -> sim::Task<void> {
+    const Message m = co_await n.endpoint(at).receive(0);
+    o.push_back(receipt(n.engine().now(), m));
+  }(net, node, out));
+}
+
+/// One broadcast reached exactly the nodes `want`, all at the same time,
+/// each seeing its own node as `dst` and the one message's id, bytes and
+/// payload.
+void expect_fan_out(const std::vector<Receipt>& got, std::vector<NodeId> want, std::uint64_t id,
+                    std::size_t bytes, const void* payload) {
+  ASSERT_EQ(got.size(), want.size());
+  std::vector<NodeId> dsts;
+  for (const Receipt& r : got) {
+    dsts.push_back(r.dst);
+    EXPECT_EQ(r.at, got[0].at);
+    EXPECT_EQ(r.id, id);
+    EXPECT_EQ(r.bytes, bytes);
+    EXPECT_EQ(r.payload, payload);
+  }
+  std::sort(dsts.begin(), dsts.end());
+  EXPECT_EQ(dsts, want);
+}
+
 TEST(Network, LanBroadcastReachesAllOthersSimultaneously) {
   sim::Engine eng;
   Network net(eng, das_config(1, 8));
-  std::vector<sim::SimTime> arrivals;
-  for (int i = 1; i < 8; ++i) {
-    eng.spawn([](Network& n, int node, std::vector<sim::SimTime>& out) -> sim::Task<void> {
-      (void)co_await n.endpoint(node).receive(0);
-      out.push_back(n.engine().now());
-    }(net, i, arrivals));
-  }
-  eng.schedule_after(0, [&] { net.lan_broadcast(0, mk(0, kNoNode, 0, MsgKind::Bcast)); });
+  // Node 1 takes the broadcast in a handler, the rest from mailboxes:
+  // both must see the same message, addressed to themselves.
+  std::vector<Receipt> got;
+  receive_by_handler(net, 1, got);
+  for (NodeId i = 2; i < 8; ++i) receive_by_mailbox(net, i, got);
+  Message sent = mk(0, kNoNode, 0, MsgKind::Bcast);
+  sent.payload = make_payload<int>(7);
+  const std::shared_ptr<const void> payload = sent.payload;
+  std::uint64_t id = 0;
+  eng.schedule_after(0, [&] { id = net.lan_broadcast(0, std::move(sent)); });
   eng.run();
-  ASSERT_EQ(arrivals.size(), 7u);
-  for (auto t : arrivals) EXPECT_EQ(t, arrivals[0]);
+  expect_fan_out(got, {1, 2, 3, 4, 5, 6, 7}, id, 0, payload.get());
+  ASSERT_FALSE(got.empty());
   // 3 us overhead + 22 us broadcast latency = 25 us.
-  EXPECT_EQ(arrivals[0], sim::microseconds(25));
-  // The sender is not among the receivers.
+  EXPECT_EQ(got[0].at, sim::microseconds(25));
+  // The sender is not among the receivers, and the last receiver
+  // released the shared message.
   EXPECT_EQ(net.endpoint(0).pending(0), 0u);
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(Network, LanBroadcastInOneNodeClusterDeliversNothing) {
+  sim::Engine eng;
+  Network net(eng, das_config(1, 1));
+  Message m = mk(0, kNoNode, 32, MsgKind::Bcast);
+  m.payload = make_payload<int>(3);
+  const std::shared_ptr<const void> payload = m.payload;
+  net.lan_broadcast(0, std::move(m));
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_EQ(eng.run(), 0u);
+  EXPECT_EQ(net.endpoint(0).pending(0), 0u);
+  // No fan-out record holds the message.
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(Network, WanBroadcastFansOutInRemoteCluster) {
   sim::Engine eng;
   Network net(eng, das_config(2, 4));
-  int received = 0;
-  for (int i = 4; i < 8; ++i) {
-    eng.spawn([](Network& n, int node, int& count) -> sim::Task<void> {
-      (void)co_await n.endpoint(node).receive(0);
-      ++count;
-    }(net, i, received));
-  }
-  eng.schedule_after(0, [&] { net.wan_broadcast(0, 1, mk(0, kNoNode, 128, MsgKind::Bcast)); });
+  std::vector<Receipt> got;
+  receive_by_handler(net, 4, got);
+  for (NodeId i = 5; i < 8; ++i) receive_by_mailbox(net, i, got);
+  Message sent = mk(0, kNoNode, 128, MsgKind::Bcast);
+  sent.payload = make_payload<int>(11);
+  const std::shared_ptr<const void> payload = sent.payload;
+  std::uint64_t id = 0;
+  eng.schedule_after(0, [&] { id = net.wan_broadcast(0, 1, std::move(sent)); });
   eng.run();
-  EXPECT_EQ(received, 4);
+  expect_fan_out(got, {4, 5, 6, 7}, id, 128, payload.get());
   EXPECT_EQ(net.stats().kind(MsgKind::Bcast).inter_msgs, 1u);
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(Network, TrafficStatsClassifyIntraVsInter) {

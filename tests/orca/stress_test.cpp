@@ -138,7 +138,7 @@ TEST(RpcBlocking, ManyConcurrentBlockingCallsAllComplete) {
 TEST(Endpoint, HandlerTakesPrecedenceOverMailbox) {
   Fixture f(net::das_config(1, 2));
   int handled = 0;
-  f.net.endpoint(1).set_handler(42, [&](net::Message) { ++handled; });
+  f.net.endpoint(1).set_handler(42, [&](const net::Message&) { ++handled; });
   f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
     if (p.rank == 0) {
       f.rt.send_data(p, 1, 42, 8);
@@ -155,7 +155,7 @@ TEST(Endpoint, HandlerTakesPrecedenceOverMailbox) {
 
 TEST(Endpoint, ClearHandlerRestoresQueueing) {
   Fixture f(net::das_config(1, 2));
-  f.net.endpoint(1).set_handler(7, [](net::Message) { FAIL() << "stale handler"; });
+  f.net.endpoint(1).set_handler(7, [](const net::Message&) { FAIL() << "stale handler"; });
   f.net.endpoint(1).clear_handler(7);
   f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
     if (p.rank == 0) {

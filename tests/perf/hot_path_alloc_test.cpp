@@ -8,6 +8,7 @@
 //   * delay()          — the coroutine timer fast path
 //   * yield()          — requeue-at-now
 //   * LAN unicast      — send -> link -> deliver -> mailbox -> resume
+//   * LAN broadcast    — one recycled fan-out record -> every handler
 //   * channel ping-pong
 //   * ordered writes   — per receiving node, in-order broadcast apply
 //
@@ -200,6 +201,44 @@ TEST(HotPathAlloc, WanMultiHopIsAllocationFree) {
   }(net));
   eng.run();
   EXPECT_EQ(w.count(), 0u) << "WAN multi-hop round-trip allocated in steady state";
+}
+
+// A hardware broadcast stores its Message once, in a fan-out record the
+// network recycles, and hands it to each receiver's handler by
+// reference: once warm, broadcasting to fifteen handlers — several
+// broadcasts in flight at once — must not allocate.
+TEST(HotPathAlloc, LanBroadcastFanOutIsAllocationFree) {
+  Engine eng;
+  net::Network net(eng, net::das_config(1, 16));
+  std::uint64_t delivered = 0;
+  for (net::NodeId n = 1; n < 16; ++n) {
+    net.endpoint(n).set_handler(5, [&delivered](const net::Message&) { ++delivered; });
+  }
+  Window w;
+  eng.spawn([](Engine& e, net::Network& nw, Window& win) -> Task<void> {
+    auto burst = [&nw] {
+      for (int i = 0; i < 3; ++i) {
+        net::Message m;
+        m.bytes = 64;
+        m.kind = net::MsgKind::Bcast;
+        m.tag = 5;
+        nw.lan_broadcast(0, std::move(m));
+      }
+    };
+    for (int i = 0; i < 256; ++i) {
+      burst();
+      co_await e.delay(milliseconds(1));
+    }
+    win.begin = g_allocations;
+    for (int i = 0; i < 4000; ++i) {
+      burst();
+      co_await e.delay(milliseconds(1));
+    }
+    win.end = g_allocations;
+  }(eng, net, w));
+  eng.run();
+  EXPECT_EQ(delivered, 15u * 3u * (256u + 4000u));
+  EXPECT_EQ(w.count(), 0u) << "LAN broadcast fan-out allocated in steady state";
 }
 
 // Heap allocations during `writes` ordered writes by rank 0, once warm,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -53,6 +55,54 @@ TEST(EventQueue, NextTimeTracksEarliest) {
   EXPECT_EQ(q.next_time(), 5);
   q.pop();
   EXPECT_EQ(q.next_time(), 50);
+}
+
+TEST(EventQueue, MatchesSortedReference) {
+  // Keys come from per-owner Lamport counters max-updated at each pop, as
+  // Engine::dispatch does, so every push keys after the event that made
+  // it and the whole pop order must equal the sorted push set. Times fall
+  // in a narrow window, so several owners' events share each time, and
+  // zero-delay pushes land at the current time both while its list is
+  // still draining and after it has emptied.
+  using Rec = std::tuple<SimTime, std::uint64_t, std::int32_t>;
+  constexpr int kOwners = 4;
+  constexpr std::size_t kPushes = 20000;
+  Rng rng(35);
+  EventQueue q;
+  std::vector<std::uint64_t> lamport(kOwners, 0);
+  std::vector<Rec> pushed;
+  std::vector<Rec> popped;
+  auto push = [&](SimTime t, int owner) {
+    const EventKey key{++lamport[static_cast<std::size_t>(owner)], owner};
+    const auto exec = static_cast<std::int32_t>(rng.uniform_int(0, kOwners - 1));
+    q.push(t, key, exec, [] {});
+    pushed.emplace_back(t, key.lamport, key.owner);
+  };
+  for (int i = 0; i < 64; ++i) {
+    push(rng.uniform_int(0, 7), static_cast<int>(rng.uniform_int(0, kOwners - 1)));
+  }
+
+  int while_draining = 0;
+  int after_emptied = 0;
+  while (!q.empty()) {
+    const SimTime due = q.next_time();
+    const EventQueue::Event e = q.pop();
+    ASSERT_EQ(e.time, due);
+    popped.emplace_back(e.time, e.key.lamport, e.key.owner);
+    std::uint64_t& lam = lamport[static_cast<std::size_t>(e.exec_owner)];
+    if (e.key.lamport > lam) lam = e.key.lamport;
+    if (pushed.size() >= kPushes) continue;
+    for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+      const SimTime delay = rng.uniform_int(0, 3);
+      if (delay == 0 && !q.empty() && q.next_time() == e.time) ++while_draining;
+      if (delay == 0 && (q.empty() || q.next_time() > e.time)) ++after_emptied;
+      push(e.time + delay, e.exec_owner);
+    }
+  }
+  EXPECT_GT(while_draining, 0);
+  EXPECT_GT(after_emptied, 0);
+  std::sort(pushed.begin(), pushed.end());
+  EXPECT_EQ(popped, pushed);
 }
 
 TEST(Engine, AdvancesTime) {
